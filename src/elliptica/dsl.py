@@ -380,11 +380,10 @@ def _sullivan_element_str(model: SullivanModel, e: Element) -> str:
     return _join_terms(parts) if parts else "0"
 
 
-def _bracket_str(lie: FreeLie, seq) -> str:
-    s = lie.by_index[seq[0]].name
-    for idx in seq[1:]:
-        s = f"[{s},{lie.by_index[idx].name}]"
-    return s
+def _bracket_str(lie: FreeLie, tree) -> str:
+    if isinstance(tree, int):
+        return lie.by_index[tree].name
+    return f"[{_bracket_str(lie, tree[0])},{_bracket_str(lie, tree[1])}]"
 
 
 def _quillen_element_str(model: DGLModel, e: LieElement) -> str:
@@ -393,13 +392,13 @@ def _quillen_element_str(model: DGLModel, e: LieElement) -> str:
     coords = lie.lie_coords(deg, e)
     if coords is None:
         raise ValidationError("differential image escaped the Lie subalgebra")
-    _, seqs = lie.lie_basis_with_seqs(deg)
+    _, trees = lie.lie_basis_with_seqs(deg)
     parts = []
-    for c, seq in zip(coords, seqs):
+    for c, tree in zip(coords, trees):
         if not c:
             continue
         sign, cs = _coeff_str(c, lead=not parts)
-        body = _bracket_str(lie, seq)
+        body = _bracket_str(lie, tree)
         if abs(c) != 1:
             body = f"{cs}*{body}"
         parts.append((sign, body))

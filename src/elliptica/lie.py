@@ -1,23 +1,30 @@
 """Free graded Lie algebra L(W) embedded in the tensor algebra T(W).
 
 Elements are sparse combinations of tensor words (tuples of generator
-indices).  Brackets, per-degree Lie bases (left-normed spanning sets reduced
-by exact rank), and degree -1 derivations all operate in this ambient
-representation, so membership and rank questions reduce to linear algebra.
+indices).  The per-degree Lie basis is the Lyndon basis of the free Lie
+superalgebra, parity being degree mod 2: the standard bracketing b(w) of
+every Lyndon word w over the generator indices, plus [b(u), b(u)] for every
+Lyndon word u of odd degree (Reutenauer, *Free Lie Algebras*, Ch. 4-5).
+Each basis element has its own leading word -- its smallest tensor word, w
+resp. uu -- so coordinates come from triangular peeling and membership in
+L(W) needs no elimination.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, InternalInconsistency
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Word = tuple[int, ...]  # generator indices, tensor factors left to right
+# A bracket tree: a generator index, or a pair (left, right) for [left, right].
+Tree = int | tuple
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,13 @@ class LieElement:
     @classmethod
     def zero(cls) -> "LieElement":
         return cls()
+
+    @classmethod
+    def _of(cls, terms: dict[Word, Fraction]) -> "LieElement":
+        """Adopt a dict of Fraction coefficients, dropping zeros."""
+        e = cls.__new__(cls)
+        e.terms = {w: c for w, c in terms.items() if c}
+        return e
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -76,18 +90,38 @@ class LieElement:
 
 
 class FreeLie:
-    """The free graded Lie algebra on a list of generators."""
+    """The free graded Lie algebra on a list of generators.
 
-    def __init__(self, generators: Sequence[LieGenerator]):
+    With ``source`` given, the generators must be a subset of the source's
+    and the Lie bases are the source's, restricted to the basis elements
+    whose leading word uses only these generators: the Lyndon basis of a
+    sub-alphabet is the part of the full Lyndon basis over that alphabet.
+    """
+
+    def __init__(self, generators: Sequence[LieGenerator],
+                 source: "FreeLie | None" = None):
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         self.generators = list(generators)
         self.by_index = {g.index: g for g in generators}
         self.by_name = {g.name: g for g in generators}
+        if source is not None and any(
+                source.by_index.get(g.index) != g for g in generators):
+            raise ValueError("generators are not a subset of the source's")
+        self._source = source
         self._word_cache: dict[int, list[Word]] = {}
-        self._lie_cache: dict[int, tuple[list[LieElement], list[Word]]] = {}
-        self._span_cache: dict[int, linalg.Span] = {}
+        # degree -> Lyndon words of that degree, ascending
+        self._lyndon_cache: dict[int, list[Word]] = {}
+        # Lyndon word of length >= 2 -> its standard factorization (u, v)
+        self._factor: dict[Word, tuple[Word, Word]] = {}
+        # Lyndon word -> tensor expansion of its standard bracketing b(w)
+        self._expansion: dict[Word, LieElement] = {}
+        # degree -> (basis, bracket trees, leading words)
+        self._lie_cache: dict[int, tuple[list[LieElement], list[Tree],
+                                         list[Word]]] = {}
+        # degree -> {leading word: (basis position, coefficient)}
+        self._lead: dict[int, dict[Word, tuple[int, Fraction]]] = {}
 
     # --- degrees -----------------------------------------------------------
 
@@ -116,16 +150,16 @@ class FreeLie:
     def bracket(self, a: LieElement, b: LieElement) -> LieElement:
         """[a, b] = a (x) b - (-1)^(|a||b|) b (x) a, extended bilinearly."""
         out: dict[Word, Fraction] = {}
+        bs = [(wb, cb, self.word_degree(wb) % 2) for wb, cb in b.terms.items()]
         for wa, ca in a.terms.items():
-            da = self.word_degree(wa)
-            for wb, cb in b.terms.items():
-                db = self.word_degree(wb)
+            odd_a = self.word_degree(wa) % 2
+            for wb, cb, odd_b in bs:
                 c = ca * cb
                 w1 = wa + wb
                 out[w1] = out.get(w1, _ZERO) + c
                 w2 = wb + wa
-                out[w2] = out.get(w2, _ZERO) - ((-1) ** (da * db)) * c
-        return LieElement(out)
+                out[w2] = out.get(w2, _ZERO) + (c if odd_a and odd_b else -c)
+        return LieElement._of(out)
 
     # --- tensor-word bases -------------------------------------------------
 
@@ -160,38 +194,95 @@ class FreeLie:
             v[idx[w]] = c
         return tuple(v)
 
-    # --- Lie bases ---------------------------------------------------------
+    # --- Lyndon words ------------------------------------------------------
 
-    def _sequences(self, degree: int) -> list[tuple[int, ...]]:
-        # generator index sequences summing to the degree; same enumeration
-        # as tensor words, which is what left-normed brackets are built from
-        return self.words(degree)
+    def _lyndon(self, degree: int) -> list[Word]:
+        """Lyndon words of the degree, built from standard factorizations.
 
-    def left_normed(self, seq: Sequence[int]) -> LieElement:
-        """[[...[g1, g2], g3], ..., gk] expanded in the tensor algebra."""
-        e = LieElement({(seq[0],): _ONE})
-        for i in seq[1:]:
-            e = self.bracket(e, LieElement({(i,): _ONE}))
+        w = uv with u, v Lyndon is Lyndon with standard factorization (u, v)
+        exactly when u < v and u is a letter or the right factor of u's own
+        standard factorization is >= v; every Lyndon word of length >= 2
+        arises once this way.
+        """
+        if degree in self._lyndon_cache:
+            return self._lyndon_cache[degree]
+        out = [(g.index,) for g in self.generators if g.degree == degree]
+        for du in range(1, degree):
+            vs = self._lyndon(degree - du)
+            for u in self._lyndon(du):
+                fu = self._factor.get(u)
+                for v in vs:
+                    if u < v and (fu is None or fu[1] >= v):
+                        w = u + v
+                        self._factor[w] = (u, v)
+                        out.append(w)
+        out.sort()
+        self._lyndon_cache[degree] = out
+        return out
+
+    def _tree(self, w: Word) -> Tree:
+        f = self._factor.get(w)
+        return w[0] if f is None else (self._tree(f[0]), self._tree(f[1]))
+
+    def _standard_bracket(self, w: Word) -> LieElement:
+        """b(w) expanded in the tensor algebra, memoized."""
+        e = self._expansion.get(w)
+        if e is None:
+            f = self._factor.get(w)
+            if f is None:
+                e = LieElement({w: _ONE})
+            else:
+                e = self.bracket(self._standard_bracket(f[0]),
+                                 self._standard_bracket(f[1]))
+            self._expansion[w] = e
         return e
 
+    # --- Lie bases ---------------------------------------------------------
+
+    def _build_basis(self, degree: int):
+        entries = []   # (leading word, tree, element)
+        for w in self._lyndon(degree):
+            entries.append((w, self._tree(w), self._standard_bracket(w)))
+        half = degree // 2
+        if degree % 2 == 0 and half % 2:
+            for u in self._lyndon(half):
+                b = self._standard_bracket(u)
+                t = self._tree(u)
+                entries.append((u + u, (t, t), self.bracket(b, b)))
+        entries.sort(key=lambda x: x[0])
+        for w, _, e in entries:
+            if e.is_zero() or min(e.terms) != w:
+                raise InternalInconsistency(
+                    f"Lyndon basis element with leading word {w} is not "
+                    f"triangular in degree {degree}")
+        return ([e for _, _, e in entries], [t for _, t, _ in entries],
+                [w for w, _, _ in entries])
+
+    def _restrict_basis(self, degree: int):
+        basis, trees, leads = self._source._basis_tables(degree)
+        keep = [j for j, w in enumerate(leads)
+                if all(i in self.by_index for i in w)]
+        return ([basis[j] for j in keep], [trees[j] for j in keep],
+                [leads[j] for j in keep])
+
+    def _basis_tables(self, degree: int):
+        if degree not in self._lie_cache:
+            tables = (self._restrict_basis(degree) if self._source is not None
+                      else self._build_basis(degree))
+            basis, _, leads = tables
+            self._lie_cache[degree] = tables
+            self._lead[degree] = {w: (j, basis[j].terms[w])
+                                  for j, w in enumerate(leads)}
+        return self._lie_cache[degree]
+
     def lie_basis_with_seqs(self, degree: int):
-        """(basis elements, defining left-normed sequences) for L_degree."""
-        if degree in self._lie_cache:
-            return self._lie_cache[degree]
-        words = self.words(degree)
-        span = linalg.Span(len(words))
-        basis: list[LieElement] = []
-        seqs: list[Word] = []
-        for seq in self._sequences(degree):
-            e = self.left_normed(seq)
-            if e.is_zero():
-                continue
-            if span.add(self.to_coords(degree, e)):
-                basis.append(e)
-                seqs.append(seq)
-        self._lie_cache[degree] = (basis, seqs)
-        self._span_cache[degree] = span
-        return basis, seqs
+        """(basis elements, their bracket trees) for L_degree.
+
+        A tree is a generator index or a pair (left, right) standing for
+        [left, right]; elements are ordered by ascending leading word.
+        """
+        basis, trees, _ = self._basis_tables(degree)
+        return basis, trees
 
     def lie_basis(self, degree: int) -> list[LieElement]:
         return self.lie_basis_with_seqs(degree)[0]
@@ -200,20 +291,49 @@ class FreeLie:
         return len(self.lie_basis(degree))
 
     def lie_coords(self, degree: int, e: LieElement) -> linalg.Vector | None:
-        """Coordinates over lie_basis(degree), None if e is outside L(W)."""
-        self.lie_basis_with_seqs(degree)
-        span = self._span_cache[degree]
-        if e.is_zero():
-            return linalg.zero_vector(span.rank)
-        return span.express(self.to_coords(degree, e))
+        """Coordinates over lie_basis(degree), None if e is outside L(W).
+
+        Peels basis elements off by ascending leading word: the smallest word
+        left must be a leading word, else e is not in L(W).
+        """
+        basis = self.lie_basis(degree)
+        lead = self._lead[degree]
+        coords = [_ZERO] * len(basis)
+        rest = dict(e.terms)
+        heap = list(rest)
+        heapq.heapify(heap)
+        while heap:
+            w = heapq.heappop(heap)
+            c = rest.pop(w)
+            if not c:
+                continue
+            hit = lead.get(w)
+            if hit is None:
+                if not self.is_homogeneous(e, degree):
+                    raise DegreeMismatch(f"word outside degree {degree}")
+                return None
+            j, lc = hit
+            k = c / lc
+            coords[j] = k
+            # every other word of basis[j] is larger than w, so a word once
+            # popped never comes back
+            for x, v in basis[j].terms.items():
+                if x != w:
+                    old = rest.get(x)
+                    if old is None:
+                        rest[x] = -k * v
+                        heapq.heappush(heap, x)
+                    else:
+                        rest[x] = old - k * v
+        return tuple(coords)
 
     def from_lie_coords(self, degree: int, coords) -> LieElement:
-        basis = self.lie_basis(degree)
-        out = LieElement.zero()
-        for c, b in zip(coords, basis):
+        out: dict[Word, Fraction] = {}
+        for c, b in zip(coords, self.lie_basis(degree)):
             if c:
-                out = out + b.scale(c)
-        return out
+                for w, v in b.terms.items():
+                    out[w] = out.get(w, _ZERO) + c * v
+        return LieElement._of(out)
 
     # --- derivations -------------------------------------------------------
 
@@ -238,35 +358,21 @@ class LieDerivation:
                     f"image of {g.name} is not homogeneous of degree {g.degree - 1}")
             self.images[idx] = img
 
-    def _apply_word(self, w: Word) -> LieElement:
+    def _apply_word(self, w: Word, c: Fraction, out: dict[Word, Fraction]):
+        """out += c * D(w)."""
         lie = self.lie
-        out: dict[Word, Fraction] = {}
         prefix_deg = 0
         for j, idx in enumerate(w):
             img = self.images.get(idx)
             if img is not None and not img.is_zero():
-                sign = (-1) ** prefix_deg
-                for u, c in img.terms.items():
+                sc = -c if prefix_deg % 2 else c
+                for u, v in img.terms.items():
                     word = w[:j] + u + w[j + 1:]
-                    out[word] = out.get(word, _ZERO) + sign * c
+                    out[word] = out.get(word, _ZERO) + sc * v
             prefix_deg += lie.by_index[idx].degree
-        return LieElement(out)
 
     def __call__(self, e: LieElement) -> LieElement:
-        out = LieElement.zero()
+        out: dict[Word, Fraction] = {}
         for w, c in e.terms.items():
-            out = out + self._apply_word(w).scale(c)
-        return out
-
-
-def bracket(lie: FreeLie, a: LieElement, b: LieElement) -> LieElement:
-    return lie.bracket(a, b)
-
-
-def lie_basis(generators: Sequence[LieGenerator], degree: int) -> list[LieElement]:
-    return FreeLie(generators).lie_basis(degree)
-
-
-def lie_derivation_extend(lie: FreeLie, images: Mapping[int, LieElement],
-                          e: LieElement) -> LieElement:
-    return lie.derivation(images)(e)
+            self._apply_word(w, c, out)
+        return LieElement._of(out)

@@ -43,8 +43,11 @@ class DGLModel:
     """A finite free DGL (L(W), delta) with delta of degree -1."""
 
     def __init__(self, generators: Sequence[LieGenerator],
-                 differential: Mapping[int, LieElement], name: str = ""):
-        self.lie = FreeLie(generators)
+                 differential: Mapping[int, LieElement], name: str = "",
+                 lie_source: FreeLie | None = None):
+        # lie_source: a FreeLie on a superset of the generators whose Lie
+        # bases this model's restrict (see FreeLie)
+        self.lie = FreeLie(generators, source=lie_source)
         self.differential = {i: e for i, e in differential.items()
                              if not e.is_zero()}
         self.name = name
@@ -85,14 +88,17 @@ class DGLModel:
 
     def truncate(self, k: int) -> "DGLModel":
         """Sub-DGL on generators of degree <= k (closed since delta lowers
-        degree)."""
-        k = min(k, self.max_generator_degree())
+        degree); the model itself when that keeps every generator.  The
+        sub-DGL's Lie bases are restricted from this model's."""
+        if k >= self.max_generator_degree():
+            return self
         if k in self._trunc_cache:
             return self._trunc_cache[k]
         keep = [g for g in self.generators if g.degree <= k]
         diff = {g.index: self.delta_of_generator(g.index) for g in keep
                 if not self.delta_of_generator(g.index).is_zero()}
-        sub = DGLModel(keep, diff, name=f"{self.name}[<={k}]" if self.name else "")
+        sub = DGLModel(keep, diff, name=f"{self.name}[<={k}]" if self.name else "",
+                       lie_source=self.lie)
         self._trunc_cache[k] = sub
         return sub
 
@@ -230,16 +236,12 @@ def gamma(model: DGLModel, i: int) -> GammaData:
     if i < 2:
         raise ValueError("Gamma_i defined for i >= 2")
     tc = model.truncate(i).complex()
-    _, reps, _ = tc.homology(i)
+    _, reps, reps_v = tc.homology(i)
     j = _linear_part_matrix(model, i, reps)
     kernel = linalg.kernel_basis(j)
-    gamma_reps = []
-    for k in kernel:
-        e = LieElement.zero()
-        for c, rep in zip(k, reps):
-            if c:
-                e = e + rep.scale(c)
-        gamma_reps.append(e)
+    combine = linalg.QMatrix.from_columns(reps_v, tc.dim(i))
+    gamma_reps = [tc.model.lie.from_lie_coords(i, combine.apply(k))
+                  for k in kernel]
     return GammaData(i, len(kernel), gamma_reps, list(kernel), tc)
 
 

@@ -60,7 +60,7 @@ def test_criterion_1_cpn_sullivan_invariants():
 
 def test_criterion_2_cpn_quillen_eta():
     results = []
-    for n in range(1, 4):
+    for n in range(1, 5):
         t0 = time.monotonic()
         q = dsl.catalog("cpn_quillen", n)
         e = quillen.eta(q)
@@ -304,6 +304,15 @@ def test_criterion_11_parser_roundtrip_and_errors():
         if not equal(m, dsl.parse(dsl.serialize(m))):
             report(11, False, f"roundtrip failed for {spec}")
         count += 1
+    # [[a,b],[a,c]] is the standard bracket of the Lyndon word abac, which
+    # no left-normed bracket writes as a single term
+    nested = dsl.parse("model nested : quillen\ngen a : 1\ngen b : 1\n"
+                       "gen c : 1\ngen z : 5\nd z = [[a,b],[a,c]]\n")
+    text = dsl.serialize(nested)
+    if "d z = [[a,b],[a,c]]\n" not in text or \
+            not equal(nested, dsl.parse(text)):
+        report(11, False, f"nested-bracket roundtrip failed: {text!r}")
+    count += 1
     rng = random.Random(161803)
     for i in range(100):
         m = randmodels.random_pure_model(rng, name=f"round{i}")

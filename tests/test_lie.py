@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptica import linalg
+from elliptica.errors import InternalInconsistency
 from elliptica.lie import FreeLie, LieElement, LieGenerator
 
 GEN_SETS = [
@@ -25,8 +27,8 @@ def make_lie(spec):
 def all_bracketings_rank(lie, degree):
     """Rank of the span of *all* fully parenthesized brackets of the degree.
 
-    Independent of the left-normed enumeration used by lie_basis: this
-    recursion builds every bracketing shape.
+    Independent of the Lyndon basis behind lie_basis: this recursion builds
+    every bracketing shape.
     """
     memo = {}
 
@@ -102,20 +104,62 @@ def test_graded_jacobi(spec, seed):
     assert lhs == rhs
 
 
-def test_lie_coords_roundtrip():
-    lie = make_lie([("u", 1), ("v", 2)])
-    for d in range(2, 6):
-        for b in lie.lie_basis(d):
+def _series_mul(a, b, top):
+    out = [0] * (top + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:top + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", GEN_SETS + [[("w1", 1), ("w3", 3), ("w5", 5), ("w7", 7)]])
+def test_pbw_hilbert_series(spec):
+    # U(L(W)) = T(W): prod_(n even) (1 - t^n)^(-dim L_n)
+    # * prod_(n odd) (1 + t^n)^(dim L_n) = 1 / (1 - sum_g t^|g|)
+    top = 10
+    lie = make_lie(spec)
+    lhs = [1] + [0] * top
+    for n in range(1, top + 1):
+        a = lie.lie_dim(n)
+        factor = [0] * (top + 1)
+        for k in range(top // n + 1):
+            factor[n * k] = comb(a, k) if n % 2 else \
+                (comb(a + k - 1, k) if k else 1)
+        lhs = _series_mul(lhs, factor, top)
+    rhs = [1] + [0] * top
+    for m in range(1, top + 1):
+        rhs[m] = sum(rhs[m - d] for _, d in spec if d <= m)
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("spec", GEN_SETS)
+def test_lie_coords_roundtrip(spec):
+    lie = make_lie(spec)
+    for d in range(1, 7):
+        basis = lie.lie_basis(d)
+        for j, b in enumerate(basis):
             coords = lie.lie_coords(d, b)
-            assert coords is not None
+            assert coords == tuple(int(i == j) for i in range(len(basis)))
             assert lie.from_lie_coords(d, coords) == b
+        combo = [Fraction(j + 1, 3) for j in range(len(basis))]
+        e = lie.from_lie_coords(d, combo)
+        assert lie.lie_coords(d, e) == tuple(combo)
 
 
-def test_lie_coords_rejects_non_lie_tensor():
-    # for even w the word w(x)w is a tensor not in the Lie subalgebra
-    lie = make_lie([("w", 2)])
-    e = LieElement({(0, 0): Fraction(1)})
-    assert lie.lie_coords(4, e) is None
+@pytest.mark.parametrize("spec", GEN_SETS)
+def test_lie_coords_rejects_non_lie_tensor(spec):
+    # g(x)g(x)g lies in L(W) for no generator g: L has nothing in that
+    # multidegree, as [g,g] = 0 for even g and [g,[g,g]] = 0 for odd g;
+    # for even g not even g(x)g does
+    lie = make_lie(spec)
+    g = lie.generators[0]
+    powers = (2, 3) if g.degree % 2 == 0 else (3,)
+    for p in powers:
+        e = LieElement({(g.index,) * p: Fraction(1)})
+        assert lie.lie_coords(p * g.degree, e) is None
+        for b in lie.lie_basis(p * g.degree):
+            assert lie.lie_coords(p * g.degree, e + b) is None
 
 
 def test_derivation_leibniz_for_bracket():
@@ -141,3 +185,12 @@ def test_derivation_squares_to_zero_on_model_generators():
     })
     for name in ("w1", "w3", "w5"):
         assert d(d(lie.gen(name))).is_zero()
+
+
+def test_non_triangular_basis_element_raises():
+    lie = make_lie([("u", 1), ("v", 1)])
+    lie._lyndon(3)
+    # b(uuv) must have uuv as its smallest word; plant one that does not
+    lie._expansion[(0, 0, 1)] = LieElement({(0, 1, 1): Fraction(1)})
+    with pytest.raises(InternalInconsistency):
+        lie.lie_basis(3)
