@@ -106,7 +106,7 @@ def cmd_invariants(args) -> int:
     if isinstance(model, SullivanModel):
         a = invariants.SullivanAnalysis(model, args.max_degree)
         a.require_elliptic()
-        rep = invariants.invariant_report(model, args.max_degree)
+        rep = invariants.invariant_report(model, args.max_degree, analysis=a)
         tables = {
             "chi_h": rep.chi_h,
             "chi_v": rep.chi_v,
@@ -219,8 +219,8 @@ def cmd_verify(args) -> int:
     model = _load(args.model)
     if not isinstance(model, SullivanModel):
         raise _Usage("verify expects a sullivan model")
-    ledger = invariants.full_ledger(model, args.max_degree)
     a = invariants.SullivanAnalysis(model, args.max_degree)
+    ledger = invariants.full_ledger(model, args.max_degree, analysis=a)
     lines = [f"model: {_model_label(model)}"]
     for e in ledger.entries:
         mark = {"verified": "PASS", "violated": "FAIL",

@@ -75,15 +75,26 @@ class Element:
 
 
 class Algebra:
-    """The free graded-commutative algebra Lambda(V) on a generator list."""
+    """The free graded-commutative algebra Lambda(V) on a generator list.
 
-    def __init__(self, generators: Sequence[Generator]):
+    With ``source`` given, the generators must be a subset of the source's
+    and each basis is the source's, restricted to the monomials in these
+    generators: filtering a degree-lex list keeps its order, so that is
+    exactly the basis this algebra would enumerate itself.
+    """
+
+    def __init__(self, generators: Sequence[Generator],
+                 source: "Algebra | None" = None):
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         self.generators = list(generators)
         self.by_index = {g.index: g for g in generators}
         self.by_name = {g.name: g for g in generators}
+        if source is not None and any(
+                source.by_index.get(g.index) != g for g in generators):
+            raise ValueError("generators are not a subset of the source's")
+        self._source = source
         self._basis_cache: dict[int, list[Monomial]] = {}
 
     # --- degrees -----------------------------------------------------------
@@ -128,6 +139,12 @@ class Algebra:
         cached = self._basis_cache.get(degree)
         if cached is not None:
             return cached
+        if self._source is not None:
+            kept = self.by_index
+            out = [m for m in self._source.basis(degree)
+                   if all(i in kept for i, _ in m)]
+            self._basis_cache[degree] = out
+            return out
         gens = self.generators
         out: list[Monomial] = []
 

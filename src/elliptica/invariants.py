@@ -287,9 +287,9 @@ def odd_sphere_detect(model: SullivanModel,
     return verdict, evidence
 
 
-def invariant_report(model: SullivanModel,
-                     bound: int | None = None) -> InvariantReport:
-    a = SullivanAnalysis(model, bound)
+def invariant_report(model: SullivanModel, bound: int | None = None,
+                     analysis: SullivanAnalysis | None = None) -> InvariantReport:
+    a = analysis or SullivanAnalysis(model, bound)
     a.require_elliptic()
     return InvariantReport(
         chi_h=a.chi_h,
@@ -302,8 +302,9 @@ def invariant_report(model: SullivanModel,
     )
 
 
-def full_ledger(model: SullivanModel, bound: int | None = None) -> TheoremLedger:
-    a = SullivanAnalysis(model, bound)
+def full_ledger(model: SullivanModel, bound: int | None = None,
+                analysis: SullivanAnalysis | None = None) -> TheoremLedger:
+    a = analysis or SullivanAnalysis(model, bound)
     a.require_elliptic()
     ledger = TheoremLedger()
     ledger.extend(elliptic_checks(model, a))
@@ -342,7 +343,7 @@ def compare_models(s: SullivanModel, q: DGLModel,
     l_vs_gamma = {}
     for k in range(4, 2 * n + 1):
         lk = a.l_dim(k)
-        gk = quillen.gamma(q, k - 2).dim
+        gk = q.gamma(k - 2).dim
         l_vs_gamma[k] = (lk, gk)
         if lk != gk:
             mismatches.append(f"dim L^{k} = {lk} != dim Gamma_{k - 2} = {gk}")

@@ -3,13 +3,22 @@
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
 denominator, no rounding anywhere).  Matrices are stored sparsely by
 (row, col) so the layouts produced from canonical monomial bases are
-bit-reproducible.  Rank uses fraction-free (Bareiss) elimination on a
-denominator-cleared copy; kernels and solves use exact Gauss-Jordan.
+bit-reproducible.
+
+All elimination runs on one routine, ``_Echelon``: sparse integer rows
+(denominators cleared once per row on entry), reduced fraction-free by
+their leading column and kept primitive.  ``rank``, ``kernel_basis``,
+``solve``, ``Span``, ``independent_subset`` and ``quotient_representatives``
+are thin readouts of it; results go back to ``Fraction`` only on the way
+out.  Each readout is a canonical object of exact linear algebra (the
+reduced row echelon form, the greedy independent subset in input order,
+coordinates over independent vectors), so it does not depend on how the
+elimination got there.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import CompositionNotZero, NotASubspace
@@ -127,105 +136,140 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
+Row = dict[int, int]   # sparse integer row: column -> nonzero entry
+
+
+def _int_row(items: Iterable[tuple[int, object]]) -> tuple[Row, int]:
+    """(row, l): the sparse integer row l * v of the rational entries
+    (col, v) given, l the least common denominator."""
+    ent = [(c, v) for c, v in items if v]
+    l = lcm(*(v.denominator for _, v in ent))
+    return {c: v.numerator * (l // v.denominator) for c, v in ent}, l
+
+
+def _clear(row: Row, piv: Row, c: int) -> int:
+    """Replace ``row``, in place, by a * row - f * piv, the smallest integer
+    combination without column c (both rows nonzero there); returns a."""
+    a, f = piv[c], row[c]
+    g = gcd(a, f)
+    a //= g
+    f //= g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in piv.items():
+        w = row.get(k, 0) - f * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return a
+
+
+def _primitive(row: Row) -> Row:
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g != 1 else row
+
+
+class _Echelon:
+    """Sparse integer row echelon form, grown one row at a time.
+
+    Every stored row is primitive and vanishes left of its pivot, its
+    smallest column; no two rows share a pivot.  Columns >= ``limit`` are
+    riders: they take part in every row operation but never become pivots
+    (``Span`` keeps its coordinate bookkeeping there).
+    """
+
+    __slots__ = ("rows", "limit")
+
+    def __init__(self, limit: float = float("inf")):
+        self.rows: dict[int, Row] = {}     # pivot column -> row
+        self.limit = limit
+
+    def reduce(self, row: Row, scale: int = 1) -> tuple[Row, int, int | None]:
+        """(row', scale', lead): row' = scale'/scale * row minus a combination
+        of stored rows, reduced until its smallest column ``lead`` is no
+        pivot; ``lead`` is None when no column below ``limit`` is left.
+        The argument is not modified."""
+        rows = self.rows
+        row = dict(row)
+        while row:
+            c = min(row)
+            if c >= self.limit:
+                break
+            piv = rows.get(c)
+            if piv is None:
+                return row, scale, c
+            scale *= _clear(row, piv, c)
+        return row, scale, None
+
+    def add(self, row: Row) -> bool:
+        """Insert what is left of ``row`` after reduction; False if nothing
+        below ``limit`` is left, i.e. the row is in the span already."""
+        row, _, lead = self.reduce(row)
+        if lead is None:
+            return False
+        self.rows[lead] = _primitive(row)
+        return True
+
+    def reduced(self) -> list[tuple[int, Row]]:
+        """(pivot, row) in ascending pivot order, every row cleared at every
+        other pivot column: the reduced row echelon form, up to row scale."""
+        done: dict[int, Row] = {}
+        for p in sorted(self.rows, reverse=True):
+            row = dict(self.rows[p])
+            for q in [k for k in row if k in done]:
+                _clear(row, done[q], q)
+            done[p] = _primitive(row)
+        return sorted(done.items())
+
+
+def _echelon_of_rows(m: QMatrix) -> _Echelon:
+    by_row: dict[int, list[tuple[int, Fraction]]] = {}
+    for (r, c), v in m.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    ech = _Echelon()
+    for r in sorted(by_row):
+        ech.add(_int_row(by_row[r])[0])
+    return ech
+
+
 def rank(m: QMatrix) -> int:
-    """Rank over Q by fraction-free Bareiss elimination with full pivoting."""
-    # Clear denominators row by row; rank is scale invariant.
-    dense: list[list[int]] = []
-    for r in range(m.rows):
-        row = [m.entry(r, c) for c in range(m.cols)]
-        if any(row):
-            l = 1
-            for v in row:
-                if v:
-                    l = l * v.denominator // gcd(l, v.denominator)
-            dense.append([int(v * l) for v in row])
-    nrows, ncols = len(dense), m.cols
-    rk = 0
-    prev = 1
-    used_cols: set[int] = set()
-    while True:
-        # Full pivoting: smallest nonzero magnitude bounds entry growth.
-        pivot = None
-        for r in range(rk, nrows):
-            for c in range(ncols):
-                if c in used_cols:
-                    continue
-                v = dense[r][c]
-                if v and (pivot is None or abs(v) < abs(pivot[2])):
-                    pivot = (r, c, v)
-        if pivot is None:
-            return rk
-        pr, pc, pv = pivot
-        dense[rk], dense[pr] = dense[pr], dense[rk]
-        prow = dense[rk]
-        for r in range(rk + 1, nrows):
-            vr = dense[r][pc]
-            row = dense[r]
-            for c in range(ncols):
-                if c in used_cols:
-                    continue
-                row[c] = (row[c] * pv - vr * prow[c]) // prev
-        used_cols.add(pc)
-        prev = pv
-        rk += 1
-        if rk == nrows:
-            return rk
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    """Rank over Q."""
+    return len(_echelon_of_rows(m).rows)
 
 
 def kernel_basis(m: QMatrix) -> list[Vector]:
-    """Basis of ker(m); len == cols - rank, vectors satisfy m.v = 0."""
-    rows = [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
-    rows, pivots = _rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
-        v[free] = _ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][free]
-        basis.append(tuple(v))
-    return basis
+    """Basis of ker(m); len == cols - rank, vectors satisfy m.v = 0.
+
+    One vector per non-pivot column ``f`` of the reduced row echelon form R,
+    in column order: 1 at ``f`` and -R[i][f] at the pivot of each row i."""
+    rref = _echelon_of_rows(m).reduced()
+    pivots = {p for p, _ in rref}
+    basis = {f: [_ZERO] * m.cols for f in range(m.cols) if f not in pivots}
+    for f, v in basis.items():
+        v[f] = _ONE
+    for p, row in rref:
+        a = row[p]
+        for f, v in row.items():
+            if f != p:
+                basis[f][p] = Fraction(-v, a)
+    return [tuple(v) for v in basis.values()]
 
 
 def solve(m: QMatrix, rhs: Sequence[Fraction]) -> Vector | None:
-    """One solution of m.x = rhs, or None if inconsistent."""
-    rows = [[m.entry(r, c) for c in range(m.cols)] + [Fraction(rhs[r])]
-            for r in range(m.rows)]
-    if not rows:
-        return zero_vector(m.cols)
-    rows, pivots = _rref(rows)
-    for i, pc in enumerate(pivots):
-        if pc == m.cols:  # pivot in the augmented column
-            return None
-    x = [_ZERO] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][m.cols]
+    """One solution of m.x = rhs, or None if inconsistent: the free
+    variables are 0 and each pivot variable reads off the reduced row
+    echelon form of [m | rhs]."""
+    n = m.cols
+    ech = _echelon_of_rows(QMatrix(m.rows, n + 1, {
+        **m.entries, **{(r, n): rhs[r] for r in range(m.rows)}}))
+    if n in ech.rows:  # a row [0 ... 0 | b], b != 0
+        return None
+    x = [_ZERO] * n
+    for p, row in ech.reduced():
+        if n in row:
+            x[p] = Fraction(row[n], row[p])
     return tuple(x)
 
 
@@ -239,61 +283,45 @@ def homology_dim(d_out: QMatrix, d_in: QMatrix) -> int:
 
 
 class Span:
-    """Incremental echelonized span of vectors, with coordinate tracking.
+    """Incremental span of vectors, with coordinate tracking.
 
     ``add`` accepts a vector and reports whether it enlarged the span; the
     accepted vectors form the span's basis.  ``express`` writes a vector as
     a combination of the accepted basis vectors (None if outside the span).
+
+    The j-th accepted vector b_j enters the elimination as the row
+    (b_j | e_j), its coordinates riding in column ``dim + j``; every stored
+    row (x | y) then satisfies x = sum_j y_j b_j.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        # parallel lists: reduced row, its pivot column, combo over basis
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
-        self._combos: list[list[Fraction]] = []
+        self._echelon = _Echelon(limit=dim)
         self.basis_count = 0
 
-    def _reduce(self, v: Sequence[Fraction]):
-        w = list(v)
-        combo = [_ZERO] * self.basis_count
-        for row, pc, rc in zip(self._rows, self._pivots, self._combos):
-            f = w[pc]
-            if f:
-                for j in range(self.dim):
-                    w[j] -= f * row[j]
-                for j, c in enumerate(rc):
-                    combo[j] -= f * c
-        return w, combo
-
     def add(self, v: Sequence[Fraction]) -> bool:
-        w, combo = self._reduce(v)
-        pc = next((j for j in range(self.dim) if w[j]), None)
-        if pc is None:
+        row, l = _int_row(enumerate(v))
+        row[self.dim + self.basis_count] = l
+        if not self._echelon.add(row):
             return False
-        inv = 1 / w[pc]
-        w = [x * inv for x in w]
-        combo = [x * inv for x in combo]
-        combo.append(inv)
-        # new basis vector: pad existing combos
-        for rc in self._combos:
-            rc.append(_ZERO)
-        self._rows.append(w)
-        self._pivots.append(pc)
-        self._combos.append(combo)
         self.basis_count += 1
         return True
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        w, _ = self._reduce(v)
-        return not any(w)
+        row, _, lead = self._echelon.reduce(_int_row(enumerate(v))[0])
+        return lead is None
 
     def express(self, v: Sequence[Fraction]) -> Vector | None:
         """Coefficients over the accepted basis, or None if v is outside."""
-        w, combo = self._reduce(v)
-        if any(w):
+        row, l = _int_row(enumerate(v))
+        # s * v - (stored rows) = (0 | y), so v = sum_j (-y_j / s) b_j
+        row, s, lead = self._echelon.reduce(row, l)
+        if lead is not None:
             return None
-        return tuple(-c for c in combo)
+        coeffs = [_ZERO] * self.basis_count
+        for c, y in row.items():
+            coeffs[c - self.dim] = Fraction(-y, s)
+        return tuple(coeffs)
 
     @property
     def rank(self) -> int:
@@ -303,25 +331,20 @@ class Span:
 def independent_subset(vectors: Sequence[Sequence[Fraction]],
                        dim: int) -> list[Vector]:
     """Greedy maximal independent subset, in input order (deterministic)."""
-    span = Span(dim)
-    return [tuple(v) for v in vectors if span.add(v)]
+    ech = _Echelon()
+    return [tuple(v) for v in vectors if ech.add(_int_row(enumerate(v))[0])]
 
 
 def quotient_representatives(cycles: Sequence[Sequence[Fraction]],
                              boundaries: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """Cycle vectors complementing span(boundaries) inside span(cycles)."""
-    if cycles:
-        dim = len(cycles[0])
-    elif boundaries:
-        dim = len(boundaries[0])
-    else:
-        return []
-    cycle_span = Span(dim)
+    cycle_span = _Echelon()
     for z in cycles:
-        cycle_span.add(z)
-    span = Span(dim)
+        cycle_span.add(_int_row(enumerate(z))[0])
+    span = _Echelon()
     for b in boundaries:
-        if not cycle_span.contains(b):
+        row = _int_row(enumerate(b))[0]
+        if cycle_span.reduce(row)[2] is not None:
             raise NotASubspace("boundary vector outside span of cycles")
-        span.add(b)
-    return [tuple(z) for z in cycles if span.add(z)]
+        span.add(row)
+    return [tuple(z) for z in cycles if span.add(_int_row(enumerate(z))[0])]

@@ -7,7 +7,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import (ExactnessFailure, InternalInconsistency, UnboundedGamma)
+from .errors import (CompositionNotZero, ExactnessFailure,
+                     InternalInconsistency, UnboundedGamma)
 from .lie import FreeLie, LieElement, LieGenerator
 
 _ZERO = Fraction(0)
@@ -54,6 +55,7 @@ class DGLModel:
         self._complex: "DGLComplex" | None = None
         self._derivation = None
         self._trunc_cache: dict[int, "DGLModel"] = {}
+        self._gamma_cache: dict[int, "GammaData"] = {}
 
     @property
     def generators(self) -> list[LieGenerator]:
@@ -107,6 +109,12 @@ class DGLModel:
             self._complex = DGLComplex(self)
         return self._complex
 
+    def gamma(self, i: int) -> "GammaData":
+        """Gamma_i of this model: ``gamma(self, i)``, entered only the first
+        time.  The result is shared; do not mutate it."""
+        gd = self._gamma_cache.get(i)
+        return gd if gd is not None else gamma(self, i)
+
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"DGLModel({self.name or gens})"
@@ -118,8 +126,9 @@ class DGLComplex:
     def __init__(self, model: DGLModel):
         self.model = model
         self._d_cache: dict[int, linalg.QMatrix] = {}
+        self._boundary_cache: dict[int, list[linalg.Vector]] = {}
         self._hom_cache: dict[int, tuple[int, list[LieElement], list]] = {}
-        self._class_cache: dict[int, tuple[linalg.QMatrix, int]] = {}
+        self._class_cache: dict[int, tuple[linalg.Span, int]] = {}
 
     def dim(self, degree: int) -> int:
         return self.model.lie.lie_dim(degree) if degree >= 1 else 0
@@ -147,6 +156,15 @@ class DGLComplex:
         self._d_cache[degree] = mat
         return mat
 
+    def boundaries(self, degree: int) -> list[linalg.Vector]:
+        """A basis of the boundaries of that degree: the independent columns
+        of delta : degree + 1 -> degree, in column order."""
+        if degree not in self._boundary_cache:
+            d_in = self.d_matrix(degree + 1)
+            self._boundary_cache[degree] = linalg.independent_subset(
+                d_in.columns(), d_in.rows)
+        return self._boundary_cache[degree]
+
     def homology(self, degree: int):
         """(dim, representatives as LieElements, rep Lie-coordinate vectors)."""
         if degree in self._hom_cache:
@@ -155,13 +173,11 @@ class DGLComplex:
             result = (0, [], [])
         else:
             d_out = self.d_matrix(degree)
-            d_in = self.d_matrix(degree + 1)
-            if not d_out.matmul(d_in).is_zero():
-                from .errors import CompositionNotZero
+            if not d_out.matmul(self.d_matrix(degree + 1)).is_zero():
                 raise CompositionNotZero(f"delta.delta != 0 at degree {degree}")
             cycles = linalg.kernel_basis(d_out)
-            boundaries = linalg.independent_subset(d_in.columns(), d_in.rows)
-            reps_v = linalg.quotient_representatives(cycles, boundaries)
+            reps_v = linalg.quotient_representatives(
+                cycles, self.boundaries(degree))
             reps = [self.model.lie.from_lie_coords(degree, v) for v in reps_v]
             result = (len(reps), reps, reps_v)
         self._hom_cache[degree] = result
@@ -179,18 +195,21 @@ class DGLComplex:
             raise InternalInconsistency("element outside the Lie subalgebra")
         if any(self.d_matrix(degree).apply(z)):
             return None
-        _, _, reps_v = self.homology(degree)
         if degree not in self._class_cache:
-            d_in = self.d_matrix(degree + 1)
-            bcols = linalg.independent_subset(d_in.columns(), d_in.rows)
-            mat = linalg.QMatrix.from_columns(list(reps_v) + bcols,
-                                              self.dim(degree))
-            self._class_cache[degree] = (mat, len(reps_v))
-        mat, nreps = self._class_cache[degree]
-        sol = linalg.solve(mat, z)
-        if sol is None:
+            _, _, reps_v = self.homology(degree)
+            # representatives then boundaries: a basis of the cycles
+            span = linalg.Span(self.dim(degree))
+            for v in [*reps_v, *self.boundaries(degree)]:
+                if not span.add(v):
+                    raise InternalInconsistency(
+                        f"representatives and boundaries of degree {degree} "
+                        f"are dependent")
+            self._class_cache[degree] = (span, len(reps_v))
+        span, nreps = self._class_cache[degree]
+        coords = span.express(z)
+        if coords is None:
             raise InternalInconsistency("cycle not in span of reps + boundaries")
-        return sol[:nreps]
+        return coords[:nreps]
 
 
 # --- module-level operations -------------------------------------------------
@@ -232,9 +251,15 @@ def _linear_part_matrix(model: DGLModel, degree: int,
 
 
 def gamma(model: DGLModel, i: int) -> GammaData:
-    """Gamma_i = ker(j_i : H_i(L(W_(<= i))) -> W_i)."""
+    """Gamma_i = ker(j_i : H_i(L(W_(<= i))) -> W_i).
+
+    Memoized on the model: every caller gets the same GammaData, which must
+    not be mutated.  Callers inside the engine go through ``model.gamma(i)``.
+    """
     if i < 2:
         raise ValueError("Gamma_i defined for i >= 2")
+    if i in model._gamma_cache:
+        return model._gamma_cache[i]
     tc = model.truncate(i).complex()
     _, reps, reps_v = tc.homology(i)
     j = _linear_part_matrix(model, i, reps)
@@ -242,18 +267,20 @@ def gamma(model: DGLModel, i: int) -> GammaData:
     combine = linalg.QMatrix.from_columns(reps_v, tc.dim(i))
     gamma_reps = [tc.model.lie.from_lie_coords(i, combine.apply(k))
                   for k in kernel]
-    return GammaData(i, len(kernel), gamma_reps, list(kernel), tc)
+    gd = GammaData(i, len(kernel), gamma_reps, list(kernel), tc)
+    model._gamma_cache[i] = gd
+    return gd
 
 
 def gamma_dim(model: DGLModel, i: int) -> int:
-    return gamma(model, i).dim
+    return model.gamma(i).dim
 
 
 def b_map(model: DGLModel, i: int) -> linalg.QMatrix:
     """Matrix of b_i : W_i -> Gamma_(i-1), w |-> [delta w]."""
     if i < 3:
         raise ValueError("b_i as a map into Gamma needs i >= 3")
-    gd = gamma(model, i - 1)
+    gd = model.gamma(i - 1)
     w_gens = [g for g in model.generators if g.degree == i]
     # express [delta w] over the Gamma representative basis (inside H)
     h_dim = gd.complex.homology(i - 1)[0]
@@ -314,7 +341,7 @@ def whitehead_sequence_dgl(model: DGLModel, max_degree: int) -> WhiteheadReportL
             raise ExactnessFailure(f"im != ker at {node}")
 
     nodes: list[WhiteheadNodeL] = []
-    gammas = {i: gamma(model, i) for i in range(2, max_degree + 2)}
+    gammas = {i: model.gamma(i) for i in range(2, max_degree + 2)}
     w_dims = {}
     for g in model.generators:
         w_dims[g.degree] = w_dims.get(g.degree, 0) + 1
@@ -392,9 +419,9 @@ def eta(model: DGLModel, bound: int | None = None) -> int:
     top = max(max_w, h_top)
     total = 0
     for i in range(2, top + 1):
-        total += (-1) ** i * gamma(model, i).dim
+        total += (-1) ** i * model.gamma(i).dim
     return 1 + total
 
 
 def gamma_table(model: DGLModel, top: int) -> dict[int, int]:
-    return {i: gamma(model, i).dim for i in range(2, top + 1)}
+    return {i: model.gamma(i).dim for i in range(2, top + 1)}

@@ -8,8 +8,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .commutative import Algebra, Element, Generator, Monomial
-from .errors import (DegreeMismatch, ExactnessFailure, InternalInconsistency,
-                     TruncationNotClosed)
+from .errors import (CompositionNotZero, DegreeMismatch, ExactnessFailure,
+                     InternalInconsistency, TruncationNotClosed)
 
 _ZERO = Fraction(0)
 
@@ -51,14 +51,19 @@ class SullivanModel:
 
     ``differential`` maps generator index -> Element (absent means zero).
     Models are immutable after construction; the cochain complex is memoized.
+    A truncation keeps its ``parent``: its bases and differential matrices
+    are the parent's, restricted to the monomials in its generators.
     """
 
     def __init__(self, generators: Sequence[Generator],
-                 differential: Mapping[int, Element], name: str = ""):
-        self.algebra = Algebra(generators)
+                 differential: Mapping[int, Element], name: str = "",
+                 parent: "SullivanModel | None" = None):
+        self.algebra = Algebra(generators,
+                               source=parent.algebra if parent else None)
         self.differential = {i: e for i, e in differential.items()
                              if not e.is_zero()}
         self.name = name
+        self.parent = parent
         self._complex: "CochainComplex" | None = None
         self._derivation = None
         self._trunc_cache: dict[int, "SullivanModel"] = {}
@@ -112,8 +117,10 @@ class SullivanModel:
     # --- truncation --------------------------------------------------------
 
     def truncate(self, k: int) -> "SullivanModel":
-        """Sub-model on the generators of degree <= k (indices preserved)."""
-        k = min(k, self.max_generator_degree())
+        """Sub-model on the generators of degree <= k (indices preserved);
+        the model itself when that keeps every generator."""
+        if k >= self.max_generator_degree():
+            return self
         if k in self._trunc_cache:
             return self._trunc_cache[k]
         keep = [g for g in self.generators if g.degree <= k]
@@ -128,7 +135,8 @@ class SullivanModel:
             if not img.is_zero():
                 diff[g.index] = img
         sub = SullivanModel(keep, diff,
-                            name=f"{self.name}[<={k}]" if self.name else "")
+                            name=f"{self.name}[<={k}]" if self.name else "",
+                            parent=self)
         self._trunc_cache[k] = sub
         return sub
 
@@ -143,13 +151,21 @@ class SullivanModel:
 
 
 class CochainComplex:
-    """Per-degree matrices and cohomology data of a Sullivan model."""
+    """Per-degree matrices and cohomology data of a Sullivan model.
+
+    Dimensions of cohomology come from ranks alone; representatives, and
+    the coordinates of classes over them, are built only on request.
+    """
 
     def __init__(self, model: SullivanModel):
         self.model = model
+        self._index_cache: dict[int, dict[Monomial, int]] = {}
         self._d_cache: dict[int, linalg.QMatrix] = {}
+        self._rank_cache: dict[int, int] = {}
+        self._squares_checked: set[int] = set()
+        self._boundary_cache: dict[int, list[linalg.Vector]] = {}
         self._coh_cache: dict[int, tuple[int, list[Element], list]] = {}
-        self._class_cache: dict[int, tuple[linalg.QMatrix, int]] = {}
+        self._class_cache: dict[int, tuple[linalg.Span, int]] = {}
 
     def basis(self, degree: int) -> list[Monomial]:
         return self.model.algebra.basis(degree)
@@ -157,8 +173,16 @@ class CochainComplex:
     def dim(self, degree: int) -> int:
         return len(self.basis(degree))
 
+    def _index(self, degree: int) -> dict[Monomial, int]:
+        """Monomial -> its position in the basis of that degree."""
+        idx = self._index_cache.get(degree)
+        if idx is None:
+            idx = {m: j for j, m in enumerate(self.basis(degree))}
+            self._index_cache[degree] = idx
+        return idx
+
     def to_coords(self, degree: int, e: Element) -> linalg.Vector:
-        idx = {m: j for j, m in enumerate(self.basis(degree))}
+        idx = self._index(degree)
         v = [_ZERO] * len(idx)
         for m, c in e.terms.items():
             if m not in idx:
@@ -175,16 +199,60 @@ class CochainComplex:
         """Matrix of d : degree -> degree + 1 in canonical monomial bases."""
         if degree in self._d_cache:
             return self._d_cache[degree]
-        src = self.basis(degree)
-        tgt = {m: j for j, m in enumerate(self.basis(degree + 1))}
-        ent = {}
-        for c, mono in enumerate(src):
-            img = self.model.d(self.model.algebra.from_monomial(mono))
-            for m, v in img.terms.items():
-                ent[(tgt[m], c)] = v
-        mat = linalg.QMatrix(len(tgt), len(src), ent)
+        if self.model.parent is not None:
+            mat = self._restricted_d_matrix(degree)
+        else:
+            src = self.basis(degree)
+            tgt = self._index(degree + 1)
+            ent = {}
+            for c, mono in enumerate(src):
+                img = self.model.d(self.model.algebra.from_monomial(mono))
+                for m, v in img.terms.items():
+                    ent[(tgt[m], c)] = v
+            mat = linalg.QMatrix(len(tgt), len(src), ent)
         self._d_cache[degree] = mat
         return mat
+
+    def _restricted_d_matrix(self, degree: int) -> linalg.QMatrix:
+        """The parent's d matrix restricted to the monomials in this model's
+        generators, which index both bases in the parent's order."""
+        pc = self.model.parent.complex()
+        pidx = pc._index(degree)
+        cols = {pidx[m]: c for c, m in enumerate(self.basis(degree))}
+        pidx = pc._index(degree + 1)
+        rows = {pidx[m]: r for r, m in enumerate(self.basis(degree + 1))}
+        ent = {}
+        for (r, c), v in pc.d_matrix(degree).entries.items():
+            if c in cols:
+                if r not in rows:
+                    raise TruncationNotClosed(
+                        f"{self.model!r}: d of a degree-{degree} monomial "
+                        f"leaves the kept generators")
+                ent[(rows[r], cols[c])] = v
+        return linalg.QMatrix(len(rows), len(cols), ent)
+
+    def _rank(self, degree: int) -> int:
+        """rank of d : degree -> degree + 1."""
+        if degree not in self._rank_cache:
+            self._rank_cache[degree] = linalg.rank(self.d_matrix(degree))
+        return self._rank_cache[degree]
+
+    def _check_square(self, degree: int):
+        """CompositionNotZero unless d . d = 0 into ``degree + 1``."""
+        if degree not in self._squares_checked:
+            if not self.d_matrix(degree).matmul(
+                    self.d_matrix(degree - 1)).is_zero():
+                raise CompositionNotZero(f"d.d != 0 at degree {degree}")
+            self._squares_checked.add(degree)
+
+    def boundaries(self, degree: int) -> list[linalg.Vector]:
+        """A basis of the coboundaries of that degree: the independent
+        columns of d : degree - 1 -> degree, in column order."""
+        if degree not in self._boundary_cache:
+            d_in = self.d_matrix(degree - 1)
+            self._boundary_cache[degree] = linalg.independent_subset(
+                d_in.columns(), d_in.rows)
+        return self._boundary_cache[degree]
 
     def cohomology(self, degree: int):
         """(dim, representatives as Elements, representative coord vectors)."""
@@ -193,24 +261,23 @@ class CochainComplex:
         if degree < 0:
             result = (0, [], [])
         else:
-            d_out = self.d_matrix(degree)
-            cycles = linalg.kernel_basis(d_out)
-            if degree == 0:
-                boundaries: list[linalg.Vector] = []
-            else:
-                d_in = self.d_matrix(degree - 1)
-                if not d_out.matmul(d_in).is_zero():
-                    from .errors import CompositionNotZero
-                    raise CompositionNotZero(f"d.d != 0 at degree {degree}")
-                boundaries = linalg.independent_subset(d_in.columns(), d_in.rows)
-            reps_v = linalg.quotient_representatives(cycles, boundaries)
+            cycles = linalg.kernel_basis(self.d_matrix(degree))
+            self._check_square(degree)
+            reps_v = linalg.quotient_representatives(
+                cycles, self.boundaries(degree))
             reps = [self.from_coords(degree, v) for v in reps_v]
             result = (len(reps), reps, reps_v)
         self._coh_cache[degree] = result
         return result
 
     def betti(self, degree: int) -> int:
-        return self.cohomology(degree)[0]
+        """dim H^degree = dim - rank d_out - rank d_in, from ranks alone."""
+        if degree in self._coh_cache:
+            return self._coh_cache[degree][0]
+        if degree < 0:
+            return 0
+        self._check_square(degree)
+        return self.dim(degree) - self._rank(degree) - self._rank(degree - 1)
 
     def class_coords(self, degree: int, e: Element) -> linalg.Vector | None:
         """Coordinates of [e] over the representative basis of H^degree.
@@ -220,22 +287,21 @@ class CochainComplex:
         z = self.to_coords(degree, e)
         if any(self.d_matrix(degree).apply(z)):
             return None
-        _, _, reps_v = self.cohomology(degree)
         if degree not in self._class_cache:
-            cols = list(reps_v)
-            nb = 0
-            if degree > 0:
-                d_in = self.d_matrix(degree - 1)
-                bcols = linalg.independent_subset(d_in.columns(), d_in.rows)
-                cols = cols + bcols
-                nb = len(bcols)
-            mat = linalg.QMatrix.from_columns(cols, self.dim(degree))
-            self._class_cache[degree] = (mat, len(reps_v))
-        mat, nreps = self._class_cache[degree]
-        sol = linalg.solve(mat, z)
-        if sol is None:
+            _, _, reps_v = self.cohomology(degree)
+            # representatives then coboundaries: a basis of the cocycles
+            span = linalg.Span(self.dim(degree))
+            for v in [*reps_v, *self.boundaries(degree)]:
+                if not span.add(v):
+                    raise InternalInconsistency(
+                        f"representatives and coboundaries of degree "
+                        f"{degree} are dependent")
+            self._class_cache[degree] = (span, len(reps_v))
+        span, nreps = self._class_cache[degree]
+        coords = span.express(z)
+        if coords is None:
             raise InternalInconsistency("cocycle not in span of reps + boundaries")
-        return sol[:nreps]
+        return coords[:nreps]
 
 
 # --- module-level operations matching the engine surface ---------------------
@@ -264,7 +330,10 @@ def L_space(model: SullivanModel, i: int):
 
 
 def L_dim(model: SullivanModel, i: int) -> int:
-    return L_space(model, i)[0]
+    """dim L^i, from ranks alone."""
+    if i < 2:
+        raise ValueError("L^i defined for i >= 2")
+    return model.truncate(i - 2).complex().betti(i)
 
 
 def whitehead_b(model: SullivanModel, i: int) -> linalg.QMatrix:

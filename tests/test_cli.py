@@ -98,3 +98,19 @@ def test_parse_file_roundtrip_via_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "invariants", str(p))
     assert code == 0
     assert "rho = 3" in out
+
+
+@pytest.mark.parametrize("command", ["invariants", "verify"])
+def test_sullivan_commands_build_one_analysis(capsys, monkeypatch, command):
+    from elliptica import invariants
+    built = []
+    init = invariants.SullivanAnalysis.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(invariants.SullivanAnalysis, "__init__", counting_init)
+    code, _, _ = run(capsys, command, "cpn_sullivan(2)", "--json")
+    assert code == 0
+    assert len(built) == 1

@@ -29,6 +29,76 @@ def naive_rank(rows):
     return rank
 
 
+def dense_rref(rows, ncols):
+    """Plain Gauss-Jordan over Fraction, as an independent oracle: (reduced
+    rows, pivot columns)."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def dense_kernel(rows, ncols):
+    rref, pivots = dense_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rref[i][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(rows, ncols, rhs):
+    rref, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)],
+                              ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = rref[i][ncols]
+    return tuple(x)
+
+
+def dense_greedy(vectors, start=()):
+    """Vectors that raise the rank of ``start`` plus those kept before them."""
+    kept, base = [], list(start)
+    for v in vectors:
+        if naive_rank(base + kept + [v]) > naive_rank(base + kept):
+            kept.append(tuple(v))
+    return kept
+
+
+# Sparse-ish rational matrices of any shape, empty and all-zero rows included.
+entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                  st.integers(-3, 3).map(Fraction),
+                  st.fractions(min_value=-8, max_value=8, max_denominator=6))
+shaped_matrix = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.lists(
+        st.lists(entry, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0])))
+
+
+def qmatrix(shape, rows):
+    return QMatrix(shape[0], shape[1], {(r, c): v for r, row in enumerate(rows)
+                                        for c, v in enumerate(row)})
+
+
 small_matrix = st.integers(1, 6).flatmap(
     lambda nc: st.lists(
         st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6),
@@ -123,3 +193,79 @@ def test_homology_dim_simple_complex():
     d_out = QMatrix.from_rows([[1, 1]])
     d_in = QMatrix.from_rows([[1], [-1]])
     assert linalg.homology_dim(d_out, d_in) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix)
+def test_rank_matches_dense_oracle_on_any_shape(m):
+    shape, rows = m
+    assert linalg.rank(qmatrix(shape, rows)) == naive_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix)
+def test_kernel_basis_equals_dense_rref_basis(m):
+    shape, rows = m
+    assert linalg.kernel_basis(qmatrix(shape, rows)) == \
+        dense_kernel(rows, shape[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix, st.data())
+def test_solve_equals_dense_rref_solution(m, data):
+    shape, rows = m
+    rhs = data.draw(st.lists(entry, min_size=shape[0], max_size=shape[0]))
+    # half the draws are consistent by construction
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(entry, min_size=shape[1], max_size=shape[1]))
+        rhs = list(qmatrix(shape, rows).apply(x))
+    assert linalg.solve(qmatrix(shape, rows), rhs) == \
+        dense_solve(rows, shape[1], rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix)
+def test_independent_subset_picks_the_dense_greedy_vectors(m):
+    shape, rows = m
+    assert linalg.independent_subset(rows, shape[1]) == dense_greedy(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix, st.data())
+def test_quotient_representatives_pick_the_dense_greedy_vectors(m, data):
+    shape, cycles = m
+    # boundaries: combinations of the cycles, so they lie in their span
+    k = len(cycles)
+    boundaries = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        coeffs = data.draw(st.lists(entry, min_size=k, max_size=k))
+        boundaries.append(tuple(
+            sum((a * z[j] for a, z in zip(coeffs, cycles)), Fraction(0))
+            for j in range(shape[1])))
+    assert linalg.quotient_representatives(cycles, boundaries) == \
+        dense_greedy(cycles, dense_greedy(boundaries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix, st.data())
+def test_span_express_equals_dense_solve_over_accepted_vectors(m, data):
+    shape, rows = m
+    span = Span(shape[1])
+    accepted = [tuple(r) for r in rows if span.add(r)]
+    assert accepted == dense_greedy(rows)
+    v = data.draw(st.lists(entry, min_size=shape[1], max_size=shape[1]))
+    if data.draw(st.booleans()) and accepted:
+        coeffs = data.draw(st.lists(entry, min_size=len(accepted),
+                                    max_size=len(accepted)))
+        v = [sum((a * b[j] for a, b in zip(coeffs, accepted)), Fraction(0))
+             for j in range(shape[1])]
+    cols = [[b[j] for b in accepted] for j in range(shape[1])]
+    want = dense_solve(cols, len(accepted), v)
+    assert span.express(v) == want
+    assert span.contains(v) == (want is not None)
+
+
+def test_solve_on_empty_shapes():
+    assert linalg.solve(QMatrix.zero(0, 3), []) == (Fraction(0),) * 3
+    assert linalg.solve(QMatrix.zero(2, 0), [0, 0]) == ()
+    assert linalg.solve(QMatrix.zero(2, 0), [0, Fraction(1, 2)]) is None

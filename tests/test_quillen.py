@@ -75,3 +75,22 @@ def test_gamma_reps_are_cycles(cp2q):
     gd = quillen.gamma(cp2q, 4)
     for rep in gd.reps:
         assert cp2q.truncate(4).delta(rep).is_zero()
+
+
+def test_gamma_is_computed_once_per_degree(monkeypatch):
+    q = dsl.catalog("cpn_quillen", 3)
+    seen = []
+    compute = quillen.gamma
+
+    def counting_gamma(model, i):
+        seen.append(i)
+        return compute(model, i)
+
+    monkeypatch.setattr(quillen, "gamma", counting_gamma)
+    bound = quillen.default_bound(q)
+    quillen.whitehead_sequence_dgl(q, bound)
+    quillen.eta(q)
+    quillen.gamma_table(q, bound)
+    assert sorted(seen) == sorted(set(seen))
+    # the memo hands every caller the same object
+    assert compute(q, 4) is q.gamma(4)

@@ -1,9 +1,11 @@
 import pytest
 
-from elliptica import dsl, invariants, sullivan
+from elliptica import dsl, invariants, randmodels, sullivan
 from elliptica.commutative import Generator
-from elliptica.errors import TruncationNotClosed
+from elliptica.errors import CompositionNotZero, TruncationNotClosed
 from elliptica.sullivan import SullivanModel, tensor_product
+
+from conftest import CATALOG_SULLIVAN_SPECS
 
 
 def truncated_polynomial_betti(a, m, top):
@@ -121,3 +123,55 @@ def test_whitehead_nodes_cp2(cp2):
     assert by_deg[2].dim_v == 1 and by_deg[2].rank_b == 0
     assert by_deg[5].dim_v == 1 and by_deg[5].dim_l_next == 1
     assert by_deg[5].rank_b == 1  # d(y) = x^3 hits L^6
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(dsl.catalog_spec(spec), id=spec)
+      for spec in CATALOG_SULLIVAN_SPECS),
+    *(pytest.param(m, id=m.name) for m in randmodels.random_models(7, 20)),
+])
+def test_truncations_are_views_of_the_parent(model):
+    """Every truncation's d matrices are the parent's, restricted, and equal
+    the ones a free-standing copy assembles itself; its rank-only Betti
+    numbers equal its numbers of representatives."""
+    top = invariants.default_bound(model) + 1
+    for k in range(model.max_generator_degree() + 1):
+        t = model.truncate(k)
+        assert t is model or t.parent is model
+        fresh = SullivanModel(t.generators, t.differential)
+        cx = t.complex()
+        for deg in range(top + 1):
+            assert cx.d_matrix(deg) == fresh.complex().d_matrix(deg), (k, deg)
+        bettis = [cx.betti(deg) for deg in range(top + 1)]
+        assert bettis == [len(cx.cohomology(deg)[1])
+                          for deg in range(top + 1)], k
+
+
+def test_restriction_that_leaves_the_kept_generators_raises():
+    # a model whose d(z) involves a dropped generator, built around the
+    # generator-level check in truncate: only the restriction can see it
+    x = Generator("x", 2, 0)
+    w = Generator("w", 4, 1)
+    z = Generator("z", 3, 2)
+    full = SullivanModel([x, w, z], {})
+    full = SullivanModel([x, w, z], {2: full.algebra.gen("w")})
+    t = SullivanModel([x, z], {}, parent=full)
+    with pytest.raises(TruncationNotClosed):
+        t.complex().d_matrix(3)
+
+
+def test_rank_only_betti_raises_when_d_squared_is_nonzero():
+    x = Generator("x", 2, 0)
+    y = Generator("y", 3, 1)
+    z = Generator("z", 4, 2)
+    scratch = SullivanModel([x, y, z], {})
+    alg = scratch.algebra
+    # dy = x^2 and dz = x*y give d(dz) = x^3 != 0 (degree 4 -> 6)
+    bad = SullivanModel([x, y, z], {
+        1: alg.from_monomial(((0, 2),)),
+        2: alg.multiply(alg.gen("x"), alg.gen("y")),
+    })
+    cx = bad.complex()
+    with pytest.raises(CompositionNotZero):
+        cx.betti(5)
+    assert 5 not in cx._coh_cache   # no representatives were built
