@@ -48,6 +48,15 @@ def _emit(args, payload: dict, text_lines: list[str]):
             print(line)
 
 
+def _bound(args, model) -> int:
+    """The degree window: ``--max-degree`` if given, else the model's default."""
+    if args.max_degree is not None:
+        return args.max_degree
+    if isinstance(model, SullivanModel):
+        return invariants.default_bound(model)
+    return quillen.default_bound(model)
+
+
 def _model_label(model) -> str:
     kind = "sullivan" if isinstance(model, SullivanModel) else "quillen"
     gens = ", ".join(f"{g.name}:{g.degree}" for g in model.generators)
@@ -76,13 +85,12 @@ def cmd_check(args) -> int:
 
 def cmd_cohomology(args) -> int:
     model = _load(args.model)
+    bound = _bound(args, model)
     if isinstance(model, SullivanModel):
-        bound = args.max_degree or invariants.default_bound(model)
         cx = model.complex()
         table = {i: cx.betti(i) for i in range(0, bound + 1)}
         label = "dim H^"
     else:
-        bound = args.max_degree or quillen.default_bound(model)
         table = quillen.homology_table(model, bound)
         label = "dim H_"
     lines = [f"model: {_model_label(model)}"]
@@ -129,7 +137,7 @@ def cmd_invariants(args) -> int:
             for i, d in a.l_window().items():
                 lines.append(f"dim L^{i} = {d}")
     else:
-        bound = args.max_degree or quillen.default_bound(model)
+        bound = _bound(args, model)
         e = quillen.eta(model, bound)
         top = max(model.max_generator_degree(), 2)
         gtable = quillen.gamma_table(model, 2 * top)
@@ -159,8 +167,8 @@ def cmd_invariants(args) -> int:
 def cmd_whitehead(args) -> int:
     model = _load(args.model)
     lines = [f"model: {_model_label(model)}"]
+    bound = _bound(args, model)
     if isinstance(model, SullivanModel):
-        bound = args.max_degree or invariants.default_bound(model)
         rep = sullivan.whitehead_sequence(model, bound)
         rows = [{"degree": n.degree, "dim_v": n.dim_v,
                  "dim_l_next": n.dim_l_next, "dim_h_next": n.dim_h_next,
@@ -174,7 +182,6 @@ def cmd_whitehead(args) -> int:
                     f"dim H^{n.degree + 1}={n.dim_h_next} "
                     f"rank b={n.rank_b} rank incl={n.rank_incl}")
     else:
-        bound = args.max_degree or quillen.default_bound(model)
         rep = quillen.whitehead_sequence_dgl(model, bound)
         rows = [{"degree": n.degree, "dim_w": n.dim_w,
                  "dim_gamma": n.dim_gamma, "dim_h": n.dim_h,
@@ -297,6 +304,17 @@ def cmd_catalog(args) -> int:
 
 # --- driver ------------------------------------------------------------------
 
+def _degree(text: str) -> int:
+    """A --max-degree value: an integer >= 0."""
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {d}")
+    return d
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="elliptica",
@@ -309,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("model", help=".rhm file or catalog spec")
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report")
-        p.add_argument("--max-degree", type=int, default=None, metavar="D",
+        p.add_argument("--max-degree", type=_degree, default=None, metavar="D",
                        help="override the degree window")
         p.add_argument("--verbose", action="store_true",
                        help="include zero rows and witnesses")
@@ -327,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("spec", nargs="?", default=None,
                     help="catalog spec, e.g. cpn_sullivan(2)")
     pk.add_argument("--json", action="store_true")
-    pk.add_argument("--max-degree", type=int, default=None)
+    pk.add_argument("--max-degree", type=_degree, default=None)
     pk.add_argument("--verbose", action="store_true")
     return ap
 

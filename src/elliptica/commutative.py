@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeMismatch
+from .graded import SparseElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -30,48 +31,10 @@ class Generator:
             raise DegreeMismatch(f"generator {self.name} has degree {self.degree} < 1")
 
 
-class Element:
+class Element(SparseElement):
     """Sparse rational combination of monomials (zero coefficients dropped)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "Element":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Element") -> "Element":
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, _ZERO) + c
-        return Element(t)
-
-    def __sub__(self, other: "Element") -> "Element":
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, _ZERO) - c
-        return Element(t)
-
-    def scale(self, c) -> "Element":
-        c = Fraction(c)
-        return Element({m: c * v for m, v in self.terms.items()})
-
-    def __neg__(self) -> "Element":
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"Element({self.terms!r})"
+    __slots__ = ()
 
 
 class Algebra:
@@ -241,9 +204,3 @@ class Derivation:
         for m, c in e.terms.items():
             out = out + self._apply_monomial(m).scale(c)
         return out
-
-
-def derivation_extend(algebra: Algebra, images: Mapping[int, Element],
-                      e: Element) -> Element:
-    """Extend generator images to a degree +1 derivation and apply it."""
-    return algebra.derivation(images)(e)

@@ -1,0 +1,333 @@
+"""What the Sullivan and the Quillen side share: sparse elements, validation
+reports, free graded models with their truncations, and the graded complex
+with its (co)homology.
+
+A ``GradedComplex`` has a canonical basis in each degree, indexed by keys
+(monomials, resp. leading words of the Lie basis), and a differential that
+moves degree by ``step``: +1 for cochains, -1 for chains.  A subclass names
+its basis keys, converts between elements and coordinates, and assembles
+``d`` on a model without a parent; everything else lives here.  A truncation
+keeps its ``parent`` model, whose basis keys contain its own in the same
+order, and its ``d`` matrices are the parent's restricted to its keys.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+from . import linalg
+from .errors import (CompositionNotZero, ExactnessFailure,
+                     InternalInconsistency, TruncationNotClosed)
+
+_ZERO = Fraction(0)
+
+
+class SparseElement:
+    """Sparse rational combination of basis keys (zero coefficients dropped).
+
+    Arithmetic returns the type of its left operand; elements of different
+    types are never equal.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Adopt a dict of Fraction coefficients, dropping zeros."""
+        e = cls.__new__(cls)
+        e.terms = {k: c for k, c in terms.items() if c}
+        return e
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            t[k] = t.get(k, _ZERO) + c
+        return type(self)(t)
+
+    def __sub__(self, other):
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            t[k] = t.get(k, _ZERO) - c
+        return type(self)(t)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)({k: c * v for k, v in self.terms.items()})
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+@dataclass(frozen=True)
+class ValidationIssue:
+    check: str
+    generator: str
+    message: str
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    issues: tuple[ValidationIssue, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.issues
+
+
+def check_exact(node: str, incoming: linalg.QMatrix,
+                outgoing: linalg.QMatrix):
+    """ExactnessFailure unless im(incoming) = ker(outgoing) at ``node``."""
+    if not outgoing.matmul(incoming).is_zero():
+        raise ExactnessFailure(f"composite nonzero at {node}")
+    if linalg.rank(incoming) != incoming.rows - linalg.rank(outgoing):
+        raise ExactnessFailure(f"im != ker at {node}")
+
+
+class GradedModel:
+    """What the two model types share: generators, a differential given on
+    them, and truncations that keep their ``parent``.
+
+    A subclass builds its free algebra from the generators before calling
+    this ``__init__``, and sets ``complex_type``; its ``generators`` come
+    from that algebra.
+    """
+
+    complex_type: type
+
+    def __init__(self, differential: Mapping, name: str, parent):
+        self.differential = {i: e for i, e in differential.items()
+                             if not e.is_zero()}
+        self.name = name
+        self.parent = parent
+        self._complex = None
+        self._derivation = None
+        self._trunc_cache: dict[int, GradedModel] = {}
+
+    def max_generator_degree(self) -> int:
+        return max((g.degree for g in self.generators), default=0)
+
+    def _truncated_differential(self, keep: list, k: int) -> dict:
+        """The differential on the kept generators of degree <= k."""
+        return {g.index: self.differential[g.index] for g in keep
+                if g.index in self.differential}
+
+    def truncate(self, k: int):
+        """Sub-model on the generators of degree <= k (indices preserved);
+        the model itself when that keeps every generator."""
+        if k >= self.max_generator_degree():
+            return self
+        if k not in self._trunc_cache:
+            keep = [g for g in self.generators if g.degree <= k]
+            self._trunc_cache[k] = type(self)(
+                keep, self._truncated_differential(keep, k),
+                name=f"{self.name}[<={k}]" if self.name else "", parent=self)
+        return self._trunc_cache[k]
+
+    def complex(self) -> "GradedComplex":
+        if self._complex is None:
+            self._complex = self.complex_type(self)
+        return self._complex
+
+    def __repr__(self):
+        gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
+        return f"{type(self).__name__}({self.name or gens})"
+
+
+class GradedComplex:
+    """Per-degree matrices and (co)homology data of a free graded model.
+
+    Dimensions of (co)homology come from ranks alone; representatives, and
+    the coordinates of classes over them, are built only on request.
+    """
+
+    step: int   # degree of the differential
+
+    def __init__(self, model):
+        self.model = model
+        self._index_cache: dict[int, dict] = {}
+        self._d_cache: dict[int, linalg.QMatrix] = {}
+        self._rank_cache: dict[int, int] = {}
+        self._squares_checked: set[int] = set()
+        self._boundary_cache: dict[int, list[linalg.Vector]] = {}
+        self._coh_cache: dict[int, tuple[int, list, list]] = {}
+        self._class_cache: dict[int, tuple[linalg.Span, int]] = {}
+
+    # --- supplied by the subclass ------------------------------------------
+
+    def keys(self, degree: int) -> list:
+        """The basis keys of that degree, in canonical order."""
+        raise NotImplementedError
+
+    def generator_key(self, index: int):
+        """The basis key of the generator with that index."""
+        raise NotImplementedError
+
+    def to_coords(self, degree: int, e) -> linalg.Vector:
+        raise NotImplementedError
+
+    def from_coords(self, degree: int, v: Sequence[Fraction]):
+        raise NotImplementedError
+
+    def _assemble_d_matrix(self, degree: int) -> linalg.QMatrix:
+        """d : degree -> degree + step, built from the model's differential."""
+        raise NotImplementedError
+
+    # --- bases and matrices ------------------------------------------------
+
+    def dim(self, degree: int) -> int:
+        return len(self.keys(degree))
+
+    def _index(self, degree: int) -> dict:
+        """Basis key -> its position in the basis of that degree."""
+        idx = self._index_cache.get(degree)
+        if idx is None:
+            idx = {k: j for j, k in enumerate(self.keys(degree))}
+            self._index_cache[degree] = idx
+        return idx
+
+    def d_matrix(self, degree: int) -> linalg.QMatrix:
+        """Matrix of d : degree -> degree + step in the canonical bases."""
+        if degree in self._d_cache:
+            return self._d_cache[degree]
+        if self.model.parent is not None:
+            mat = self._restricted_d_matrix(degree)
+        else:
+            mat = self._assemble_d_matrix(degree)
+        self._d_cache[degree] = mat
+        return mat
+
+    def _restricted_d_matrix(self, degree: int) -> linalg.QMatrix:
+        """The parent's d matrix restricted to this model's basis keys."""
+        pc = self.model.parent.complex()
+        pidx = pc._index(degree)
+        cols = {pidx[k]: c for c, k in enumerate(self.keys(degree))}
+        pidx = pc._index(degree + self.step)
+        rows = {pidx[k]: r for r, k in enumerate(self.keys(degree + self.step))}
+        ent = {}
+        for (r, c), v in pc.d_matrix(degree).entries.items():
+            if c in cols:
+                if r not in rows:
+                    raise TruncationNotClosed(
+                        f"{self.model!r}: d of a degree-{degree} basis "
+                        f"element leaves the kept generators")
+                ent[(rows[r], cols[c])] = v
+        return linalg.QMatrix(len(rows), len(cols), ent)
+
+    def _rank(self, degree: int) -> int:
+        """rank of d : degree -> degree + step."""
+        if degree not in self._rank_cache:
+            self._rank_cache[degree] = linalg.rank(self.d_matrix(degree))
+        return self._rank_cache[degree]
+
+    def _check_square(self, degree: int):
+        """CompositionNotZero unless d . d = 0 through ``degree``."""
+        if degree not in self._squares_checked:
+            if not self.d_matrix(degree).matmul(
+                    self.d_matrix(degree - self.step)).is_zero():
+                raise CompositionNotZero(
+                    f"{self.model!r}: d.d != 0 at degree {degree}")
+            self._squares_checked.add(degree)
+
+    # --- (co)homology ------------------------------------------------------
+
+    def boundaries(self, degree: int) -> list[linalg.Vector]:
+        """A basis of the (co)boundaries of that degree: the independent
+        columns of d : degree - step -> degree, in column order."""
+        if degree not in self._boundary_cache:
+            d_in = self.d_matrix(degree - self.step)
+            self._boundary_cache[degree] = linalg.independent_subset(
+                d_in.columns(), d_in.rows)
+        return self._boundary_cache[degree]
+
+    def homology(self, degree: int):
+        """(dim, representative elements, their coordinate vectors)."""
+        if degree in self._coh_cache:
+            return self._coh_cache[degree]
+        if not self.dim(degree):
+            result = (0, [], [])
+        else:
+            self._check_square(degree)
+            cycles = linalg.kernel_basis(self.d_matrix(degree))
+            reps_v = linalg.quotient_representatives(
+                cycles, self.boundaries(degree))
+            reps = [self.from_coords(degree, v) for v in reps_v]
+            result = (len(reps), reps, reps_v)
+        self._coh_cache[degree] = result
+        return result
+
+    def betti(self, degree: int) -> int:
+        """dim - rank d_out - rank d_in, from ranks alone."""
+        if degree in self._coh_cache:
+            return self._coh_cache[degree][0]
+        if not self.dim(degree):
+            return 0
+        self._check_square(degree)
+        return (self.dim(degree) - self._rank(degree)
+                - self._rank(degree - self.step))
+
+    def class_coords(self, degree: int, e) -> linalg.Vector | None:
+        """Coordinates of [e] over the representatives of that degree;
+        None when e is not a cycle."""
+        z = self.to_coords(degree, e)
+        if any(self.d_matrix(degree).apply(z)):
+            return None
+        if degree not in self._class_cache:
+            _, _, reps_v = self.homology(degree)
+            # representatives then boundaries: a basis of the cycles
+            span = linalg.Span(self.dim(degree))
+            for v in [*reps_v, *self.boundaries(degree)]:
+                if not span.add(v):
+                    raise InternalInconsistency(
+                        f"{self.model!r}: representatives and boundaries of "
+                        f"degree {degree} are dependent")
+            self._class_cache[degree] = (span, len(reps_v))
+        span, nreps = self._class_cache[degree]
+        coords = span.express(z)
+        if coords is None:
+            raise InternalInconsistency("cycle not in span of reps + boundaries")
+        return coords[:nreps]
+
+    def class_matrix(self, degree: int, elements: Sequence) -> linalg.QMatrix:
+        """The matrix whose columns are the class coordinates of
+        ``elements``, which must be cycles of that degree."""
+        cols = []
+        for e in elements:
+            coords = self.class_coords(degree, e)
+            if coords is None:
+                raise InternalInconsistency(
+                    f"{self.model!r}: {e!r} is not a cycle of degree {degree}")
+            cols.append(coords)
+        return linalg.QMatrix.from_columns(cols, self.betti(degree))
+
+    def linear_part(self, degree: int) -> linalg.QMatrix:
+        """Homology of that degree -> the generators of that degree: each
+        representative's coefficients on the generators."""
+        gens = [g for g in self.model.generators if g.degree == degree]
+        _, reps, _ = self.homology(degree)
+        ent = {}
+        for c, rep in enumerate(reps):
+            for r, g in enumerate(gens):
+                v = rep.terms.get(self.generator_key(g.index))
+                if v:
+                    ent[(r, c)] = v
+        return linalg.QMatrix(len(gens), len(reps), ent)

@@ -361,7 +361,7 @@ def compare_models(s: SullivanModel, q: DGLModel,
         if h != w:
             mismatches.append(f"dim H^{i} = {h} != dim W_{i - 1} = {w}")
         v = a.v_dim(i)
-        hq = qc.homology_dim(i - 1)
+        hq = qc.betti(i - 1)
         homotopy_pairing[i] = (v, hq)
         if v != hq:
             mismatches.append(

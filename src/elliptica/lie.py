@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, InternalInconsistency
+from .graded import SparseElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -38,55 +39,10 @@ class LieGenerator:
             raise DegreeMismatch(f"generator {self.name} has degree {self.degree} < 1")
 
 
-class LieElement:
+class LieElement(SparseElement):
     """Sparse rational combination of tensor words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        self.terms = {w: Fraction(c) for w, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "LieElement":
-        return cls()
-
-    @classmethod
-    def _of(cls, terms: dict[Word, Fraction]) -> "LieElement":
-        """Adopt a dict of Fraction coefficients, dropping zeros."""
-        e = cls.__new__(cls)
-        e.terms = {w: c for w, c in terms.items() if c}
-        return e
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t.get(w, _ZERO) + c
-        return LieElement(t)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t.get(w, _ZERO) - c
-        return LieElement(t)
-
-    def scale(self, c) -> "LieElement":
-        c = Fraction(c)
-        return LieElement({w: c * v for w, v in self.terms.items()})
-
-    def __neg__(self) -> "LieElement":
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, LieElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"LieElement({self.terms!r})"
+    __slots__ = ()
 
 
 class FreeLie:
@@ -289,6 +245,10 @@ class FreeLie:
 
     def lie_dim(self, degree: int) -> int:
         return len(self.lie_basis(degree))
+
+    def leading_words(self, degree: int) -> list[Word]:
+        """The leading words of lie_basis(degree), in basis order."""
+        return self._basis_tables(degree)[2]
 
     def lie_coords(self, degree: int, e: LieElement) -> linalg.Vector | None:
         """Coordinates over lie_basis(degree), None if e is outside L(W).

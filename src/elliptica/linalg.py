@@ -21,20 +21,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import CompositionNotZero, NotASubspace
+from .errors import NotASubspace
 
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def vector(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
 
 
 class QMatrix:
@@ -85,21 +77,11 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls(n, n, {(i, i): _ONE for i in range(n)})
 
-    def entry(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), _ZERO)
-
     def column(self, c: int) -> Vector:
         return tuple(self.entries.get((r, c), _ZERO) for r in range(self.rows))
 
     def columns(self) -> list[Vector]:
         return [self.column(c) for c in range(self.cols)]
-
-    def row(self, r: int) -> Vector:
-        return tuple(self.entries.get((r, c), _ZERO) for c in range(self.cols))
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       {(c, r): v for (r, c), v in self.entries.items()})
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -271,15 +253,6 @@ def solve(m: QMatrix, rhs: Sequence[Fraction]) -> Vector | None:
         if n in row:
             x[p] = Fraction(row[n], row[p])
     return tuple(x)
-
-
-def homology_dim(d_out: QMatrix, d_in: QMatrix) -> int:
-    """dim(ker d_out / im d_in).  Requires d_out . d_in = 0."""
-    if d_out.cols != d_in.rows:
-        raise ValueError("chain spaces do not line up")
-    if not d_out.matmul(d_in).is_zero():
-        raise CompositionNotZero("d_out . d_in != 0")
-    return (d_out.cols - rank(d_out)) - rank(d_in)
 
 
 class Span:

@@ -114,3 +114,36 @@ def test_sullivan_commands_build_one_analysis(capsys, monkeypatch, command):
     code, _, _ = run(capsys, command, "cpn_sullivan(2)", "--json")
     assert code == 0
     assert len(built) == 1
+
+
+def test_quillen_invariants_refuses_a_short_window(capsys):
+    code, out, err = run(capsys, "invariants", "cpn_quillen(2)",
+                         "--max-degree", "1")
+    assert code == 1
+    assert "status: ok" not in out
+    assert "CP2q" in err and "8" in err
+
+
+@pytest.mark.parametrize("command", ["cohomology", "invariants", "whitehead",
+                                     "verify", "check"])
+def test_negative_max_degree_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "s2", "--max-degree", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--max-degree" in err
+
+
+@pytest.mark.parametrize("model,betti", [("s2", {"0": 1}),
+                                         ("s2_quillen", {})])
+def test_max_degree_zero_is_a_window_of_zero(capsys, model, betti):
+    code, out, _ = run(capsys, "cohomology", model, "--max-degree", "0",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bound"] == 0
+    assert payload["tables"]["betti"] == betti
+    code, out, _ = run(capsys, "whitehead", model, "--max-degree", "0",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bound"] == 0 and payload["tables"]["nodes"] == []

@@ -1,0 +1,47 @@
+from fractions import Fraction
+
+import pytest
+
+from elliptica import dsl, linalg
+from elliptica.commutative import Element
+from elliptica.errors import ExactnessFailure
+from elliptica.graded import check_exact
+from elliptica.lie import LieElement
+
+
+def test_elements_of_the_two_sides_never_compare_equal():
+    assert Element() != LieElement()
+    assert Element({(): 1}) != LieElement({(): 1})
+    assert Element({(): 1}) == Element({(): Fraction(1)})
+
+
+@pytest.mark.parametrize("cls", [Element, LieElement])
+def test_arithmetic_keeps_the_subclass(cls):
+    a = cls({(0,): 1, (1,): Fraction(1, 2)})
+    b = cls({(0,): -1})
+    for e in (a + b, a - b, a.scale(3), -a, cls._of(dict(a.terms)),
+              cls.zero()):
+        assert type(e) is cls
+    assert (a + b).terms == {(1,): Fraction(1, 2)}
+    assert (a - a).is_zero()
+    assert repr(b).startswith(cls.__name__ + "(")
+
+
+def test_check_exact():
+    inc = linalg.QMatrix.from_rows([[1], [0]])
+    check_exact("ok", inc, linalg.QMatrix.from_rows([[0, 1]]))
+    with pytest.raises(ExactnessFailure, match="composite nonzero"):
+        check_exact("bad", inc, linalg.QMatrix.from_rows([[1, 0]]))
+    with pytest.raises(ExactnessFailure, match="im != ker"):
+        check_exact("bad", inc, linalg.QMatrix.zero(1, 2))
+
+
+@pytest.mark.parametrize("spec,degree", [("cpn_sullivan(2)", 4),
+                                         ("cpn_quillen(2)", 4)])
+def test_class_matrix_columns_are_class_coordinates(spec, degree):
+    cx = dsl.catalog_spec(spec).complex()
+    _, reps, _ = cx.homology(degree)
+    m = cx.class_matrix(degree, [reps[0], reps[0].scale(2)])
+    assert m.rows == cx.betti(degree) == 1
+    assert m.columns() == [(1,), (2,)]
+    assert cx.class_matrix(degree, []) == linalg.QMatrix.zero(1, 0)

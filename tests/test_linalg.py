@@ -188,13 +188,6 @@ def test_quotient_representatives_rejects_non_subspace():
         linalg.quotient_representatives([(1, 0)], [(0, 1)])
 
 
-def test_homology_dim_simple_complex():
-    # 0 -> Q^2 --d_in--> Q^2 --d_out--> Q, with d_out.d_in = 0
-    d_out = QMatrix.from_rows([[1, 1]])
-    d_in = QMatrix.from_rows([[1], [-1]])
-    assert linalg.homology_dim(d_out, d_in) == 0
-
-
 @settings(max_examples=150, deadline=None)
 @given(shaped_matrix)
 def test_rank_matches_dense_oracle_on_any_shape(m):

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from elliptica import dsl, quillen
-from elliptica.errors import UnboundedGamma
+from elliptica.errors import BadParameter, CompositionNotZero, UnboundedGamma
 from elliptica.lie import FreeLie, LieGenerator
 from elliptica.quillen import DGLModel
+
+from conftest import CATALOG_QUILLEN_SPECS
 
 
 def test_cp2_quillen_homology(cp2q):
@@ -94,3 +96,50 @@ def test_gamma_is_computed_once_per_degree(monkeypatch):
     assert sorted(seen) == sorted(set(seen))
     # the memo hands every caller the same object
     assert compute(q, 4) is q.gamma(4)
+
+
+@pytest.mark.parametrize("spec", [*CATALOG_QUILLEN_SPECS, "cpn_quillen(4)"])
+def test_truncations_are_views_of_the_parent(spec):
+    """Every truncation's delta matrices are the parent's, restricted, and
+    equal the ones a free-standing copy assembles itself; its rank-only
+    homology dimensions equal its numbers of representatives."""
+    model = dsl.catalog_spec(spec)
+    top = min(quillen.default_bound(model) + 1, 12)
+    for k in range(model.max_generator_degree() + 1):
+        t = model.truncate(k)
+        assert t is model or t.parent is model
+        fresh = DGLModel(t.generators, t.differential)
+        cx = t.complex()
+        for deg in range(top + 2):
+            assert cx.d_matrix(deg) == fresh.complex().d_matrix(deg), (k, deg)
+        dims = [cx.betti(deg) for deg in range(1, top + 1)]
+        assert dims == [len(cx.homology(deg)[1])
+                        for deg in range(1, top + 1)], k
+
+
+def test_rank_only_homology_raises_when_delta_squared_is_nonzero():
+    # delta(w4) = w3 and delta(w3) = 1/2[w1,w1] give delta(delta w4) != 0
+    gens = [LieGenerator("w1", 1, 0), LieGenerator("w3", 3, 1),
+            LieGenerator("w4", 4, 2)]
+    lie = FreeLie(gens)
+    bad = DGLModel(gens, {
+        1: lie.bracket(lie.gen("w1"), lie.gen("w1")).scale(Fraction(1, 2)),
+        2: lie.gen("w3"),
+    })
+    cx = bad.complex()
+    with pytest.raises(CompositionNotZero):
+        cx.betti(3)
+    assert 3 not in cx._coh_cache   # no representatives were built
+    with pytest.raises(CompositionNotZero):
+        quillen.homology_table(bad, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eta_refuses_a_window_below_the_default(n):
+    # H_2n(L(W)) = Q is the top of the homology, so a window below 2n used
+    # to miss it and return n instead of n + 1
+    q = dsl.catalog("cpn_quillen", n)
+    for bound in range(quillen.default_bound(q)):
+        with pytest.raises(BadParameter, match=f"CP{n}q.*{2 * (2 * n - 1) + 2}"):
+            quillen.eta(q, bound)
+    assert quillen.eta(q, quillen.default_bound(q)) == n + 1
