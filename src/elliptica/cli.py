@@ -345,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("spec", nargs="?", default=None,
                     help="catalog spec, e.g. cpn_sullivan(2)")
     pk.add_argument("--json", action="store_true")
-    pk.add_argument("--max-degree", type=_degree, default=None)
-    pk.add_argument("--verbose", action="store_true")
     return ap
 
 

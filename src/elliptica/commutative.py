@@ -6,12 +6,11 @@ the Koszul sign rule, derivations satisfy the graded Leibniz identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch
-from .graded import SparseElement
+from .graded import FreeAlgebra, Generator, GradedDerivation, SparseElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -20,68 +19,65 @@ Monomial = tuple[tuple[int, int], ...]  # ((gen index, exponent), ...)
 UNIT: Monomial = ()
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
-    index: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise DegreeMismatch(f"generator {self.name} has degree {self.degree} < 1")
-
-
 class Element(SparseElement):
     """Sparse rational combination of monomials (zero coefficients dropped)."""
 
     __slots__ = ()
 
 
-class Algebra:
+class Derivation(GradedDerivation):
+    """Degree +1 derivation determined by generator images (graded Leibniz)."""
+
+    step = 1
+
+    def _apply(self, m: Monomial, c: Fraction, out: dict[Monomial, Fraction]):
+        """out += c * D(m): for each factor g^e of m, the term
+        (-1)^|prefix| e * prefix * g^(e-1) * D(g) * rest, multiplied out
+        monomial by monomial."""
+        alg = self.algebra
+        prefix_deg = 0
+        for pos, (idx, exp) in enumerate(m):
+            img = self.images.get(idx)
+            if img is not None:
+                sc = (-c if prefix_deg % 2 else c) * exp
+                # exp > 1 only for even g, so left stays canonical
+                left = m[:pos] + ((idx, exp - 1),) if exp > 1 else m[:pos]
+                rest = m[pos + 1:]
+                for u, v in img.terms.items():
+                    lu = alg._mul_monomials(left, u)
+                    if lu is None:
+                        continue
+                    prod = alg._mul_monomials(lu[0], rest)
+                    if prod is None:
+                        continue
+                    key = prod[0]
+                    out[key] = out.get(key, _ZERO) + lu[1] * prod[1] * sc * v
+            prefix_deg += alg.by_index[idx].degree * exp
+
+
+class Algebra(FreeAlgebra):
     """The free graded-commutative algebra Lambda(V) on a generator list.
 
-    With ``source`` given, the generators must be a subset of the source's
-    and each basis is the source's, restricted to the monomials in these
-    generators: filtering a degree-lex list keeps its order, so that is
-    exactly the basis this algebra would enumerate itself.
+    With ``source`` given, each basis is the source's, restricted to the
+    monomials in these generators: filtering a degree-lex list keeps its
+    order, so that is exactly the basis this algebra would enumerate itself.
     """
+
+    element_type = Element
+    derivation_type = Derivation
 
     def __init__(self, generators: Sequence[Generator],
                  source: "Algebra | None" = None):
-        names = [g.name for g in generators]
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
-        self.generators = list(generators)
-        self.by_index = {g.index: g for g in generators}
-        self.by_name = {g.name: g for g in generators}
-        if source is not None and any(
-                source.by_index.get(g.index) != g for g in generators):
-            raise ValueError("generators are not a subset of the source's")
-        self._source = source
+        super().__init__(generators, source)
         self._basis_cache: dict[int, list[Monomial]] = {}
 
-    # --- degrees -----------------------------------------------------------
-
-    def monomial_degree(self, m: Monomial) -> int:
+    def key_degree(self, m: Monomial) -> int:
         return sum(self.by_index[i].degree * e for i, e in m)
 
-    def degree(self, e: Element) -> int:
-        """Degree of a homogeneous element; DegreeMismatch if mixed."""
-        if e.is_zero():
-            return 0
-        degs = {self.monomial_degree(m) for m in e.terms}
-        if len(degs) != 1:
-            raise DegreeMismatch(f"mixed degrees {sorted(degs)}")
-        return degs.pop()
-
-    def is_homogeneous(self, e: Element, degree: int) -> bool:
-        return all(self.monomial_degree(m) == degree for m in e.terms)
+    def generator_key(self, index: int) -> Monomial:
+        return ((index, 1),)
 
     # --- constructors ------------------------------------------------------
-
-    def gen(self, name: str) -> Element:
-        g = self.by_name[name]
-        return Element({((g.index, 1),): _ONE})
 
     def monomial(self, powers: Iterable[tuple[int, int]]) -> Monomial:
         ps = sorted((i, e) for i, e in powers if e)
@@ -161,46 +157,3 @@ class Algebra:
 
     def from_monomial(self, m: Monomial, coeff=1) -> Element:
         return Element({m: Fraction(coeff)})
-
-    # --- derivations -------------------------------------------------------
-
-    def derivation(self, images: Mapping[int, Element]) -> "Derivation":
-        return Derivation(self, images)
-
-
-class Derivation:
-    """Degree +1 derivation determined by generator images (graded Leibniz)."""
-
-    def __init__(self, algebra: Algebra, images: Mapping[int, Element]):
-        self.algebra = algebra
-        self.images = {}
-        for idx, img in images.items():
-            g = algebra.by_index[idx]
-            if not img.is_zero() and not algebra.is_homogeneous(img, g.degree + 1):
-                raise DegreeMismatch(
-                    f"image of {g.name} is not homogeneous of degree {g.degree + 1}")
-            self.images[idx] = img
-
-    def _apply_monomial(self, m: Monomial) -> Element:
-        alg = self.algebra
-        out = Element.zero()
-        for pos, (idx, exp) in enumerate(m):
-            img = self.images.get(idx)
-            if img is None or img.is_zero():
-                continue
-            g = alg.by_index[idx]
-            prefix_deg = sum(alg.by_index[i].degree * e for i, e in m[:pos])
-            sign = (-1) ** prefix_deg
-            # D(g^e) = e * g^(e-1) * D(g); e > 1 only for even g.
-            left = alg.monomial(list(m[:pos]) + ([(idx, exp - 1)] if exp > 1 else []))
-            rest = alg.monomial(m[pos + 1:])
-            term = alg.multiply(alg.from_monomial(left, sign * exp),
-                                alg.multiply(img, alg.from_monomial(rest)))
-            out = out + term
-        return out
-
-    def __call__(self, e: Element) -> Element:
-        out = Element.zero()
-        for m, c in e.terms.items():
-            out = out + self._apply_monomial(m).scale(c)
-        return out

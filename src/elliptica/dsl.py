@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .commutative import Element, Generator
+from .commutative import Element
 from .errors import (BadParameter, DegreeError, ModelSyntaxError,
                      OddSquareError, UnknownCatalogEntry, UnknownGenerator,
                      ValidationError)
-from .lie import FreeLie, LieElement, LieGenerator
+from .graded import Generator
+from .lie import FreeLie, LieElement
 from .quillen import DGLModel
 from .sullivan import SullivanModel, tensor_product
 
@@ -68,7 +69,7 @@ class _ExprParser:
         self.pos = 0
         self.line = line
         self.kind = kind          # "sullivan" | "quillen"
-        self.env = env            # name -> algebra/lie handle (see below)
+        self.env = env            # the model kind's _Env (see below)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -103,7 +104,7 @@ class _ExprParser:
         elif t and t[:2] == ("sym", "+"):
             self.next()
         while True:
-            total = self.env.add(total, self.term().scale(sign))
+            total = total + self.term().scale(sign)
             t = self.peek()
             if t is None or (t[0] == "sym" and t[1] in (",", "]")):
                 return total
@@ -177,17 +178,18 @@ class _ExprParser:
         return self.env.bracket(a, b)
 
 
-class _SullivanEnv:
+class _Env:
+    """What the expression parser needs of a model kind's algebra."""
+
     def __init__(self, algebra):
         self.algebra = algebra
         self.names = set(algebra.by_name)
 
     def zero(self):
-        return Element.zero()
+        return self.algebra.element_type.zero()
 
-    def add(self, a, b):
-        return a + b
 
+class _SullivanEnv(_Env):
     def power(self, name, exp, line, col):
         g = self.algebra.by_name[name]
         if g.degree % 2 and exp > 1:
@@ -201,25 +203,15 @@ class _SullivanEnv:
         return self.algebra.multiply(value, factor)
 
 
-class _QuillenEnv:
-    def __init__(self, lie):
-        self.lie = lie
-        self.names = set(lie.by_name)
-
-    def zero(self):
-        return LieElement.zero()
-
-    def add(self, a, b):
-        return a + b
-
+class _QuillenEnv(_Env):
     def power(self, name, exp, line, col):
         if exp != 1:
             raise ModelSyntaxError("powers are not defined in a Lie model",
                                    line, col)
-        return self.lie.gen(name)
+        return self.algebra.gen(name)
 
     def bracket(self, a, b):
-        return self.lie.bracket(a, b)
+        return self.algebra.bracket(a, b)
 
     def combine(self, value, factor, line, col):
         if value is not None:
@@ -248,7 +240,7 @@ def parse(text: str):
             if ":" not in rest:
                 raise ModelSyntaxError("expected 'model <name> : <kind>'", ln)
             name, kind = (p.strip() for p in rest.split(":", 1))
-            if kind not in ("sullivan", "quillen"):
+            if kind not in _KINDS:
                 raise ModelSyntaxError(f"unknown model kind {kind!r}", ln)
             if not name.isidentifier():
                 raise ModelSyntaxError(f"bad model name {name!r}", ln)
@@ -279,20 +271,10 @@ def parse(text: str):
             raise ModelSyntaxError(f"duplicate generator {gname!r}", ln)
         seen.add(gname)
 
-    if kind == "sullivan":
-        gens = [Generator(n, d, i) for i, (n, d, _) in enumerate(gen_lines)]
-        model_ns = SullivanModel(gens, {}, name=name)
-        env = _SullivanEnv(model_ns.algebra)
-        shift = +1
-        degree_of = model_ns.algebra.degree
-        by_name = model_ns.algebra.by_name
-    else:
-        gens = [LieGenerator(n, d, i) for i, (n, d, _) in enumerate(gen_lines)]
-        lie = FreeLie(gens)
-        env = _QuillenEnv(lie)
-        shift = -1
-        degree_of = lie.degree
-        by_name = lie.by_name
+    model_type, env_type, _ = _KINDS[kind]
+    alg = model_type.algebra_type(
+        [Generator(n, d, i) for i, (n, d, _) in enumerate(gen_lines)])
+    env = env_type(alg)
 
     diff = {}
     seen_d = set()
@@ -308,32 +290,20 @@ def parse(text: str):
         value = _ExprParser(tokens, ln, kind, env).parse()
         if value.is_zero():
             continue
-        g = by_name[gname]
-        want = g.degree + shift
-        if want < 0 or not _is_homog(kind, env, value, want):
+        g = alg.by_name[gname]
+        want = g.degree + alg.derivation_type.step
+        if not alg.is_homogeneous(value, want):
             raise DegreeError(
                 f"d({gname}) must be homogeneous of degree {want}", ln)
         diff[g.index] = value
 
-    if kind == "sullivan":
-        model = SullivanModel([Generator(n, d, i)
-                               for i, (n, d, _) in enumerate(gen_lines)],
-                              diff, name=name)
-        report = model.validate()
-    else:
-        model = DGLModel(gens, diff, name=name)
-        report = model.validate()
+    model = model_type(alg.generators, diff, name=name)
+    report = model.validate()
     if not report.ok:
         raise ValidationError(
             "; ".join(f"{i.check} ({i.generator}): {i.message}"
                       for i in report.issues))
     return model
-
-
-def _is_homog(kind, env, value, want):
-    if kind == "sullivan":
-        return env.algebra.is_homogeneous(value, want)
-    return env.lie.is_homogeneous(value, want)
 
 
 def parse_file(path):
@@ -405,27 +375,23 @@ def _quillen_element_str(model: DGLModel, e: LieElement) -> str:
     return _join_terms(parts) if parts else "0"
 
 
+_KINDS = {"sullivan": (SullivanModel, _SullivanEnv, _sullivan_element_str),
+          "quillen": (DGLModel, _QuillenEnv, _quillen_element_str)}
+
+
 def serialize(model) -> str:
     """Canonical .rhm text; parse(serialize(m)) equals m structurally."""
-    lines = []
-    if isinstance(model, SullivanModel):
-        lines.append(f"model {model.name or 'unnamed'} : sullivan")
-        for g in model.generators:
-            lines.append(f"gen {g.name} : {g.degree}")
-        for g in model.generators:
-            img = model.d_of_generator(g.index)
-            if not img.is_zero():
-                lines.append(f"d {g.name} = {_sullivan_element_str(model, img)}")
-    elif isinstance(model, DGLModel):
-        lines.append(f"model {model.name or 'unnamed'} : quillen")
-        for g in model.generators:
-            lines.append(f"gen {g.name} : {g.degree}")
-        for g in model.generators:
-            img = model.delta_of_generator(g.index)
-            if not img.is_zero():
-                lines.append(f"d {g.name} = {_quillen_element_str(model, img)}")
+    for kind, (model_type, _, element_str) in _KINDS.items():
+        if isinstance(model, model_type):
+            break
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    lines = [f"model {model.name or 'unnamed'} : {kind}"]
+    lines += [f"gen {g.name} : {g.degree}" for g in model.generators]
+    for g in model.generators:
+        img = model.d_of_generator(g.index)
+        if not img.is_zero():
+            lines.append(f"d {g.name} = {element_str(model, img)}")
     return "\n".join(lines) + "\n"
 
 
@@ -436,15 +402,14 @@ def _cpn_sullivan(n: int) -> SullivanModel:
         raise BadParameter("cpn_sullivan needs n >= 1")
     x = Generator("x", 2, 0)
     y = Generator("y", 2 * n + 1, 1)
-    model = SullivanModel([x, y], {}, name=f"CP{n}")
-    dy = model.algebra.from_monomial(((0, n + 1),))
-    return SullivanModel([x, y], {1: dy}, name=f"CP{n}")
+    return SullivanModel([x, y], {1: Element({((0, n + 1),): 1})},
+                         name=f"CP{n}")
 
 
 def _cpn_quillen(n: int) -> DGLModel:
     if n < 1:
         raise BadParameter("cpn_quillen needs n >= 1")
-    gens = [LieGenerator(f"w{2 * k - 1}", 2 * k - 1, k - 1) for k in range(1, n + 1)]
+    gens = [Generator(f"w{2 * k - 1}", 2 * k - 1, k - 1) for k in range(1, n + 1)]
     lie = FreeLie(gens)
     diff = {}
     for k_idx, g in enumerate(gens):
@@ -476,15 +441,13 @@ def _sphere_even(k: int) -> SullivanModel:
         raise BadParameter("sphere_even needs even k >= 2")
     x = Generator("x", k, 0)
     y = Generator("y", 2 * k - 1, 1)
-    model = SullivanModel([x, y], {}, name=f"S{k}")
-    dy = model.algebra.from_monomial(((0, 2),))
-    return SullivanModel([x, y], {1: dy}, name=f"S{k}")
+    return SullivanModel([x, y], {1: Element({((0, 2),): 1})}, name=f"S{k}")
 
 
 def _sphere_odd_quillen(k: int) -> DGLModel:
     if k < 3 or k % 2 == 0:
         raise BadParameter("sphere_odd_quillen needs odd k >= 3")
-    return DGLModel([LieGenerator("w", k - 1, 0)], {}, name=f"S{k}q")
+    return DGLModel([Generator("w", k - 1, 0)], {}, name=f"S{k}q")
 
 
 def catalog(name: str, *params) -> "SullivanModel | DGLModel":
@@ -518,7 +481,7 @@ def catalog(name: str, *params) -> "SullivanModel | DGLModel":
     if name == "s2_quillen":
         if params:
             raise BadParameter("s2_quillen takes no parameters")
-        return DGLModel([LieGenerator("w", 1, 0)], {}, name="S2q")
+        return DGLModel([Generator("w", 1, 0)], {}, name="S2q")
     if name == "product":
         if len(params) != 2:
             raise BadParameter("product takes two sullivan sub-specs")

@@ -1,6 +1,7 @@
-"""What the Sullivan and the Quillen side share: sparse elements, validation
-reports, free graded models with their truncations, and the graded complex
-with its (co)homology.
+"""What the Sullivan and the Quillen side share: generators, sparse
+elements, the free graded algebra with its derivations, validation reports,
+free graded models with their truncations, the graded complex with its
+(co)homology, and the Whitehead report.
 
 A ``GradedComplex`` has a canonical basis in each degree, indexed by keys
 (monomials, resp. leading words of the Lie basis), and a differential that
@@ -17,10 +18,22 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import (CompositionNotZero, ExactnessFailure,
+from .errors import (CompositionNotZero, DegreeMismatch, ExactnessFailure,
                      InternalInconsistency, TruncationNotClosed)
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+@dataclass(frozen=True)
+class Generator:
+    name: str
+    degree: int
+    index: int
+
+    def __post_init__(self):
+        if self.degree < 1:
+            raise DegreeMismatch(f"generator {self.name} has degree {self.degree} < 1")
 
 
 class SparseElement:
@@ -78,6 +91,91 @@ class SparseElement:
         return f"{type(self).__name__}({self.terms!r})"
 
 
+class FreeAlgebra:
+    """A free graded algebra on a list of generators: Lambda(V) or L(W).
+
+    A subclass sets ``element_type`` and ``derivation_type`` and supplies
+    the degree of one basis key and the key of a generator.  With ``source``
+    given, the generators must be a subset of the source's, and the
+    subclass restricts the source's bases instead of enumerating its own.
+    """
+
+    element_type: type
+    derivation_type: type
+
+    def __init__(self, generators: Sequence[Generator],
+                 source: "FreeAlgebra | None" = None):
+        names = [g.name for g in generators]
+        if len(set(names)) != len(names):
+            raise ValueError("generator names must be unique")
+        self.generators = list(generators)
+        self.by_index = {g.index: g for g in generators}
+        self.by_name = {g.name: g for g in generators}
+        if source is not None and any(
+                source.by_index.get(g.index) != g for g in generators):
+            raise ValueError("generators are not a subset of the source's")
+        self._source = source
+
+    def key_degree(self, key) -> int:
+        """The degree of one basis key."""
+        raise NotImplementedError
+
+    def generator_key(self, index: int):
+        """The basis key of the generator with that index."""
+        raise NotImplementedError
+
+    def degree(self, e) -> int:
+        """Degree of a homogeneous element; DegreeMismatch if mixed."""
+        if e.is_zero():
+            return 0
+        degs = {self.key_degree(k) for k in e.terms}
+        if len(degs) != 1:
+            raise DegreeMismatch(f"mixed degrees {sorted(degs)}")
+        return degs.pop()
+
+    def is_homogeneous(self, e, degree: int) -> bool:
+        return all(self.key_degree(k) == degree for k in e.terms)
+
+    def gen(self, name: str):
+        return self.element_type(
+            {self.generator_key(self.by_name[name].index): _ONE})
+
+    def derivation(self, images: Mapping[int, SparseElement]):
+        return self.derivation_type(self, images)
+
+
+class GradedDerivation:
+    """A derivation of degree ``step``, fixed by its images of the
+    generators.  Each image must be zero or homogeneous of degree
+    |g| + step >= 1; a subclass applies the derivation to one basis key.
+    """
+
+    step: int
+
+    def __init__(self, algebra: FreeAlgebra,
+                 images: Mapping[int, SparseElement]):
+        self.algebra = algebra
+        self.images = {}
+        for idx, img in images.items():
+            g = algebra.by_index[idx]
+            want = g.degree + self.step
+            if not img.is_zero() and (
+                    want < 1 or not algebra.is_homogeneous(img, want)):
+                raise DegreeMismatch(
+                    f"image of {g.name} is not homogeneous of degree {want}")
+            self.images[idx] = img
+
+    def _apply(self, key, c: Fraction, out: dict):
+        """out += c * D(key)."""
+        raise NotImplementedError
+
+    def __call__(self, e):
+        out: dict = {}
+        for k, c in e.terms.items():
+            self._apply(k, c, out)
+        return self.algebra.element_type._of(out)
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
     check: str
@@ -94,6 +192,15 @@ class ValidationReport:
         return not self.issues
 
 
+@dataclass(frozen=True)
+class WhiteheadReport:
+    """The nodes of a Whitehead sequence up to ``max_degree``.  ``exact``
+    is always True: a node that is not exact raises ExactnessFailure."""
+    nodes: tuple
+    max_degree: int
+    exact: bool = True
+
+
 def check_exact(node: str, incoming: linalg.QMatrix,
                 outgoing: linalg.QMatrix):
     """ExactnessFailure unless im(incoming) = ker(outgoing) at ``node``."""
@@ -104,17 +211,22 @@ def check_exact(node: str, incoming: linalg.QMatrix,
 
 
 class GradedModel:
-    """What the two model types share: generators, a differential given on
-    them, and truncations that keep their ``parent``.
+    """What the two model types share: a free algebra on the generators, a
+    differential given on them, and truncations that keep their ``parent``.
 
-    A subclass builds its free algebra from the generators before calling
-    this ``__init__``, and sets ``complex_type``; its ``generators`` come
-    from that algebra.
+    A subclass sets ``algebra_type``, ``complex_type`` and ``d_name``, the
+    name validation messages give the differential.
     """
 
+    algebra_type: type
     complex_type: type
+    d_name: str
 
-    def __init__(self, differential: Mapping, name: str, parent):
+    def __init__(self, generators: Sequence[Generator],
+                 differential: Mapping[int, SparseElement], name: str = "",
+                 parent: "GradedModel | None" = None):
+        self.algebra = self.algebra_type(
+            generators, source=parent.algebra if parent else None)
         self.differential = {i: e for i, e in differential.items()
                              if not e.is_zero()}
         self.name = name
@@ -122,6 +234,39 @@ class GradedModel:
         self._complex = None
         self._derivation = None
         self._trunc_cache: dict[int, GradedModel] = {}
+
+    @property
+    def generators(self) -> list[Generator]:
+        return self.algebra.generators
+
+    def d(self, e):
+        if self._derivation is None:
+            self._derivation = self.algebra.derivation(self.differential)
+        return self._derivation(e)
+
+    def d_of_generator(self, idx: int):
+        return self.differential.get(idx, self.algebra.element_type.zero())
+
+    def validate(self) -> ValidationReport:
+        """Each image homogeneous of degree |g| + step >= 1, the condition
+        of the derivation; then d(d g) = 0 for every generator g, checked
+        only when every image meets it."""
+        alg, sym = self.algebra, self.d_name
+        issues = []
+        for idx, img in self.differential.items():
+            g = alg.by_index[idx]
+            want = g.degree + alg.derivation_type.step
+            if want < 1 or not alg.is_homogeneous(img, want):
+                issues.append(ValidationIssue(
+                    "homogeneity", g.name,
+                    f"{sym}({g.name}) is not homogeneous of degree {want}"))
+        if not issues:
+            for idx, img in self.differential.items():
+                if not self.d(img).is_zero():
+                    g = alg.by_index[idx]
+                    issues.append(ValidationIssue(
+                        f"{sym}-squared", g.name, f"{sym}({sym}({g.name})) != 0"))
+        return ValidationReport(tuple(issues))
 
     def max_generator_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
@@ -176,10 +321,6 @@ class GradedComplex:
 
     def keys(self, degree: int) -> list:
         """The basis keys of that degree, in canonical order."""
-        raise NotImplementedError
-
-    def generator_key(self, index: int):
-        """The basis key of the generator with that index."""
         raise NotImplementedError
 
     def to_coords(self, degree: int, e) -> linalg.Vector:
@@ -324,10 +465,11 @@ class GradedComplex:
         representative's coefficients on the generators."""
         gens = [g for g in self.model.generators if g.degree == degree]
         _, reps, _ = self.homology(degree)
+        key = self.model.algebra.generator_key
         ent = {}
         for c, rep in enumerate(reps):
             for r, g in enumerate(gens):
-                v = rep.terms.get(self.generator_key(g.index))
+                v = rep.terms.get(key(g.index))
                 if v:
                     ent[(r, c)] = v
         return linalg.QMatrix(len(gens), len(reps), ent)

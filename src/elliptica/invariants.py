@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import linalg, quillen, sullivan
-from .errors import NotEllipticWithinBound, ValidationError
+from .errors import BadParameter, NotEllipticWithinBound, ValidationError
 from .quillen import DGLModel
 from .sullivan import SullivanModel
 
@@ -80,15 +80,18 @@ class SullivanAnalysis:
         self.betti = {i: cx.betti(i) for i in range(0, self.bound + 1)}
         nonzero = [i for i, d in self.betti.items() if d]
         self.formal_dimension = max(nonzero) if nonzero else 0
-        self.elliptic = (self.formal_dimension <= self.n_candidate
-                         and self.bound >= 2 * self.formal_dimension + 2)
         self._l_dims: dict[int, int] = {}
 
     def require_elliptic(self):
-        if not self.elliptic:
+        if self.formal_dimension > self.n_candidate:
             raise NotEllipticWithinBound(
                 f"H^i != 0 for i = {self.formal_dimension} beyond the candidate "
                 f"formal dimension {self.n_candidate} (bound {self.bound})")
+        if self.bound < 2 * self.formal_dimension + 2:
+            raise BadParameter(
+                f"{self.model!r}: the ellipticity verdict needs a degree "
+                f"window of at least {default_bound(self.model)}, got "
+                f"{self.bound}")
 
     def l_dim(self, i: int) -> int:
         if i not in self._l_dims:

@@ -12,13 +12,12 @@ L(W) needs no elimination.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, InternalInconsistency
-from .graded import SparseElement
+from .graded import FreeAlgebra, Generator, GradedDerivation, SparseElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -27,16 +26,7 @@ Word = tuple[int, ...]  # generator indices, tensor factors left to right
 # A bracket tree: a generator index, or a pair (left, right) for [left, right].
 Tree = int | tuple
 
-
-@dataclass(frozen=True)
-class LieGenerator:
-    name: str
-    degree: int
-    index: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise DegreeMismatch(f"generator {self.name} has degree {self.degree} < 1")
+LieGenerator = Generator
 
 
 class LieElement(SparseElement):
@@ -45,27 +35,39 @@ class LieElement(SparseElement):
     __slots__ = ()
 
 
-class FreeLie:
+class LieDerivation(GradedDerivation):
+    """Degree -1 derivation of T(W) restricting to the bracket Leibniz rule."""
+
+    step = -1
+
+    def _apply(self, w: Word, c: Fraction, out: dict[Word, Fraction]):
+        """out += c * D(w)."""
+        prefix_deg = 0
+        for j, idx in enumerate(w):
+            img = self.images.get(idx)
+            if img is not None:
+                sc = -c if prefix_deg % 2 else c
+                for u, v in img.terms.items():
+                    word = w[:j] + u + w[j + 1:]
+                    out[word] = out.get(word, _ZERO) + sc * v
+            prefix_deg += self.algebra.by_index[idx].degree
+
+
+class FreeLie(FreeAlgebra):
     """The free graded Lie algebra on a list of generators.
 
-    With ``source`` given, the generators must be a subset of the source's
-    and the Lie bases are the source's, restricted to the basis elements
-    whose leading word uses only these generators: the Lyndon basis of a
-    sub-alphabet is the part of the full Lyndon basis over that alphabet.
+    With ``source`` given, the Lie bases are the source's, restricted to the
+    basis elements whose leading word uses only these generators: the
+    Lyndon basis of a sub-alphabet is the part of the full Lyndon basis over
+    that alphabet.
     """
 
-    def __init__(self, generators: Sequence[LieGenerator],
+    element_type = LieElement
+    derivation_type = LieDerivation
+
+    def __init__(self, generators: Sequence[Generator],
                  source: "FreeLie | None" = None):
-        names = [g.name for g in generators]
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
-        self.generators = list(generators)
-        self.by_index = {g.index: g for g in generators}
-        self.by_name = {g.name: g for g in generators}
-        if source is not None and any(
-                source.by_index.get(g.index) != g for g in generators):
-            raise ValueError("generators are not a subset of the source's")
-        self._source = source
+        super().__init__(generators, source)
         self._word_cache: dict[int, list[Word]] = {}
         # degree -> Lyndon words of that degree, ascending
         self._lyndon_cache: dict[int, list[Word]] = {}
@@ -79,36 +81,20 @@ class FreeLie:
         # degree -> {leading word: (basis position, coefficient)}
         self._lead: dict[int, dict[Word, tuple[int, Fraction]]] = {}
 
-    # --- degrees -----------------------------------------------------------
-
-    def word_degree(self, w: Word) -> int:
+    def key_degree(self, w: Word) -> int:
         return sum(self.by_index[i].degree for i in w)
 
-    def degree(self, e: LieElement) -> int:
-        if e.is_zero():
-            return 0
-        degs = {self.word_degree(w) for w in e.terms}
-        if len(degs) != 1:
-            raise DegreeMismatch(f"mixed degrees {sorted(degs)}")
-        return degs.pop()
-
-    def is_homogeneous(self, e: LieElement, degree: int) -> bool:
-        return all(self.word_degree(w) == degree for w in e.terms)
-
-    # --- constructors ------------------------------------------------------
-
-    def gen(self, name: str) -> LieElement:
-        g = self.by_name[name]
-        return LieElement({(g.index,): _ONE})
+    def generator_key(self, index: int) -> Word:
+        return (index,)
 
     # --- bracket -----------------------------------------------------------
 
     def bracket(self, a: LieElement, b: LieElement) -> LieElement:
         """[a, b] = a (x) b - (-1)^(|a||b|) b (x) a, extended bilinearly."""
         out: dict[Word, Fraction] = {}
-        bs = [(wb, cb, self.word_degree(wb) % 2) for wb, cb in b.terms.items()]
+        bs = [(wb, cb, self.key_degree(wb) % 2) for wb, cb in b.terms.items()]
         for wa, ca in a.terms.items():
-            odd_a = self.word_degree(wa) % 2
+            odd_a = self.key_degree(wa) % 2
             for wb, cb, odd_b in bs:
                 c = ca * cb
                 w1 = wa + wb
@@ -293,46 +279,4 @@ class FreeLie:
             if c:
                 for w, v in b.terms.items():
                     out[w] = out.get(w, _ZERO) + c * v
-        return LieElement._of(out)
-
-    # --- derivations -------------------------------------------------------
-
-    def derivation(self, images: Mapping[int, LieElement]) -> "LieDerivation":
-        return LieDerivation(self, images)
-
-
-class LieDerivation:
-    """Degree -1 derivation of T(W) restricting to the bracket Leibniz rule."""
-
-    def __init__(self, lie: FreeLie, images: Mapping[int, LieElement]):
-        self.lie = lie
-        self.images = {}
-        for idx, img in images.items():
-            g = lie.by_index[idx]
-            if g.degree == 1:
-                if not img.is_zero():
-                    raise DegreeMismatch(
-                        f"image of degree-1 generator {g.name} must be 0")
-            elif not img.is_zero() and not lie.is_homogeneous(img, g.degree - 1):
-                raise DegreeMismatch(
-                    f"image of {g.name} is not homogeneous of degree {g.degree - 1}")
-            self.images[idx] = img
-
-    def _apply_word(self, w: Word, c: Fraction, out: dict[Word, Fraction]):
-        """out += c * D(w)."""
-        lie = self.lie
-        prefix_deg = 0
-        for j, idx in enumerate(w):
-            img = self.images.get(idx)
-            if img is not None and not img.is_zero():
-                sc = -c if prefix_deg % 2 else c
-                for u, v in img.terms.items():
-                    word = w[:j] + u + w[j + 1:]
-                    out[word] = out.get(word, _ZERO) + sc * v
-            prefix_deg += lie.by_index[idx].degree
-
-    def __call__(self, e: LieElement) -> LieElement:
-        out: dict[Word, Fraction] = {}
-        for w, c in e.terms.items():
-            self._apply_word(w, c, out)
         return LieElement._of(out)

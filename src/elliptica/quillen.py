@@ -3,13 +3,11 @@ Whitehead exact sequence on the Lie side, and the invariant eta."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import BadParameter, InternalInconsistency, UnboundedGamma
-from .graded import (GradedComplex, GradedModel, ValidationIssue,
-                     ValidationReport, check_exact)
-from .lie import FreeLie, LieElement, LieGenerator, Word
+from .graded import GradedComplex, GradedModel, WhiteheadReport, check_exact
+from .lie import FreeLie, LieElement, Word
 
 
 @dataclass(frozen=True)
@@ -31,9 +29,6 @@ class DGLComplex(GradedComplex):
     def keys(self, degree: int) -> list[Word]:
         return self.model.lie.leading_words(degree) if degree >= 1 else []
 
-    def generator_key(self, index: int) -> Word:
-        return (index,)
-
     def to_coords(self, degree: int, e: LieElement) -> linalg.Vector:
         z = self.model.lie.lie_coords(degree, e)
         if z is None:
@@ -47,7 +42,7 @@ class DGLComplex(GradedComplex):
         src = self.model.lie.lie_basis(degree) if degree >= 1 else []
         ent = {}
         for c, b in enumerate(src):
-            img = self.model.delta(b)
+            img = self.model.d(b)
             if not img.is_zero():
                 for r, v in enumerate(self.to_coords(degree - 1, img)):
                     if v:
@@ -63,42 +58,21 @@ class DGLModel(GradedModel):
     are closed because delta lowers degree.
     """
 
+    algebra_type = FreeLie
     complex_type = DGLComplex
+    d_name = "delta"
 
-    def __init__(self, generators: Sequence[LieGenerator],
-                 differential: Mapping[int, LieElement], name: str = "",
-                 parent: "DGLModel | None" = None):
-        self.lie = FreeLie(generators, source=parent.lie if parent else None)
-        super().__init__(differential, name, parent)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._gamma_cache: dict[int, "GammaData"] = {}
 
     @property
-    def generators(self) -> list[LieGenerator]:
-        return self.lie.generators
+    def lie(self) -> FreeLie:
+        """L(W): ``algebra`` under its Quillen-side name."""
+        return self.algebra
 
-    def delta(self, e: LieElement) -> LieElement:
-        if self._derivation is None:
-            self._derivation = self.lie.derivation(self.differential)
-        return self._derivation(e)
-
-    def delta_of_generator(self, idx: int) -> LieElement:
-        return self.differential.get(idx, LieElement.zero())
-
-    def validate(self) -> ValidationReport:
-        issues: list[ValidationIssue] = []
-        for idx, img in self.differential.items():
-            g = self.lie.by_index[idx]
-            if not self.lie.is_homogeneous(img, g.degree - 1):
-                issues.append(ValidationIssue(
-                    "homogeneity", g.name,
-                    f"delta({g.name}) is not homogeneous of degree {g.degree - 1}"))
-        if not issues:
-            for idx in self.differential:
-                g = self.lie.by_index[idx]
-                if not self.delta(self.differential[idx]).is_zero():
-                    issues.append(ValidationIssue(
-                        "delta-squared", g.name, f"delta(delta({g.name})) != 0"))
-        return ValidationReport(tuple(issues))
+    delta = GradedModel.d
+    delta_of_generator = GradedModel.d_of_generator
 
     def gamma(self, i: int) -> "GammaData":
         """Gamma_i of this model: ``gamma(self, i)``, entered only the first
@@ -172,14 +146,7 @@ def b_map(model: DGLModel, i: int) -> linalg.QMatrix:
     return linalg.QMatrix.from_columns(cols, gd.dim)
 
 
-@dataclass(frozen=True)
-class WhiteheadReportL:
-    nodes: tuple[WhiteheadNodeL, ...]
-    max_degree: int
-    exact: bool = True
-
-
-def whitehead_sequence_dgl(model: DGLModel, max_degree: int) -> WhiteheadReportL:
+def whitehead_sequence_dgl(model: DGLModel, max_degree: int) -> WhiteheadReport:
     """Assemble ... -> W_(i+1) -> Gamma_i -> H_i(L(W)) -> W_i -> ... and
     verify im = ker at every node by rank arithmetic."""
     full = model.complex()
@@ -205,7 +172,7 @@ def whitehead_sequence_dgl(model: DGLModel, max_degree: int) -> WhiteheadReportL
             rank_b=linalg.rank(b_into_gamma[i + 1]),
             rank_incl=linalg.rank(incl[i]),
         ))
-    return WhiteheadReportL(tuple(nodes), max_degree)
+    return WhiteheadReport(tuple(nodes), max_degree)
 
 
 def default_bound(model: DGLModel) -> int:

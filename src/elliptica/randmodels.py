@@ -10,7 +10,6 @@ elliptic.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .commutative import Element, Generator
 from .sullivan import SullivanModel
@@ -32,21 +31,18 @@ def random_pure_model(rng: random.Random, name: str = "") -> SullivanModel:
 
     gens = [Generator(f"x{j + 1}", even_degs[j], j) for j in range(m)]
     gens += [Generator(f"y{j + 1}", odd_degs[j], m + j) for j in range(m)]
-    scratch = SullivanModel(gens, {}, name=name)
-    alg = scratch.algebra
 
     diff: dict[int, Element] = {}
     for j in range(m):
         target = odd_degs[j] + 1  # = powers[j] * even_degs[j]
-        img = alg.from_monomial(((j, powers[j]),))
+        img = Element({((j, powers[j]),): 1})
         # extra monomials use only x_1..x_j, keeping the system triangular
         sub_idx = list(range(j))
         for mono in _monomials(even_degs[:j], sub_idx, target):
             if len(mono) == 1 and mono[0][1] == 1:
                 continue  # a linear term would break minimality
             if rng.random() < 0.35:
-                img = img + alg.from_monomial(mono).scale(
-                    Fraction(rng.choice((1, 1, -1, 2))))
+                img = img + Element({mono: rng.choice((1, 1, -1, 2))})
         diff[m + j] = img
     return SullivanModel(gens, diff, name=name or f"random_pure_m{m}")
 

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import linalg
 from .commutative import Algebra, Element, Generator, Monomial
 from .errors import DegreeMismatch, TruncationNotClosed
 from .graded import (GradedComplex, GradedModel, ValidationIssue,
-                     ValidationReport, check_exact)
+                     ValidationReport, WhiteheadReport, check_exact)
 
 _ZERO = Fraction(0)
 
@@ -38,9 +38,6 @@ class CochainComplex(GradedComplex):
 
     def keys(self, degree: int) -> list[Monomial]:
         return self.model.algebra.basis(degree)
-
-    def generator_key(self, index: int) -> Monomial:
-        return ((index, 1),)
 
     def to_coords(self, degree: int, e: Element) -> linalg.Vector:
         idx = self._index(degree)
@@ -78,57 +75,24 @@ class SullivanModel(GradedModel):
     are the parent's, restricted to the monomials in its generators.
     """
 
+    algebra_type = Algebra
     complex_type = CochainComplex
-
-    def __init__(self, generators: Sequence[Generator],
-                 differential: Mapping[int, Element], name: str = "",
-                 parent: "SullivanModel | None" = None):
-        self.algebra = Algebra(generators,
-                               source=parent.algebra if parent else None)
-        super().__init__(differential, name, parent)
-
-    @property
-    def generators(self) -> list[Generator]:
-        return self.algebra.generators
-
-    def d(self, e: Element) -> Element:
-        if self._derivation is None:
-            self._derivation = self.algebra.derivation(self.differential)
-        return self._derivation(e)
-
-    def d_of_generator(self, idx: int) -> Element:
-        return self.differential.get(idx, Element.zero())
-
-    # --- validation --------------------------------------------------------
+    d_name = "d"
 
     def validate(self) -> ValidationReport:
+        """Simple connectivity and minimality, then the shared checks."""
         issues: list[ValidationIssue] = []
-        alg = self.algebra
         for g in self.generators:
             if g.degree < 2:
                 issues.append(ValidationIssue(
                     "simple-connectivity", g.name,
                     f"generator degree {g.degree} < 2 (V^1 must vanish)"))
         for idx, img in self.differential.items():
-            g = alg.by_index[idx]
-            if not alg.is_homogeneous(img, g.degree + 1):
+            if any(sum(e for _, e in m) < 2 for m in img.terms):
+                name = self.algebra.by_index[idx].name
                 issues.append(ValidationIssue(
-                    "homogeneity", g.name,
-                    f"d({g.name}) is not homogeneous of degree {g.degree + 1}"))
-                continue
-            for m in img.terms:
-                if sum(e for _, e in m) < 2:
-                    issues.append(ValidationIssue(
-                        "minimality", g.name,
-                        f"d({g.name}) has a linear term"))
-                    break
-        if not any(i.check == "homogeneity" for i in issues):
-            for idx in self.differential:
-                g = alg.by_index[idx]
-                if not self.d(self.differential[idx]).is_zero():
-                    issues.append(ValidationIssue(
-                        "d-squared", g.name, f"d(d({g.name})) != 0"))
-        return ValidationReport(tuple(issues))
+                    "minimality", name, f"d({name}) has a linear term"))
+        return ValidationReport((*issues, *super().validate().issues))
 
     # --- truncation --------------------------------------------------------
 
@@ -193,14 +157,7 @@ def tensor_product(a: SullivanModel, b: SullivanModel,
     return SullivanModel(gens, diff, name=name)
 
 
-@dataclass(frozen=True)
-class WhiteheadReportS:
-    nodes: tuple[WhiteheadNodeS, ...]
-    max_degree: int
-    exact: bool = True
-
-
-def whitehead_sequence(model: SullivanModel, max_degree: int) -> WhiteheadReportS:
+def whitehead_sequence(model: SullivanModel, max_degree: int) -> WhiteheadReport:
     """Assemble sequence H^i -> V^i -> L^(i+1) -> H^(i+1) -> ... and check
     im = ker at every node (ExactnessFailure on any breach)."""
     full = model.complex()
@@ -224,4 +181,4 @@ def whitehead_sequence(model: SullivanModel, max_degree: int) -> WhiteheadReport
             rank_b=linalg.rank(b[i]),
             rank_incl=linalg.rank(q[i]),
         ))
-    return WhiteheadReportS(tuple(nodes), max_degree)
+    return WhiteheadReport(tuple(nodes), max_degree)

@@ -124,6 +124,26 @@ def test_quillen_invariants_refuses_a_short_window(capsys):
     assert "CP2q" in err and "8" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "s2", "--max-degree", "3"],
+    ["verify", "s2", "--max-degree", "3"],
+    ["compare", "cpn_sullivan(2)", "cpn_quillen(2)", "--max-degree", "3"]])
+def test_sullivan_commands_refuse_a_short_window(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "status: ok" not in out
+    assert "window of at least" in err and "got 3" in err
+    assert "beyond" not in err
+
+
+@pytest.mark.parametrize("flag", [["--max-degree", "5"], ["--verbose"]])
+def test_catalog_takes_no_window_or_verbose_flag(capsys, flag):
+    code, out, err = run(capsys, "catalog", "s2", *flag)
+    assert code == 2
+    assert out == ""
+    assert flag[0] in err
+
+
 @pytest.mark.parametrize("command", ["cohomology", "invariants", "whitehead",
                                      "verify", "check"])
 def test_negative_max_degree_is_a_usage_error(capsys, command):

@@ -15,6 +15,9 @@ GEN_SETS = [
     [("x", 2), ("y", 3)],
     [("x", 2), ("y", 2), ("z", 5)],
     [("a", 2), ("b", 3), ("c", 4), ("d", 7)],
+    # odd generators of degree |g| + 1 make the Koszul signs of a derivation
+    # nontrivial: d(a) = c gives c*b = -b*c, d(d) = b gives c*b again
+    [("a", 2), ("b", 3), ("c", 3), ("d", 2)],
 ]
 
 
@@ -98,15 +101,26 @@ def test_degree_of_mixed_element_raises():
         alg.degree(alg.gen("x") + alg.gen("y"))
 
 
+def random_images(alg, rng):
+    """A random image of degree |g| + 1 for each generator g: every basis
+    element of that degree with a nonzero coefficient, so odd factors
+    appear wherever the degree has any."""
+    images = {}
+    for g in alg.generators:
+        basis = alg.basis(g.degree + 1)
+        images[g.index] = Element({m: Fraction(rng.choice([-3, -1, 1, 2, 5]))
+                                   for m in basis})
+    return images
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_derivation_satisfies_graded_leibniz(seed):
-    # d on Lambda(x2, y3, z5) with dy = x^2, dz = x^3: a valid square-zero
-    # differential to probe D(ab) = D(a) b + (-1)^|a| a D(b).
-    alg = make_algebra([("x", 2), ("y", 3), ("z", 5)])
-    D = alg.derivation({1: alg.from_monomial(((0, 2),)),
-                        2: alg.from_monomial(((0, 3),))})
+@given(st.sampled_from(GEN_SETS), st.integers(0, 10 ** 9))
+def test_derivation_satisfies_graded_leibniz(spec, seed):
+    # D(ab) = D(a) b + (-1)^|a| a D(b) holds for any images of the right
+    # degree, square-zero or not
+    alg = make_algebra(spec)
     rng = random.Random(seed)
+    D = alg.derivation(random_images(alg, rng))
     a, da = random_homogeneous(alg, rng, 7)
     b, _ = random_homogeneous(alg, rng, 7)
     lhs = D(alg.multiply(a, b))

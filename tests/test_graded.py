@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from elliptica import dsl, linalg
-from elliptica.commutative import Element
-from elliptica.errors import ExactnessFailure
+from elliptica.commutative import Algebra, Element, Generator
+from elliptica.errors import DegreeMismatch, ExactnessFailure
 from elliptica.graded import check_exact
-from elliptica.lie import LieElement
+from elliptica.lie import FreeLie, LieElement
 
 
 def test_elements_of_the_two_sides_never_compare_equal():
@@ -45,3 +45,22 @@ def test_class_matrix_columns_are_class_coordinates(spec, degree):
     assert m.rows == cx.betti(degree) == 1
     assert m.columns() == [(1,), (2,)]
     assert cx.class_matrix(degree, []) == linalg.QMatrix.zero(1, 0)
+
+
+@pytest.mark.parametrize("algebra_type", [Algebra, FreeLie])
+def test_free_algebra_checks_its_generators_and_derivation_images(
+        algebra_type):
+    x, y = Generator("x", 2, 0), Generator("y", 3, 1)
+    with pytest.raises(ValueError, match="unique"):
+        algebra_type([x, Generator("x", 3, 1)])
+    alg = algebra_type([x, y])
+    with pytest.raises(ValueError, match="subset"):
+        algebra_type([x, Generator("z", 4, 2)], source=alg)
+    with pytest.raises(ValueError, match="subset"):
+        algebra_type([Generator("x", 4, 0)], source=alg)
+    assert algebra_type([y], source=alg).generators == [y]
+    # |x| + 1 = 3 and |x| - 1 = 1: the degree-2 image is wrong on both sides
+    with pytest.raises(DegreeMismatch):
+        alg.derivation({0: alg.gen("x")})
+    with pytest.raises(DegreeMismatch):
+        alg.degree(alg.gen("x") + alg.gen("y"))

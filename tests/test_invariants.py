@@ -2,7 +2,7 @@ import pytest
 
 from elliptica import dsl, invariants, quillen
 from elliptica.commutative import Generator
-from elliptica.errors import NotEllipticWithinBound
+from elliptica.errors import BadParameter, NotEllipticWithinBound
 from elliptica.sullivan import SullivanModel
 
 # spec string -> (formal dim, chi_h, chi_v, rho, f0, odd_sphere)
@@ -52,6 +52,20 @@ def test_non_elliptic_model_rejected():
     a = invariants.SullivanAnalysis(model, bound=10)
     with pytest.raises(NotEllipticWithinBound):
         a.require_elliptic()
+
+
+@pytest.mark.parametrize("spec,bound,need", [("s2", 3, 6),
+                                              ("cpn_sullivan(2)", 3, 10),
+                                              ("cpn_sullivan(2)", 6, 10)])
+def test_short_window_is_blamed_on_the_window(spec, bound, need):
+    # the top class seen lies within the candidate formal dimension, but the
+    # window is too short to certify that nothing follows it
+    model = dsl.catalog_spec(spec)
+    a = invariants.SullivanAnalysis(model, bound)
+    with pytest.raises(BadParameter, match=f"at least {need}, got {bound}"):
+        a.require_elliptic()
+    with pytest.raises(BadParameter):
+        invariants.formal_dimension(model, bound)
 
 
 def test_rho_equals_chi_difference_everywhere(catalog_sullivan,

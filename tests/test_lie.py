@@ -163,18 +163,25 @@ def test_lie_coords_rejects_non_lie_tensor(spec):
 
 
 def test_derivation_leibniz_for_bracket():
-    # delta on L(w1:1, w3:3), delta(w3) = 1/2 [w1, w1]
-    lie = make_lie([("w1", 1), ("w3", 3)])
-    img = lie.bracket(lie.gen("w1"), lie.gen("w1")).scale(Fraction(1, 2))
-    delta = lie.derivation({1: img})
+    # D[a, b] = [D a, b] + (-1)^|a| [a, D b] for any images of degree
+    # |g| - 1 in L(W), square-zero or not
     rng = random.Random(11)
-    for _ in range(20):
-        a, da = random_homogeneous(lie, rng, 5)
-        b, _ = random_homogeneous(lie, rng, 5)
-        lhs = delta(lie.bracket(a, b))
-        rhs = lie.bracket(delta(a), b) + \
-            lie.bracket(a, delta(b)).scale((-1) ** da)
-        assert lhs == rhs
+    for spec in GEN_SETS:
+        lie = make_lie(spec)
+        images = {}
+        for g in lie.generators:
+            basis = lie.lie_basis(g.degree - 1) if g.degree > 1 else []
+            images[g.index] = sum(
+                (b.scale(rng.choice([-3, -1, 1, 2, 5])) for b in basis),
+                LieElement.zero())
+        delta = lie.derivation(images)
+        for _ in range(20):
+            a, da = random_homogeneous(lie, rng, 5)
+            b, _ = random_homogeneous(lie, rng, 5)
+            lhs = delta(lie.bracket(a, b))
+            rhs = lie.bracket(delta(a), b) + \
+                lie.bracket(a, delta(b)).scale((-1) ** da)
+            assert lhs == rhs, spec
 
 
 def test_derivation_squares_to_zero_on_model_generators():

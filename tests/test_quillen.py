@@ -4,7 +4,7 @@ import pytest
 
 from elliptica import dsl, quillen
 from elliptica.errors import BadParameter, CompositionNotZero, UnboundedGamma
-from elliptica.lie import FreeLie, LieGenerator
+from elliptica.lie import FreeLie, LieElement, LieGenerator
 from elliptica.quillen import DGLModel
 
 from conftest import CATALOG_QUILLEN_SPECS
@@ -48,6 +48,9 @@ def test_validate_catches_inhomogeneous_image():
     gens = [LieGenerator("u", 1, 0), LieGenerator("z", 3, 2)]
     lie = FreeLie(gens)
     bad = DGLModel(gens, {2: lie.gen("u")})   # degree 1, needs 2
+    assert any(i.check == "homogeneity" for i in bad.validate().issues)
+    # the empty word has degree 0, which no image may have
+    bad = DGLModel(gens, {0: LieElement({(): 1})})
     assert any(i.check == "homogeneity" for i in bad.validate().issues)
 
 
