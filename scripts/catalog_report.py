@@ -5,8 +5,7 @@ Usage: python3 scripts/catalog_report.py
 """
 import sys
 
-from elliptica import dsl, invariants, quillen
-from elliptica.sullivan import SullivanModel
+from elliptica import dsl, invariants
 
 SULLIVAN = [
     "sphere_odd(3)", "sphere_odd(5)", "sphere_odd(7)",
@@ -32,11 +31,9 @@ def main() -> int:
     print()
     print(f"{'model':34} {'eta':>4}  gamma dims")
     for spec in QUILLEN:
-        q = dsl.catalog_spec(spec)
-        e = quillen.eta(q)
-        top = max(2 * q.max_generator_degree(), 2)
-        gam = {i: d for i, d in quillen.gamma_table(q, top).items() if d}
-        print(f"{spec:34} {e:>4}  {gam or '-'}")
+        a = invariants.QuillenAnalysis(dsl.catalog_spec(spec))
+        gam = {i: d for i, d in a.gamma_table().items() if d}
+        print(f"{spec:34} {a.eta():>4}  {gam or '-'}")
     return 0
 
 

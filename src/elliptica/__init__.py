@@ -7,10 +7,10 @@ from .errors import (BadParameter, DegreeError, EllipticaError,
                      ExactnessFailure, ModelSyntaxError,
                      NotEllipticWithinBound, OddSquareError, UnboundedGamma,
                      UnknownCatalogEntry, UnknownGenerator, ValidationError)
-from .invariants import (InvariantReport, SullivanAnalysis, TheoremLedger,
-                         compare_models, euler_characteristics,
-                         formal_dimension, full_ledger, invariant_report,
-                         is_pure, rho)
+from .invariants import (InvariantReport, QuillenAnalysis, SullivanAnalysis,
+                         TheoremLedger, analysis, compare_models,
+                         euler_characteristics, formal_dimension,
+                         full_ledger, invariant_report, is_pure, rho)
 from .lie import FreeLie, LieElement, LieGenerator
 from .quillen import DGLModel, dgl_homology, eta, gamma, whitehead_sequence_dgl
 from .randmodels import random_models, random_pure_model
@@ -24,9 +24,9 @@ __all__ = [
     "ModelSyntaxError", "NotEllipticWithinBound", "OddSquareError",
     "UnboundedGamma", "UnknownCatalogEntry", "UnknownGenerator",
     "ValidationError",
-    "InvariantReport", "SullivanAnalysis", "TheoremLedger", "compare_models",
-    "euler_characteristics", "formal_dimension", "full_ledger",
-    "invariant_report", "is_pure", "rho",
+    "InvariantReport", "QuillenAnalysis", "SullivanAnalysis", "TheoremLedger",
+    "analysis", "compare_models", "euler_characteristics", "formal_dimension",
+    "full_ledger", "invariant_report", "is_pure", "rho",
     "FreeLie", "LieElement", "LieGenerator",
     "DGLModel", "dgl_homology", "eta", "gamma", "whitehead_sequence_dgl",
     "random_models", "random_pure_model",

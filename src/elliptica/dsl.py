@@ -18,7 +18,7 @@ from .commutative import Element
 from .errors import (BadParameter, DegreeError, ModelSyntaxError,
                      OddSquareError, UnknownCatalogEntry, UnknownGenerator,
                      ValidationError)
-from .graded import Generator
+from .graded import Generator, ValidationIssue, ValidationReport
 from .lie import FreeLie, LieElement
 from .quillen import DGLModel
 from .sullivan import SullivanModel, tensor_product
@@ -297,13 +297,7 @@ def parse(text: str):
                 f"d({gname}) must be homogeneous of degree {want}", ln)
         diff[g.index] = value
 
-    model = model_type(alg.generators, diff, name=name)
-    report = model.validate()
-    if not report.ok:
-        raise ValidationError(
-            "; ".join(f"{i.check} ({i.generator}): {i.message}"
-                      for i in report.issues))
-    return model
+    return model_type(alg, diff, name=name).require_valid()
 
 
 def parse_file(path):
@@ -331,8 +325,8 @@ def _join_terms(parts: list[tuple[str, str]]) -> str:
     return " ".join(out)
 
 
-def _sullivan_element_str(model: SullivanModel, e: Element) -> str:
-    alg = model.algebra
+def _sullivan_element_str(model: SullivanModel, g: Generator) -> str:
+    alg, e = model.algebra, model.d_of_generator(g.index)
     parts = []
     for mono in sorted(e.terms):
         c = e.terms[mono]
@@ -356,12 +350,13 @@ def _bracket_str(lie: FreeLie, tree) -> str:
     return f"[{_bracket_str(lie, tree[0])},{_bracket_str(lie, tree[1])}]"
 
 
-def _quillen_element_str(model: DGLModel, e: LieElement) -> str:
-    lie = model.lie
+def _quillen_element_str(model: DGLModel, g: Generator) -> str:
+    lie, e = model.lie, model.d_of_generator(g.index)
     deg = lie.degree(e)
     coords = lie.lie_coords(deg, e)
     if coords is None:
-        raise ValidationError("differential image escaped the Lie subalgebra")
+        raise ValidationError(model, ValidationReport((ValidationIssue(
+            "lie-element", g.name, f"delta({g.name}) is not in L(W)"),)))
     _, trees = lie.lie_basis_with_seqs(deg)
     parts = []
     for c, tree in zip(coords, trees):
@@ -381,17 +376,11 @@ _KINDS = {"sullivan": (SullivanModel, _SullivanEnv, _sullivan_element_str),
 
 def serialize(model) -> str:
     """Canonical .rhm text; parse(serialize(m)) equals m structurally."""
-    for kind, (model_type, _, element_str) in _KINDS.items():
-        if isinstance(model, model_type):
-            break
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    lines = [f"model {model.name or 'unnamed'} : {kind}"]
+    element_str = _KINDS[model.kind][2]
+    lines = [f"model {model.name or 'unnamed'} : {model.kind}"]
     lines += [f"gen {g.name} : {g.degree}" for g in model.generators]
-    for g in model.generators:
-        img = model.d_of_generator(g.index)
-        if not img.is_zero():
-            lines.append(f"d {g.name} = {element_str(model, img)}")
+    lines += [f"d {g.name} = {element_str(model, g)}"
+              for g in model.generators if g.index in model.differential]
     return "\n".join(lines) + "\n"
 
 
@@ -409,25 +398,19 @@ def _cpn_sullivan(n: int) -> SullivanModel:
 def _cpn_quillen(n: int) -> DGLModel:
     if n < 1:
         raise BadParameter("cpn_quillen needs n >= 1")
-    gens = [Generator(f"w{2 * k - 1}", 2 * k - 1, k - 1) for k in range(1, n + 1)]
-    lie = FreeLie(gens)
+    lie = FreeLie([Generator(f"w{2 * k - 1}", 2 * k - 1, k - 1)
+                   for k in range(1, n + 1)])
+    w = {g.degree: lie.gen(g.name) for g in lie.generators}
     diff = {}
-    for k_idx, g in enumerate(gens):
-        k = g.degree
+    for g in lie.generators:
         total = LieElement.zero()
-        for i in range(1, k - 1):
-            j = (k - 1) - i
-            if j < 1:
-                continue
-            gi = next((h for h in gens if h.degree == i), None)
-            gj = next((h for h in gens if h.degree == j), None)
-            if gi is None or gj is None:
-                continue
-            total = total + lie.bracket(lie.gen(gi.name), lie.gen(gj.name)).scale(
-                Fraction(1, 2))
+        for i in range(1, g.degree - 1):
+            j = g.degree - 1 - i
+            if i in w and j in w:
+                total = total + lie.bracket(w[i], w[j]).scale(Fraction(1, 2))
         if not total.is_zero():
             diff[g.index] = total
-    return DGLModel(gens, diff, name=f"CP{n}q")
+    return DGLModel(lie, diff, name=f"CP{n}q")
 
 
 def _sphere_odd(k: int) -> SullivanModel:
@@ -450,51 +433,44 @@ def _sphere_odd_quillen(k: int) -> DGLModel:
     return DGLModel([Generator("w", k - 1, 0)], {}, name=f"S{k}q")
 
 
+def _product(a, b) -> SullivanModel:
+    a, b = catalog_spec(str(a)), catalog_spec(str(b))
+    if a.kind != "sullivan" or b.kind != "sullivan":
+        raise BadParameter("product is defined for sullivan models")
+    return tensor_product(a, b)
+
+
+# name -> (number of parameters, builder); one parameter is an integer
+_CATALOG = {
+    "sphere_odd": (1, _sphere_odd),
+    "sphere_even": (1, _sphere_even),
+    "cpn_sullivan": (1, _cpn_sullivan),
+    "cpn_quillen": (1, _cpn_quillen),
+    "s2": (0, lambda: _sphere_even(2)),
+    "s2_quillen": (0, lambda: DGLModel([Generator("w", 1, 0)], {},
+                                       name="S2q")),
+    "sphere_odd_quillen": (1, _sphere_odd_quillen),
+    "product": (2, _product),
+}
+_ARITY = {0: "{} takes no parameters", 1: "{} takes one integer parameter",
+          2: "{} takes two sullivan sub-specs"}
+CATALOG_NAMES = tuple(_CATALOG)
+
+
 def catalog(name: str, *params) -> "SullivanModel | DGLModel":
-    """Return a validated catalog model by name.
-
-    Supported: sphere_odd(k), sphere_even(k), cpn_sullivan(n), cpn_quillen(n),
-    s2, s2_quillen, sphere_odd_quillen(k), product(<spec>, <spec>).
-    """
-    def one_int(what):
-        if len(params) != 1:
-            raise BadParameter(f"{what} takes one integer parameter")
+    """Return a catalog model by name: one of ``CATALOG_NAMES``, e.g.
+    sphere_odd(k), cpn_quillen(n), s2 or product(<spec>, <spec>)."""
+    if name not in _CATALOG:
+        raise UnknownCatalogEntry(f"no catalog entry named {name!r}")
+    arity, build = _CATALOG[name]
+    if len(params) != arity:
+        raise BadParameter(_ARITY[arity].format(name))
+    if arity == 1:
         try:
-            return int(params[0])
+            params = (int(params[0]),)
         except (TypeError, ValueError):
-            raise BadParameter(f"{what} takes one integer parameter")
-
-    if name == "cpn_sullivan":
-        return _cpn_sullivan(one_int(name))
-    if name == "cpn_quillen":
-        return _cpn_quillen(one_int(name))
-    if name == "sphere_odd":
-        return _sphere_odd(one_int(name))
-    if name == "sphere_even":
-        return _sphere_even(one_int(name))
-    if name == "sphere_odd_quillen":
-        return _sphere_odd_quillen(one_int(name))
-    if name == "s2":
-        if params:
-            raise BadParameter("s2 takes no parameters")
-        return _sphere_even(2)
-    if name == "s2_quillen":
-        if params:
-            raise BadParameter("s2_quillen takes no parameters")
-        return DGLModel([Generator("w", 1, 0)], {}, name="S2q")
-    if name == "product":
-        if len(params) != 2:
-            raise BadParameter("product takes two sullivan sub-specs")
-        a = catalog_spec(str(params[0]))
-        b = catalog_spec(str(params[1]))
-        if not isinstance(a, SullivanModel) or not isinstance(b, SullivanModel):
-            raise BadParameter("product is defined for sullivan models")
-        return tensor_product(a, b)
-    raise UnknownCatalogEntry(f"no catalog entry named {name!r}")
-
-
-CATALOG_NAMES = ("sphere_odd", "sphere_even", "cpn_sullivan", "cpn_quillen",
-                 "s2", "s2_quillen", "sphere_odd_quillen", "product")
+            raise BadParameter(_ARITY[1].format(name))
+    return build(*params)
 
 
 def catalog_spec(spec: str):

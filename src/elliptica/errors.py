@@ -50,9 +50,9 @@ class ModelSyntaxError(EllipticaError):
         self.message = message
         self.line = line
         self.col = col
-        where = "" if line is None else f" (line {line}" + (
+        self.where = "" if line is None else f" (line {line}" + (
             "" if col is None else f", col {col}") + ")"
-        super().__init__(message + where)
+        super().__init__(message + self.where)
 
 
 class UnknownGenerator(ModelSyntaxError):
@@ -68,7 +68,13 @@ class OddSquareError(ModelSyntaxError):
 
 
 class ValidationError(EllipticaError):
-    """A parsed model failed structural validation (d^2 != 0, etc.)."""
+    """A model failed structural validation (d^2 != 0, etc.); carries the
+    model and its ValidationReport."""
+
+    def __init__(self, model, report):
+        self.model = model
+        self.report = report
+        super().__init__("; ".join(map(str, report.issues)))
 
 
 class UnknownCatalogEntry(EllipticaError):

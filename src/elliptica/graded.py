@@ -19,7 +19,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import (CompositionNotZero, DegreeMismatch, ExactnessFailure,
-                     InternalInconsistency, TruncationNotClosed)
+                     InternalInconsistency, TruncationNotClosed,
+                     ValidationError)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -182,6 +183,9 @@ class ValidationIssue:
     generator: str
     message: str
 
+    def __str__(self):
+        return f"{self.check} ({self.generator}): {self.message}"
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -200,6 +204,12 @@ class WhiteheadReport:
     max_degree: int
     exact: bool = True
 
+    def lines(self, verbose: bool = False) -> list[str]:
+        """Each node's ``line()``; unless ``verbose``, only the nodes with a
+        nonzero space among the three fields after the degree."""
+        return [n.line() for n in self.nodes
+                if verbose or any(list(vars(n).values())[1:4])]
+
 
 def check_exact(node: str, incoming: linalg.QMatrix,
                 outgoing: linalg.QMatrix):
@@ -214,18 +224,22 @@ class GradedModel:
     """What the two model types share: a free algebra on the generators, a
     differential given on them, and truncations that keep their ``parent``.
 
-    A subclass sets ``algebra_type``, ``complex_type`` and ``d_name``, the
-    name validation messages give the differential.
+    A subclass sets ``kind``, ``algebra_type``, ``complex_type`` and
+    ``d_name``, the name validation messages give the differential.
+    ``generators`` is a generator list, or the free algebra on one, which
+    the model adopts.
     """
 
+    kind: str
     algebra_type: type
     complex_type: type
     d_name: str
 
-    def __init__(self, generators: Sequence[Generator],
+    def __init__(self, generators: "Sequence[Generator] | FreeAlgebra",
                  differential: Mapping[int, SparseElement], name: str = "",
                  parent: "GradedModel | None" = None):
-        self.algebra = self.algebra_type(
+        self.algebra = generators if isinstance(
+            generators, self.algebra_type) else self.algebra_type(
             generators, source=parent.algebra if parent else None)
         self.differential = {i: e for i, e in differential.items()
                              if not e.is_zero()}
@@ -267,6 +281,13 @@ class GradedModel:
                     issues.append(ValidationIssue(
                         f"{sym}-squared", g.name, f"{sym}({sym}({g.name})) != 0"))
         return ValidationReport(tuple(issues))
+
+    def require_valid(self):
+        """The model itself; ValidationError if ``validate`` finds issues."""
+        report = self.validate()
+        if not report.ok:
+            raise ValidationError(self, report)
+        return self
 
     def max_generator_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)

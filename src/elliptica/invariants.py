@@ -3,11 +3,13 @@ F0 and odd-sphere classifiers, the theorem ledger, and the Sullivan/Quillen
 cross-model comparison."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any
 
 from . import linalg, quillen, sullivan
-from .errors import BadParameter, NotEllipticWithinBound, ValidationError
+from .errors import BadParameter, NotEllipticWithinBound
+from .graded import WhiteheadReport
 from .quillen import DGLModel
 from .sullivan import SullivanModel
 
@@ -65,28 +67,48 @@ def default_bound(model: SullivanModel) -> int:
     return max(2 * nc + 2, model.max_generator_degree() + 2, 2)
 
 
-class SullivanAnalysis:
+class _Analysis:
+    """What the analyses of both model kinds share: the model, validated on
+    construction, the degree window ``bound`` (the kind's default when
+    None), and the (co)homology table of the window, built on first use."""
+
+    h_label: str            # the text label of a (co)homology row
+    low: int                # the first degree of the table
+
+    kind: str               # the model kind, "sullivan" or "quillen"
+
+    def __init__(self, model, bound: int | None = None):
+        self.model = model.require_valid()
+        self.bound = bound if bound is not None else self.default_bound(model)
+
+    @cached_property
+    def betti(self) -> dict[int, int]:
+        cx = self.model.complex()
+        return {i: cx.betti(i) for i in range(self.low, self.bound + 1)}
+
+
+class SullivanAnalysis(_Analysis):
     """Cached per-model cohomology window and derived invariants."""
 
+    kind = "sullivan"
+    h_label = "dim H^"
+    low = 0
+    default_bound = staticmethod(default_bound)
+
     def __init__(self, model: SullivanModel, bound: int | None = None):
-        report = model.validate()
-        if not report.ok:
-            raise ValidationError(
-                "; ".join(f"{i.check}: {i.message}" for i in report.issues))
-        self.model = model
-        self.n_candidate = candidate_formal_dimension(model)
-        self.bound = bound if bound is not None else default_bound(model)
-        cx = model.complex()
-        self.betti = {i: cx.betti(i) for i in range(0, self.bound + 1)}
-        nonzero = [i for i, d in self.betti.items() if d]
-        self.formal_dimension = max(nonzero) if nonzero else 0
+        super().__init__(model, bound)
         self._l_dims: dict[int, int] = {}
 
+    @cached_property
+    def formal_dimension(self) -> int:
+        return max((i for i, d in self.betti.items() if d), default=0)
+
     def require_elliptic(self):
-        if self.formal_dimension > self.n_candidate:
+        n_candidate = candidate_formal_dimension(self.model)
+        if self.formal_dimension > n_candidate:
             raise NotEllipticWithinBound(
                 f"H^i != 0 for i = {self.formal_dimension} beyond the candidate "
-                f"formal dimension {self.n_candidate} (bound {self.bound})")
+                f"formal dimension {n_candidate} (bound {self.bound})")
         if self.bound < 2 * self.formal_dimension + 2:
             raise BadParameter(
                 f"{self.model!r}: the ellipticity verdict needs a degree "
@@ -121,6 +143,101 @@ class SullivanAnalysis:
         for i in range(4, 2 * n + 1):
             total += (-1) ** i * self.l_dim(i)
         return total
+
+    def whitehead(self) -> WhiteheadReport:
+        return sullivan.whitehead_sequence(self.model, self.bound)
+
+    def invariants(self, verbose: bool = False):
+        """(tables, text lines) of the ``invariants`` report."""
+        rep = invariant_report(self.model, analysis=self)
+        tables = {**asdict(rep), "l_window": self.l_window()}
+        del tables["elliptic_verified_up_to"]
+        lines = [f"formal dimension = {rep.formal_dimension}",
+                 f"chi_H = {rep.chi_h}", f"chi_V = {rep.chi_v}",
+                 f"rho = {rep.rho}",
+                 f"F0-space: {'yes' if rep.f0 else 'no'}",
+                 f"odd sphere: {'yes' if rep.odd_sphere else 'no'}"]
+        if verbose:
+            lines += [f"dim L^{i} = {d}" for i, d in self.l_window().items()]
+        return tables, lines
+
+    def ledger(self) -> "TheoremLedger":
+        return full_ledger(self.model, analysis=self)
+
+
+class QuillenAnalysis(_Analysis):
+    """The Quillen side: H_*(L(W)) in the window, Gamma, eta and the ledger.
+
+    W gives the reduced cohomology, dim H^(i+1)(X) = dim W_i, and homology
+    the rational homotopy, dim pi_(i+1)(X) = dim H_i(L(W)).
+    """
+
+    kind = "quillen"
+    h_label = "dim H_"
+    low = 1
+    default_bound = staticmethod(quillen.default_bound)
+
+    def w_dim(self, i: int) -> int:
+        return sum(1 for g in self.model.generators if g.degree == i)
+
+    def h_dim(self, i: int) -> int:
+        """dim H_i(L(W)), in any degree."""
+        return self.model.complex().betti(i)
+
+    def gamma_dim(self, i: int) -> int:
+        return self.model.gamma(i).dim
+
+    def gamma_table(self) -> dict[int, int]:
+        """dim Gamma_i for 2 <= i <= 2 max(max|W|, 2)."""
+        top = max(self.model.max_generator_degree(), 2)
+        return quillen.gamma_table(self.model, 2 * top)
+
+    def eta(self) -> int:
+        """eta; it refuses a window that may miss the top of H_*(L(W))."""
+        return quillen.eta(self.model, self.bound)
+
+    @property
+    def chi_h(self) -> int:
+        """1 + sum over w in W of (-1)^(|w| + 1)."""
+        return 1 + sum((-1) ** (g.degree + 1) for g in self.model.generators)
+
+    @property
+    def chi_pi(self) -> int:
+        """sum of (-1)^(i + 1) dim H_i(L(W)) over the window, which must
+        hold all of H_*(L(W)): ``eta`` refuses a window that may not."""
+        return sum((-1) ** (i + 1) * d for i, d in self.betti.items())
+
+    def whitehead(self) -> WhiteheadReport:
+        return quillen.whitehead_sequence_dgl(self.model, self.bound)
+
+    def invariants(self, verbose: bool = False):
+        """(tables, text lines) of the ``invariants`` report."""
+        e, gammas = self.eta(), self.gamma_table()
+        lines = [f"eta (alternating Gamma sum, algebra degrees) = {e}",
+                 f"eta (literal sequence readout) = {2 - e}"]
+        if verbose:
+            lines += [f"dim Gamma_{i} = {d}" for i, d in gammas.items()]
+        return {"eta": e, "eta_sequence_readout": 2 - e,
+                "gamma": gammas}, lines
+
+    def ledger(self) -> "TheoremLedger":
+        """eta = chi_H - chi_pi, the image of rho = chi_H - chi_V, and its
+        corollaries eta >= 1 and eta in {chi_H, -chi_pi}."""
+        e = self.eta()
+        chi_h, chi_pi = self.chi_h, self.chi_pi
+        ledger = TheoremLedger()
+        ledger.add("eta-equals-chi-h-minus-chi-pi", e == chi_h - chi_pi,
+                   eta=e, chi_h=chi_h, chi_pi=chi_pi)
+        ledger.add("eta-positive", e >= 1, eta=e)
+        ledger.add("eta-dichotomy", e in (chi_h, -chi_pi),
+                   eta=e, chi_h=chi_h, chi_pi=chi_pi)
+        return ledger
+
+
+def analysis(model, bound: int | None = None):
+    """The analysis of a model of either kind."""
+    cls = SullivanAnalysis if model.kind == "sullivan" else QuillenAnalysis
+    return cls(model, bound)
 
 
 # --- spec operations ---------------------------------------------------------
@@ -334,38 +451,26 @@ class ComparisonReport:
 
 def compare_models(s: SullivanModel, q: DGLModel,
                    bound: int | None = None) -> ComparisonReport:
-    """Duality report for a Sullivan and a Quillen model of the same space."""
+    """Duality report for a Sullivan and a Quillen model of the same space:
+    the two analyses' tables paired by rho <-> eta, L^k <-> Gamma_(k-2),
+    H^i <-> W_(i-1) and V^i <-> H_(i-1)(L(W))."""
     a = SullivanAnalysis(s, bound)
-    a.require_elliptic()
-    n = a.formal_dimension
     r = a.rho()
-    e = quillen.eta(q)
-    mismatches: list[str] = []
-    if r != e:
-        mismatches.append(f"rho {r} != eta {e}")
-    l_vs_gamma = {}
-    for k in range(4, 2 * n + 1):
-        lk = a.l_dim(k)
-        gk = q.gamma(k - 2).dim
-        l_vs_gamma[k] = (lk, gk)
-        if lk != gk:
-            mismatches.append(f"dim L^{k} = {lk} != dim Gamma_{k - 2} = {gk}")
-    qc = q.complex()
-    w_dims: dict[int, int] = {}
-    for g in q.generators:
-        w_dims[g.degree] = w_dims.get(g.degree, 0) + 1
-    top = max(n, q.max_generator_degree() + 1)
+    b = QuillenAnalysis(q)
+    e = b.eta()
+    n = a.formal_dimension
+    mismatches = [] if r == e else [f"rho {r} != eta {e}"]
+    l_vs_gamma = {k: (a.l_dim(k), b.gamma_dim(k - 2))
+                  for k in range(4, 2 * n + 1)}
+    mismatches += [f"dim L^{k} = {lk} != dim Gamma_{k - 2} = {gk}"
+                   for k, (lk, gk) in l_vs_gamma.items() if lk != gk]
     homology_pairing = {}
     homotopy_pairing = {}
-    for i in range(2, top + 1):
-        h = a.betti.get(i, 0)
-        w = w_dims.get(i - 1, 0)
-        homology_pairing[i] = (h, w)
+    for i in range(2, max(n, q.max_generator_degree() + 1) + 1):
+        h, w = homology_pairing[i] = (a.betti.get(i, 0), b.w_dim(i - 1))
         if h != w:
             mismatches.append(f"dim H^{i} = {h} != dim W_{i - 1} = {w}")
-        v = a.v_dim(i)
-        hq = qc.betti(i - 1)
-        homotopy_pairing[i] = (v, hq)
+        v, hq = homotopy_pairing[i] = (a.v_dim(i), b.h_dim(i - 1))
         if v != hq:
             mismatches.append(
                 f"dim V^{i} = {v} != dim H_{i - 1}(L(W)) = {hq}")

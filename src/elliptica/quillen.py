@@ -19,6 +19,12 @@ class WhiteheadNodeL:
     rank_b: int              # rank of b_(i+1) : W_(i+1) -> Gamma_i
     rank_incl: int           # rank of Gamma_i -> H_i(L(W))
 
+    def line(self) -> str:
+        i = self.degree
+        return (f"i={i}: dim W_{i}={self.dim_w} "
+                f"dim Gamma_{i}={self.dim_gamma} dim H_{i}={self.dim_h} "
+                f"rank b={self.rank_b} rank incl={self.rank_incl}")
+
 
 class DGLComplex(GradedComplex):
     """The chain complex (L_*(W), delta) in the Lie bases, keyed by their
@@ -58,6 +64,7 @@ class DGLModel(GradedModel):
     are closed because delta lowers degree.
     """
 
+    kind = "quillen"
     algebra_type = FreeLie
     complex_type = DGLComplex
     d_name = "delta"

@@ -30,6 +30,12 @@ class WhiteheadNodeS:
     rank_b: int              # rank of b^i : V^i -> L^(i+1)
     rank_incl: int           # rank of L^(i+1) -> H^(i+1)
 
+    def line(self) -> str:
+        i = self.degree
+        return (f"i={i}: dim V^{i}={self.dim_v} dim L^{i + 1}="
+                f"{self.dim_l_next} dim H^{i + 1}={self.dim_h_next} "
+                f"rank b={self.rank_b} rank incl={self.rank_incl}")
+
 
 class CochainComplex(GradedComplex):
     """The cochain complex (Lambda V, d) in the degree-lex monomial bases."""
@@ -75,6 +81,7 @@ class SullivanModel(GradedModel):
     are the parent's, restricted to the monomials in its generators.
     """
 
+    kind = "sullivan"
     algebra_type = Algebra
     complex_type = CochainComplex
     d_name = "d"

@@ -4,6 +4,8 @@ import pytest
 
 from elliptica import cli
 
+from conftest import CATALOG_QUILLEN_SPECS
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -100,20 +102,70 @@ def test_parse_file_roundtrip_via_cli(tmp_path, capsys):
     assert "rho = 3" in out
 
 
-@pytest.mark.parametrize("command", ["invariants", "verify"])
+@pytest.mark.parametrize("command", ["cohomology", "invariants", "whitehead",
+                                     "verify"])
 def test_sullivan_commands_build_one_analysis(capsys, monkeypatch, command):
+    # on both model kinds: every analysis passes through the shared __init__
     from elliptica import invariants
     built = []
-    init = invariants.SullivanAnalysis.__init__
+    init = invariants._Analysis.__init__
 
     def counting_init(self, *args, **kwargs):
-        built.append(args)
+        built.append(type(self))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(invariants.SullivanAnalysis, "__init__", counting_init)
-    code, _, _ = run(capsys, command, "cpn_sullivan(2)", "--json")
+    monkeypatch.setattr(invariants._Analysis, "__init__", counting_init)
+    for spec, kind in [("cpn_sullivan(2)", invariants.SullivanAnalysis),
+                       ("cpn_quillen(2)", invariants.QuillenAnalysis)]:
+        built.clear()
+        code, _, _ = run(capsys, command, spec, "--json")
+        assert code == 0
+        assert built == [kind]
+
+
+BROKEN_D_SQUARED = ("model bad : sullivan\ngen x : 2\ngen y : 3\ngen z : 4\n"
+                    "d y = x^2\nd z = x*y\n")
+
+
+def test_check_reports_an_invalid_model(tmp_path, capsys):
+    p = tmp_path / "bad.rhm"
+    p.write_text(BROKEN_D_SQUARED)
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["model: bad (sullivan; x:2, y:3, z:4)",
+                                "FAIL d-squared (z): d(d(z)) != 0",
+                                "status: invalid"]
+    code, out, err = run(capsys, "check", str(p), "--json")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["model"] == "bad" and payload["status"] == "invalid"
+    assert payload["tables"]["issues"] == [
+        {"check": "d-squared", "generator": "z", "message": "d(d(z)) != 0"}]
+
+
+@pytest.mark.parametrize("spec", CATALOG_QUILLEN_SPECS)
+def test_verify_quillen_ledger(capsys, spec):
+    code, out, _ = run(capsys, "verify", spec)
     assert code == 0
-    assert len(built) == 1
+    assert [line.split()[0] for line in out.splitlines()[1:-1]] == \
+        ["PASS"] * 3
+    assert out.splitlines()[-1] == "status: ok"
+    code, out, _ = run(capsys, "verify", spec, "--json")
+    assert code == 0
+    ledger = json.loads(out)["ledger"]
+    assert [e["claim"] for e in ledger] == [
+        "eta-equals-chi-h-minus-chi-pi", "eta-positive", "eta-dichotomy"]
+    w = ledger[0]["witness"]
+    assert set(w) == {"eta", "chi_h", "chi_pi"}
+    assert w["eta"] == w["chi_h"] - w["chi_pi"]
+
+
+def test_quillen_verify_refuses_a_short_window(capsys):
+    code, out, err = run(capsys, "verify", "cpn_quillen(2)", "--max-degree",
+                         "7")
+    assert code == 1
+    assert "status: ok" not in out
+    assert "CP2q" in err and "at least 8" in err and "got 7" in err
 
 
 def test_quillen_invariants_refuses_a_short_window(capsys):

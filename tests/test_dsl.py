@@ -96,9 +96,23 @@ def test_odd_square_reports_line():
 
 
 def test_validation_error_for_broken_d_squared():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as ei:
         dsl.parse("model m : sullivan\ngen x : 2\ngen y : 3\ngen z : 4\n"
                   "d y = x^2\nd z = x*y\n")
+    # the error carries the model and its report
+    assert ei.value.model.name == "m"
+    assert [i.check for i in ei.value.report.issues] == ["d-squared"]
+    assert str(ei.value) == "d-squared (z): d(d(z)) != 0"
+
+
+def test_serialize_refuses_an_image_outside_the_lie_algebra():
+    from elliptica.lie import LieElement, LieGenerator
+    gens = [LieGenerator("a", 2, 0), LieGenerator("b", 5, 1)]
+    # a (x) a is not a bracket: [a, a] = 0 for even a
+    m = DGLModel(gens, {1: LieElement({(0, 0): 1})}, name="m")
+    with pytest.raises(ValidationError, match=r"lie-element \(b\)") as ei:
+        dsl.serialize(m)
+    assert ei.value.model is m
 
 
 def test_bracket_in_sullivan_rejected():
@@ -127,6 +141,25 @@ def test_catalog_errors():
         dsl.catalog("sphere_even", 3)    # must be even
     with pytest.raises(BadParameter):
         dsl.catalog("cpn_sullivan")      # missing parameter
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("s2", (1,), "s2 takes no parameters"),
+    ("s2_quillen", (1,), "s2_quillen takes no parameters"),
+    ("cpn_quillen", ("a",), "cpn_quillen takes one integer parameter"),
+    ("sphere_odd", (3, 5), "sphere_odd takes one integer parameter"),
+    ("product", ("s2",), "product takes two sullivan sub-specs"),
+    ("product", ("s2", "s2_quillen"), "product is defined for sullivan")])
+def test_catalog_parameter_errors(name, params, message):
+    with pytest.raises(BadParameter, match=message):
+        dsl.catalog(name, *params)
+
+
+def test_catalog_names_are_the_catalog():
+    # every listed name is an entry: too many parameters, not an unknown name
+    for name in dsl.CATALOG_NAMES:
+        with pytest.raises(BadParameter):
+            dsl.catalog(name, "x", "y", "z")
 
 
 def test_catalog_spec_nested_product():

@@ -64,3 +64,11 @@ def test_free_algebra_checks_its_generators_and_derivation_images(
         alg.derivation({0: alg.gen("x")})
     with pytest.raises(DegreeMismatch):
         alg.degree(alg.gen("x") + alg.gen("y"))
+
+
+@pytest.mark.parametrize("spec", ["cpn_sullivan(2)", "cpn_quillen(2)"])
+def test_model_adopts_a_free_algebra(spec):
+    m = dsl.catalog_spec(spec)
+    copy = type(m)(m.algebra, m.differential, name=m.name)
+    assert copy.algebra is m.algebra
+    assert dsl.serialize(copy) == dsl.serialize(m)

@@ -103,3 +103,31 @@ def test_candidate_formal_dimension(cp2):
     assert invariants.candidate_formal_dimension(cp2) == 4
     s3x5 = dsl.catalog_spec("product(sphere_odd(3),sphere_odd(5))")
     assert invariants.candidate_formal_dimension(s3x5) == 8
+
+
+# spec -> (chi_H, chi_pi, eta) on the Quillen side
+QUILLEN_EXPECTED = {
+    "s2_quillen": (2, 0, 2),
+    "sphere_odd_quillen(3)": (0, -1, 1),
+    "sphere_odd_quillen(5)": (0, -1, 1),
+    "cpn_quillen(1)": (2, 0, 2),
+    "cpn_quillen(2)": (3, 0, 3),
+    "cpn_quillen(3)": (4, 0, 4),
+    "cpn_quillen(4)": (5, 0, 5),
+}
+
+
+@pytest.mark.parametrize("spec,expected", QUILLEN_EXPECTED.items())
+def test_eta_equals_chi_h_minus_chi_pi(spec, expected):
+    a = invariants.QuillenAnalysis(dsl.catalog_spec(spec))
+    assert (a.chi_h, a.chi_pi, a.eta()) == expected
+    assert a.eta() == a.chi_h - a.chi_pi
+    assert a.ledger().all_verified
+
+
+def test_analysis_picks_the_model_kind(cp2, cp2q):
+    assert type(invariants.analysis(cp2)) is invariants.SullivanAnalysis
+    a = invariants.analysis(cp2q, 9)
+    assert type(a) is invariants.QuillenAnalysis
+    assert (a.kind, a.bound) == ("quillen", 9)
+    assert invariants.analysis(cp2q).bound == quillen.default_bound(cp2q)
