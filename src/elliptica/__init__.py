@@ -8,14 +8,12 @@ from .errors import (BadParameter, DegreeError, EllipticaError,
                      NotEllipticWithinBound, OddSquareError, UnboundedGamma,
                      UnknownCatalogEntry, UnknownGenerator, ValidationError)
 from .invariants import (InvariantReport, QuillenAnalysis, SullivanAnalysis,
-                         TheoremLedger, analysis, compare_models,
-                         euler_characteristics, formal_dimension,
-                         full_ledger, invariant_report, is_pure, rho)
+                         TheoremLedger, analysis, compare_models, full_ledger,
+                         invariant_report, is_pure)
 from .lie import FreeLie, LieElement, LieGenerator
-from .quillen import DGLModel, dgl_homology, eta, gamma, whitehead_sequence_dgl
+from .quillen import DGLModel, eta, gamma, whitehead_sequence_dgl
 from .randmodels import random_models, random_pure_model
-from .sullivan import (SullivanModel, cohomology, tensor_product,
-                       whitehead_sequence)
+from .sullivan import SullivanModel, tensor_product, whitehead_sequence
 
 __all__ = [
     "Algebra", "Element", "Generator",
@@ -25,12 +23,11 @@ __all__ = [
     "UnboundedGamma", "UnknownCatalogEntry", "UnknownGenerator",
     "ValidationError",
     "InvariantReport", "QuillenAnalysis", "SullivanAnalysis", "TheoremLedger",
-    "analysis", "compare_models", "euler_characteristics", "formal_dimension",
-    "full_ledger", "invariant_report", "is_pure", "rho",
+    "analysis", "compare_models", "full_ledger", "invariant_report", "is_pure",
     "FreeLie", "LieElement", "LieGenerator",
-    "DGLModel", "dgl_homology", "eta", "gamma", "whitehead_sequence_dgl",
+    "DGLModel", "eta", "gamma", "whitehead_sequence_dgl",
     "random_models", "random_pure_model",
-    "SullivanModel", "cohomology", "tensor_product", "whitehead_sequence",
+    "SullivanModel", "tensor_product", "whitehead_sequence",
 ]
 
 __version__ = "0.1.0"

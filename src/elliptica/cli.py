@@ -86,13 +86,11 @@ def _analysis(args):
 
 def cmd_check(args) -> int:
     try:
-        model = _load(args.model)
-        report = model.validate()
+        model, issues = _load(args.model).require_valid(), ()
     except ValidationError as exc:
-        model, report = exc.model, exc.report
-    return _report(args, model, [f"FAIL {i}" for i in report.issues],
-                   {"issues": report.issues},
-                   status="ok" if report.ok else "invalid")
+        model, issues = exc.model, exc.report.issues
+    return _report(args, model, [f"FAIL {i}" for i in issues],
+                   {"issues": issues}, status="invalid" if issues else "ok")
 
 
 def cmd_cohomology(args) -> int:

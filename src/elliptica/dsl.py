@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .commutative import Element
 from .errors import (BadParameter, DegreeError, ModelSyntaxError,
-                     OddSquareError, UnknownCatalogEntry, UnknownGenerator,
-                     ValidationError)
-from .graded import Generator, ValidationIssue, ValidationReport
+                     OddSquareError, UnknownCatalogEntry, UnknownGenerator)
+from .graded import Generator
 from .lie import FreeLie, LieElement
 from .quillen import DGLModel
 from .sullivan import SullivanModel, tensor_product
@@ -355,8 +354,7 @@ def _quillen_element_str(model: DGLModel, g: Generator) -> str:
     deg = lie.degree(e)
     coords = lie.lie_coords(deg, e)
     if coords is None:
-        raise ValidationError(model, ValidationReport((ValidationIssue(
-            "lie-element", g.name, f"delta({g.name}) is not in L(W)"),)))
+        model.require_valid()       # raises its lie-element issue
     _, trees = lie.lie_basis_with_seqs(deg)
     parts = []
     for c, tree in zip(coords, trees):

@@ -248,6 +248,7 @@ class GradedModel:
         self._complex = None
         self._derivation = None
         self._trunc_cache: dict[int, GradedModel] = {}
+        self._valid = False
 
     @property
     def generators(self) -> list[Generator]:
@@ -283,10 +284,13 @@ class GradedModel:
         return ValidationReport(tuple(issues))
 
     def require_valid(self):
-        """The model itself; ValidationError if ``validate`` finds issues."""
-        report = self.validate()
-        if not report.ok:
-            raise ValidationError(self, report)
+        """The model itself; ValidationError if ``validate`` finds issues.
+        Models are immutable, so a pass is remembered."""
+        if not self._valid:
+            report = self.validate()
+            if not report.ok:
+                raise ValidationError(self, report)
+            self._valid = True
         return self
 
     def max_generator_degree(self) -> int:
@@ -308,6 +312,14 @@ class GradedModel:
                 keep, self._truncated_differential(keep, k),
                 name=f"{self.name}[<={k}]" if self.name else "", parent=self)
         return self._trunc_cache[k]
+
+    def whitehead_b(self, i: int) -> linalg.QMatrix:
+        """The Whitehead map b on the degree-i generators: g |-> [d g], a
+        class of degree i + step of the truncation to degrees <= i - 1."""
+        gens = [g for g in self.generators if g.degree == i]
+        return self.truncate(i - 1).complex().class_matrix(
+            i + self.complex_type.step,
+            [self.d_of_generator(g.index) for g in gens])
 
     def complex(self) -> "GradedComplex":
         if self._complex is None:

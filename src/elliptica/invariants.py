@@ -1,6 +1,7 @@
-"""Euler characteristics, formal dimension, ellipticity verdicts, rho, the
-F0 and odd-sphere classifiers, the theorem ledger, and the Sullivan/Quillen
-cross-model comparison."""
+"""The analyses of both model kinds, each the home of its invariants: Euler
+characteristics, the formal dimension and ellipticity verdict, rho or eta,
+the F0 and odd-sphere classifiers and the theorem ledger; and the
+Sullivan/Quillen cross-model comparison."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
@@ -86,9 +87,15 @@ class _Analysis:
         cx = self.model.complex()
         return {i: cx.betti(i) for i in range(self.low, self.bound + 1)}
 
+    def gen_dim(self, i: int) -> int:
+        """The number of generators of degree i: dim V^i, resp. dim W_i."""
+        return sum(1 for g in self.model.generators if g.degree == i)
+
 
 class SullivanAnalysis(_Analysis):
-    """Cached per-model cohomology window and derived invariants."""
+    """Cached per-model cohomology window and the invariants, classifiers
+    and ledger derived from it.  Every one of them stands on
+    ``formal_dimension``, which proves ellipticity once per analysis."""
 
     kind = "sullivan"
     h_label = "dim H^"
@@ -99,29 +106,33 @@ class SullivanAnalysis(_Analysis):
         super().__init__(model, bound)
         self._l_dims: dict[int, int] = {}
 
-    @cached_property
-    def formal_dimension(self) -> int:
-        return max((i for i, d in self.betti.items() if d), default=0)
-
-    def require_elliptic(self):
+    def require_elliptic(self) -> int:
+        """The top degree of H^* in the window; NotEllipticWithinBound if it
+        lies beyond the candidate formal dimension, BadParameter if the
+        window is too short to show that nothing follows it."""
+        top = max((i for i, d in self.betti.items() if d), default=0)
         n_candidate = candidate_formal_dimension(self.model)
-        if self.formal_dimension > n_candidate:
+        if top > n_candidate:
             raise NotEllipticWithinBound(
-                f"H^i != 0 for i = {self.formal_dimension} beyond the candidate "
+                f"H^i != 0 for i = {top} beyond the candidate "
                 f"formal dimension {n_candidate} (bound {self.bound})")
-        if self.bound < 2 * self.formal_dimension + 2:
+        if self.bound < 2 * top + 2:
             raise BadParameter(
                 f"{self.model!r}: the ellipticity verdict needs a degree "
                 f"window of at least {default_bound(self.model)}, got "
                 f"{self.bound}")
+        return top
+
+    @cached_property
+    def formal_dimension(self) -> int:
+        """The formal dimension, proved by ``require_elliptic`` on first use."""
+        return self.require_elliptic()
 
     def l_dim(self, i: int) -> int:
+        """dim L^i = dim H^i of the truncation to degrees <= i - 2."""
         if i not in self._l_dims:
-            self._l_dims[i] = sullivan.L_dim(self.model, i)
+            self._l_dims[i] = self.model.truncate(i - 2).complex().betti(i)
         return self._l_dims[i]
-
-    def v_dim(self, i: int) -> int:
-        return sum(1 for g in self.model.generators if g.degree == i)
 
     @property
     def chi_h(self) -> int:
@@ -137,19 +148,133 @@ class SullivanAnalysis(_Analysis):
         return {i: self.l_dim(i) for i in range(4, 2 * n + 3)}
 
     def rho(self) -> int:
-        self.require_elliptic()
         n = self.formal_dimension
-        total = 1
-        for i in range(4, 2 * n + 1):
-            total += (-1) ** i * self.l_dim(i)
-        return total
+        return 1 + sum((-1) ** i * self.l_dim(i) for i in range(4, 2 * n + 1))
+
+    def elliptic_checks(self) -> TheoremLedger:
+        """Structure theorems for elliptic models, checked literally, plus
+        the L-space vanishing/iso facts above the formal dimension."""
+        gens, n = self.model.generators, self.formal_dimension
+        ledger = TheoremLedger()
+        v_even = sum(1 for g in gens if g.degree % 2 == 0)
+        v_odd = len(gens) - v_even
+        ledger.add("v-odd-dominates-v-even", v_odd >= v_even,
+                   v_odd=v_odd, v_even=v_even)
+        bad = [g.name for g in gens if g.degree >= 2 * n]
+        ledger.add("v-vanishes-from-twice-formal-dim", not bad, offenders=bad)
+        bad = [g.name for g in gens if g.degree > n and g.degree % 2 == 0]
+        ledger.add("even-v-vanishes-above-formal-dim", not bad, offenders=bad)
+        high_odd = sorted({g.degree for g in gens
+                           if g.degree > n and g.degree % 2})
+        ok = len(high_odd) <= 1 and all(self.gen_dim(i) == 1 for i in high_odd)
+        ledger.add("at-most-one-line-of-odd-v-above-formal-dim", ok,
+                   degrees=high_odd)
+        chi_h, chi_v = self.chi_h, self.chi_v
+        ledger.add("euler-characteristic-signs",
+                   chi_h >= 0 and chi_v <= 0 and ((chi_h == 0) == (chi_v < 0)),
+                   chi_h=chi_h, chi_v=chi_v)
+        # L-space facts above the formal dimension.  Note: L^i = H^i of the
+        # truncation matches dim V^(i-1) for every i > n + 1; the odd rows
+        # vanish because even V vanishes above n.
+        window = self.l_window()
+        bad_pairs = [(i, window[i], self.gen_dim(i - 1))
+                     for i in range(n + 2, 2 * n + 3)
+                     if window.get(i, 0) != self.gen_dim(i - 1)]
+        ledger.add("l-matches-v-above-formal-dim", not bad_pairs,
+                   mismatches=bad_pairs)
+        bad_odd = [i for i in range(n + 2, 2 * n + 3)
+                   if i % 2 and window.get(i, 0)]
+        ledger.add("odd-l-vanishes-above-formal-dim", not bad_odd,
+                   offenders=bad_odd)
+        bad_top = [i for i in range(2 * n + 1, 2 * n + 3) if window.get(i, 0)]
+        ledger.add("l-vanishes-above-twice-formal-dim", not bad_top,
+                   offenders=bad_top)
+        return ledger
+
+    def identity_checks(self) -> TheoremLedger:
+        """rho = chi_H - chi_V and its companions."""
+        n, r = self.formal_dimension, self.rho()
+        ledger = TheoremLedger()
+        chi_h, chi_v = self.chi_h, self.chi_v
+        ledger.add("rho-equals-chi-h-minus-chi-v", r == chi_h - chi_v,
+                   rho=r, chi_h=chi_h, chi_v=chi_v)
+        partial = sum((-1) ** i * self.l_dim(i) for i in range(4, n + 2))
+        ledger.add("rho-slack-within-two", 0 <= r - partial <= 2,
+                   rho=r, partial_sum=partial)
+        ledger.add("rho-positive", r >= 1, rho=r)
+        l_even = sum(d for i, d in self.l_window().items() if i % 2 == 0)
+        l_odd = sum(d for i, d in self.l_window().items() if i % 2)
+        ledger.add("even-l-dominates-odd-l", l_even >= l_odd,
+                   l_even=l_even, l_odd=l_odd)
+        if l_even == 0:
+            total_h = sum(self.betti.values())
+            total_v = len(self.model.generators)
+            ledger.add("zero-even-l-forces-h-dim", total_h == total_v + 1,
+                       total_h=total_h, total_v=total_v)
+        else:
+            ledger.add("zero-even-l-forces-h-dim", None, l_even=l_even)
+        ledger.add("rho-dichotomy", r == chi_h or r == -chi_v,
+                   rho=r, chi_h=chi_h, chi_v=chi_v)
+        return ledger
+
+    def f0(self):
+        """(is_f0, evidence).  Primary criterion: H^odd = 0 in the window;
+        cross-checked against purity + chi_V = 0 when the model is pure."""
+        n = self.formal_dimension
+        h_odd = sum(d for i, d in self.betti.items() if i % 2 and i <= n)
+        f0 = h_odd == 0
+        evidence = {"h_odd_total": h_odd, "criterion": "h-odd-vanishes"}
+        evidence["pure"] = is_pure(self.model)
+        if evidence["pure"]:
+            evidence["chi_v"] = self.chi_v
+            evidence["pure-criterion-agrees"] = (self.chi_v == 0) == f0
+        return f0, evidence
+
+    def f0_consequences(self) -> TheoremLedger:
+        ledger = TheoremLedger()
+        if not self.f0()[0]:
+            ledger.add("f0-odd-l-vanishes", None)
+            ledger.add("f0-even-b-maps-vanish", None)
+            return ledger
+        n = self.formal_dimension
+        bad = [i for i in range(5, 2 * n + 3, 2) if self.l_dim(i)]
+        ledger.add("f0-odd-l-vanishes", not bad, offenders=bad)
+        bad = [i for i in range(2, 2 * n + 1, 2)
+               if linalg.rank(self.model.whitehead_b(i))]
+        ledger.add("f0-even-b-maps-vanish", not bad, offenders=bad)
+        return ledger
+
+    def odd_sphere(self):
+        """(is_odd_sphere, evidence): true iff L^even vanishes in the window;
+        the positive verdict is corroborated structurally."""
+        n, window = self.formal_dimension, self.l_window()
+        l_even = {i: d for i, d in window.items() if i % 2 == 0 and d}
+        verdict = not l_even
+        evidence: dict[str, Any] = {"nonzero_even_l": l_even}
+        if verdict:
+            l_odd = {i: d for i, d in window.items() if i % 2 and d}
+            h_matches_v = all(self.betti.get(i, 0) == self.gen_dim(i)
+                              for i in range(2, self.bound + 1))
+            pattern = {i: d for i, d in self.betti.items() if d}
+            sphere_pattern = (pattern == {0: 1, n: 1} and n % 2 == 1)
+            evidence.update(nonzero_odd_l=l_odd, h_matches_v=h_matches_v,
+                            h_pattern=pattern, sphere_pattern=sphere_pattern)
+            verdict = not l_odd and h_matches_v and sphere_pattern
+        return verdict, evidence
+
+    def report(self) -> InvariantReport:
+        return InvariantReport(
+            chi_h=self.chi_h, chi_v=self.chi_v, rho=self.rho(),
+            formal_dimension=self.formal_dimension,
+            elliptic_verified_up_to=self.bound,
+            f0=self.f0()[0], odd_sphere=self.odd_sphere()[0])
 
     def whitehead(self) -> WhiteheadReport:
         return sullivan.whitehead_sequence(self.model, self.bound)
 
     def invariants(self, verbose: bool = False):
         """(tables, text lines) of the ``invariants`` report."""
-        rep = invariant_report(self.model, analysis=self)
+        rep = self.report()
         tables = {**asdict(rep), "l_window": self.l_window()}
         del tables["elliptic_verified_up_to"]
         lines = [f"formal dimension = {rep.formal_dimension}",
@@ -161,8 +286,11 @@ class SullivanAnalysis(_Analysis):
             lines += [f"dim L^{i} = {d}" for i, d in self.l_window().items()]
         return tables, lines
 
-    def ledger(self) -> "TheoremLedger":
-        return full_ledger(self.model, analysis=self)
+    def ledger(self) -> TheoremLedger:
+        ledger = self.elliptic_checks()
+        ledger.extend(self.identity_checks())
+        ledger.extend(self.f0_consequences())
+        return ledger
 
 
 class QuillenAnalysis(_Analysis):
@@ -176,9 +304,6 @@ class QuillenAnalysis(_Analysis):
     h_label = "dim H_"
     low = 1
     default_bound = staticmethod(quillen.default_bound)
-
-    def w_dim(self, i: int) -> int:
-        return sum(1 for g in self.model.generators if g.degree == i)
 
     def h_dim(self, i: int) -> int:
         """dim H_i(L(W)), in any degree."""
@@ -240,22 +365,15 @@ def analysis(model, bound: int | None = None):
     return cls(model, bound)
 
 
-# --- spec operations ---------------------------------------------------------
+# --- entry points -----------------------------------------------------------
 
-def euler_characteristics(model: SullivanModel, bound: int | None = None):
-    a = SullivanAnalysis(model, bound)
-    a.require_elliptic()
-    return a.chi_h, a.chi_v
-
-
-def formal_dimension(model: SullivanModel, bound: int | None = None) -> int:
-    a = SullivanAnalysis(model, bound)
-    a.require_elliptic()
-    return a.formal_dimension
+def invariant_report(model: SullivanModel,
+                     bound: int | None = None) -> InvariantReport:
+    return SullivanAnalysis(model, bound).report()
 
 
-def rho(model: SullivanModel) -> int:
-    return SullivanAnalysis(model).rho()
+def full_ledger(model: SullivanModel, bound: int | None = None) -> TheoremLedger:
+    return SullivanAnalysis(model, bound).ledger()
 
 
 def is_pure(model: SullivanModel) -> bool:
@@ -270,167 +388,6 @@ def is_pure(model: SullivanModel) -> bool:
                 if any(model.algebra.by_index[i].degree % 2 for i, _ in m):
                     return False
     return True
-
-
-def elliptic_checks(model: SullivanModel,
-                    analysis: SullivanAnalysis | None = None) -> TheoremLedger:
-    """Structure theorems for elliptic models, checked literally, plus the
-    L-space vanishing/iso facts above the formal dimension."""
-    a = analysis or SullivanAnalysis(model)
-    a.require_elliptic()
-    n = a.formal_dimension
-    ledger = TheoremLedger()
-    v_even = sum(1 for g in model.generators if g.degree % 2 == 0)
-    v_odd = len(model.generators) - v_even
-    ledger.add("v-odd-dominates-v-even", v_odd >= v_even,
-               v_odd=v_odd, v_even=v_even)
-    bad = [g.name for g in model.generators if g.degree >= 2 * n]
-    ledger.add("v-vanishes-from-twice-formal-dim", not bad, offenders=bad)
-    bad = [g.name for g in model.generators
-           if g.degree > n and g.degree % 2 == 0]
-    ledger.add("even-v-vanishes-above-formal-dim", not bad, offenders=bad)
-    high_odd = sorted({g.degree for g in model.generators
-                       if g.degree > n and g.degree % 2})
-    ok = len(high_odd) <= 1 and all(a.v_dim(i) == 1 for i in high_odd)
-    ledger.add("at-most-one-line-of-odd-v-above-formal-dim", ok,
-               degrees=high_odd)
-    chi_h, chi_v = a.chi_h, a.chi_v
-    ledger.add("euler-characteristic-signs",
-               chi_h >= 0 and chi_v <= 0 and ((chi_h == 0) == (chi_v < 0)),
-               chi_h=chi_h, chi_v=chi_v)
-    # L-space facts above the formal dimension.  Note: L^i = H^i of the
-    # truncation matches dim V^(i-1) for every i > n + 1; the odd rows
-    # vanish because even V vanishes above n.
-    window = a.l_window()
-    bad_pairs = [(i, window[i], a.v_dim(i - 1))
-                 for i in range(n + 2, 2 * n + 3)
-                 if window.get(i, 0) != a.v_dim(i - 1)]
-    ledger.add("l-matches-v-above-formal-dim", not bad_pairs,
-               mismatches=bad_pairs)
-    bad_odd = [i for i in range(n + 2, 2 * n + 3)
-               if i % 2 and window.get(i, 0)]
-    ledger.add("odd-l-vanishes-above-formal-dim", not bad_odd, offenders=bad_odd)
-    bad_top = [i for i in range(2 * n + 1, 2 * n + 3) if window.get(i, 0)]
-    ledger.add("l-vanishes-above-twice-formal-dim", not bad_top,
-               offenders=bad_top)
-    return ledger
-
-
-def verify_identities(model: SullivanModel,
-                      analysis: SullivanAnalysis | None = None) -> TheoremLedger:
-    a = analysis or SullivanAnalysis(model)
-    a.require_elliptic()
-    n = a.formal_dimension
-    ledger = TheoremLedger()
-    r = a.rho()
-    chi_h, chi_v = a.chi_h, a.chi_v
-    ledger.add("rho-equals-chi-h-minus-chi-v", r == chi_h - chi_v,
-               rho=r, chi_h=chi_h, chi_v=chi_v)
-    partial = sum((-1) ** i * a.l_dim(i) for i in range(4, n + 2))
-    ledger.add("rho-slack-within-two", 0 <= r - partial <= 2,
-               rho=r, partial_sum=partial)
-    ledger.add("rho-positive", r >= 1, rho=r)
-    l_even = sum(d for i, d in a.l_window().items() if i % 2 == 0)
-    l_odd = sum(d for i, d in a.l_window().items() if i % 2)
-    ledger.add("even-l-dominates-odd-l", l_even >= l_odd,
-               l_even=l_even, l_odd=l_odd)
-    if l_even == 0:
-        total_h = sum(a.betti.values())
-        ledger.add("zero-even-l-forces-h-dim",
-                   total_h == len(model.generators) + 1,
-                   total_h=total_h, total_v=len(model.generators))
-    else:
-        ledger.add("zero-even-l-forces-h-dim", None, l_even=l_even)
-    ledger.add("rho-dichotomy", r == chi_h or r == -chi_v,
-               rho=r, chi_h=chi_h, chi_v=chi_v)
-    return ledger
-
-
-def classify_f0(model: SullivanModel,
-                analysis: SullivanAnalysis | None = None):
-    """(is_f0, evidence).  Primary criterion: H^odd = 0 in the window;
-    cross-checked against purity + chi_V = 0 when the model is pure."""
-    a = analysis or SullivanAnalysis(model)
-    a.require_elliptic()
-    h_odd = sum(d for i, d in a.betti.items() if i % 2)
-    f0 = h_odd == 0
-    evidence = {"h_odd_total": h_odd, "criterion": "h-odd-vanishes"}
-    if is_pure(model):
-        alt = a.chi_v == 0
-        evidence["pure"] = True
-        evidence["chi_v"] = a.chi_v
-        evidence["pure-criterion-agrees"] = (alt == f0)
-    else:
-        evidence["pure"] = False
-    return f0, evidence
-
-
-def f0_consequences(model: SullivanModel,
-                    analysis: SullivanAnalysis | None = None) -> TheoremLedger:
-    a = analysis or SullivanAnalysis(model)
-    ledger = TheoremLedger()
-    f0, _ = classify_f0(model, a)
-    if not f0:
-        ledger.add("f0-odd-l-vanishes", None)
-        ledger.add("f0-even-b-maps-vanish", None)
-        return ledger
-    n = a.formal_dimension
-    bad = [i for i in range(5, 2 * n + 3, 2) if a.l_dim(i)]
-    ledger.add("f0-odd-l-vanishes", not bad, offenders=bad)
-    ranks = {i: linalg.rank(sullivan.whitehead_b(model, i))
-             for i in range(2, 2 * n + 1, 2)}
-    bad_b = [i for i, rk in ranks.items() if rk]
-    ledger.add("f0-even-b-maps-vanish", not bad_b, offenders=bad_b)
-    return ledger
-
-
-def odd_sphere_detect(model: SullivanModel,
-                      analysis: SullivanAnalysis | None = None):
-    """(is_odd_sphere, evidence): true iff L^even vanishes in the window;
-    the positive verdict is corroborated structurally."""
-    a = analysis or SullivanAnalysis(model)
-    a.require_elliptic()
-    n = a.formal_dimension
-    window = a.l_window()
-    l_even = {i: d for i, d in window.items() if i % 2 == 0 and d}
-    verdict = not l_even
-    evidence: dict[str, Any] = {"nonzero_even_l": l_even}
-    if verdict:
-        l_odd = {i: d for i, d in window.items() if i % 2 and d}
-        h_matches_v = all(a.betti.get(i, 0) == a.v_dim(i)
-                          for i in range(2, a.bound + 1))
-        pattern = {i: d for i, d in a.betti.items() if d}
-        sphere_pattern = (pattern == {0: 1, n: 1} and n % 2 == 1)
-        evidence.update(nonzero_odd_l=l_odd, h_matches_v=h_matches_v,
-                        h_pattern=pattern, sphere_pattern=sphere_pattern)
-        verdict = not l_odd and h_matches_v and sphere_pattern
-    return verdict, evidence
-
-
-def invariant_report(model: SullivanModel, bound: int | None = None,
-                     analysis: SullivanAnalysis | None = None) -> InvariantReport:
-    a = analysis or SullivanAnalysis(model, bound)
-    a.require_elliptic()
-    return InvariantReport(
-        chi_h=a.chi_h,
-        chi_v=a.chi_v,
-        rho=a.rho(),
-        formal_dimension=a.formal_dimension,
-        elliptic_verified_up_to=a.bound,
-        f0=classify_f0(model, a)[0],
-        odd_sphere=odd_sphere_detect(model, a)[0],
-    )
-
-
-def full_ledger(model: SullivanModel, bound: int | None = None,
-                analysis: SullivanAnalysis | None = None) -> TheoremLedger:
-    a = analysis or SullivanAnalysis(model, bound)
-    a.require_elliptic()
-    ledger = TheoremLedger()
-    ledger.extend(elliptic_checks(model, a))
-    ledger.extend(verify_identities(model, a))
-    ledger.extend(f0_consequences(model, a))
-    return ledger
 
 
 # --- cross-model comparison --------------------------------------------------
@@ -467,10 +424,10 @@ def compare_models(s: SullivanModel, q: DGLModel,
     homology_pairing = {}
     homotopy_pairing = {}
     for i in range(2, max(n, q.max_generator_degree() + 1) + 1):
-        h, w = homology_pairing[i] = (a.betti.get(i, 0), b.w_dim(i - 1))
+        h, w = homology_pairing[i] = (a.betti.get(i, 0), b.gen_dim(i - 1))
         if h != w:
             mismatches.append(f"dim H^{i} = {h} != dim W_{i - 1} = {w}")
-        v, hq = homotopy_pairing[i] = (a.v_dim(i), b.h_dim(i - 1))
+        v, hq = homotopy_pairing[i] = (a.gen_dim(i), b.h_dim(i - 1))
         if v != hq:
             mismatches.append(
                 f"dim V^{i} = {v} != dim H_{i - 1}(L(W)) = {hq}")

@@ -236,6 +236,18 @@ class FreeLie(FreeAlgebra):
         """The leading words of lie_basis(degree), in basis order."""
         return self._basis_tables(degree)[2]
 
+    def is_lie(self, e: LieElement) -> bool:
+        """Whether e, homogeneous of degree >= 1, lies in L(W), with no basis:
+        by the Dynkin-Specht-Wever criterion, iff the left-normed brackets
+        [...[x1, x2], ..., xn] of its words, each over its length, sum to e."""
+        total = LieElement()
+        for w, c in e.terms.items():
+            t = LieElement({w[:1]: c / len(w)})
+            for i in w[1:]:
+                t = self.bracket(t, LieElement({(i,): _ONE}))
+            total = total + t
+        return total == e
+
     def lie_coords(self, degree: int, e: LieElement) -> linalg.Vector | None:
         """Coordinates over lie_basis(degree), None if e is outside L(W).
 

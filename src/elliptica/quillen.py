@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import BadParameter, InternalInconsistency, UnboundedGamma
-from .graded import GradedComplex, GradedModel, WhiteheadReport, check_exact
+from .graded import (GradedComplex, GradedModel, ValidationIssue,
+                     ValidationReport, WhiteheadReport, check_exact)
 from .lie import FreeLie, LieElement, Word
 
 
@@ -81,6 +82,18 @@ class DGLModel(GradedModel):
     delta = GradedModel.d
     delta_of_generator = GradedModel.d_of_generator
 
+    def validate(self) -> ValidationReport:
+        """The shared checks, and a ``lie-element`` issue for each image of
+        degree |g| - 1 that is a tensor outside L(W)."""
+        issues, lie = list(super().validate().issues), self.lie
+        for idx, img in self.differential.items():
+            g = lie.by_index[idx]
+            if (g.degree > 1 and lie.is_homogeneous(img, g.degree - 1)
+                    and not lie.is_lie(img)):
+                issues.append(ValidationIssue(
+                    "lie-element", g.name, f"delta({g.name}) is not in L(W)"))
+        return ValidationReport(tuple(issues))
+
     def gamma(self, i: int) -> "GammaData":
         """Gamma_i of this model: ``gamma(self, i)``, entered only the first
         time.  The result is shared; do not mutate it."""
@@ -89,12 +102,6 @@ class DGLModel(GradedModel):
 
 
 # --- module-level operations -------------------------------------------------
-
-def dgl_homology(model: DGLModel, degree: int):
-    """(dim, representative LieElements) of H_degree(L(W))."""
-    dim, reps, _ = model.complex().homology(degree)
-    return dim, reps
-
 
 @dataclass
 class GammaData:
@@ -125,19 +132,12 @@ def gamma(model: DGLModel, i: int) -> GammaData:
     return gd
 
 
-def _delta_classes(model: DGLModel, i: int) -> linalg.QMatrix:
-    """b_i into H_(i-1)(L(W_(<= i-1))): w |-> [delta w], for w in W_i."""
-    w_gens = [g for g in model.generators if g.degree == i]
-    return model.truncate(i - 1).complex().class_matrix(
-        i - 1, [model.delta_of_generator(g.index) for g in w_gens])
-
-
 def b_map(model: DGLModel, i: int) -> linalg.QMatrix:
     """Matrix of b_i : W_i -> Gamma_(i-1), w |-> [delta w]."""
     if i < 3:
         raise ValueError("b_i as a map into Gamma needs i >= 3")
     gd = model.gamma(i - 1)
-    into_h = _delta_classes(model, i)
+    into_h = model.whitehead_b(i)
     # express [delta w] over the Gamma representative basis (inside H)
     gamma_span = linalg.Span(into_h.rows)
     for v in gd.h_coords:
@@ -164,7 +164,7 @@ def whitehead_sequence_dgl(model: DGLModel, max_degree: int) -> WhiteheadReport:
     incl = {i: full.class_matrix(i, gammas[i].reps)
             for i in range(2, max_degree + 1)}
     h_lin = {i: full.linear_part(i) for i in range(2, max_degree + 1)}
-    b_into_h = {i: _delta_classes(model, i) for i in range(2, max_degree + 1)}
+    b_into_h = {i: model.whitehead_b(i) for i in range(2, max_degree + 1)}
     b_into_gamma = {i: b_map(model, i) for i in range(3, max_degree + 2)}
     nodes: list[WhiteheadNodeL] = []
     for i in range(2, max_degree + 1):

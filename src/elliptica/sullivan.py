@@ -16,12 +16,6 @@ _ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
-class CohomologyClass:
-    degree: int
-    representative: Element
-
-
-@dataclass(frozen=True)
 class WhiteheadNodeS:
     degree: int              # i
     dim_v: int               # dim V^i
@@ -115,26 +109,6 @@ class SullivanModel(GradedModel):
 
 # --- module-level operations matching the engine surface ---------------------
 
-def cohomology(model: SullivanModel, degree: int):
-    """(dim, list of CohomologyClass) of H^degree(Lambda V)."""
-    dim, reps, _ = model.complex().cohomology(degree)
-    return dim, [CohomologyClass(degree, r) for r in reps]
-
-
-def L_dim(model: SullivanModel, i: int) -> int:
-    """dim L^i, from ranks alone."""
-    if i < 2:
-        raise ValueError("L^i defined for i >= 2")
-    return model.truncate(i - 2).complex().betti(i)
-
-
-def whitehead_b(model: SullivanModel, i: int) -> linalg.QMatrix:
-    """Matrix of b^i : V^i -> L^(i+1), v |-> [d v] in the truncation."""
-    v_gens = [g for g in model.generators if g.degree == i]
-    return model.truncate(i - 1).complex().class_matrix(
-        i + 1, [model.d_of_generator(g.index) for g in v_gens])
-
-
 def tensor_product(a: SullivanModel, b: SullivanModel,
                    name: str = "") -> SullivanModel:
     """Tensor CDGA of two Sullivan models: disjoint generators, differentials
@@ -171,7 +145,7 @@ def whitehead_sequence(model: SullivanModel, max_degree: int) -> WhiteheadReport
     # H^i -> V^i, b^i : V^i -> L^(i+1), and L^(i+1) -> H^(i+1) induced by
     # the inclusion of the truncation
     p = {i: full.linear_part(i) for i in range(2, max_degree + 2)}
-    b = {i: whitehead_b(model, i) for i in range(2, max_degree + 1)}
+    b = {i: model.whitehead_b(i) for i in range(2, max_degree + 1)}
     q = {i: full.class_matrix(
             i + 1, model.truncate(i - 1).complex().cohomology(i + 1)[1])
          for i in range(2, max_degree + 1)}

@@ -109,8 +109,8 @@ def test_criterion_4_rho_partial_sum_bounds(population, catalog_population):
 def test_criterion_5_structure_theorems(population, catalog_population):
     checked = 0
     for m, a in catalog_population + population:
-        ledger = invariants.elliptic_checks(m, a)
-        ledger.extend(invariants.verify_identities(m, a))
+        ledger = a.elliptic_checks()
+        ledger.extend(a.identity_checks())
         if not ledger.all_verified:
             report(5, False, f"{m.name}: {ledger.violated}")
         checked += 1
@@ -129,7 +129,7 @@ def test_criterion_6_odd_sphere_detector():
     for spec, expected in specs.items():
         m = dsl.catalog_spec(spec)
         a = invariants.SullivanAnalysis(m)
-        verdict, evidence = invariants.odd_sphere_detect(m, a)
+        verdict, evidence = a.odd_sphere()
         if verdict != expected:
             report(6, False, f"{spec}: got {verdict}, evidence {evidence}")
         if verdict:
@@ -143,7 +143,7 @@ def test_criterion_7_f0_consequences():
     for spec in ("cpn_sullivan(1)", "cpn_sullivan(2)", "cpn_sullivan(3)",
                  "product(s2,sphere_even(4))"):
         m = dsl.catalog_spec(spec)
-        ledger = invariants.f0_consequences(m)
+        ledger = invariants.SullivanAnalysis(m).f0_consequences()
         by_claim = {e.claim: e.status for e in ledger.entries}
         if by_claim.get("f0-odd-l-vanishes") != "verified" or \
                 by_claim.get("f0-even-b-maps-vanish") != "verified":

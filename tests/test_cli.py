@@ -102,6 +102,27 @@ def test_parse_file_roundtrip_via_cli(tmp_path, capsys):
     assert "rho = 3" in out
 
 
+def test_rhm_request_validates_once(tmp_path, capsys, monkeypatch):
+    # dsl.parse validates; check and the analysis reuse that pass
+    from elliptica import dsl
+    from elliptica.sullivan import SullivanModel
+    p = tmp_path / "cp2.rhm"
+    p.write_text(dsl.serialize(dsl.catalog_spec("cpn_sullivan(2)")))
+    calls = []
+    validate = SullivanModel.validate
+
+    def counting_validate(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SullivanModel, "validate", counting_validate)
+    for command in ("check", "invariants"):
+        calls.clear()
+        code, _, _ = run(capsys, command, str(p))
+        assert code == 0
+        assert len(calls) == 1, command
+
+
 @pytest.mark.parametrize("command", ["cohomology", "invariants", "whitehead",
                                      "verify"])
 def test_sullivan_commands_build_one_analysis(capsys, monkeypatch, command):

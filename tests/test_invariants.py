@@ -65,7 +65,23 @@ def test_short_window_is_blamed_on_the_window(spec, bound, need):
     with pytest.raises(BadParameter, match=f"at least {need}, got {bound}"):
         a.require_elliptic()
     with pytest.raises(BadParameter):
-        invariants.formal_dimension(model, bound)
+        invariants.SullivanAnalysis(model, bound).formal_dimension
+
+
+@pytest.mark.parametrize("entry", [invariants.invariant_report,
+                                   invariants.full_ledger])
+def test_ellipticity_is_decided_once(monkeypatch, entry):
+    calls = []
+    require = invariants.SullivanAnalysis.require_elliptic
+
+    def counting_require(self):
+        calls.append(self)
+        return require(self)
+
+    monkeypatch.setattr(invariants.SullivanAnalysis, "require_elliptic",
+                        counting_require)
+    entry(dsl.catalog("cpn_sullivan", 2))
+    assert len(calls) == 1
 
 
 def test_rho_equals_chi_difference_everywhere(catalog_sullivan,
@@ -76,9 +92,9 @@ def test_rho_equals_chi_difference_everywhere(catalog_sullivan,
 
 
 def test_f0_classifier_cross_check(cp2, s3):
-    f0, evidence = invariants.classify_f0(cp2)
+    f0, evidence = invariants.SullivanAnalysis(cp2).f0()
     assert f0 and evidence["pure"] and evidence["pure-criterion-agrees"]
-    f0s3, _ = invariants.classify_f0(s3)
+    f0s3, _ = invariants.SullivanAnalysis(s3).f0()
     assert not f0s3
 
 
@@ -96,7 +112,7 @@ def test_eta_matches_rho_on_cpn():
     for n in (1, 2, 3):
         s = dsl.catalog("cpn_sullivan", n)
         q = dsl.catalog("cpn_quillen", n)
-        assert invariants.rho(s) == quillen.eta(q) == n + 1
+        assert invariants.SullivanAnalysis(s).rho() == quillen.eta(q) == n + 1
 
 
 def test_candidate_formal_dimension(cp2):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from elliptica import dsl, quillen
-from elliptica.errors import BadParameter, CompositionNotZero, UnboundedGamma
+from elliptica import dsl, invariants, quillen
+from elliptica.errors import (BadParameter, CompositionNotZero, UnboundedGamma,
+                              ValidationError)
 from elliptica.lie import FreeLie, LieElement, LieGenerator
 from elliptica.quillen import DGLModel
 
@@ -52,6 +53,24 @@ def test_validate_catches_inhomogeneous_image():
     # the empty word has degree 0, which no image may have
     bad = DGLModel(gens, {0: LieElement({(): 1})})
     assert any(i.check == "homogeneity" for i in bad.validate().issues)
+    # a (x) a has the right degree but is not a bracket: [a, a] = 0 for even a
+    gens = [LieGenerator("a", 2, 0), LieGenerator("b", 5, 1)]
+    bad = DGLModel(gens, {1: LieElement({(0, 0): 1})})
+    assert [i.check for i in bad.validate().issues] == ["lie-element"]
+    with pytest.raises(ValidationError, match=r"lie-element \(b\)"):
+        invariants.analysis(bad)
+
+
+def test_validation_builds_no_lie_basis(monkeypatch):
+    # membership in L(W) needs no basis, so a high generator over two of
+    # degree 1 stays cheap: the Lie basis of degree 41 is astronomically large
+    def no_basis(self, degree):
+        raise AssertionError(f"Lie basis of degree {degree} built")
+
+    monkeypatch.setattr(FreeLie, "lie_basis", no_basis)
+    m = dsl.parse("model m : quillen\ngen a : 1\ngen b : 1\ngen w : 40\n"
+                  "gen z : 42\nd z = [a,w]\n")
+    assert m.validate().ok
 
 
 def test_whitehead_sequence_exact(catalog_quillen):

@@ -103,10 +103,11 @@ def test_truncation_not_closed_raises():
 
 
 def test_l_spaces_cpn(cp2):
-    assert [sullivan.L_dim(cp2, i) for i in range(4, 11)] == \
+    a = invariants.SullivanAnalysis(cp2)
+    assert [a.l_dim(i) for i in range(4, 11)] == \
         [1, 0, 1, 0, 0, 0, 0]
-    cp3 = dsl.catalog("cpn_sullivan", 3)
-    assert [sullivan.L_dim(cp3, i) for i in range(4, 15)] == \
+    a = invariants.SullivanAnalysis(dsl.catalog("cpn_sullivan", 3))
+    assert [a.l_dim(i) for i in range(4, 15)] == \
         [1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0]
 
 
