@@ -1,7 +1,8 @@
 """What the Sullivan and the Quillen side share: generators, sparse
 elements, the free graded algebra with its derivations, validation reports,
-free graded models with their truncations, the graded complex with its
-(co)homology, and the Whitehead report.
+free graded models with their truncations, Gamma and the Whitehead
+sequence, the graded complex with its (co)homology, and the Whitehead
+report.
 
 A ``GradedComplex`` has a canonical basis in each degree, indexed by keys
 (monomials, resp. leading words of the Lie basis), and a differential that
@@ -10,9 +11,22 @@ its basis keys, converts between elements and coordinates, and assembles
 ``d`` on a model without a parent; everything else lives here.  A truncation
 keeps its ``parent`` model, whose basis keys contain its own in the same
 order, and its ``d`` matrices are the parent's restricted to its keys.
+
+Gamma is defined once for both sides:
+
+    Gamma(k) = ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k)),
+
+where gens(k) are the generators of degree k.  On cochains (step = +1)
+the truncation to degrees <= k - 2 has no generator of degree k, so
+Gamma^k = H^k(Lambda V^(<= k - 2)) = L^k.  On chains (step = -1) it is
+Gamma_k = ker(j_k : H_k(L(W_(<= k))) -> W_k).  Both Whitehead sequences
+are then one sequence, gens(i) -b-> Gamma(i + step) -incl-> H(i + step)
+-p-> gens(i + step), and both rho and eta are 1 + sum over k >= 2 of
+(-1)^k dim Gamma(k).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -211,6 +225,14 @@ class WhiteheadReport:
                 if verbose or any(list(vars(n).values())[1:4])]
 
 
+@dataclass
+class GammaData:
+    degree: int
+    dim: int
+    reps: list                        # cycles of truncate(degree - 1 - step)
+    h_coords: list[linalg.Vector]     # their coordinates over its H reps
+
+
 def check_exact(node: str, incoming: linalg.QMatrix,
                 outgoing: linalg.QMatrix):
     """ExactnessFailure unless im(incoming) = ker(outgoing) at ``node``."""
@@ -224,8 +246,9 @@ class GradedModel:
     """What the two model types share: a free algebra on the generators, a
     differential given on them, and truncations that keep their ``parent``.
 
-    A subclass sets ``kind``, ``algebra_type``, ``complex_type`` and
-    ``d_name``, the name validation messages give the differential.
+    A subclass sets ``kind``, ``algebra_type``, ``complex_type``,
+    ``node_type``, the record of one Whitehead node, and ``d_name``, the
+    name validation messages give the differential.
     ``generators`` is a generator list, or the free algebra on one, which
     the model adopts.
     """
@@ -233,6 +256,7 @@ class GradedModel:
     kind: str
     algebra_type: type
     complex_type: type
+    node_type: type
     d_name: str
 
     def __init__(self, generators: "Sequence[Generator] | FreeAlgebra",
@@ -248,6 +272,8 @@ class GradedModel:
         self._complex = None
         self._derivation = None
         self._trunc_cache: dict[int, GradedModel] = {}
+        self._gamma_cache: dict[int, GammaData] = {}
+        self._gamma_dims: dict[int, int] = {}
         self._valid = False
 
     @property
@@ -313,13 +339,76 @@ class GradedModel:
                 name=f"{self.name}[<={k}]" if self.name else "", parent=self)
         return self._trunc_cache[k]
 
+    def gamma(self, k: int) -> GammaData:
+        """Gamma(k), memoized: every caller gets the same GammaData, which
+        must not be mutated."""
+        if k not in self._gamma_cache:
+            self._gamma_cache[k] = self._gamma(k)
+        return self._gamma_cache[k]
+
+    def _gamma(self, k: int) -> GammaData:
+        """ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k))."""
+        tc = self.truncate(k - 1 - self.complex_type.step).complex()
+        _, _, reps_v = tc.homology(k)
+        kernel = linalg.kernel_basis(tc.linear_part(k))
+        combine = linalg.QMatrix.from_columns(reps_v, tc.dim(k))
+        return GammaData(k, len(kernel), [
+            tc.from_coords(k, combine.apply(v)) for v in kernel], kernel)
+
+    def gamma_dim(self, k: int) -> int:
+        """dim Gamma(k), memoized; the truncation's rank-only betti_k when it
+        has no generator of degree k (always on cochains)."""
+        if k not in self._gamma_dims:
+            t = self.truncate(k - 1 - self.complex_type.step)
+            self._gamma_dims[k] = (
+                self.gamma(k).dim if any(g.degree == k for g in t.generators)
+                else t.complex().betti(k))
+        return self._gamma_dims[k]
+
+    def gamma_sum(self, top: int) -> int:
+        """1 + sum over 2 <= k <= top of (-1)^k dim Gamma(k): rho on
+        cochains, eta on chains."""
+        return 1 + sum((-1) ** k * self.gamma_dim(k)
+                       for k in range(2, top + 1))
+
     def whitehead_b(self, i: int) -> linalg.QMatrix:
-        """The Whitehead map b on the degree-i generators: g |-> [d g], a
-        class of degree i + step of the truncation to degrees <= i - 1."""
+        """The Whitehead map b : gens(i) -> Gamma(i + step), g |-> [d g]:
+        a class of truncate(i - 1), the truncation that holds Gamma(i + step),
+        written over Gamma's representatives."""
+        k = i + self.complex_type.step
         gens = [g for g in self.generators if g.degree == i]
-        return self.truncate(i - 1).complex().class_matrix(
-            i + self.complex_type.step,
-            [self.d_of_generator(g.index) for g in gens])
+        if not gens:    # a map from zero needs no Gamma representatives
+            return linalg.QMatrix(self.gamma_dim(k), 0)
+        into_h = self.truncate(i - 1).complex().class_matrix(
+            k, [self.d_of_generator(g.index) for g in gens])
+        gd = self.gamma(k)
+        onto = linalg.QMatrix.from_columns(gd.h_coords, into_h.rows)
+        cols = [linalg.solve(onto, col) for col in into_h.columns()]
+        if None in cols:
+            raise InternalInconsistency(
+                f"{self!r}: b of a degree-{i} generator leaves Gamma({k})")
+        return linalg.QMatrix.from_columns(cols, gd.dim)
+
+    def whitehead_sequence(self, max_degree: int) -> WhiteheadReport:
+        """gens(i) -b-> Gamma(i + step) -incl-> H(i + step) -p-> gens(i +
+        step), checked exact at every node (ExactnessFailure on any breach).
+        Node i holds gens(i), and Gamma(g) and H(g) for g the higher of i
+        and i + step, with the rank of the b into Gamma(g)."""
+        full, step = self.complex(), self.complex_type.step
+        p = functools.cache(full.linear_part)
+        b = functools.cache(self.whitehead_b)
+        gens, gam, hom = self.node_type.labels
+        nodes = []
+        for i in range(2, max_degree + 1):
+            g = max(i, i + step)
+            incl = full.class_matrix(g, self.gamma(g).reps)
+            check_exact(f"{gens}{i}", p(i), b(i))
+            check_exact(f"{gam}{g}", b(g - step), incl)
+            check_exact(f"{hom}{g}", incl, p(g))
+            nodes.append(self.node_type(
+                i, p(i).rows, incl.cols, incl.rows, linalg.rank(b(g - step)),
+                linalg.rank(incl)))
+        return WhiteheadReport(tuple(nodes), max_degree)
 
     def complex(self) -> "GradedComplex":
         if self._complex is None:

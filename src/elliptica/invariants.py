@@ -69,9 +69,9 @@ def default_bound(model: SullivanModel) -> int:
 
 
 class _Analysis:
-    """What the analyses of both model kinds share: the model, validated on
-    construction, the degree window ``bound`` (the kind's default when
-    None), and the (co)homology table of the window, built on first use."""
+    """What the analyses of both model kinds share: the model, of its kind
+    and validated on construction, the degree window ``bound`` (the kind's
+    default when None), and the (co)homology table, built on first use."""
 
     h_label: str            # the text label of a (co)homology row
     low: int                # the first degree of the table
@@ -79,6 +79,10 @@ class _Analysis:
     kind: str               # the model kind, "sullivan" or "quillen"
 
     def __init__(self, model, bound: int | None = None):
+        if model.kind != self.kind:
+            raise BadParameter(
+                f"{model!r} is a {model.kind} model; "
+                f"{type(self).__name__} needs a {self.kind} model")
         self.model = model.require_valid()
         self.bound = bound if bound is not None else self.default_bound(model)
 
@@ -102,10 +106,6 @@ class SullivanAnalysis(_Analysis):
     low = 0
     default_bound = staticmethod(default_bound)
 
-    def __init__(self, model: SullivanModel, bound: int | None = None):
-        super().__init__(model, bound)
-        self._l_dims: dict[int, int] = {}
-
     def require_elliptic(self) -> int:
         """The top degree of H^* in the window; NotEllipticWithinBound if it
         lies beyond the candidate formal dimension, BadParameter if the
@@ -128,15 +128,12 @@ class SullivanAnalysis(_Analysis):
         """The formal dimension, proved by ``require_elliptic`` on first use."""
         return self.require_elliptic()
 
-    def l_dim(self, i: int) -> int:
-        """dim L^i = dim H^i of the truncation to degrees <= i - 2."""
-        if i not in self._l_dims:
-            self._l_dims[i] = self.model.truncate(i - 2).complex().betti(i)
-        return self._l_dims[i]
-
     @property
     def chi_h(self) -> int:
-        return sum((-1) ** i * d for i, d in self.betti.items())
+        """sum of (-1)^i dim H^i up to ``formal_dimension``, which proves
+        that the window holds all of H^*."""
+        n = self.formal_dimension
+        return sum((-1) ** i * d for i, d in self.betti.items() if i <= n)
 
     @property
     def chi_v(self) -> int:
@@ -145,11 +142,11 @@ class SullivanAnalysis(_Analysis):
     def l_window(self) -> dict[int, int]:
         """dim L^i for 4 <= i <= 2n + 2 (zero beyond 2n by ellipticity)."""
         n = self.formal_dimension
-        return {i: self.l_dim(i) for i in range(4, 2 * n + 3)}
+        return {i: self.model.gamma_dim(i) for i in range(4, 2 * n + 3)}
 
     def rho(self) -> int:
-        n = self.formal_dimension
-        return 1 + sum((-1) ** i * self.l_dim(i) for i in range(4, 2 * n + 1))
+        """1 + sum over 2 <= i <= 2n of (-1)^i dim L^i (L^2 = L^3 = 0)."""
+        return self.model.gamma_sum(2 * self.formal_dimension)
 
     def elliptic_checks(self) -> TheoremLedger:
         """Structure theorems for elliptic models, checked literally, plus
@@ -198,7 +195,7 @@ class SullivanAnalysis(_Analysis):
         chi_h, chi_v = self.chi_h, self.chi_v
         ledger.add("rho-equals-chi-h-minus-chi-v", r == chi_h - chi_v,
                    rho=r, chi_h=chi_h, chi_v=chi_v)
-        partial = sum((-1) ** i * self.l_dim(i) for i in range(4, n + 2))
+        partial = self.model.gamma_sum(n + 1) - 1   # rho's sum cut at n + 1
         ledger.add("rho-slack-within-two", 0 <= r - partial <= 2,
                    rho=r, partial_sum=partial)
         ledger.add("rho-positive", r >= 1, rho=r)
@@ -237,7 +234,7 @@ class SullivanAnalysis(_Analysis):
             ledger.add("f0-even-b-maps-vanish", None)
             return ledger
         n = self.formal_dimension
-        bad = [i for i in range(5, 2 * n + 3, 2) if self.l_dim(i)]
+        bad = [i for i in range(5, 2 * n + 3, 2) if self.model.gamma_dim(i)]
         ledger.add("f0-odd-l-vanishes", not bad, offenders=bad)
         bad = [i for i in range(2, 2 * n + 1, 2)
                if linalg.rank(self.model.whitehead_b(i))]
@@ -309,17 +306,18 @@ class QuillenAnalysis(_Analysis):
         """dim H_i(L(W)), in any degree."""
         return self.model.complex().betti(i)
 
-    def gamma_dim(self, i: int) -> int:
-        return self.model.gamma(i).dim
-
     def gamma_table(self) -> dict[int, int]:
         """dim Gamma_i for 2 <= i <= 2 max(max|W|, 2)."""
         top = max(self.model.max_generator_degree(), 2)
-        return quillen.gamma_table(self.model, 2 * top)
+        return {i: self.model.gamma_dim(i) for i in range(2, 2 * top + 1)}
+
+    @cached_property
+    def gamma_top(self) -> int:
+        """Gamma's top degree, proved by ``quillen.gamma_top`` on first use."""
+        return quillen.gamma_top(self.model, self.bound)
 
     def eta(self) -> int:
-        """eta; it refuses a window that may miss the top of H_*(L(W))."""
-        return quillen.eta(self.model, self.bound)
+        return self.model.gamma_sum(self.gamma_top)
 
     @property
     def chi_h(self) -> int:
@@ -328,9 +326,11 @@ class QuillenAnalysis(_Analysis):
 
     @property
     def chi_pi(self) -> int:
-        """sum of (-1)^(i + 1) dim H_i(L(W)) over the window, which must
-        hold all of H_*(L(W)): ``eta`` refuses a window that may not."""
-        return sum((-1) ** (i + 1) * d for i, d in self.betti.items())
+        """sum of (-1)^(i + 1) dim H_i(L(W)) up to ``gamma_top``, which
+        proves that the window holds all of H_*(L(W))."""
+        top = self.gamma_top
+        return sum((-1) ** (i + 1) * d for i, d in self.betti.items()
+                   if i <= top)
 
     def whitehead(self) -> WhiteheadReport:
         return quillen.whitehead_sequence_dgl(self.model, self.bound)
@@ -417,7 +417,7 @@ def compare_models(s: SullivanModel, q: DGLModel,
     e = b.eta()
     n = a.formal_dimension
     mismatches = [] if r == e else [f"rho {r} != eta {e}"]
-    l_vs_gamma = {k: (a.l_dim(k), b.gamma_dim(k - 2))
+    l_vs_gamma = {k: (s.gamma_dim(k), q.gamma_dim(k - 2))
                   for k in range(4, 2 * n + 1)}
     mismatches += [f"dim L^{k} = {lk} != dim Gamma_{k - 2} = {gk}"
                    for k, (lk, gk) in l_vs_gamma.items() if lk != gk]

@@ -1,13 +1,13 @@
-"""Quillen models: DGL homology, the Gamma spaces, the maps j and b, the
-Whitehead exact sequence on the Lie side, and the invariant eta."""
+"""Quillen models: DGL homology, the Whitehead exact sequence on the Lie
+side, and the invariant eta."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import BadParameter, InternalInconsistency, UnboundedGamma
-from .graded import (GradedComplex, GradedModel, ValidationIssue,
-                     ValidationReport, WhiteheadReport, check_exact)
+from .graded import (GammaData, GradedComplex, GradedModel, ValidationIssue,
+                     ValidationReport, WhiteheadReport)
 from .lie import FreeLie, LieElement, Word
 
 
@@ -19,6 +19,8 @@ class WhiteheadNodeL:
     dim_h: int               # dim H_i(L(W))
     rank_b: int              # rank of b_(i+1) : W_(i+1) -> Gamma_i
     rank_incl: int           # rank of Gamma_i -> H_i(L(W))
+
+    labels = ("W_", "Gamma_", "H_")
 
     def line(self) -> str:
         i = self.degree
@@ -68,11 +70,8 @@ class DGLModel(GradedModel):
     kind = "quillen"
     algebra_type = FreeLie
     complex_type = DGLComplex
+    node_type = WhiteheadNodeL
     d_name = "delta"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._gamma_cache: dict[int, "GammaData"] = {}
 
     @property
     def lie(self) -> FreeLie:
@@ -83,103 +82,34 @@ class DGLModel(GradedModel):
     delta_of_generator = GradedModel.d_of_generator
 
     def validate(self) -> ValidationReport:
-        """The shared checks, and a ``lie-element`` issue for each image of
+        """The shared checks, a ``minimality`` issue for each image with a
+        one-letter word, and a ``lie-element`` issue for each image of
         degree |g| - 1 that is a tensor outside L(W)."""
         issues, lie = list(super().validate().issues), self.lie
         for idx, img in self.differential.items():
             g = lie.by_index[idx]
+            if any(len(w) == 1 for w in img.terms):
+                issues.append(ValidationIssue(
+                    "minimality", g.name,
+                    f"delta({g.name}) has a linear term"))
             if (g.degree > 1 and lie.is_homogeneous(img, g.degree - 1)
                     and not lie.is_lie(img)):
                 issues.append(ValidationIssue(
                     "lie-element", g.name, f"delta({g.name}) is not in L(W)"))
         return ValidationReport(tuple(issues))
 
-    def gamma(self, i: int) -> "GammaData":
-        """Gamma_i of this model: ``gamma(self, i)``, entered only the first
-        time.  The result is shared; do not mutate it."""
-        gd = self._gamma_cache.get(i)
-        return gd if gd is not None else gamma(self, i)
-
 
 # --- module-level operations -------------------------------------------------
 
-@dataclass
-class GammaData:
-    degree: int
-    dim: int
-    reps: list[LieElement]            # cycles in L(W_(<= i))
-    h_coords: list[linalg.Vector]     # their coordinates over H reps
-    complex: DGLComplex               # homology of the degree-i truncation
-
-
 def gamma(model: DGLModel, i: int) -> GammaData:
-    """Gamma_i = ker(j_i : H_i(L(W_(<= i))) -> W_i).
-
-    Memoized on the model: every caller gets the same GammaData, which must
-    not be mutated.  Callers inside the engine go through ``model.gamma(i)``.
-    """
-    if i < 2:
-        raise ValueError("Gamma_i defined for i >= 2")
-    if i in model._gamma_cache:
-        return model._gamma_cache[i]
-    tc = model.truncate(i).complex()
-    _, _, reps_v = tc.homology(i)
-    kernel = linalg.kernel_basis(tc.linear_part(i))
-    combine = linalg.QMatrix.from_columns(reps_v, tc.dim(i))
-    gamma_reps = [tc.from_coords(i, combine.apply(k)) for k in kernel]
-    gd = GammaData(i, len(kernel), gamma_reps, list(kernel), tc)
-    model._gamma_cache[i] = gd
-    return gd
-
-
-def b_map(model: DGLModel, i: int) -> linalg.QMatrix:
-    """Matrix of b_i : W_i -> Gamma_(i-1), w |-> [delta w]."""
-    if i < 3:
-        raise ValueError("b_i as a map into Gamma needs i >= 3")
-    gd = model.gamma(i - 1)
-    into_h = model.whitehead_b(i)
-    # express [delta w] over the Gamma representative basis (inside H)
-    gamma_span = linalg.Span(into_h.rows)
-    for v in gd.h_coords:
-        gamma_span.add(v)
-    cols = []
-    for c, col in enumerate(into_h.columns()):
-        coords = gamma_span.express(col)
-        if coords is None:
-            raise InternalInconsistency(
-                f"{model!r}: [delta] of the degree-{i} generator number {c} "
-                f"has a nonzero generator-linear part")
-        cols.append(coords)
-    return linalg.QMatrix.from_columns(cols, gd.dim)
+    """Gamma_i = ker(j_i : H_i(L(W_(<= i))) -> W_i): ``model.gamma(i)``."""
+    return model.gamma(i)
 
 
 def whitehead_sequence_dgl(model: DGLModel, max_degree: int) -> WhiteheadReport:
-    """Assemble ... -> W_(i+1) -> Gamma_i -> H_i(L(W)) -> W_i -> ... and
-    verify im = ker at every node by rank arithmetic."""
-    full = model.complex()
-    gammas = {i: model.gamma(i) for i in range(2, max_degree + 2)}
-    # Gamma_i -> H_i(L(W)) induced by the inclusion of the truncation, the
-    # linear part H_i(L(W)) -> W_i, and b_i into the homology of the
-    # truncation and into Gamma_(i-1)
-    incl = {i: full.class_matrix(i, gammas[i].reps)
-            for i in range(2, max_degree + 1)}
-    h_lin = {i: full.linear_part(i) for i in range(2, max_degree + 1)}
-    b_into_h = {i: model.whitehead_b(i) for i in range(2, max_degree + 1)}
-    b_into_gamma = {i: b_map(model, i) for i in range(3, max_degree + 2)}
-    nodes: list[WhiteheadNodeL] = []
-    for i in range(2, max_degree + 1):
-        check_exact(f"Gamma_{i}", b_into_gamma[i + 1], incl[i])
-        check_exact(f"H_{i}", incl[i], h_lin[i])
-        check_exact(f"W_{i}", h_lin[i], b_into_h[i])
-        nodes.append(WhiteheadNodeL(
-            degree=i,
-            dim_w=h_lin[i].rows,
-            dim_gamma=gammas[i].dim,
-            dim_h=incl[i].rows,
-            rank_b=linalg.rank(b_into_gamma[i + 1]),
-            rank_incl=linalg.rank(incl[i]),
-        ))
-    return WhiteheadReport(tuple(nodes), max_degree)
+    """... -> W_(i+1) -> Gamma_i -> H_i(L(W)) -> W_i -> ..., checked exact
+    at every node."""
+    return model.whitehead_sequence(max_degree)
 
 
 def default_bound(model: DGLModel) -> int:
@@ -192,8 +122,8 @@ def homology_table(model: DGLModel, bound: int) -> dict[int, int]:
     return {i: c.betti(i) for i in range(1, bound + 1)}
 
 
-def eta(model: DGLModel, bound: int | None = None) -> int:
-    """1 + sum over i >= 2 of (-1)^i dim Gamma_i, in algebra degrees.
+def gamma_top(model: DGLModel, bound: int | None = None) -> int:
+    """The top degree of Gamma, proven from the degree window.
 
     Vanishing of Gamma above the window is certified through exactness:
     Gamma_i = 0 once W_(i+1) = 0 and H_i(L(W)) = 0.  The window must reach
@@ -212,12 +142,10 @@ def eta(model: DGLModel, bound: int | None = None) -> int:
             raise UnboundedGamma(
                 f"H_{i}(L(W)) != 0 beyond the elliptic window (bound {bound})")
     h_top = max((i for i, d in table.items() if d), default=0)
-    top = max(max_w, h_top)
-    total = 0
-    for i in range(2, top + 1):
-        total += (-1) ** i * model.gamma(i).dim
-    return 1 + total
+    return max(max_w, h_top)
 
 
-def gamma_table(model: DGLModel, top: int) -> dict[int, int]:
-    return {i: model.gamma(i).dim for i in range(2, top + 1)}
+def eta(model: DGLModel, bound: int | None = None) -> int:
+    """1 + sum over 2 <= i <= ``gamma_top`` of (-1)^i dim Gamma_i, in
+    algebra degrees."""
+    return model.gamma_sum(gamma_top(model, bound))

@@ -1,5 +1,5 @@
-"""Sullivan models: cochain complexes, cohomology, truncations, the spaces
-L^i, and the Whitehead exact sequence on the commutative side."""
+"""Sullivan models: cochain complexes, cohomology, truncations and the
+Whitehead exact sequence on the commutative side, where Gamma^i is L^i."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,7 +10,7 @@ from . import linalg
 from .commutative import Algebra, Element, Generator, Monomial
 from .errors import DegreeMismatch, TruncationNotClosed
 from .graded import (GradedComplex, GradedModel, ValidationIssue,
-                     ValidationReport, WhiteheadReport, check_exact)
+                     ValidationReport, WhiteheadReport)
 
 _ZERO = Fraction(0)
 
@@ -23,6 +23,8 @@ class WhiteheadNodeS:
     dim_h_next: int          # dim H^(i+1)
     rank_b: int              # rank of b^i : V^i -> L^(i+1)
     rank_incl: int           # rank of L^(i+1) -> H^(i+1)
+
+    labels = ("V^", "L^", "H^")
 
     def line(self) -> str:
         i = self.degree
@@ -78,6 +80,7 @@ class SullivanModel(GradedModel):
     kind = "sullivan"
     algebra_type = Algebra
     complex_type = CochainComplex
+    node_type = WhiteheadNodeS
     d_name = "d"
 
     def validate(self) -> ValidationReport:
@@ -139,27 +142,5 @@ def tensor_product(a: SullivanModel, b: SullivanModel,
 
 
 def whitehead_sequence(model: SullivanModel, max_degree: int) -> WhiteheadReport:
-    """Assemble sequence H^i -> V^i -> L^(i+1) -> H^(i+1) -> ... and check
-    im = ker at every node (ExactnessFailure on any breach)."""
-    full = model.complex()
-    # H^i -> V^i, b^i : V^i -> L^(i+1), and L^(i+1) -> H^(i+1) induced by
-    # the inclusion of the truncation
-    p = {i: full.linear_part(i) for i in range(2, max_degree + 2)}
-    b = {i: model.whitehead_b(i) for i in range(2, max_degree + 1)}
-    q = {i: full.class_matrix(
-            i + 1, model.truncate(i - 1).complex().cohomology(i + 1)[1])
-         for i in range(2, max_degree + 1)}
-    nodes: list[WhiteheadNodeS] = []
-    for i in range(2, max_degree + 1):
-        check_exact(f"V^{i}", p[i], b[i])
-        check_exact(f"L^{i + 1}", b[i], q[i])
-        check_exact(f"H^{i + 1}", q[i], p[i + 1])
-        nodes.append(WhiteheadNodeS(
-            degree=i,
-            dim_v=p[i].rows,
-            dim_l_next=q[i].cols,
-            dim_h_next=q[i].rows,
-            rank_b=linalg.rank(b[i]),
-            rank_incl=linalg.rank(q[i]),
-        ))
-    return WhiteheadReport(tuple(nodes), max_degree)
+    """H^i -> V^i -> L^(i+1) -> H^(i+1) -> ..., checked exact at every node."""
+    return model.whitehead_sequence(max_degree)

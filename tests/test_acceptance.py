@@ -97,7 +97,7 @@ def test_criterion_4_rho_partial_sum_bounds(population, catalog_population):
     checked = 0
     for m, a in catalog_population + population:
         n = a.formal_dimension
-        partial = sum((-1) ** i * a.l_dim(i) for i in range(4, n + 2))
+        partial = sum((-1) ** i * a.model.gamma_dim(i) for i in range(4, n + 2))
         slack = a.rho() - partial
         if not 0 <= slack <= 2:
             report(4, False, f"{m.name}: slack {slack}")

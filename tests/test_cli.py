@@ -164,6 +164,20 @@ def test_check_reports_an_invalid_model(tmp_path, capsys):
         {"check": "d-squared", "generator": "z", "message": "d(d(z)) != 0"}]
 
 
+@pytest.mark.parametrize("argv", [["check"], ["cohomology"], ["invariants"],
+                                  ["whitehead"], ["verify"],
+                                  ["compare", "cpn_sullivan(2)"]])
+def test_a_non_minimal_quillen_model_is_refused(tmp_path, capsys, argv):
+    # delta(b) = a is linear: an input fault (exit 1), not an exactness
+    # breach of the engine (exit 3)
+    p = tmp_path / "nm.rhm"
+    p.write_text("model nm : quillen\ngen a : 2\ngen b : 3\nd b = a\n")
+    code, out, err = run(capsys, *argv, str(p))
+    assert code == 1
+    assert "minimality (b): delta(b) has a linear term" in out + err
+    assert "exactness breach" not in err
+
+
 @pytest.mark.parametrize("spec", CATALOG_QUILLEN_SPECS)
 def test_verify_quillen_ledger(capsys, spec):
     code, out, _ = run(capsys, "verify", spec)

@@ -141,6 +141,28 @@ def test_eta_equals_chi_h_minus_chi_pi(spec, expected):
     assert a.ledger().all_verified
 
 
+def test_an_analysis_refuses_a_model_of_the_other_kind(cp2, cp2q):
+    for call in [lambda: invariants.invariant_report(cp2q),
+                 lambda: invariants.full_ledger(cp2q),
+                 lambda: invariants.SullivanAnalysis(cp2q).chi_h,
+                 lambda: invariants.QuillenAnalysis(cp2)]:
+        with pytest.raises(BadParameter, match="is a (quillen|sullivan) model;"
+                           " (Sullivan|Quillen)Analysis needs a"):
+            call()
+
+
+def test_no_euler_characteristic_from_a_short_window(cp2, cp2q):
+    # the true values are chi_H(CP^2) = 3 and chi_pi(CP^2) = 0
+    with pytest.raises(BadParameter, match="ellipticity verdict needs a "
+                       "degree window of at least 10, got 3"):
+        invariants.SullivanAnalysis(cp2, 3).chi_h
+    with pytest.raises(BadParameter, match="eta needs a degree window of "
+                       "at least 8 .*, got 3"):
+        invariants.QuillenAnalysis(cp2q, 3).chi_pi
+    assert invariants.SullivanAnalysis(cp2, 10).chi_h == 3
+    assert invariants.QuillenAnalysis(cp2q, 8).chi_pi == 0
+
+
 def test_analysis_picks_the_model_kind(cp2, cp2q):
     assert type(invariants.analysis(cp2)) is invariants.SullivanAnalysis
     a = invariants.analysis(cp2q, 9)

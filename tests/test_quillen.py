@@ -18,12 +18,13 @@ def test_cp2_quillen_homology(cp2q):
 
 
 def test_cp2_quillen_gamma_and_eta(cp2q):
-    assert quillen.gamma_table(cp2q, 6) == {2: 1, 3: 0, 4: 1, 5: 0, 6: 0}
+    assert {i: cp2q.gamma_dim(i) for i in range(2, 7)} == \
+        {2: 1, 3: 0, 4: 1, 5: 0, 6: 0}
     assert quillen.eta(cp2q) == 3
 
 
 def test_s2_quillen_eta(s2q):
-    assert quillen.gamma_table(s2q, 4) == {2: 1, 3: 0, 4: 0}
+    assert {i: s2q.gamma_dim(i) for i in range(2, 5)} == {2: 1, 3: 0, 4: 0}
     assert quillen.eta(s2q) == 2
 
 
@@ -59,6 +60,12 @@ def test_validate_catches_inhomogeneous_image():
     assert [i.check for i in bad.validate().issues] == ["lie-element"]
     with pytest.raises(ValidationError, match=r"lie-element \(b\)"):
         invariants.analysis(bad)
+    # delta(b) = a is homogeneous but linear: the model is not minimal
+    gens = [LieGenerator("a", 2, 0), LieGenerator("b", 3, 1)]
+    bad = DGLModel(gens, {1: LieElement({(0,): 1})})
+    assert [i.check for i in bad.validate().issues] == ["minimality"]
+    with pytest.raises(ValidationError, match=r"minimality \(b\)"):
+        invariants.analysis(bad)
 
 
 def test_validation_builds_no_lie_basis(monkeypatch):
@@ -88,6 +95,17 @@ def test_whitehead_nodes_cp2q(cp2q):
     assert by_deg[2].rank_b == 1    # delta(w3) = 1/2[w1,w1] hits Gamma_2
 
 
+def test_whitehead_nodes_cp3q_pinned():
+    # (i, dim W_i, dim Gamma_i, dim H_i, rank b, rank incl) at the default
+    # window 12
+    q = dsl.catalog("cpn_quillen", 3)
+    report = quillen.whitehead_sequence_dgl(q, quillen.default_bound(q))
+    assert [tuple(vars(n).values()) for n in report.nodes] == [
+        (2, 0, 1, 0, 1, 0), (3, 1, 0, 0, 0, 0), (4, 0, 1, 0, 1, 0),
+        (5, 1, 0, 0, 0, 0), (6, 0, 1, 1, 0, 1),
+        *[(i, 0, 0, 0, 0, 0) for i in range(7, 13)]]
+
+
 def test_eta_unbounded_gamma_detected():
     # the free DGL on two degree-1 generators has homology in all degrees
     gens = [LieGenerator("u", 1, 0), LieGenerator("v", 1, 1)]
@@ -104,20 +122,20 @@ def test_gamma_reps_are_cycles(cp2q):
 def test_gamma_is_computed_once_per_degree(monkeypatch):
     q = dsl.catalog("cpn_quillen", 3)
     seen = []
-    compute = quillen.gamma
+    compute = DGLModel._gamma
 
     def counting_gamma(model, i):
         seen.append(i)
         return compute(model, i)
 
-    monkeypatch.setattr(quillen, "gamma", counting_gamma)
+    monkeypatch.setattr(DGLModel, "_gamma", counting_gamma)
     bound = quillen.default_bound(q)
     quillen.whitehead_sequence_dgl(q, bound)
     quillen.eta(q)
-    quillen.gamma_table(q, bound)
+    {i: q.gamma(i).dim for i in range(2, bound + 1)}
     assert sorted(seen) == sorted(set(seen))
     # the memo hands every caller the same object
-    assert compute(q, 4) is q.gamma(4)
+    assert quillen.gamma(q, 4) is q.gamma(4)
 
 
 @pytest.mark.parametrize("spec", [*CATALOG_QUILLEN_SPECS, "cpn_quillen(4)"])

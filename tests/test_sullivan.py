@@ -104,10 +104,10 @@ def test_truncation_not_closed_raises():
 
 def test_l_spaces_cpn(cp2):
     a = invariants.SullivanAnalysis(cp2)
-    assert [a.l_dim(i) for i in range(4, 11)] == \
+    assert [a.model.gamma_dim(i) for i in range(4, 11)] == \
         [1, 0, 1, 0, 0, 0, 0]
     a = invariants.SullivanAnalysis(dsl.catalog("cpn_sullivan", 3))
-    assert [a.l_dim(i) for i in range(4, 15)] == \
+    assert [a.model.gamma_dim(i) for i in range(4, 15)] == \
         [1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0]
 
 
@@ -124,6 +124,30 @@ def test_whitehead_nodes_cp2(cp2):
     assert by_deg[2].dim_v == 1 and by_deg[2].rank_b == 0
     assert by_deg[5].dim_v == 1 and by_deg[5].dim_l_next == 1
     assert by_deg[5].rank_b == 1  # d(y) = x^3 hits L^6
+
+
+def test_whitehead_nodes_cp3_pinned():
+    # (i, dim V^i, dim L^(i+1), dim H^(i+1), rank b, rank incl) at the
+    # default window 14: x:2 and y:7 with d y = x^4
+    m = dsl.catalog("cpn_sullivan", 3)
+    report = sullivan.whitehead_sequence(m, invariants.default_bound(m))
+    assert [tuple(vars(n).values()) for n in report.nodes] == [
+        (2, 1, 0, 0, 0, 0), (3, 0, 1, 1, 0, 1), (4, 0, 0, 0, 0, 0),
+        (5, 0, 1, 1, 0, 1), (6, 0, 0, 0, 0, 0), (7, 1, 1, 0, 1, 0),
+        *[(i, 0, 0, 0, 0, 0) for i in range(8, 15)]]
+
+
+def test_rho_builds_no_homology_representatives(monkeypatch):
+    # rho is an alternating sum of rank-only dimensions of L^i, each the
+    # betti number of a truncation
+    from elliptica.graded import GradedComplex
+
+    def no_reps(self, degree):
+        raise AssertionError(f"representatives of degree {degree} built")
+
+    monkeypatch.setattr(GradedComplex, "homology", no_reps)
+    a = invariants.SullivanAnalysis(dsl.catalog("cpn_sullivan", 3))
+    assert a.rho() == 4
 
 
 @pytest.mark.parametrize("model", [
