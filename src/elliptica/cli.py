@@ -30,6 +30,9 @@ def _load(spec: str):
             return dsl.parse_file(spec)
         except OSError as exc:
             raise _Usage(f"cannot read {spec!r}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            raise _Usage(f"cannot read {spec!r}: not UTF-8 text "
+                         f"({exc.reason} at byte {exc.start})")
     return dsl.catalog_spec(spec)
 
 

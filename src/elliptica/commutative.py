@@ -7,7 +7,7 @@ the Koszul sign rule, derivations satisfy the graded Leibniz identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DegreeMismatch
 from .graded import FreeAlgebra, Generator, GradedDerivation, SparseElement
@@ -58,24 +58,31 @@ class Derivation(GradedDerivation):
 class Algebra(FreeAlgebra):
     """The free graded-commutative algebra Lambda(V) on a generator list.
 
-    With ``source`` given, each basis is the source's, restricted to the
-    monomials in these generators: filtering a degree-lex list keeps its
-    order, so that is exactly the basis this algebra would enumerate itself.
+    Its basis keys are the monomials, each a basis element alone, so an
+    element's terms are its coordinates.  A restricted basis keeps the
+    source's monomials in these generators: filtering a degree-lex list
+    keeps its order, so that is exactly the basis this algebra would
+    enumerate itself.
     """
 
     element_type = Element
     derivation_type = Derivation
-
-    def __init__(self, generators: Sequence[Generator],
-                 source: "Algebra | None" = None):
-        super().__init__(generators, source)
-        self._basis_cache: dict[int, list[Monomial]] = {}
 
     def key_degree(self, m: Monomial) -> int:
         return sum(self.by_index[i].degree * e for i, e in m)
 
     def generator_key(self, index: int) -> Monomial:
         return ((index, 1),)
+
+    def key_generators(self, m: Monomial):
+        return (i for i, _ in m)
+
+    def key_str(self, m: Monomial) -> str:
+        return "*".join(self.by_index[i].name + ("" if e == 1 else f"^{e}")
+                        for i, e in m)
+
+    def key_coords(self, degree: int, e: Element) -> dict:
+        return e.terms
 
     # --- constructors ------------------------------------------------------
 
@@ -91,19 +98,10 @@ class Algebra(FreeAlgebra):
 
     # --- canonical bases ---------------------------------------------------
 
-    def basis(self, degree: int) -> list[Monomial]:
+    def _enumerate(self, degree: int):
         """All monomials of exactly the given degree, degree-lex order."""
         if degree < 0:
-            return []
-        cached = self._basis_cache.get(degree)
-        if cached is not None:
-            return cached
-        if self._source is not None:
-            kept = self.by_index
-            out = [m for m in self._source.basis(degree)
-                   if all(i in kept for i, _ in m)]
-            self._basis_cache[degree] = out
-            return out
+            return [], None
         gens = self.generators
         out: list[Monomial] = []
 
@@ -125,8 +123,7 @@ class Algebra(FreeAlgebra):
                     acc.pop()
 
         rec(0, degree, [])
-        self._basis_cache[degree] = out
-        return out
+        return out, None
 
     # --- multiplication ----------------------------------------------------
 

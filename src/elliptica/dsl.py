@@ -28,6 +28,7 @@ _ONE = Fraction(1)
 # --- tokenizer ---------------------------------------------------------------
 
 _SYMBOLS = set("+-*/^[],")
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str, line: int, col0: int):
@@ -40,9 +41,9 @@ def _tokenize(text: str, line: int, col0: int):
             i += 1
             continue
         col = col0 + i
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), col))
             i = j
@@ -250,7 +251,7 @@ def parse(text: str):
             name, deg = (p.strip() for p in rest.split(":", 1))
             if not name.isidentifier():
                 raise ModelSyntaxError(f"bad generator name {name!r}", ln)
-            if not deg.isdigit() or int(deg) < 1:
+            if not deg or not _DIGITS.issuperset(deg) or int(deg) < 1:
                 raise ModelSyntaxError(f"bad degree {deg!r}", ln)
             gen_lines.append((name, int(deg), ln))
         elif keyword == "d":
@@ -270,7 +271,7 @@ def parse(text: str):
             raise ModelSyntaxError(f"duplicate generator {gname!r}", ln)
         seen.add(gname)
 
-    model_type, env_type, _ = _KINDS[kind]
+    model_type, env_type = _KINDS[kind]
     alg = model_type.algebra_type(
         [Generator(n, d, i) for i, (n, d, _) in enumerate(gen_lines)])
     env = env_type(alg)
@@ -306,78 +307,34 @@ def parse_file(path):
 
 # --- serialize ---------------------------------------------------------------
 
-def _coeff_str(c: Fraction, lead: bool) -> str:
-    sign = "-" if c < 0 else ("" if lead else "+")
-    mag = abs(c)
-    body = f"{mag.numerator}" if mag.denominator == 1 else \
-        f"{mag.numerator}/{mag.denominator}"
-    return sign, body
-
-
-def _join_terms(parts: list[tuple[str, str]]) -> str:
-    out = []
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            out.append(f"{sign}{body}" if sign == "-" else body)
-        else:
-            out.append(f"{'-' if sign == '-' else '+'} {body}")
-    return " ".join(out)
-
-
-def _sullivan_element_str(model: SullivanModel, g: Generator) -> str:
+def _element_str(model, g: Generator) -> str:
+    """d(g) over the basis, by ascending key: on Lambda V its monomials, on
+    L(W) the bracketings of the Lie basis."""
     alg, e = model.algebra, model.d_of_generator(g.index)
-    parts = []
-    for mono in sorted(e.terms):
-        c = e.terms[mono]
-        factors = []
-        for idx, exp in mono:
-            nm = alg.by_index[idx].name
-            factors.append(nm if exp == 1 else f"{nm}^{exp}")
-        sign, cs = _coeff_str(c, lead=not parts)
-        if factors:
-            body = "*".join(factors) if abs(c) == 1 else \
-                "*".join([cs] + factors)
-        else:
-            body = cs
-        parts.append((sign, body))
-    return _join_terms(parts) if parts else "0"
-
-
-def _bracket_str(lie: FreeLie, tree) -> str:
-    if isinstance(tree, int):
-        return lie.by_index[tree].name
-    return f"[{_bracket_str(lie, tree[0])},{_bracket_str(lie, tree[1])}]"
-
-
-def _quillen_element_str(model: DGLModel, g: Generator) -> str:
-    lie, e = model.lie, model.d_of_generator(g.index)
-    deg = lie.degree(e)
-    coords = lie.lie_coords(deg, e)
+    coords = alg.key_coords(alg.degree(e), e)
     if coords is None:
         model.require_valid()       # raises its lie-element issue
-    _, trees = lie.lie_basis_with_seqs(deg)
-    parts = []
-    for c, tree in zip(coords, trees):
-        if not c:
-            continue
-        sign, cs = _coeff_str(c, lead=not parts)
-        body = _bracket_str(lie, tree)
+    text = ""
+    for key, c in sorted(coords.items()):
+        body = alg.key_str(key)
         if abs(c) != 1:
-            body = f"{cs}*{body}"
-        parts.append((sign, body))
-    return _join_terms(parts) if parts else "0"
+            body = f"{abs(c)}*{body}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            text = f"-{body}" if c < 0 else body
+    return text or "0"
 
 
-_KINDS = {"sullivan": (SullivanModel, _SullivanEnv, _sullivan_element_str),
-          "quillen": (DGLModel, _QuillenEnv, _quillen_element_str)}
+_KINDS = {"sullivan": (SullivanModel, _SullivanEnv),
+          "quillen": (DGLModel, _QuillenEnv)}
 
 
 def serialize(model) -> str:
     """Canonical .rhm text; parse(serialize(m)) equals m structurally."""
-    element_str = _KINDS[model.kind][2]
     lines = [f"model {model.name or 'unnamed'} : {model.kind}"]
     lines += [f"gen {g.name} : {g.degree}" for g in model.generators]
-    lines += [f"d {g.name} = {element_str(model, g)}"
+    lines += [f"d {g.name} = {_element_str(model, g)}"
               for g in model.generators if g.index in model.differential]
     return "\n".join(lines) + "\n"
 

@@ -74,7 +74,8 @@ class ValidationError(EllipticaError):
     def __init__(self, model, report):
         self.model = model
         self.report = report
-        super().__init__("; ".join(map(str, report.issues)))
+        super().__init__(
+            f"{model!r}: " + "; ".join(map(str, report.issues)))
 
 
 class UnknownCatalogEntry(EllipticaError):

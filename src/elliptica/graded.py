@@ -4,13 +4,13 @@ free graded models with their truncations, Gamma and the Whitehead
 sequence, the graded complex with its (co)homology, and the Whitehead
 report.
 
-A ``GradedComplex`` has a canonical basis in each degree, indexed by keys
-(monomials, resp. leading words of the Lie basis), and a differential that
-moves degree by ``step``: +1 for cochains, -1 for chains.  A subclass names
-its basis keys, converts between elements and coordinates, and assembles
-``d`` on a model without a parent; everything else lives here.  A truncation
-keeps its ``parent`` model, whose basis keys contain its own in the same
-order, and its ``d`` matrices are the parent's restricted to its keys.
+A ``FreeAlgebra`` owns a basis table in each degree, indexed by keys
+(monomials, resp. leading words of the Lie basis).  A ``GradedComplex``
+reads it for coordinates and for ``d``, which moves degree by ``step``:
++1 for cochains, -1 for chains; a subclass sets only ``step``.  A
+truncation keeps its ``parent`` model, whose basis keys contain its own in
+the same order, and its ``d`` matrices are the parent's restricted to its
+keys.
 
 Gamma is defined once for both sides:
 
@@ -106,13 +106,29 @@ class SparseElement:
         return f"{type(self).__name__}({self.terms!r})"
 
 
+class BasisTable:
+    """One degree's basis of a free algebra: the keys in canonical order,
+    each key's position, and the basis elements in key order -- None when
+    each is its key alone, as on Lambda V.  A basis element's leading
+    coefficient is its coefficient on its own key."""
+
+    def __init__(self, keys: list, elements: list | None):
+        self.keys, self.elements = keys, elements
+        self.index = {k: j for j, k in enumerate(keys)}
+
+
 class FreeAlgebra:
     """A free graded algebra on a list of generators: Lambda(V) or L(W).
 
+    It owns the per-degree basis tables.  With ``source`` given, the
+    generators must be a subset of the source's, and each table is the
+    source's, restricted to the keys whose generators are all kept: the
+    basis the algebra would enumerate itself, in the same order.
+
     A subclass sets ``element_type`` and ``derivation_type`` and supplies
-    the degree of one basis key and the key of a generator.  With ``source``
-    given, the generators must be a subset of the source's, and the
-    subclass restricts the source's bases instead of enumerating its own.
+    the degree of one basis key, the key of a generator, a fresh basis
+    (``_enumerate``), the generators a key uses, how to print a key, and
+    how to read an element's coefficients over the basis (``key_coords``).
     """
 
     element_type: type
@@ -130,6 +146,7 @@ class FreeAlgebra:
                 source.by_index.get(g.index) != g for g in generators):
             raise ValueError("generators are not a subset of the source's")
         self._source = source
+        self._tables: dict[int, BasisTable] = {}
 
     def key_degree(self, key) -> int:
         """The degree of one basis key."""
@@ -138,6 +155,81 @@ class FreeAlgebra:
     def generator_key(self, index: int):
         """The basis key of the generator with that index."""
         raise NotImplementedError
+
+    def _enumerate(self, degree: int) -> tuple[list, list | None]:
+        """A fresh basis of that degree: its keys in canonical order and its
+        elements (None when each is its key alone)."""
+        raise NotImplementedError
+
+    def key_generators(self, key):
+        """The indices of the generators the key uses."""
+        raise NotImplementedError
+
+    def key_str(self, key) -> str:
+        """The key's basis element in the text format."""
+        raise NotImplementedError
+
+    def key_coords(self, degree: int, e) -> dict | None:
+        """e's nonzero coefficients over the basis of that degree, keyed by
+        basis key; None when e is outside the algebra.  Must not be
+        mutated."""
+        raise NotImplementedError
+
+    # --- the basis table -----------------------------------------------------
+
+    def table(self, degree: int) -> BasisTable:
+        """The basis of that degree, memoized."""
+        t = self._tables.get(degree)
+        if t is None:
+            if self._source is None:
+                t = BasisTable(*self._enumerate(degree))
+            else:
+                src, kept = self._source.table(degree), self.by_index
+                keep = [j for j, k in enumerate(src.keys)
+                        if all(i in kept for i in self.key_generators(k))]
+                t = BasisTable([src.keys[j] for j in keep],
+                               None if src.elements is None
+                               else [src.elements[j] for j in keep])
+            self._tables[degree] = t
+        return t
+
+    def basis(self, degree: int) -> list:
+        """The basis keys of that degree, in canonical order."""
+        return self.table(degree).keys
+
+    def basis_element(self, degree: int, j: int):
+        """The j-th basis element of that degree."""
+        t = self.table(degree)
+        if t.elements is None:
+            return self.element_type._of({t.keys[j]: _ONE})
+        return t.elements[j]
+
+    def coords(self, degree: int, e) -> linalg.Vector | None:
+        """Coordinates of e over the basis of that degree; None when e is
+        outside the algebra."""
+        z = self.key_coords(degree, e)
+        if z is None:
+            return None
+        t = self.table(degree)
+        v = [_ZERO] * len(t.keys)
+        for k, c in z.items():
+            j = t.index.get(k)
+            if j is None:
+                raise DegreeMismatch(
+                    f"element has a term outside degree {degree}")
+            v[j] = c
+        return tuple(v)
+
+    def combination(self, degree: int, v: Sequence[Fraction]):
+        """The element with coordinates v over the basis of that degree."""
+        out: dict = {}
+        for j, c in enumerate(v):
+            if c:
+                for k, x in self.basis_element(degree, j).terms.items():
+                    out[k] = out.get(k, _ZERO) + c * x
+        return self.element_type._of(out)
+
+    # --- elements --------------------------------------------------------------
 
     def degree(self, e) -> int:
         """Degree of a homogeneous element; DegreeMismatch if mixed."""
@@ -229,8 +321,16 @@ class WhiteheadReport:
 class GammaData:
     degree: int
     dim: int
-    reps: list                        # cycles of truncate(degree - 1 - step)
-    h_coords: list[linalg.Vector]     # their coordinates over its H reps
+    h_coords: list[linalg.Vector]     # a basis, over the H reps of ``complex``
+    complex: "GradedComplex"          # that of truncate(degree - 1 - step)
+
+    @functools.cached_property
+    def reps(self) -> list:
+        """Cycles of ``complex`` with the coordinates ``h_coords``, built on
+        first access."""
+        k, tc = self.degree, self.complex
+        combine = linalg.QMatrix.from_columns(tc.homology(k)[2], tc.dim(k))
+        return [tc.from_coords(k, combine.apply(v)) for v in self.h_coords]
 
 
 def check_exact(node: str, incoming: linalg.QMatrix,
@@ -349,11 +449,8 @@ class GradedModel:
     def _gamma(self, k: int) -> GammaData:
         """ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k))."""
         tc = self.truncate(k - 1 - self.complex_type.step).complex()
-        _, _, reps_v = tc.homology(k)
         kernel = linalg.kernel_basis(tc.linear_part(k))
-        combine = linalg.QMatrix.from_columns(reps_v, tc.dim(k))
-        return GammaData(k, len(kernel), [
-            tc.from_coords(k, combine.apply(v)) for v in kernel], kernel)
+        return GammaData(k, len(kernel), kernel, tc)
 
     def gamma_dim(self, k: int) -> int:
         """dim Gamma(k), memoized; the truncation's rank-only betti_k when it
@@ -401,7 +498,10 @@ class GradedModel:
         nodes = []
         for i in range(2, max_degree + 1):
             g = max(i, i + step)
-            incl = full.class_matrix(g, self.gamma(g).reps)
+            gd = self.gamma(g)
+            h_reps = gd.complex.homology(g)[1]
+            incl = full.class_matrix(g, h_reps).matmul(
+                linalg.QMatrix.from_columns(gd.h_coords, len(h_reps)))
             check_exact(f"{gens}{i}", p(i), b(i))
             check_exact(f"{gam}{g}", b(g - step), incl)
             check_exact(f"{hom}{g}", incl, p(g))
@@ -431,7 +531,6 @@ class GradedComplex:
 
     def __init__(self, model):
         self.model = model
-        self._index_cache: dict[int, dict] = {}
         self._d_cache: dict[int, linalg.QMatrix] = {}
         self._rank_cache: dict[int, int] = {}
         self._squares_checked: set[int] = set()
@@ -439,34 +538,24 @@ class GradedComplex:
         self._coh_cache: dict[int, tuple[int, list, list]] = {}
         self._class_cache: dict[int, tuple[linalg.Span, int]] = {}
 
-    # --- supplied by the subclass ------------------------------------------
+    # --- bases and matrices ------------------------------------------------
 
     def keys(self, degree: int) -> list:
         """The basis keys of that degree, in canonical order."""
-        raise NotImplementedError
-
-    def to_coords(self, degree: int, e) -> linalg.Vector:
-        raise NotImplementedError
-
-    def from_coords(self, degree: int, v: Sequence[Fraction]):
-        raise NotImplementedError
-
-    def _assemble_d_matrix(self, degree: int) -> linalg.QMatrix:
-        """d : degree -> degree + step, built from the model's differential."""
-        raise NotImplementedError
-
-    # --- bases and matrices ------------------------------------------------
+        return self.model.algebra.basis(degree)
 
     def dim(self, degree: int) -> int:
         return len(self.keys(degree))
 
-    def _index(self, degree: int) -> dict:
-        """Basis key -> its position in the basis of that degree."""
-        idx = self._index_cache.get(degree)
-        if idx is None:
-            idx = {k: j for j, k in enumerate(self.keys(degree))}
-            self._index_cache[degree] = idx
-        return idx
+    def to_coords(self, degree: int, e) -> linalg.Vector:
+        z = self.model.algebra.coords(degree, e)
+        if z is None:
+            raise InternalInconsistency(
+                f"{self.model!r}: element outside the free algebra")
+        return z
+
+    def from_coords(self, degree: int, v: Sequence[Fraction]):
+        return self.model.algebra.combination(degree, v)
 
     def d_matrix(self, degree: int) -> linalg.QMatrix:
         """Matrix of d : degree -> degree + step in the canonical bases."""
@@ -479,15 +568,33 @@ class GradedComplex:
         self._d_cache[degree] = mat
         return mat
 
+    def _assemble_d_matrix(self, degree: int) -> linalg.QMatrix:
+        """d : degree -> degree + step, column by column from the model's
+        differential."""
+        alg, tgt = self.model.algebra, degree + self.step
+        idx = alg.table(tgt).index
+        ent = {}
+        for c in range(self.dim(degree)):
+            img = self.model.d(alg.basis_element(degree, c))
+            z = alg.key_coords(tgt, img)
+            if z is None:
+                raise InternalInconsistency(
+                    f"{self.model!r}: d leaves the free algebra in degree "
+                    f"{degree}")
+            for k, v in z.items():
+                ent[(idx[k], c)] = v
+        return linalg.QMatrix(len(idx), self.dim(degree), ent)
+
     def _restricted_d_matrix(self, degree: int) -> linalg.QMatrix:
         """The parent's d matrix restricted to this model's basis keys."""
-        pc = self.model.parent.complex()
-        pidx = pc._index(degree)
+        palg = self.model.parent.algebra
+        pidx = palg.table(degree).index
         cols = {pidx[k]: c for c, k in enumerate(self.keys(degree))}
-        pidx = pc._index(degree + self.step)
+        pidx = palg.table(degree + self.step).index
         rows = {pidx[k]: r for r, k in enumerate(self.keys(degree + self.step))}
         ent = {}
-        for (r, c), v in pc.d_matrix(degree).entries.items():
+        for (r, c), v in self.model.parent.complex().d_matrix(
+                degree).entries.items():
             if c in cols:
                 if r not in rows:
                     raise TruncationNotClosed(

@@ -56,10 +56,10 @@ class LieDerivation(GradedDerivation):
 class FreeLie(FreeAlgebra):
     """The free graded Lie algebra on a list of generators.
 
-    With ``source`` given, the Lie bases are the source's, restricted to the
-    basis elements whose leading word uses only these generators: the
-    Lyndon basis of a sub-alphabet is the part of the full Lyndon basis over
-    that alphabet.
+    Its basis keys are the leading words of the Lie basis.  With ``source``
+    given, the restricted tables keep the basis elements whose leading word
+    uses only these generators: the Lyndon basis of a sub-alphabet is the
+    part of the full Lyndon basis over that alphabet.
     """
 
     element_type = LieElement
@@ -71,21 +71,28 @@ class FreeLie(FreeAlgebra):
         self._word_cache: dict[int, list[Word]] = {}
         # degree -> Lyndon words of that degree, ascending
         self._lyndon_cache: dict[int, list[Word]] = {}
-        # Lyndon word of length >= 2 -> its standard factorization (u, v)
-        self._factor: dict[Word, tuple[Word, Word]] = {}
+        # Lyndon word of length >= 2 -> its standard factorization (u, v);
+        # shared with the source, whose tables a restriction reads
+        self._factor: dict[Word, tuple[Word, Word]] = (
+            {} if source is None else source._factor)
         # Lyndon word -> tensor expansion of its standard bracketing b(w)
         self._expansion: dict[Word, LieElement] = {}
-        # degree -> (basis, bracket trees, leading words)
-        self._lie_cache: dict[int, tuple[list[LieElement], list[Tree],
-                                         list[Word]]] = {}
-        # degree -> {leading word: (basis position, coefficient)}
-        self._lead: dict[int, dict[Word, tuple[int, Fraction]]] = {}
 
     def key_degree(self, w: Word) -> int:
         return sum(self.by_index[i].degree for i in w)
 
     def generator_key(self, index: int) -> Word:
         return (index,)
+
+    def key_generators(self, w: Word) -> Word:
+        return w
+
+    def key_str(self, w: Word) -> str:
+        def fmt(t: Tree) -> str:
+            if isinstance(t, int):
+                return self.by_index[t].name
+            return f"[{fmt(t[0])},{fmt(t[1])}]"
+        return fmt(self._tree(w))
 
     # --- bracket -----------------------------------------------------------
 
@@ -163,8 +170,12 @@ class FreeLie(FreeAlgebra):
         return out
 
     def _tree(self, w: Word) -> Tree:
-        f = self._factor.get(w)
-        return w[0] if f is None else (self._tree(f[0]), self._tree(f[1]))
+        """The bracket tree of the basis element with leading word w: b(w)
+        for Lyndon w, [b(u), b(u)] for w = uu."""
+        if len(w) == 1:
+            return w[0]
+        u, v = self._factor.get(w) or (w[:len(w) // 2],) * 2
+        return (self._tree(u), self._tree(v))
 
     def _standard_bracket(self, w: Word) -> LieElement:
         """b(w) expanded in the tensor algebra, memoized."""
@@ -181,41 +192,23 @@ class FreeLie(FreeAlgebra):
 
     # --- Lie bases ---------------------------------------------------------
 
-    def _build_basis(self, degree: int):
-        entries = []   # (leading word, tree, element)
-        for w in self._lyndon(degree):
-            entries.append((w, self._tree(w), self._standard_bracket(w)))
+    def _enumerate(self, degree: int):
+        """The leading words, ascending, and their basis elements: b(w) for
+        each Lyndon word w, and [b(u), b(u)] for each Lyndon word u of odd
+        degree degree/2."""
+        entries = [(w, self._standard_bracket(w)) for w in self._lyndon(degree)]
         half = degree // 2
         if degree % 2 == 0 and half % 2:
             for u in self._lyndon(half):
                 b = self._standard_bracket(u)
-                t = self._tree(u)
-                entries.append((u + u, (t, t), self.bracket(b, b)))
+                entries.append((u + u, self.bracket(b, b)))
         entries.sort(key=lambda x: x[0])
-        for w, _, e in entries:
+        for w, e in entries:
             if e.is_zero() or min(e.terms) != w:
                 raise InternalInconsistency(
                     f"Lyndon basis element with leading word {w} is not "
                     f"triangular in degree {degree}")
-        return ([e for _, _, e in entries], [t for _, t, _ in entries],
-                [w for w, _, _ in entries])
-
-    def _restrict_basis(self, degree: int):
-        basis, trees, leads = self._source._basis_tables(degree)
-        keep = [j for j, w in enumerate(leads)
-                if all(i in self.by_index for i in w)]
-        return ([basis[j] for j in keep], [trees[j] for j in keep],
-                [leads[j] for j in keep])
-
-    def _basis_tables(self, degree: int):
-        if degree not in self._lie_cache:
-            tables = (self._restrict_basis(degree) if self._source is not None
-                      else self._build_basis(degree))
-            basis, _, leads = tables
-            self._lie_cache[degree] = tables
-            self._lead[degree] = {w: (j, basis[j].terms[w])
-                                  for j, w in enumerate(leads)}
-        return self._lie_cache[degree]
+        return [w for w, _ in entries], [e for _, e in entries]
 
     def lie_basis_with_seqs(self, degree: int):
         """(basis elements, their bracket trees) for L_degree.
@@ -223,18 +216,14 @@ class FreeLie(FreeAlgebra):
         A tree is a generator index or a pair (left, right) standing for
         [left, right]; elements are ordered by ascending leading word.
         """
-        basis, trees, _ = self._basis_tables(degree)
-        return basis, trees
+        t = self.table(degree)
+        return t.elements, [self._tree(w) for w in t.keys]
 
     def lie_basis(self, degree: int) -> list[LieElement]:
-        return self.lie_basis_with_seqs(degree)[0]
+        return self.table(degree).elements
 
     def lie_dim(self, degree: int) -> int:
         return len(self.lie_basis(degree))
-
-    def leading_words(self, degree: int) -> list[Word]:
-        """The leading words of lie_basis(degree), in basis order."""
-        return self._basis_tables(degree)[2]
 
     def is_lie(self, e: LieElement) -> bool:
         """Whether e, homogeneous of degree >= 1, lies in L(W), with no basis:
@@ -248,15 +237,16 @@ class FreeLie(FreeAlgebra):
             total = total + t
         return total == e
 
-    def lie_coords(self, degree: int, e: LieElement) -> linalg.Vector | None:
-        """Coordinates over lie_basis(degree), None if e is outside L(W).
+    def key_coords(self, degree: int, e: LieElement) -> dict | None:
+        """Coefficients over lie_basis(degree), keyed by leading word; None
+        if e is outside L(W).
 
         Peels basis elements off by ascending leading word: the smallest word
         left must be a leading word, else e is not in L(W).
         """
-        basis = self.lie_basis(degree)
-        lead = self._lead[degree]
-        coords = [_ZERO] * len(basis)
+        t = self.table(degree)
+        idx, basis = t.index, t.elements
+        coords = {}
         rest = dict(e.terms)
         heap = list(rest)
         heapq.heapify(heap)
@@ -265,17 +255,17 @@ class FreeLie(FreeAlgebra):
             c = rest.pop(w)
             if not c:
                 continue
-            hit = lead.get(w)
-            if hit is None:
+            j = idx.get(w)
+            if j is None:
                 if not self.is_homogeneous(e, degree):
                     raise DegreeMismatch(f"word outside degree {degree}")
                 return None
-            j, lc = hit
-            k = c / lc
-            coords[j] = k
-            # every other word of basis[j] is larger than w, so a word once
-            # popped never comes back
-            for x, v in basis[j].terms.items():
+            b = basis[j]
+            k = c / b.terms[w]
+            coords[w] = k
+            # every other word of b is larger than w, so a word once popped
+            # never comes back
+            for x, v in b.terms.items():
                 if x != w:
                     old = rest.get(x)
                     if old is None:
@@ -283,12 +273,6 @@ class FreeLie(FreeAlgebra):
                         heapq.heappush(heap, x)
                     else:
                         rest[x] = old - k * v
-        return tuple(coords)
+        return coords
 
-    def from_lie_coords(self, degree: int, coords) -> LieElement:
-        out: dict[Word, Fraction] = {}
-        for c, b in zip(coords, self.lie_basis(degree)):
-            if c:
-                for w, v in b.terms.items():
-                    out[w] = out.get(w, _ZERO) + c * v
-        return LieElement._of(out)
+    lie_coords = FreeAlgebra.coords

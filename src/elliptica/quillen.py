@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
-from .errors import BadParameter, InternalInconsistency, UnboundedGamma
+from .errors import BadParameter, UnboundedGamma
 from .graded import (GammaData, GradedComplex, GradedModel, ValidationIssue,
                      ValidationReport, WhiteheadReport)
-from .lie import FreeLie, LieElement, Word
+from .lie import FreeLie
 
 
 @dataclass(frozen=True)
@@ -34,29 +33,6 @@ class DGLComplex(GradedComplex):
     leading words."""
 
     step = -1
-
-    def keys(self, degree: int) -> list[Word]:
-        return self.model.lie.leading_words(degree) if degree >= 1 else []
-
-    def to_coords(self, degree: int, e: LieElement) -> linalg.Vector:
-        z = self.model.lie.lie_coords(degree, e)
-        if z is None:
-            raise InternalInconsistency("element outside the Lie subalgebra")
-        return z
-
-    def from_coords(self, degree: int, v) -> LieElement:
-        return self.model.lie.from_lie_coords(degree, v)
-
-    def _assemble_d_matrix(self, degree: int) -> linalg.QMatrix:
-        src = self.model.lie.lie_basis(degree) if degree >= 1 else []
-        ent = {}
-        for c, b in enumerate(src):
-            img = self.model.d(b)
-            if not img.is_zero():
-                for r, v in enumerate(self.to_coords(degree - 1, img)):
-                    if v:
-                        ent[(r, c)] = v
-        return linalg.QMatrix(self.dim(degree - 1), len(src), ent)
 
 
 class DGLModel(GradedModel):

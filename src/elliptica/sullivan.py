@@ -3,16 +3,11 @@ Whitehead exact sequence on the commutative side, where Gamma^i is L^i."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
-from . import linalg
-from .commutative import Algebra, Element, Generator, Monomial
-from .errors import DegreeMismatch, TruncationNotClosed
+from .commutative import Algebra, Element, Generator
+from .errors import TruncationNotClosed
 from .graded import (GradedComplex, GradedModel, ValidationIssue,
                      ValidationReport, WhiteheadReport)
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -37,34 +32,6 @@ class CochainComplex(GradedComplex):
     """The cochain complex (Lambda V, d) in the degree-lex monomial bases."""
 
     step = 1
-
-    def keys(self, degree: int) -> list[Monomial]:
-        return self.model.algebra.basis(degree)
-
-    def to_coords(self, degree: int, e: Element) -> linalg.Vector:
-        idx = self._index(degree)
-        v = [_ZERO] * len(idx)
-        for m, c in e.terms.items():
-            if m not in idx:
-                raise DegreeMismatch(
-                    f"element has a term outside degree {degree}")
-            v[idx[m]] = c
-        return tuple(v)
-
-    def from_coords(self, degree: int, v: Sequence[Fraction]) -> Element:
-        basis = self.keys(degree)
-        return Element({basis[j]: c for j, c in enumerate(v) if c})
-
-    def _assemble_d_matrix(self, degree: int) -> linalg.QMatrix:
-        src = self.keys(degree)
-        tgt = self._index(degree + 1)
-        ent = {}
-        for c, mono in enumerate(src):
-            img = self.model.d(self.model.algebra.from_monomial(mono))
-            for m, v in img.terms.items():
-                ent[(tgt[m], c)] = v
-        return linalg.QMatrix(len(tgt), len(src), ent)
-
     cohomology = GradedComplex.homology
 
 

@@ -254,3 +254,36 @@ def test_max_degree_zero_is_a_window_of_zero(capsys, model, betti):
     assert code == 0
     payload = json.loads(out)
     assert payload["bound"] == 0 and payload["tables"]["nodes"] == []
+
+
+@pytest.mark.parametrize("text,where", [
+    ("model m : sullivan\ngen x : ²\n", "(line 2)"),
+    ("model m : sullivan\ngen x : 2\ngen y : 3\nd y = ²*x\n",
+     "(line 4, col 6)"),
+])
+def test_a_non_ascii_digit_is_a_located_syntax_error(tmp_path, capsys, text,
+                                                     where):
+    # '²' passes str.isdigit but is no integer literal
+    p = tmp_path / "sup.rhm"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith(f"syntax error {where}: ")
+
+
+def test_an_undecodable_file_is_an_io_error(tmp_path, capsys):
+    p = tmp_path / "bin.rhm"
+    p.write_bytes(b"model m : sullivan\n\xff\n")
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err == (f"usage error: cannot read {str(p)!r}: not UTF-8 text "
+                   f"(invalid start byte at byte 19)\n")
+
+
+def test_a_validation_error_names_the_model(tmp_path, capsys):
+    p = tmp_path / "nm.rhm"
+    p.write_text("model nm : quillen\ngen a : 2\ngen b : 3\nd b = a\n")
+    code, out, err = run(capsys, "whitehead", str(p))
+    assert code == 1 and out == ""
+    assert err == ("error: DGLModel(nm): minimality (b): delta(b) has a "
+                   "linear term\n")

@@ -102,7 +102,7 @@ def test_validation_error_for_broken_d_squared():
     # the error carries the model and its report
     assert ei.value.model.name == "m"
     assert [i.check for i in ei.value.report.issues] == ["d-squared"]
-    assert str(ei.value) == "d-squared (z): d(d(z)) != 0"
+    assert str(ei.value) == "SullivanModel(m): d-squared (z): d(d(z)) != 0"
 
 
 def test_serialize_refuses_an_image_outside_the_lie_algebra():
@@ -166,6 +166,14 @@ def test_catalog_spec_nested_product():
     m = dsl.catalog_spec("product(product(s2,sphere_odd(3)),sphere_odd(5))")
     assert isinstance(m, SullivanModel)
     assert len(m.generators) == 4
+
+
+def test_serialize_orders_terms_by_key_not_by_basis():
+    # the degree-4 basis is y^2, x*y, x^2; sorted monomials put x first
+    m = dsl.parse("model m : sullivan\ngen x : 2\ngen y : 2\ngen z : 3\n"
+                  "d z = y^2 + x^2 + x*y\n")
+    assert m.algebra.basis(4) == [((1, 2),), ((0, 1), (1, 1)), ((0, 2),)]
+    assert dsl.serialize(m).splitlines()[-1] == "d z = x*y + x^2 + y^2"
 
 
 def test_serialize_is_deterministic(cp2q):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from elliptica.commutative import Algebra, Element, Generator
 from elliptica.errors import DegreeMismatch, ExactnessFailure
 from elliptica.graded import check_exact
 from elliptica.lie import FreeLie, LieElement
+
+from conftest import CATALOG_QUILLEN_SPECS, CATALOG_SULLIVAN_SPECS
 
 
 def test_elements_of_the_two_sides_never_compare_equal():
@@ -72,3 +75,22 @@ def test_model_adopts_a_free_algebra(spec):
     copy = type(m)(m.algebra, m.differential, name=m.name)
     assert copy.algebra is m.algebra
     assert dsl.serialize(copy) == dsl.serialize(m)
+
+
+@pytest.mark.parametrize("spec", CATALOG_SULLIVAN_SPECS + CATALOG_QUILLEN_SPECS)
+def test_coordinates_roundtrip_through_the_complex(spec):
+    # a random combination of basis elements, summed as elements: to_coords
+    # reads its coefficients back and from_coords rebuilds it, on the model
+    # and on each truncation, whose tables are restrictions of the parent's
+    rng = random.Random(spec)
+    m = dsl.catalog_spec(spec)
+    for t in [m, *(m.truncate(k) for k in range(1, m.max_generator_degree()))]:
+        cx, alg = t.complex(), t.algebra
+        for degree in range(1, 9):
+            v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                      for _ in cx.keys(degree))
+            e = alg.element_type.zero()
+            for j, c in enumerate(v):
+                e = e + alg.basis_element(degree, j).scale(c)
+            assert cx.to_coords(degree, e) == v
+            assert cx.from_coords(degree, cx.to_coords(degree, e)) == e

@@ -141,9 +141,9 @@ def test_lie_coords_roundtrip(spec):
         for j, b in enumerate(basis):
             coords = lie.lie_coords(d, b)
             assert coords == tuple(int(i == j) for i in range(len(basis)))
-            assert lie.from_lie_coords(d, coords) == b
+            assert lie.combination(d, coords) == b
         combo = [Fraction(j + 1, 3) for j in range(len(basis))]
-        e = lie.from_lie_coords(d, combo)
+        e = lie.combination(d, combo)
         assert lie.lie_coords(d, e) == tuple(combo)
 
 

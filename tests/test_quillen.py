@@ -72,9 +72,9 @@ def test_validation_builds_no_lie_basis(monkeypatch):
     # membership in L(W) needs no basis, so a high generator over two of
     # degree 1 stays cheap: the Lie basis of degree 41 is astronomically large
     def no_basis(self, degree):
-        raise AssertionError(f"Lie basis of degree {degree} built")
+        raise AssertionError(f"Lie basis table of degree {degree} read")
 
-    monkeypatch.setattr(FreeLie, "lie_basis", no_basis)
+    monkeypatch.setattr(FreeLie, "table", no_basis)
     m = dsl.parse("model m : quillen\ngen a : 1\ngen b : 1\ngen w : 40\n"
                   "gen z : 42\nd z = [a,w]\n")
     assert m.validate().ok
