@@ -101,7 +101,7 @@ class Algebra(FreeAlgebra):
     def _enumerate(self, degree: int):
         """All monomials of exactly the given degree, degree-lex order."""
         if degree < 0:
-            return [], None
+            return []
         gens = self.generators
         out: list[Monomial] = []
 
@@ -123,7 +123,7 @@ class Algebra(FreeAlgebra):
                     acc.pop()
 
         rec(0, degree, [])
-        return out, None
+        return out
 
     # --- multiplication ----------------------------------------------------
 

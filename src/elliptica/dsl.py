@@ -257,9 +257,11 @@ def parse(text: str):
         elif keyword == "d":
             if "=" not in rest:
                 raise ModelSyntaxError("expected 'd <name> = <expr>'", ln)
-            name, expr = (p.strip() for p in rest.split("=", 1))
-            col = raw.index("=") + 2
-            d_lines.append((name, expr, ln, col))
+            name = rest.split("=", 1)[0].strip()
+            # the expression as in the raw line, so that token columns are
+            # offsets in it
+            col = raw.index("=") + 1
+            d_lines.append((name, raw.split("#", 1)[0][col:], ln, col))
         else:
             raise ModelSyntaxError(f"unknown directive {keyword!r}", ln)
     if header is None:

@@ -107,13 +107,11 @@ class SparseElement:
 
 
 class BasisTable:
-    """One degree's basis of a free algebra: the keys in canonical order,
-    each key's position, and the basis elements in key order -- None when
-    each is its key alone, as on Lambda V.  A basis element's leading
-    coefficient is its coefficient on its own key."""
+    """One degree's basis of a free algebra: the keys in canonical order and
+    each key's position."""
 
-    def __init__(self, keys: list, elements: list | None):
-        self.keys, self.elements = keys, elements
+    def __init__(self, keys: list):
+        self.keys = keys
         self.index = {k: j for j, k in enumerate(keys)}
 
 
@@ -128,7 +126,8 @@ class FreeAlgebra:
     A subclass sets ``element_type`` and ``derivation_type`` and supplies
     the degree of one basis key, the key of a generator, a fresh basis
     (``_enumerate``), the generators a key uses, how to print a key, and
-    how to read an element's coefficients over the basis (``key_coords``).
+    how to read an element's coefficients over the basis (``key_coords``);
+    it overrides ``key_element`` when a basis element is more than its key.
     """
 
     element_type: type
@@ -156,9 +155,8 @@ class FreeAlgebra:
         """The basis key of the generator with that index."""
         raise NotImplementedError
 
-    def _enumerate(self, degree: int) -> tuple[list, list | None]:
-        """A fresh basis of that degree: its keys in canonical order and its
-        elements (None when each is its key alone)."""
+    def _enumerate(self, degree: int) -> list:
+        """The keys of a fresh basis of that degree, in canonical order."""
         raise NotImplementedError
 
     def key_generators(self, key):
@@ -175,6 +173,10 @@ class FreeAlgebra:
         mutated."""
         raise NotImplementedError
 
+    def key_element(self, key):
+        """The basis element with that key: here the key alone."""
+        return self.element_type._of({key: _ONE})
+
     # --- the basis table -----------------------------------------------------
 
     def table(self, degree: int) -> BasisTable:
@@ -182,14 +184,12 @@ class FreeAlgebra:
         t = self._tables.get(degree)
         if t is None:
             if self._source is None:
-                t = BasisTable(*self._enumerate(degree))
+                t = BasisTable(self._enumerate(degree))
             else:
-                src, kept = self._source.table(degree), self.by_index
-                keep = [j for j, k in enumerate(src.keys)
-                        if all(i in kept for i in self.key_generators(k))]
-                t = BasisTable([src.keys[j] for j in keep],
-                               None if src.elements is None
-                               else [src.elements[j] for j in keep])
+                kept = self.by_index
+                t = BasisTable([k for k in self._source.basis(degree)
+                                if all(i in kept
+                                       for i in self.key_generators(k))])
             self._tables[degree] = t
         return t
 
@@ -199,10 +199,7 @@ class FreeAlgebra:
 
     def basis_element(self, degree: int, j: int):
         """The j-th basis element of that degree."""
-        t = self.table(degree)
-        if t.elements is None:
-            return self.element_type._of({t.keys[j]: _ONE})
-        return t.elements[j]
+        return self.key_element(self.basis(degree)[j])
 
     def coords(self, degree: int, e) -> linalg.Vector | None:
         """Coordinates of e over the basis of that degree; None when e is
@@ -223,9 +220,9 @@ class FreeAlgebra:
     def combination(self, degree: int, v: Sequence[Fraction]):
         """The element with coordinates v over the basis of that degree."""
         out: dict = {}
-        for j, c in enumerate(v):
+        for key, c in zip(self.basis(degree), v):
             if c:
-                for k, x in self.basis_element(degree, j).terms.items():
+                for k, x in self.key_element(key).terms.items():
                     out[k] = out.get(k, _ZERO) + c * x
         return self.element_type._of(out)
 
@@ -275,6 +272,14 @@ class GradedDerivation:
     def _apply(self, key, c: Fraction, out: dict):
         """out += c * D(key)."""
         raise NotImplementedError
+
+    def key_image(self, key) -> dict:
+        """D of the basis element with that key, in coordinates over the
+        basis of degree |key| + step; must not be mutated.  Here the basis
+        element is its key alone, and ``_apply`` writes coordinates."""
+        out: dict = {}
+        self._apply(key, _ONE, out)
+        return {k: c for k, c in out.items() if c}
 
     def __call__(self, e):
         out: dict = {}
@@ -380,10 +385,14 @@ class GradedModel:
     def generators(self) -> list[Generator]:
         return self.algebra.generators
 
-    def d(self, e):
+    def derivation(self) -> GradedDerivation:
+        """The derivation extending the differential, built once."""
         if self._derivation is None:
             self._derivation = self.algebra.derivation(self.differential)
-        return self._derivation(e)
+        return self._derivation
+
+    def d(self, e):
+        return self.derivation()(e)
 
     def d_of_generator(self, idx: int):
         return self.differential.get(idx, self.algebra.element_type.zero())
@@ -569,18 +578,17 @@ class GradedComplex:
         return mat
 
     def _assemble_d_matrix(self, degree: int) -> linalg.QMatrix:
-        """d : degree -> degree + step, column by column from the model's
-        differential."""
-        alg, tgt = self.model.algebra, degree + self.step
-        idx = alg.table(tgt).index
+        """d : degree -> degree + step, column by column: each basis key's
+        image in coordinates, from the model's derivation."""
+        der, idx = self.model.derivation(), self.model.algebra.table(
+            degree + self.step).index
         ent = {}
-        for c in range(self.dim(degree)):
-            img = self.model.d(alg.basis_element(degree, c))
-            z = alg.key_coords(tgt, img)
-            if z is None:
+        for c, key in enumerate(self.keys(degree)):
+            try:
+                z = der.key_image(key)
+            except InternalInconsistency as e:
                 raise InternalInconsistency(
-                    f"{self.model!r}: d leaves the free algebra in degree "
-                    f"{degree}")
+                    f"{self.model!r}: d out of degree {degree}: {e}") from None
             for k, v in z.items():
                 ent[(idx[k], c)] = v
         return linalg.QMatrix(len(idx), self.dim(degree), ent)

@@ -1,13 +1,23 @@
-"""Free graded Lie algebra L(W) embedded in the tensor algebra T(W).
+"""Free graded Lie algebra L(W), worked in the coordinates of its Lyndon
+basis.
+
+The per-degree basis is the Lyndon basis of the free Lie superalgebra,
+parity being degree mod 2: the standard bracketing b(w) of every Lyndon
+word w over the generator indices, plus [b(u), b(u)] for every Lyndon word u
+of odd degree (Reutenauer, *Free Lie Algebras*, Ch. 4-5).  Each basis
+element is keyed by its leading word -- its smallest tensor word, w resp.
+uu.  The bracket of two basis elements is read from memoized structure
+constants, got by Hall rewriting on the standard factorization, and a
+derivation acts on a basis element by the Leibniz rule over them; so the
+differential's matrices are built in coordinates, with no tensor algebra.
 
 Elements are sparse combinations of tensor words (tuples of generator
-indices).  The per-degree Lie basis is the Lyndon basis of the free Lie
-superalgebra, parity being degree mod 2: the standard bracketing b(w) of
-every Lyndon word w over the generator indices, plus [b(u), b(u)] for every
-Lyndon word u of odd degree (Reutenauer, *Free Lie Algebras*, Ch. 4-5).
-Each basis element has its own leading word -- its smallest tensor word, w
-resp. uu -- so coordinates come from triangular peeling and membership in
-L(W) needs no elimination.
+indices) in T(W), which now serves only input, validation and the test
+oracle: parsing builds elements there, ``is_lie`` and delta-squared of the
+generator images are checked there, the element-level derivation acts
+there, and coordinates come from triangular peeling, since every basis
+element has its own leading word.  A basis element's tensor expansion is
+built only when asked for.
 """
 from __future__ import annotations
 
@@ -25,6 +35,8 @@ _ONE = Fraction(1)
 Word = tuple[int, ...]  # generator indices, tensor factors left to right
 # A bracket tree: a generator index, or a pair (left, right) for [left, right].
 Tree = int | tuple
+# Coordinates: basis key -> nonzero coefficient.
+Coords = dict[Word, "int | Fraction"]
 
 LieGenerator = Generator
 
@@ -40,6 +52,10 @@ class LieDerivation(GradedDerivation):
 
     step = -1
 
+    def __init__(self, algebra: FreeLie, images):
+        super().__init__(algebra, images)
+        self._key_images: dict[Word, Coords] = {}
+
     def _apply(self, w: Word, c: Fraction, out: dict[Word, Fraction]):
         """out += c * D(w)."""
         prefix_deg = 0
@@ -52,6 +68,40 @@ class LieDerivation(GradedDerivation):
                     out[word] = out.get(word, _ZERO) + sc * v
             prefix_deg += self.algebra.by_index[idx].degree
 
+    def key_image(self, w: Word) -> Coords:
+        """D of the basis element keyed w, in coordinates, memoized: a
+        generator's image is peeled once; then D[b(u), b(v)] = [D b(u), b(v)]
+        + (-1)^|u| [b(u), D b(v)] on the standard factorization (u, v), and
+        D[b(u), b(u)] = 2 [D b(u), b(u)] on a square."""
+        z = self._key_images.get(w)
+        if z is None:
+            alg = self.algebra
+            f = alg.split(w)
+            if f is None:
+                img = self.images.get(w[0])
+                z = {} if img is None else alg.key_coords(
+                    alg.key_degree(w) - 1, img)
+                if z is None:
+                    raise InternalInconsistency(
+                        f"the image of {alg.by_index[w[0]].name} is outside "
+                        f"L(W)")
+            else:
+                u, v = f
+                out: dict = {}
+                if u == v:
+                    alg.bracket_into(out, self.key_image(u), {u: 2})
+                else:
+                    alg.bracket_into(out, self.key_image(u), {v: 1})
+                    alg.bracket_into(out, {u: -1 if alg.key_degree(u) % 2
+                                           else 1}, self.key_image(v))
+                z = _nonzero(out)
+            self._key_images[w] = z
+        return z
+
+
+def _nonzero(out: dict) -> dict:
+    return {k: c for k, c in out.items() if c}
+
 
 class FreeLie(FreeAlgebra):
     """The free graded Lie algebra on a list of generators.
@@ -59,7 +109,8 @@ class FreeLie(FreeAlgebra):
     Its basis keys are the leading words of the Lie basis.  With ``source``
     given, the restricted tables keep the basis elements whose leading word
     uses only these generators: the Lyndon basis of a sub-alphabet is the
-    part of the full Lyndon basis over that alphabet.
+    part of the full Lyndon basis over that alphabet.  A restriction shares
+    its source's factorizations, expansions and structure constants.
     """
 
     element_type = LieElement
@@ -71,12 +122,15 @@ class FreeLie(FreeAlgebra):
         self._word_cache: dict[int, list[Word]] = {}
         # degree -> Lyndon words of that degree, ascending
         self._lyndon_cache: dict[int, list[Word]] = {}
-        # Lyndon word of length >= 2 -> its standard factorization (u, v);
-        # shared with the source, whose tables a restriction reads
+        # Lyndon word of length >= 2 -> its standard factorization (u, v)
         self._factor: dict[Word, tuple[Word, Word]] = (
             {} if source is None else source._factor)
-        # Lyndon word -> tensor expansion of its standard bracketing b(w)
-        self._expansion: dict[Word, LieElement] = {}
+        # basis key -> tensor expansion of its basis element
+        self._expansion: dict[Word, LieElement] = (
+            {} if source is None else source._expansion)
+        # (p, q) -> [B_p, B_q] over the basis keys, int coefficients
+        self._brackets: dict[tuple[Word, Word], Coords] = (
+            {} if source is None else source._brackets)
 
     def key_degree(self, w: Word) -> int:
         return sum(self.by_index[i].degree for i in w)
@@ -94,7 +148,7 @@ class FreeLie(FreeAlgebra):
             return f"[{fmt(t[0])},{fmt(t[1])}]"
         return fmt(self._tree(w))
 
-    # --- bracket -----------------------------------------------------------
+    # --- bracket in T(W) ----------------------------------------------------
 
     def bracket(self, a: LieElement, b: LieElement) -> LieElement:
         """[a, b] = a (x) b - (-1)^(|a||b|) b (x) a, extended bilinearly."""
@@ -169,46 +223,45 @@ class FreeLie(FreeAlgebra):
         self._lyndon_cache[degree] = out
         return out
 
+    def split(self, w: Word) -> tuple[Word, Word] | None:
+        """The keys (u, v) with [B_u, B_v] the basis element keyed w: the
+        standard factorization of a Lyndon w, (u, u) for a square w = uu;
+        None for a letter.  w's degree must have been enumerated."""
+        if len(w) == 1:
+            return None
+        return self._factor.get(w) or (w[:len(w) // 2],) * 2
+
     def _tree(self, w: Word) -> Tree:
         """The bracket tree of the basis element with leading word w: b(w)
         for Lyndon w, [b(u), b(u)] for w = uu."""
-        if len(w) == 1:
-            return w[0]
-        u, v = self._factor.get(w) or (w[:len(w) // 2],) * 2
-        return (self._tree(u), self._tree(v))
-
-    def _standard_bracket(self, w: Word) -> LieElement:
-        """b(w) expanded in the tensor algebra, memoized."""
-        e = self._expansion.get(w)
-        if e is None:
-            f = self._factor.get(w)
-            if f is None:
-                e = LieElement({w: _ONE})
-            else:
-                e = self.bracket(self._standard_bracket(f[0]),
-                                 self._standard_bracket(f[1]))
-            self._expansion[w] = e
-        return e
+        f = self.split(w)
+        return w[0] if f is None else (self._tree(f[0]), self._tree(f[1]))
 
     # --- Lie bases ---------------------------------------------------------
 
-    def _enumerate(self, degree: int):
-        """The leading words, ascending, and their basis elements: b(w) for
-        each Lyndon word w, and [b(u), b(u)] for each Lyndon word u of odd
-        degree degree/2."""
-        entries = [(w, self._standard_bracket(w)) for w in self._lyndon(degree)]
+    def _enumerate(self, degree: int) -> list[Word]:
+        """The leading words, ascending: each Lyndon word w, and uu for each
+        Lyndon word u of odd degree degree/2."""
+        keys = list(self._lyndon(degree))
         half = degree // 2
         if degree % 2 == 0 and half % 2:
-            for u in self._lyndon(half):
-                b = self._standard_bracket(u)
-                entries.append((u + u, self.bracket(b, b)))
-        entries.sort(key=lambda x: x[0])
-        for w, e in entries:
-            if e.is_zero() or min(e.terms) != w:
-                raise InternalInconsistency(
-                    f"Lyndon basis element with leading word {w} is not "
-                    f"triangular in degree {degree}")
-        return [w for w, _ in entries], [e for _, e in entries]
+            keys += [u + u for u in self._lyndon(half)]
+        return sorted(keys)
+
+    def key_element(self, w: Word) -> LieElement:
+        """The basis element keyed w, expanded in T(W) and memoized;
+        InternalInconsistency unless w is its smallest word."""
+        e = self._expansion.get(w)
+        if e is None:
+            f = self.split(w)
+            e = LieElement({w: _ONE}) if f is None else self.bracket(
+                self.key_element(f[0]), self.key_element(f[1]))
+            self._expansion[w] = e
+        if e.is_zero() or min(e.terms) != w:
+            raise InternalInconsistency(
+                f"Lyndon basis element with leading word {w} is not "
+                f"triangular in degree {self.key_degree(w)}")
+        return e
 
     def lie_basis_with_seqs(self, degree: int):
         """(basis elements, their bracket trees) for L_degree.
@@ -216,14 +269,14 @@ class FreeLie(FreeAlgebra):
         A tree is a generator index or a pair (left, right) standing for
         [left, right]; elements are ordered by ascending leading word.
         """
-        t = self.table(degree)
-        return t.elements, [self._tree(w) for w in t.keys]
+        return (self.lie_basis(degree),
+                [self._tree(w) for w in self.basis(degree)])
 
     def lie_basis(self, degree: int) -> list[LieElement]:
-        return self.table(degree).elements
+        return [self.key_element(w) for w in self.basis(degree)]
 
     def lie_dim(self, degree: int) -> int:
-        return len(self.lie_basis(degree))
+        return len(self.basis(degree))
 
     def is_lie(self, e: LieElement) -> bool:
         """Whether e, homogeneous of degree >= 1, lies in L(W), with no basis:
@@ -244,8 +297,7 @@ class FreeLie(FreeAlgebra):
         Peels basis elements off by ascending leading word: the smallest word
         left must be a leading word, else e is not in L(W).
         """
-        t = self.table(degree)
-        idx, basis = t.index, t.elements
+        idx = self.table(degree).index
         coords = {}
         rest = dict(e.terms)
         heap = list(rest)
@@ -255,12 +307,11 @@ class FreeLie(FreeAlgebra):
             c = rest.pop(w)
             if not c:
                 continue
-            j = idx.get(w)
-            if j is None:
+            if w not in idx:
                 if not self.is_homogeneous(e, degree):
                     raise DegreeMismatch(f"word outside degree {degree}")
                 return None
-            b = basis[j]
+            b = self.key_element(w)
             k = c / b.terms[w]
             coords[w] = k
             # every other word of b is larger than w, so a word once popped
@@ -276,3 +327,52 @@ class FreeLie(FreeAlgebra):
         return coords
 
     lie_coords = FreeAlgebra.coords
+
+    # --- structure constants -----------------------------------------------
+
+    def key_bracket(self, p: Word, q: Word) -> Coords:
+        """[B_p, B_q] over the basis keys, with int coefficients, memoized;
+        must not be mutated."""
+        z = self._brackets.get((p, q))
+        if z is None:
+            z = self._brackets[(p, q)] = self._rewrite(p, q)
+        return z
+
+    def _rewrite(self, p: Word, q: Word) -> Coords:
+        """[B_p, B_q] by Hall rewriting on the standard factorization, with
+        the super signs (Reutenauer, Ch. 4-5)."""
+        dp, dq = self.key_degree(p), self.key_degree(q)
+        self._lyndon(dp + dq)       # every factorization up to that degree
+        if p > q:   # [x, y] = -(-1)^(|x||y|) [y, x]
+            s = 1 if dp % 2 and dq % 2 else -1
+            return {k: s * c for k, c in self.key_bracket(q, p).items()}
+        if p == q:  # [x, x] = 0 for even x; a square key for odd Lyndon x
+            return {p + p: 1} if dp % 2 else {}
+        out: dict = {}
+        fq = self.split(q)
+        if fq is not None and fq[0] == fq[1]:
+            u = fq[0]
+            if p == u:      # [b(u), [b(u), b(u)]] = 0 by the Jacobi identity
+                return {}
+            # [x, [b(u), b(u)]] = 2 [[x, b(u)], b(u)] for odd u
+            self.bracket_into(out, self.key_bracket(p, u), {u: 2})
+            return _nonzero(out)
+        fp = self.split(p)
+        if fp is None or (fp[0] != fp[1] and fp[1] >= q):
+            return {p + q: 1}       # p < q Lyndon with standard factorization
+        a, b = fp
+        if a == b:  # [[b(a), b(a)], q] = 2 [b(a), [b(a), q]] for odd a
+            self.bracket_into(out, {a: 2}, self.key_bracket(a, q))
+        else:       # [[a, b], q] = [a, [b, q]] + (-1)^(|b||q|) [[a, q], b]
+            self.bracket_into(out, {a: 1}, self.key_bracket(b, q))
+            s = -1 if self.key_degree(b) % 2 and dq % 2 else 1
+            self.bracket_into(out, self.key_bracket(a, q), {b: s})
+        return _nonzero(out)
+
+    def bracket_into(self, out: dict, x: Coords, y: Coords):
+        """out += [x, y], for x and y in coordinates; out may keep zeros."""
+        for p, a in x.items():
+            for q, b in y.items():
+                c = a * b
+                for k, s in self.key_bracket(p, q).items():
+                    out[k] = out.get(k, 0) + c * s

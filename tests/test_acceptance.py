@@ -60,7 +60,7 @@ def test_criterion_1_cpn_sullivan_invariants():
 
 def test_criterion_2_cpn_quillen_eta():
     results = []
-    for n in range(1, 5):
+    for n in range(1, 6):
         t0 = time.monotonic()
         q = dsl.catalog("cpn_quillen", n)
         e = quillen.eta(q)

@@ -271,6 +271,20 @@ def test_a_non_ascii_digit_is_a_located_syntax_error(tmp_path, capsys, text,
     assert err.startswith(f"syntax error {where}: ")
 
 
+@pytest.mark.parametrize("line,col", [
+    ("d y =x$", 6), ("d y = x$", 7), ("d y =   x$", 9)])
+def test_a_d_line_error_column_counts_the_spaces_after_the_equals_sign(
+        tmp_path, capsys, line, col):
+    # the column is the token's 0-based offset in the raw line
+    p = tmp_path / "col.rhm"
+    p.write_text(f"model m : sullivan\ngen x : 2\ngen y : 3\n{line}\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err == (f"syntax error (line 4, col {col}): unexpected character "
+                   f"'$'\n")
+
+
 def test_an_undecodable_file_is_an_io_error(tmp_path, capsys):
     p = tmp_path / "bin.rhm"
     p.write_bytes(b"model m : sullivan\n\xff\n")

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from elliptica import dsl, invariants, quillen
-from elliptica.errors import (BadParameter, CompositionNotZero, UnboundedGamma,
+from elliptica.errors import (BadParameter, CompositionNotZero,
+                              InternalInconsistency, UnboundedGamma,
                               ValidationError)
 from elliptica.lie import FreeLie, LieElement, LieGenerator
 from elliptica.quillen import DGLModel
@@ -66,6 +67,18 @@ def test_validate_catches_inhomogeneous_image():
     assert [i.check for i in bad.validate().issues] == ["minimality"]
     with pytest.raises(ValidationError, match=r"minimality \(b\)"):
         invariants.analysis(bad)
+
+
+def test_d_assembly_refuses_an_image_outside_lie():
+    # a (x) b is a tensor outside L(W); built without require_valid, the
+    # model reaches the d assembly, which peels the image and must refuse it
+    gens = [LieGenerator("a", 1, 0), LieGenerator("b", 1, 1),
+            LieGenerator("c", 3, 2)]
+    bad = DGLModel(gens, {2: LieElement({(0, 1): 1})}, name="bad")
+    with pytest.raises(InternalInconsistency,
+                       match=r"DGLModel\(bad\): d out of degree 3: the image "
+                             r"of c is outside L\(W\)"):
+        bad.complex().d_matrix(3)
 
 
 def test_validation_builds_no_lie_basis(monkeypatch):
