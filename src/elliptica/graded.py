@@ -5,7 +5,8 @@ sequence, the graded complex with its (co)homology, and the Whitehead
 report.
 
 A ``FreeAlgebra`` owns a basis table in each degree, indexed by keys
-(monomials, resp. leading words of the Lie basis).  A ``GradedComplex``
+(monomials, resp. leading words of the Lie basis); an element is a sparse
+combination of keys, so its terms are its coordinates.  A ``GradedComplex``
 reads it for coordinates and for ``d``, which moves degree by ``step``:
 +1 for cochains, -1 for chains; a subclass sets only ``step``.  A
 truncation keeps its ``parent`` model, whose basis keys contain its own in
@@ -126,8 +127,7 @@ class FreeAlgebra:
     A subclass sets ``element_type`` and ``derivation_type`` and supplies
     the degree of one basis key, the key of a generator, a fresh basis
     (``_enumerate``), the generators a key uses, how to print a key, and
-    how to read an element's coefficients over the basis (``key_coords``);
-    it overrides ``key_element`` when a basis element is more than its key.
+    how to read an element's coefficients over the basis (``key_coords``).
     """
 
     element_type: type
@@ -173,10 +173,6 @@ class FreeAlgebra:
         mutated."""
         raise NotImplementedError
 
-    def key_element(self, key):
-        """The basis element with that key: here the key alone."""
-        return self.element_type._of({key: _ONE})
-
     # --- the basis table -----------------------------------------------------
 
     def table(self, degree: int) -> BasisTable:
@@ -199,7 +195,7 @@ class FreeAlgebra:
 
     def basis_element(self, degree: int, j: int):
         """The j-th basis element of that degree."""
-        return self.key_element(self.basis(degree)[j])
+        return self.element_type._of({self.basis(degree)[j]: _ONE})
 
     def coords(self, degree: int, e) -> linalg.Vector | None:
         """Coordinates of e over the basis of that degree; None when e is
@@ -219,12 +215,7 @@ class FreeAlgebra:
 
     def combination(self, degree: int, v: Sequence[Fraction]):
         """The element with coordinates v over the basis of that degree."""
-        out: dict = {}
-        for key, c in zip(self.basis(degree), v):
-            if c:
-                for k, x in self.key_element(key).terms.items():
-                    out[k] = out.get(k, _ZERO) + c * x
-        return self.element_type._of(out)
+        return self.element_type(dict(zip(self.basis(degree), v)))
 
     # --- elements --------------------------------------------------------------
 
@@ -275,8 +266,8 @@ class GradedDerivation:
 
     def key_image(self, key) -> dict:
         """D of the basis element with that key, in coordinates over the
-        basis of degree |key| + step; must not be mutated.  Here the basis
-        element is its key alone, and ``_apply`` writes coordinates."""
+        basis of degree |key| + step; must not be mutated.  Here built by
+        ``_apply``."""
         out: dict = {}
         self._apply(key, _ONE, out)
         return {k: c for k, c in out.items() if c}
@@ -398,18 +389,17 @@ class GradedModel:
         return self.differential.get(idx, self.algebra.element_type.zero())
 
     def validate(self) -> ValidationReport:
-        """Each image homogeneous of degree |g| + step >= 1, the condition
-        of the derivation; then d(d g) = 0 for every generator g, checked
-        only when every image meets it."""
+        """An issue for each image the derivation cannot act on
+        (``_image_issue``); then d(d g) = 0 for every generator g, checked
+        only when there is none."""
         alg, sym = self.algebra, self.d_name
         issues = []
         for idx, img in self.differential.items():
             g = alg.by_index[idx]
-            want = g.degree + alg.derivation_type.step
-            if want < 1 or not alg.is_homogeneous(img, want):
+            issue = self._image_issue(g, img)
+            if issue:
                 issues.append(ValidationIssue(
-                    "homogeneity", g.name,
-                    f"{sym}({g.name}) is not homogeneous of degree {want}"))
+                    issue[0], g.name, f"{sym}({g.name}) {issue[1]}"))
         if not issues:
             for idx, img in self.differential.items():
                 if not self.d(img).is_zero():
@@ -417,6 +407,22 @@ class GradedModel:
                     issues.append(ValidationIssue(
                         f"{sym}-squared", g.name, f"{sym}({sym}({g.name})) != 0"))
         return ValidationReport(tuple(issues))
+
+    def _image_issue(self, g: Generator, img) -> tuple[str, str] | None:
+        """(check, complaint) when the image of g names a generator the
+        model lacks, or is not homogeneous of degree |g| + step >= 1, the
+        condition of the derivation; else None."""
+        alg = self.algebra
+        missing = {i for k in img.terms for i in alg.key_generators(k)
+                   if i not in alg.by_index}
+        if missing:
+            return ("unknown-generator",
+                    f"names generator index {min(missing)}, which the model "
+                    f"lacks")
+        want = g.degree + alg.derivation_type.step
+        if want < 1 or not alg.is_homogeneous(img, want):
+            return "homogeneity", f"is not homogeneous of degree {want}"
+        return None
 
     def require_valid(self):
         """The model itself; ValidationError if ``validate`` finds issues.

@@ -6,31 +6,26 @@ parity being degree mod 2: the standard bracketing b(w) of every Lyndon
 word w over the generator indices, plus [b(u), b(u)] for every Lyndon word u
 of odd degree (Reutenauer, *Free Lie Algebras*, Ch. 4-5).  Each basis
 element is keyed by its leading word -- its smallest tensor word, w resp.
-uu.  The bracket of two basis elements is read from memoized structure
-constants, got by Hall rewriting on the standard factorization, and a
-derivation acts on a basis element by the Leibniz rule over them; so the
-differential's matrices are built in coordinates, with no tensor algebra.
+uu -- and an element is a sparse combination of these keys, so its terms
+are its coordinates.  Whether a word is a key, and which two keys it
+brackets, are read off the word itself.
 
-Elements are sparse combinations of tensor words (tuples of generator
-indices) in T(W), which now serves only input, validation and the test
-oracle: parsing builds elements there, ``is_lie`` and delta-squared of the
-generator images are checked there, the element-level derivation acts
-there, and coordinates come from triangular peeling, since every basis
-element has its own leading word.  A basis element's tensor expansion is
-built only when asked for.
+The bracket of two basis elements is read from memoized structure
+constants, got by Hall rewriting on the standard factorization; the bracket
+of two elements is their bilinear extension, and a derivation acts on a
+basis element by the Leibniz rule over them.  Nothing here expands an
+element in the tensor algebra T(W): that route is the test oracle, in
+``tests/tensor_oracle.py``.
 """
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
-from .errors import DegreeMismatch, InternalInconsistency
+from .errors import InternalInconsistency
 from .graded import FreeAlgebra, Generator, GradedDerivation, SparseElement
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Word = tuple[int, ...]  # generator indices, tensor factors left to right
 # A bracket tree: a generator index, or a pair (left, right) for [left, right].
@@ -42,13 +37,14 @@ LieGenerator = Generator
 
 
 class LieElement(SparseElement):
-    """Sparse rational combination of tensor words."""
+    """Sparse rational combination of Lie basis keys."""
 
     __slots__ = ()
 
 
 class LieDerivation(GradedDerivation):
-    """Degree -1 derivation of T(W) restricting to the bracket Leibniz rule."""
+    """Degree -1 derivation of L(W), applied to a basis key by the Leibniz
+    rule (``key_image``)."""
 
     step = -1
 
@@ -58,19 +54,12 @@ class LieDerivation(GradedDerivation):
 
     def _apply(self, w: Word, c: Fraction, out: dict[Word, Fraction]):
         """out += c * D(w)."""
-        prefix_deg = 0
-        for j, idx in enumerate(w):
-            img = self.images.get(idx)
-            if img is not None:
-                sc = -c if prefix_deg % 2 else c
-                for u, v in img.terms.items():
-                    word = w[:j] + u + w[j + 1:]
-                    out[word] = out.get(word, _ZERO) + sc * v
-            prefix_deg += self.algebra.by_index[idx].degree
+        for k, v in self.key_image(w).items():
+            out[k] = out.get(k, _ZERO) + c * v
 
     def key_image(self, w: Word) -> Coords:
         """D of the basis element keyed w, in coordinates, memoized: a
-        generator's image is peeled once; then D[b(u), b(v)] = [D b(u), b(v)]
+        generator's image is read once; then D[b(u), b(v)] = [D b(u), b(v)]
         + (-1)^|u| [b(u), D b(v)] on the standard factorization (u, v), and
         D[b(u), b(u)] = 2 [D b(u), b(u)] on a square."""
         z = self._key_images.get(w)
@@ -103,6 +92,10 @@ def _nonzero(out: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def _is_lyndon(w: Word) -> bool:
+    return bool(w) and all(w < w[i:] for i in range(1, len(w)))
+
+
 class FreeLie(FreeAlgebra):
     """The free graded Lie algebra on a list of generators.
 
@@ -110,7 +103,7 @@ class FreeLie(FreeAlgebra):
     given, the restricted tables keep the basis elements whose leading word
     uses only these generators: the Lyndon basis of a sub-alphabet is the
     part of the full Lyndon basis over that alphabet.  A restriction shares
-    its source's factorizations, expansions and structure constants.
+    its source's factorizations and structure constants.
     """
 
     element_type = LieElement
@@ -119,15 +112,11 @@ class FreeLie(FreeAlgebra):
     def __init__(self, generators: Sequence[Generator],
                  source: "FreeLie | None" = None):
         super().__init__(generators, source)
-        self._word_cache: dict[int, list[Word]] = {}
         # degree -> Lyndon words of that degree, ascending
         self._lyndon_cache: dict[int, list[Word]] = {}
-        # Lyndon word of length >= 2 -> its standard factorization (u, v)
+        # key of length >= 2 -> the keys (u, v) it brackets
         self._factor: dict[Word, tuple[Word, Word]] = (
             {} if source is None else source._factor)
-        # basis key -> tensor expansion of its basis element
-        self._expansion: dict[Word, LieElement] = (
-            {} if source is None else source._expansion)
         # (p, q) -> [B_p, B_q] over the basis keys, int coefficients
         self._brackets: dict[tuple[Word, Word], Coords] = (
             {} if source is None else source._brackets)
@@ -148,59 +137,17 @@ class FreeLie(FreeAlgebra):
             return f"[{fmt(t[0])},{fmt(t[1])}]"
         return fmt(self._tree(w))
 
-    # --- bracket in T(W) ----------------------------------------------------
-
     def bracket(self, a: LieElement, b: LieElement) -> LieElement:
-        """[a, b] = a (x) b - (-1)^(|a||b|) b (x) a, extended bilinearly."""
-        out: dict[Word, Fraction] = {}
-        bs = [(wb, cb, self.key_degree(wb) % 2) for wb, cb in b.terms.items()]
-        for wa, ca in a.terms.items():
-            odd_a = self.key_degree(wa) % 2
-            for wb, cb, odd_b in bs:
-                c = ca * cb
-                w1 = wa + wb
-                out[w1] = out.get(w1, _ZERO) + c
-                w2 = wb + wa
-                out[w2] = out.get(w2, _ZERO) + (c if odd_a and odd_b else -c)
+        """[a, b], extended bilinearly from the structure constants."""
+        out: dict = {}
+        self.bracket_into(out, a.terms, b.terms)
         return LieElement._of(out)
 
-    # --- tensor-word bases -------------------------------------------------
-
-    def words(self, degree: int) -> list[Word]:
-        """All tensor words of the given degree, lexicographic by index."""
-        if degree in self._word_cache:
-            return self._word_cache[degree]
-        out: list[Word] = []
-        gens = sorted(self.generators, key=lambda g: g.index)
-
-        def rec(remaining: int, acc: list[int]):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            for g in gens:
-                if g.degree <= remaining:
-                    acc.append(g.index)
-                    rec(remaining - g.degree, acc)
-                    acc.pop()
-
-        if degree >= 1:
-            rec(degree, [])
-        self._word_cache[degree] = out
-        return out
-
-    def to_coords(self, degree: int, e: LieElement) -> linalg.Vector:
-        idx = {w: j for j, w in enumerate(self.words(degree))}
-        v = [_ZERO] * len(idx)
-        for w, c in e.terms.items():
-            if w not in idx:
-                raise DegreeMismatch(f"word outside degree {degree}")
-            v[idx[w]] = c
-        return tuple(v)
-
-    # --- Lyndon words ------------------------------------------------------
+    # --- Lyndon words and keys ---------------------------------------------
 
     def _lyndon(self, degree: int) -> list[Word]:
-        """Lyndon words of the degree, built from standard factorizations.
+        """Lyndon words of the degree, ascending, built from standard
+        factorizations.
 
         w = uv with u, v Lyndon is Lyndon with standard factorization (u, v)
         exactly when u < v and u is a letter or the right factor of u's own
@@ -213,7 +160,7 @@ class FreeLie(FreeAlgebra):
         for du in range(1, degree):
             vs = self._lyndon(degree - du)
             for u in self._lyndon(du):
-                fu = self._factor.get(u)
+                fu = self.split(u)
                 for v in vs:
                     if u < v and (fu is None or fu[1] >= v):
                         w = u + v
@@ -223,13 +170,28 @@ class FreeLie(FreeAlgebra):
         self._lyndon_cache[degree] = out
         return out
 
+    def is_key(self, w: Word) -> bool:
+        """Whether w is a basis key: a Lyndon word -- nonempty and smaller
+        than each of its proper suffixes -- or uu for a Lyndon word u of odd
+        degree."""
+        half = len(w) // 2
+        if len(w) % 2 == 0 and w[:half] == w[half:]:
+            return _is_lyndon(w[:half]) and self.key_degree(w[:half]) % 2 == 1
+        return _is_lyndon(w)
+
     def split(self, w: Word) -> tuple[Word, Word] | None:
-        """The keys (u, v) with [B_u, B_v] the basis element keyed w: the
-        standard factorization of a Lyndon w, (u, u) for a square w = uu;
-        None for a letter.  w's degree must have been enumerated."""
+        """The keys (u, v) with [B_u, B_v] the basis element keyed w, None
+        for a letter; memoized, and recorded by ``_lyndon`` for the words it
+        builds.  v is w's smallest proper suffix: for a Lyndon w its longest
+        proper Lyndon suffix, so (u, v) is the standard factorization; for
+        w = uu it is u."""
         if len(w) == 1:
             return None
-        return self._factor.get(w) or (w[:len(w) // 2],) * 2
+        f = self._factor.get(w)
+        if f is None:
+            v = min(w[i:] for i in range(1, len(w)))
+            f = self._factor[w] = (w[:len(w) - len(v)], v)
+        return f
 
     def _tree(self, w: Word) -> Tree:
         """The bracket tree of the basis element with leading word w: b(w)
@@ -248,84 +210,13 @@ class FreeLie(FreeAlgebra):
             keys += [u + u for u in self._lyndon(half)]
         return sorted(keys)
 
-    def key_element(self, w: Word) -> LieElement:
-        """The basis element keyed w, expanded in T(W) and memoized;
-        InternalInconsistency unless w is its smallest word."""
-        e = self._expansion.get(w)
-        if e is None:
-            f = self.split(w)
-            e = LieElement({w: _ONE}) if f is None else self.bracket(
-                self.key_element(f[0]), self.key_element(f[1]))
-            self._expansion[w] = e
-        if e.is_zero() or min(e.terms) != w:
-            raise InternalInconsistency(
-                f"Lyndon basis element with leading word {w} is not "
-                f"triangular in degree {self.key_degree(w)}")
-        return e
-
-    def lie_basis_with_seqs(self, degree: int):
-        """(basis elements, their bracket trees) for L_degree.
-
-        A tree is a generator index or a pair (left, right) standing for
-        [left, right]; elements are ordered by ascending leading word.
-        """
-        return (self.lie_basis(degree),
-                [self._tree(w) for w in self.basis(degree)])
-
-    def lie_basis(self, degree: int) -> list[LieElement]:
-        return [self.key_element(w) for w in self.basis(degree)]
-
-    def lie_dim(self, degree: int) -> int:
-        return len(self.basis(degree))
-
-    def is_lie(self, e: LieElement) -> bool:
-        """Whether e, homogeneous of degree >= 1, lies in L(W), with no basis:
-        by the Dynkin-Specht-Wever criterion, iff the left-normed brackets
-        [...[x1, x2], ..., xn] of its words, each over its length, sum to e."""
-        total = LieElement()
-        for w, c in e.terms.items():
-            t = LieElement({w[:1]: c / len(w)})
-            for i in w[1:]:
-                t = self.bracket(t, LieElement({(i,): _ONE}))
-            total = total + t
-        return total == e
-
     def key_coords(self, degree: int, e: LieElement) -> dict | None:
-        """Coefficients over lie_basis(degree), keyed by leading word; None
-        if e is outside L(W).
+        """e's terms, which are its coordinates, when every one is a basis
+        key; None otherwise: e is outside L(W)."""
+        return e.terms if all(map(self.is_key, e.terms)) else None
 
-        Peels basis elements off by ascending leading word: the smallest word
-        left must be a leading word, else e is not in L(W).
-        """
-        idx = self.table(degree).index
-        coords = {}
-        rest = dict(e.terms)
-        heap = list(rest)
-        heapq.heapify(heap)
-        while heap:
-            w = heapq.heappop(heap)
-            c = rest.pop(w)
-            if not c:
-                continue
-            if w not in idx:
-                if not self.is_homogeneous(e, degree):
-                    raise DegreeMismatch(f"word outside degree {degree}")
-                return None
-            b = self.key_element(w)
-            k = c / b.terms[w]
-            coords[w] = k
-            # every other word of b is larger than w, so a word once popped
-            # never comes back
-            for x, v in b.terms.items():
-                if x != w:
-                    old = rest.get(x)
-                    if old is None:
-                        rest[x] = -k * v
-                        heapq.heappush(heap, x)
-                    else:
-                        rest[x] = old - k * v
-        return coords
-
+    # the names the benchmark's tracer binds
+    lie_basis_with_seqs = FreeAlgebra.basis
     lie_coords = FreeAlgebra.coords
 
     # --- structure constants -----------------------------------------------
@@ -342,7 +233,6 @@ class FreeLie(FreeAlgebra):
         """[B_p, B_q] by Hall rewriting on the standard factorization, with
         the super signs (Reutenauer, Ch. 4-5)."""
         dp, dq = self.key_degree(p), self.key_degree(q)
-        self._lyndon(dp + dq)       # every factorization up to that degree
         if p > q:   # [x, y] = -(-1)^(|x||y|) [y, x]
             s = 1 if dp % 2 and dq % 2 else -1
             return {k: s * c for k, c in self.key_bracket(q, p).items()}

@@ -10,6 +10,8 @@ from elliptica import linalg
 from elliptica.errors import InternalInconsistency
 from elliptica.lie import FreeLie, LieElement, LieGenerator
 
+from tensor_oracle import Tensor, TensorRoute, basis_elements
+
 GEN_SETS = [
     [("w", 1)],
     [("w", 2)],
@@ -27,27 +29,28 @@ def make_lie(spec):
 def all_bracketings_rank(lie, degree):
     """Rank of the span of *all* fully parenthesized brackets of the degree.
 
-    Independent of the Lyndon basis behind lie_basis: this recursion builds
-    every bracketing shape.
+    Independent of the Lyndon basis: this recursion builds every bracketing
+    shape in the tensor algebra.
     """
+    route = TensorRoute(lie)
     memo = {}
 
     def elems(d):
         if d in memo:
             return memo[d]
-        out = [lie.gen(g.name) for g in lie.generators if g.degree == d]
+        out = [route.gen(g.name) for g in lie.generators if g.degree == d]
         for i in range(1, d):
             for a in elems(i):
                 for b in elems(d - i):
-                    e = lie.bracket(a, b)
+                    e = route.bracket(a, b)
                     if not e.is_zero():
                         out.append(e)
         memo[d] = out
         return out
 
-    span = linalg.Span(len(lie.words(degree)))
+    span = linalg.Span(len(route.words(degree)))
     for e in elems(degree):
-        span.add(lie.to_coords(degree, e))
+        span.add(route.to_coords(degree, e))
     return span.rank
 
 
@@ -55,25 +58,26 @@ def all_bracketings_rank(lie, degree):
 @pytest.mark.parametrize("degree", range(1, 7))
 def test_lie_basis_matches_all_bracketings_oracle(spec, degree):
     lie = make_lie(spec)
-    assert lie.lie_dim(degree) == all_bracketings_rank(lie, degree)
+    assert len(lie.basis(degree)) == all_bracketings_rank(lie, degree)
 
 
 def test_one_odd_generator_dimensions():
     # odd |w|: basis is {w, [w,w]}; [w,[w,w]] vanishes by the graded Jacobi
     lie = make_lie([("w", 1)])
-    assert [lie.lie_dim(d) for d in range(1, 6)] == [1, 1, 0, 0, 0]
+    assert [len(lie.basis(d)) for d in range(1, 6)] == [1, 1, 0, 0, 0]
 
 
 def test_one_even_generator_dimensions():
     # even |w|: [w,w] = 0, so only w itself survives
     lie = make_lie([("w", 2)])
-    assert [lie.lie_dim(d) for d in range(1, 7)] == [0, 1, 0, 0, 0, 0]
+    assert [len(lie.basis(d)) for d in range(1, 7)] == [0, 1, 0, 0, 0, 0]
 
 
 def random_homogeneous(lie, rng, max_degree=6):
-    degrees = [d for d in range(1, max_degree + 1) if lie.lie_basis(d)]
+    degrees = [d for d in range(1, max_degree + 1) if lie.basis(d)]
     d = rng.choice(degrees)
-    picks = rng.sample(lie.lie_basis(d), min(2, len(lie.lie_basis(d))))
+    basis = basis_elements(lie, d)
+    picks = rng.sample(basis, min(2, len(basis)))
     return sum((b.scale(rng.randint(-3, 3)) for b in picks),
                LieElement.zero()), d
 
@@ -121,7 +125,7 @@ def test_pbw_hilbert_series(spec):
     lie = make_lie(spec)
     lhs = [1] + [0] * top
     for n in range(1, top + 1):
-        a = lie.lie_dim(n)
+        a = len(lie.basis(n))
         factor = [0] * (top + 1)
         for k in range(top // n + 1):
             factor[n * k] = comb(a, k) if n % 2 else \
@@ -137,7 +141,7 @@ def test_pbw_hilbert_series(spec):
 def test_lie_coords_roundtrip(spec):
     lie = make_lie(spec)
     for d in range(1, 7):
-        basis = lie.lie_basis(d)
+        basis = basis_elements(lie, d)
         for j, b in enumerate(basis):
             coords = lie.lie_coords(d, b)
             assert coords == tuple(int(i == j) for i in range(len(basis)))
@@ -151,15 +155,20 @@ def test_lie_coords_roundtrip(spec):
 def test_lie_coords_rejects_non_lie_tensor(spec):
     # g(x)g(x)g lies in L(W) for no generator g: L has nothing in that
     # multidegree, as [g,g] = 0 for even g and [g,[g,g]] = 0 for odd g;
-    # for even g not even g(x)g does
+    # for even g not even g(x)g does.  So its word is no basis key, and the
+    # tensor route finds the tensor outside L(W) too
     lie = make_lie(spec)
+    route = TensorRoute(lie)
     g = lie.generators[0]
     powers = (2, 3) if g.degree % 2 == 0 else (3,)
     for p in powers:
-        e = LieElement({(g.index,) * p: Fraction(1)})
+        w = (g.index,) * p
+        e, t = LieElement({w: Fraction(1)}), Tensor({w: Fraction(1)})
         assert lie.lie_coords(p * g.degree, e) is None
-        for b in lie.lie_basis(p * g.degree):
+        assert route.peel(p * g.degree, t) is None and not route.is_lie(t)
+        for b in basis_elements(lie, p * g.degree):
             assert lie.lie_coords(p * g.degree, e + b) is None
+            assert route.peel(p * g.degree, t + route.expand(b)) is None
 
 
 def test_derivation_leibniz_for_bracket():
@@ -170,7 +179,7 @@ def test_derivation_leibniz_for_bracket():
         lie = make_lie(spec)
         images = {}
         for g in lie.generators:
-            basis = lie.lie_basis(g.degree - 1) if g.degree > 1 else []
+            basis = basis_elements(lie, g.degree - 1)
             images[g.index] = sum(
                 (b.scale(rng.choice([-3, -1, 1, 2, 5])) for b in basis),
                 LieElement.zero())
@@ -196,11 +205,11 @@ def test_derivation_squares_to_zero_on_model_generators():
 
 def test_non_triangular_basis_element_raises():
     lie = make_lie([("u", 1), ("v", 1)])
-    lie._lyndon(3)
+    route = TensorRoute(lie)
     # b(uuv) must have uuv as its smallest word; plant one that does not
-    lie._expansion[(0, 0, 1)] = LieElement({(0, 1, 1): Fraction(1)})
+    route.expansion[(0, 0, 1)] = Tensor({(0, 1, 1): Fraction(1)})
     with pytest.raises(InternalInconsistency):
-        lie.lie_basis(3)
+        [route.key_element(w) for w in lie.basis(3)]
 
 
 # --- Lyndon coordinates against the tensor route -----------------------------
@@ -208,22 +217,23 @@ def test_non_triangular_basis_element_raises():
 ORACLE_DEGREE = 10
 
 
-def tensor_bracket_coords(lie, p, q):
+def tensor_bracket_coords(route, p, q):
     """[B_p, B_q] by the tensor route: bracket the expansions, then peel."""
-    degree = lie.key_degree(p) + lie.key_degree(q)
-    return lie.key_coords(degree, lie.bracket(lie.key_element(p),
-                                              lie.key_element(q)))
+    degree = route.lie.key_degree(p) + route.lie.key_degree(q)
+    return route.peel(degree, route.bracket(route.key_element(p),
+                                            route.key_element(q)))
 
 
 @pytest.mark.parametrize("spec", GEN_SETS)
 def test_structure_constants_match_the_tensor_route(spec):
     lie = make_lie(spec)
+    route = TensorRoute(lie)
     for dp in range(1, ORACLE_DEGREE):
         for dq in range(1, ORACLE_DEGREE + 1 - dp):
             for p in lie.basis(dp):
                 for q in lie.basis(dq):
                     assert lie.key_bracket(p, q) == \
-                        tensor_bracket_coords(lie, p, q), (spec, p, q)
+                        tensor_bracket_coords(route, p, q), (spec, p, q)
 
 
 @settings(max_examples=30, deadline=None)
@@ -235,16 +245,18 @@ def test_delta_columns_match_the_tensor_route(spec, seed):
     # to its expansion, then peeled
     rng = random.Random(seed)
     lie = make_lie(spec)
+    route = TensorRoute(lie)
     images = {}
     for g in lie.generators:
-        basis = lie.lie_basis(g.degree - 1) if g.degree > 1 else []
         images[g.index] = sum(
-            (b.scale(rng.randint(-3, 3)) for b in basis), LieElement.zero())
+            (b.scale(rng.randint(-3, 3))
+             for b in basis_elements(lie, g.degree - 1)), LieElement.zero())
     delta = lie.derivation(images)
+    tensor_images = {i: route.expand(e) for i, e in images.items()}
     for degree in range(1, ORACLE_DEGREE + 1):
         for w in lie.basis(degree):
-            want = lie.key_coords(degree - 1, delta(lie.key_element(w))) \
-                if degree > 1 else {}
+            want = route.peel(degree - 1, route.apply(
+                tensor_images, route.key_element(w))) if degree > 1 else {}
             assert delta.key_image(w) == want, (spec, w)
 
 
@@ -253,10 +265,39 @@ def test_odd_square_bracket_base_case(spec):
     # [b(u), [b(u), b(u)]] = 0 for odd u by the graded Jacobi identity; the
     # rewriting must know it, else it would rewrite the bracket into itself
     lie = make_lie(spec)
+    route = TensorRoute(lie)
     odd = [u for d in (1, 3) for u in lie.basis(d)]    # all Lyndon words
     assert odd or spec == [("w", 2)]
     for u in odd:
         uu = u + u
         assert lie.key_bracket(u, u) == {uu: 1}
         assert lie.key_bracket(u, uu) == {} == lie.key_bracket(uu, u)
-        assert tensor_bracket_coords(lie, u, uu) == {}
+        assert tensor_bracket_coords(route, u, uu) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GEN_SETS), st.data())
+def test_is_key_agrees_with_the_enumerated_basis(spec, data):
+    # a random word of degree <= 8, or the square uu of a Lyndon word u of
+    # either parity: a key exactly when it is in its degree's basis table,
+    # and a Lyndon key splits into its standard factorization
+    lie = make_lie(spec)
+    letters = data.draw(st.lists(st.integers(0, len(spec) - 1), min_size=1,
+                                 max_size=8))
+    w = ()
+    for i in letters:
+        if lie.key_degree(w + (i,)) > 8:
+            break
+        w += (i,)
+    if data.draw(st.booleans()):
+        lyndon = [u for d in range(1, 5) for u in lie._lyndon(d)]
+        u = data.draw(st.sampled_from(lyndon))
+        w = u + u
+    assert lie.is_key(w) == (w in lie.table(lie.key_degree(w)).index), w
+    if lie.is_key(w) and len(w) > 1 and w[:len(w) // 2] * 2 != w:
+        fresh = make_lie(spec)      # no enumeration: split reads the word
+        u, v = fresh.split(w)
+        fu = fresh.split(u)
+        assert (u, v) == lie.split(w)   # the enumeration's factorization
+        assert u + v == w and u < v and lie.is_key(u) and lie.is_key(v)
+        assert fu is None or fu[1] >= v

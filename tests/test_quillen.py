@@ -70,27 +70,55 @@ def test_validate_catches_inhomogeneous_image():
 
 
 def test_d_assembly_refuses_an_image_outside_lie():
-    # a (x) b is a tensor outside L(W); built without require_valid, the
-    # model reaches the d assembly, which peels the image and must refuse it
+    # ba is no basis key (ab is, for [a,b]); built without require_valid,
+    # the model reaches the d assembly, which reads the image and must
+    # refuse it
     gens = [LieGenerator("a", 1, 0), LieGenerator("b", 1, 1),
             LieGenerator("c", 3, 2)]
-    bad = DGLModel(gens, {2: LieElement({(0, 1): 1})}, name="bad")
+    bad = DGLModel(gens, {2: LieElement({(1, 0): 1})}, name="bad")
     with pytest.raises(InternalInconsistency,
                        match=r"DGLModel\(bad\): d out of degree 3: the image "
                              r"of c is outside L\(W\)"):
         bad.complex().d_matrix(3)
 
 
-def test_validation_builds_no_lie_basis(monkeypatch):
-    # membership in L(W) needs no basis, so a high generator over two of
-    # degree 1 stays cheap: the Lie basis of degree 41 is astronomically large
+HIGH_DEGREE_IMAGE = ("model m : quillen\ngen a : 1\ngen b : 1\ngen w : 40\n"
+                     "gen z : 42\nd z = [a,w]\n")
+
+
+def _no_lie_basis(monkeypatch):
     def no_basis(self, degree):
-        raise AssertionError(f"Lie basis table of degree {degree} read")
+        raise AssertionError(f"Lie basis of degree {degree} enumerated")
 
     monkeypatch.setattr(FreeLie, "table", no_basis)
-    m = dsl.parse("model m : quillen\ngen a : 1\ngen b : 1\ngen w : 40\n"
-                  "gen z : 42\nd z = [a,w]\n")
+    monkeypatch.setattr(FreeLie, "_lyndon", no_basis)
+
+
+def test_validation_builds_no_lie_basis(monkeypatch):
+    # parsing, membership in L(W) and delta-squared need no basis, so a high
+    # generator over two of degree 1 stays cheap: the Lie basis of degree 41
+    # is astronomically large
+    _no_lie_basis(monkeypatch)
+    m = dsl.parse(HIGH_DEGREE_IMAGE)
     assert m.validate().ok
+
+
+def test_serialize_builds_no_lie_basis(monkeypatch):
+    # an image's coordinates are its terms, so printing it needs no basis
+    m = dsl.parse(HIGH_DEGREE_IMAGE)
+    _no_lie_basis(monkeypatch)
+    assert dsl.serialize(m).endswith("d z = [a,w]\n")
+
+
+def test_an_image_naming_a_missing_generator_is_an_issue():
+    gens = [LieGenerator("a", 1, 0), LieGenerator("b", 3, 1)]
+    bad = DGLModel(gens, {1: LieElement({(7, 7): 1})}, name="bad")
+    assert [(i.check, i.generator) for i in bad.validate().issues] == [
+        ("unknown-generator", "b")]
+    with pytest.raises(ValidationError, match=r"DGLModel\(bad\): "
+                       r"unknown-generator \(b\): delta\(b\) names "
+                       r"generator index 7"):
+        invariants.analysis(bad)
 
 
 def test_whitehead_sequence_exact(catalog_quillen):

@@ -1,8 +1,9 @@
 import pytest
 
 from elliptica import dsl, invariants, randmodels, sullivan
-from elliptica.commutative import Generator
-from elliptica.errors import CompositionNotZero, TruncationNotClosed
+from elliptica.commutative import Element, Generator
+from elliptica.errors import (CompositionNotZero, TruncationNotClosed,
+                              ValidationError)
 from elliptica.sullivan import SullivanModel, tensor_product
 
 from conftest import CATALOG_SULLIVAN_SPECS
@@ -67,6 +68,17 @@ def test_validation_catches_linear_terms_and_low_degrees():
     y = Generator("y", 1, 1)
     report = SullivanModel([x, y], {}).validate()
     assert any(i.check == "simple-connectivity" for i in report.issues)
+
+
+def test_an_image_naming_a_missing_generator_is_an_issue():
+    gens = [Generator("x", 2, 0), Generator("y", 3, 1)]
+    bad = SullivanModel(gens, {1: Element({((7, 2),): 1})}, name="bad")
+    assert [(i.check, i.generator) for i in bad.validate().issues] == [
+        ("unknown-generator", "y")]
+    with pytest.raises(ValidationError, match=r"SullivanModel\(bad\): "
+                       r"unknown-generator \(y\): d\(y\) names "
+                       r"generator index 7"):
+        invariants.analysis(bad)
 
 
 def test_truncation_closure_enforced():
