@@ -30,20 +30,20 @@ class Derivation(GradedDerivation):
 
     step = 1
 
-    def _apply(self, m: Monomial, c: Fraction, out: dict[Monomial, Fraction]):
-        """out += c * D(m): for each factor g^e of m, the term
-        (-1)^|prefix| e * prefix * g^(e-1) * D(g) * rest, multiplied out
-        monomial by monomial."""
+    def _apply(self, m: Monomial, c: int | Fraction, out: dict):
+        """out += c * den * D(m): for each factor g^e of m, the term
+        (-1)^|prefix| e * prefix * g^(e-1) * den * D(g) * rest, multiplied
+        out monomial by monomial."""
         alg = self.algebra
         prefix_deg = 0
         for pos, (idx, exp) in enumerate(m):
-            img = self.images.get(idx)
+            img = self.int_images.get(idx)
             if img is not None:
                 sc = (-c if prefix_deg % 2 else c) * exp
                 # exp > 1 only for even g, so left stays canonical
                 left = m[:pos] + ((idx, exp - 1),) if exp > 1 else m[:pos]
                 rest = m[pos + 1:]
-                for u, v in img.terms.items():
+                for u, v in img.items():
                     lu = alg._mul_monomials(left, u)
                     if lu is None:
                         continue
@@ -51,7 +51,7 @@ class Derivation(GradedDerivation):
                     if prod is None:
                         continue
                     key = prod[0]
-                    out[key] = out.get(key, _ZERO) + lu[1] * prod[1] * sc * v
+                    out[key] = out.get(key, 0) + lu[1] * prod[1] * sc * v
             prefix_deg += alg.by_index[idx].degree * exp
 
 

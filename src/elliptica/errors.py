@@ -21,6 +21,11 @@ class DegreeMismatch(EllipticaError):
     """An element fails a homogeneity or degree-shift requirement."""
 
 
+class NotInAlgebra(EllipticaError):
+    """A term or a generator index lies outside the free algebra: a word
+    that is no Lie basis key, or an index that no generator has."""
+
+
 # --- models -----------------------------------------------------------------
 
 class TruncationNotClosed(EllipticaError):

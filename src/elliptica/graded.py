@@ -30,11 +30,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import (CompositionNotZero, DegreeMismatch, ExactnessFailure,
-                     InternalInconsistency, TruncationNotClosed,
+                     InternalInconsistency, NotInAlgebra, TruncationNotClosed,
                      ValidationError)
 
 _ZERO = Fraction(0)
@@ -243,6 +244,11 @@ class GradedDerivation:
     """A derivation of degree ``step``, fixed by its images of the
     generators.  Each image must be zero or homogeneous of degree
     |g| + step >= 1; a subclass applies the derivation to one basis key.
+
+    ``den`` is the least common denominator of the images' coefficients,
+    and ``int_images`` holds each den * D(g) with int coefficients, so D of
+    a basis key is computed in integers and divided by ``den`` only at the
+    edge, ``__call__``.
     """
 
     step: int
@@ -250,32 +256,42 @@ class GradedDerivation:
     def __init__(self, algebra: FreeAlgebra,
                  images: Mapping[int, SparseElement]):
         self.algebra = algebra
-        self.images = {}
         for idx, img in images.items():
-            g = algebra.by_index[idx]
+            g = algebra.by_index.get(idx)
+            if g is None:
+                raise NotInAlgebra(
+                    f"an image is given on generator index {idx}, which the "
+                    f"algebra lacks")
             want = g.degree + self.step
             if not img.is_zero() and (
                     want < 1 or not algebra.is_homogeneous(img, want)):
                 raise DegreeMismatch(
                     f"image of {g.name} is not homogeneous of degree {want}")
-            self.images[idx] = img
+        self.den = den = lcm(*(c.denominator for img in images.values()
+                               for c in img.terms.values()))
+        self.int_images = {
+            idx: {k: c.numerator * (den // c.denominator)
+                  for k, c in img.terms.items()}
+            for idx, img in images.items()}
 
-    def _apply(self, key, c: Fraction, out: dict):
-        """out += c * D(key)."""
+    def _apply(self, key, c: int | Fraction, out: dict):
+        """out += c * den * D(key)."""
         raise NotImplementedError
 
     def key_image(self, key) -> dict:
-        """D of the basis element with that key, in coordinates over the
-        basis of degree |key| + step; must not be mutated.  Here built by
-        ``_apply``."""
+        """den * D of the basis element with that key, in int coordinates
+        over the basis of degree |key| + step; must not be mutated.  Here
+        built by ``_apply``."""
         out: dict = {}
-        self._apply(key, _ONE, out)
+        self._apply(key, 1, out)
         return {k: c for k, c in out.items() if c}
 
     def __call__(self, e):
         out: dict = {}
         for k, c in e.terms.items():
             self._apply(k, c, out)
+        if self.den != 1:
+            out = {k: c / self.den for k, c in out.items()}
         return self.algebra.element_type._of(out)
 
 
@@ -389,13 +405,20 @@ class GradedModel:
         return self.differential.get(idx, self.algebra.element_type.zero())
 
     def validate(self) -> ValidationReport:
-        """An issue for each image the derivation cannot act on
-        (``_image_issue``); then d(d g) = 0 for every generator g, checked
-        only when there is none."""
+        """An issue for each image the derivation cannot act on: one given
+        on an index that no generator has, or one ``_image_issue`` finds;
+        then d(d g) = 0 for every generator g, checked only when there is
+        none."""
         alg, sym = self.algebra, self.d_name
         issues = []
         for idx, img in self.differential.items():
-            g = alg.by_index[idx]
+            g = alg.by_index.get(idx)
+            if g is None:
+                issues.append(ValidationIssue(
+                    "unknown-generator", f"index {idx}",
+                    f"{sym} is given on generator index {idx}, which the "
+                    f"model lacks"))
+                continue
             issue = self._image_issue(g, img)
             if issue:
                 issues.append(ValidationIssue(
@@ -585,7 +608,8 @@ class GradedComplex:
 
     def _assemble_d_matrix(self, degree: int) -> linalg.QMatrix:
         """d : degree -> degree + step, column by column: each basis key's
-        image in coordinates, from the model's derivation."""
+        integer image, den * d(key) in coordinates, from the model's
+        derivation, over the derivation's ``den``."""
         der, idx = self.model.derivation(), self.model.algebra.table(
             degree + self.step).index
         ent = {}
@@ -597,7 +621,7 @@ class GradedComplex:
                     f"{self.model!r}: d out of degree {degree}: {e}") from None
             for k, v in z.items():
                 ent[(idx[k], c)] = v
-        return linalg.QMatrix(len(idx), self.dim(degree), ent)
+        return linalg.QMatrix(len(idx), self.dim(degree), ent, der.den)
 
     def _restricted_d_matrix(self, degree: int) -> linalg.QMatrix:
         """The parent's d matrix restricted to this model's basis keys."""
@@ -606,16 +630,16 @@ class GradedComplex:
         cols = {pidx[k]: c for c, k in enumerate(self.keys(degree))}
         pidx = palg.table(degree + self.step).index
         rows = {pidx[k]: r for r, k in enumerate(self.keys(degree + self.step))}
+        pmat = self.model.parent.complex().d_matrix(degree)
         ent = {}
-        for (r, c), v in self.model.parent.complex().d_matrix(
-                degree).entries.items():
+        for (r, c), v in pmat.entries.items():
             if c in cols:
                 if r not in rows:
                     raise TruncationNotClosed(
                         f"{self.model!r}: d of a degree-{degree} basis "
                         f"element leaves the kept generators")
                 ent[(rows[r], cols[c])] = v
-        return linalg.QMatrix(len(rows), len(cols), ent)
+        return linalg.QMatrix(len(rows), len(cols), ent, pmat.den)
 
     def _rank(self, degree: int) -> int:
         """rank of d : degree -> degree + step."""

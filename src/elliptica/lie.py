@@ -22,10 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, NotInAlgebra
 from .graded import FreeAlgebra, Generator, GradedDerivation, SparseElement
-
-_ZERO = Fraction(0)
 
 Word = tuple[int, ...]  # generator indices, tensor factors left to right
 # A bracket tree: a generator index, or a pair (left, right) for [left, right].
@@ -52,25 +50,25 @@ class LieDerivation(GradedDerivation):
         super().__init__(algebra, images)
         self._key_images: dict[Word, Coords] = {}
 
-    def _apply(self, w: Word, c: Fraction, out: dict[Word, Fraction]):
-        """out += c * D(w)."""
+    def _apply(self, w: Word, c: int | Fraction, out: dict):
+        """out += c * den * D(w); NotInAlgebra unless w is a basis key."""
+        self.algebra.require_key(w)
         for k, v in self.key_image(w).items():
-            out[k] = out.get(k, _ZERO) + c * v
+            out[k] = out.get(k, 0) + c * v
 
     def key_image(self, w: Word) -> Coords:
-        """D of the basis element keyed w, in coordinates, memoized: a
-        generator's image is read once; then D[b(u), b(v)] = [D b(u), b(v)]
-        + (-1)^|u| [b(u), D b(v)] on the standard factorization (u, v), and
-        D[b(u), b(u)] = 2 [D b(u), b(u)] on a square."""
+        """den * D of the basis element keyed w, in int coordinates,
+        memoized: a generator's image is read once; then D[b(u), b(v)] =
+        [D b(u), b(v)] + (-1)^|u| [b(u), D b(v)] on the standard
+        factorization (u, v), and D[b(u), b(u)] = 2 [D b(u), b(u)] on a
+        square."""
         z = self._key_images.get(w)
         if z is None:
             alg = self.algebra
             f = alg.split(w)
             if f is None:
-                img = self.images.get(w[0])
-                z = {} if img is None else alg.key_coords(
-                    alg.key_degree(w) - 1, img)
-                if z is None:
+                z = self.int_images.get(w[0], {})
+                if not all(map(alg.is_key, z)):
                     raise InternalInconsistency(
                         f"the image of {alg.by_index[w[0]].name} is outside "
                         f"L(W)")
@@ -138,10 +136,18 @@ class FreeLie(FreeAlgebra):
         return fmt(self._tree(w))
 
     def bracket(self, a: LieElement, b: LieElement) -> LieElement:
-        """[a, b], extended bilinearly from the structure constants."""
+        """[a, b], extended bilinearly from the structure constants;
+        NotInAlgebra when a term of a or b is no basis key."""
+        for w in (*a.terms, *b.terms):
+            self.require_key(w)
         out: dict = {}
         self.bracket_into(out, a.terms, b.terms)
         return LieElement._of(out)
+
+    def require_key(self, w: Word):
+        """NotInAlgebra unless w is a basis key over these generators."""
+        if not (all(i in self.by_index for i in w) and self.is_key(w)):
+            raise NotInAlgebra(f"the word {w} is no Lie basis key")
 
     # --- Lyndon words and keys ---------------------------------------------
 

@@ -1,25 +1,31 @@
 """Exact rational linear algebra.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator, no rounding anywhere).  Matrices are stored sparsely by
-(row, col) so the layouts produced from canonical monomial bases are
-bit-reproducible.
+denominator, no rounding anywhere).  A matrix is an integer matrix over one
+positive denominator, ``den``: its sparse integer entries, stored by
+(row, col) so the layouts produced from canonical bases are
+bit-reproducible, divided by ``den``.  Entries and ``den`` are kept in
+lowest terms, so two equal matrices have equal entries and denominators.
+The differentials are assembled in this form, and products of matrices
+multiply integers; a vector or a solution is a tuple of ``Fraction``.
 
-All elimination runs on one routine, ``_Echelon``: sparse integer rows
-(denominators cleared once per row on entry), reduced fraction-free by
-their leading column and kept primitive.  ``rank``, ``kernel_basis``,
-``solve``, ``Span``, ``independent_subset`` and ``quotient_representatives``
-are thin readouts of it; results go back to ``Fraction`` only on the way
-out.  Each readout is a canonical object of exact linear algebra (the
-reduced row echelon form, the greedy independent subset in input order,
-coordinates over independent vectors), so it does not depend on how the
-elimination got there.
+All elimination runs on one routine, ``_Echelon``: sparse integer rows,
+reduced fraction-free by their leading column and kept primitive.  A
+matrix's rows enter it as they are stored (the common denominator does not
+change a row's span); a rational vector has its denominators cleared once
+on entry.  ``rank``, ``kernel_basis``, ``solve``, ``Span``,
+``independent_subset`` and ``quotient_representatives`` are thin readouts
+of it; results go back to ``Fraction`` only on the way out.  Each readout
+is a canonical object of exact linear algebra (the reduced row echelon
+form, the greedy independent subset in input order, coordinates over
+independent vectors), so it does not depend on how the elimination got
+there.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotASubspace
 
@@ -30,44 +36,54 @@ _ONE = Fraction(1)
 
 
 class QMatrix:
-    """Immutable sparse matrix over Q with fixed dimensions."""
+    """Immutable sparse matrix over Q with fixed dimensions: the integer
+    ``entries`` over the positive denominator ``den``, in lowest terms (the
+    gcd of ``den`` and every entry is 1)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "den")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int, entries=None, den: int = 1):
+        """The matrix with entry ``entries[(r, c)] / den`` at (r, c).  The
+        entries may be any rationals; they are brought to integers over one
+        denominator once, here."""
         self.rows = rows
         self.cols = cols
         clean = {}
-        if entries:
-            for (r, c), v in entries.items():
-                f = Fraction(v)
-                if f:
-                    if not (0 <= r < rows and 0 <= c < cols):
-                        raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-                    clean[(r, c)] = f
+        l = 1
+        for (r, c), v in (entries or {}).items():
+            if v:
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
+                if v.__class__ is not int:
+                    v = Fraction(v)
+                    if v.denominator == 1:
+                        v = v.numerator
+                    else:
+                        l = lcm(l, v.denominator)
+                clean[(r, c)] = v
+        if l != 1:
+            clean = {k: int(v * l) for k, v in clean.items()}
+            den *= l
+        if den != 1:
+            g = gcd(den, *clean.values())
+            if g != 1:
+                clean = {k: v // g for k, v in clean.items()}
+                den //= g
         self.entries = clean
+        self.den = den
 
     @classmethod
     def from_rows(cls, rowdata: Sequence[Sequence]) -> "QMatrix":
         rows = len(rowdata)
         cols = len(rowdata[0]) if rows else 0
-        ent = {}
-        for r, row in enumerate(rowdata):
-            for c, v in enumerate(row):
-                f = Fraction(v)
-                if f:
-                    ent[(r, c)] = f
-        return cls(rows, cols, ent)
+        return cls(rows, cols, {(r, c): v for r, row in enumerate(rowdata)
+                                for c, v in enumerate(row)})
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int) -> "QMatrix":
-        ent = {}
-        for c, col in enumerate(columns):
-            for r, v in enumerate(col):
-                f = Fraction(v)
-                if f:
-                    ent[(r, c)] = f
-        return cls(nrows, len(columns), ent)
+        return cls(nrows, len(columns), {(r, c): v
+                                         for c, col in enumerate(columns)
+                                         for r, v in enumerate(col)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
@@ -75,10 +91,12 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, {(i, i): _ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     def column(self, c: int) -> Vector:
-        return tuple(self.entries.get((r, c), _ZERO) for r in range(self.rows))
+        e, den = self.entries, self.den
+        return tuple(Fraction(e[(r, c)], den) if (r, c) in e else _ZERO
+                     for r in range(self.rows))
 
     def columns(self) -> list[Vector]:
         return [self.column(c) for c in range(self.cols)]
@@ -86,25 +104,30 @@ class QMatrix:
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        by_row: dict[int, dict[int, Fraction]] = {}
+        by_row: dict[int, dict[int, int]] = {}
         for (r, k), v in self.entries.items():
             by_row.setdefault(r, {})[k] = v
-        by_k: dict[int, dict[int, Fraction]] = {}
+        by_k: dict[int, dict[int, int]] = {}
         for (k, c), v in other.entries.items():
             by_k.setdefault(k, {})[c] = v
-        ent: dict[tuple[int, int], Fraction] = {}
+        ent: dict[tuple[int, int], int] = {}
         for r, krow in by_row.items():
+            acc: dict[int, int] = {}
             for k, v in krow.items():
                 for c, w in by_k.get(k, {}).items():
-                    key = (r, c)
-                    ent[key] = ent.get(key, _ZERO) + v * w
-        return QMatrix(self.rows, other.cols, ent)
+                    acc[c] = acc.get(c, 0) + v * w
+            for c, x in acc.items():
+                if x:
+                    ent[(r, c)] = x
+        return QMatrix(self.rows, other.cols, ent, self.den * other.den)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         out = [_ZERO] * self.rows
         for (r, c), a in self.entries.items():
             if v[c]:
                 out[r] += a * v[c]
+        if self.den != 1:
+            return tuple(x / self.den for x in out)
         return tuple(out)
 
     def is_zero(self) -> bool:
@@ -112,7 +135,8 @@ class QMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.den == other.den
+                and self.entries == other.entries)
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
@@ -121,12 +145,12 @@ class QMatrix:
 Row = dict[int, int]   # sparse integer row: column -> nonzero entry
 
 
-def _int_row(items: Iterable[tuple[int, object]]) -> tuple[Row, int]:
-    """(row, l): the sparse integer row l * v of the rational entries
-    (col, v) given, l the least common denominator."""
-    ent = [(c, v) for c, v in items if v]
-    l = lcm(*(v.denominator for _, v in ent))
-    return {c: v.numerator * (l // v.denominator) for c, v in ent}, l
+def _int_row(v: Sequence[Fraction]) -> tuple[Row, int]:
+    """(row, l): the sparse integer row l * v of the rational vector v, l
+    the least common denominator."""
+    ent = [(c, x) for c, x in enumerate(v) if x]
+    l = lcm(*(x.denominator for _, x in ent))
+    return {c: x.numerator * (l // x.denominator) for c, x in ent}, l
 
 
 def _clear(row: Row, piv: Row, c: int) -> int:
@@ -207,12 +231,13 @@ class _Echelon:
 
 
 def _echelon_of_rows(m: QMatrix) -> _Echelon:
-    by_row: dict[int, list[tuple[int, Fraction]]] = {}
+    """The echelon form of m's integer rows, which span what m's rows do."""
+    by_row: dict[int, Row] = {}
     for (r, c), v in m.entries.items():
-        by_row.setdefault(r, []).append((c, v))
+        by_row.setdefault(r, {})[c] = v
     ech = _Echelon()
     for r in sorted(by_row):
-        ech.add(_int_row(by_row[r])[0])
+        ech.add(by_row[r])
     return ech
 
 
@@ -242,10 +267,10 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
 def solve(m: QMatrix, rhs: Sequence[Fraction]) -> Vector | None:
     """One solution of m.x = rhs, or None if inconsistent: the free
     variables are 0 and each pivot variable reads off the reduced row
-    echelon form of [m | rhs]."""
+    echelon form of [m | rhs], i.e. of [den * m | den * rhs]."""
     n = m.cols
     ech = _echelon_of_rows(QMatrix(m.rows, n + 1, {
-        **m.entries, **{(r, n): rhs[r] for r in range(m.rows)}}))
+        **m.entries, **{(r, n): m.den * rhs[r] for r in range(m.rows)}}))
     if n in ech.rows:  # a row [0 ... 0 | b], b != 0
         return None
     x = [_ZERO] * n
@@ -273,7 +298,7 @@ class Span:
         self.basis_count = 0
 
     def add(self, v: Sequence[Fraction]) -> bool:
-        row, l = _int_row(enumerate(v))
+        row, l = _int_row(v)
         row[self.dim + self.basis_count] = l
         if not self._echelon.add(row):
             return False
@@ -281,12 +306,12 @@ class Span:
         return True
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        row, _, lead = self._echelon.reduce(_int_row(enumerate(v))[0])
+        row, _, lead = self._echelon.reduce(_int_row(v)[0])
         return lead is None
 
     def express(self, v: Sequence[Fraction]) -> Vector | None:
         """Coefficients over the accepted basis, or None if v is outside."""
-        row, l = _int_row(enumerate(v))
+        row, l = _int_row(v)
         # s * v - (stored rows) = (0 | y), so v = sum_j (-y_j / s) b_j
         row, s, lead = self._echelon.reduce(row, l)
         if lead is not None:
@@ -305,7 +330,7 @@ def independent_subset(vectors: Sequence[Sequence[Fraction]],
                        dim: int) -> list[Vector]:
     """Greedy maximal independent subset, in input order (deterministic)."""
     ech = _Echelon()
-    return [tuple(v) for v in vectors if ech.add(_int_row(enumerate(v))[0])]
+    return [tuple(v) for v in vectors if ech.add(_int_row(v)[0])]
 
 
 def quotient_representatives(cycles: Sequence[Sequence[Fraction]],
@@ -313,11 +338,11 @@ def quotient_representatives(cycles: Sequence[Sequence[Fraction]],
     """Cycle vectors complementing span(boundaries) inside span(cycles)."""
     cycle_span = _Echelon()
     for z in cycles:
-        cycle_span.add(_int_row(enumerate(z))[0])
+        cycle_span.add(_int_row(z)[0])
     span = _Echelon()
     for b in boundaries:
-        row = _int_row(enumerate(b))[0]
+        row = _int_row(b)[0]
         if cycle_span.reduce(row)[2] is not None:
             raise NotASubspace("boundary vector outside span of cycles")
         span.add(row)
-    return [tuple(z) for z in cycles if span.add(_int_row(enumerate(z))[0])]
+    return [tuple(z) for z in cycles if span.add(_int_row(z)[0])]

@@ -70,7 +70,9 @@ class DGLModel(GradedModel):
         a generator's key, a one-letter word."""
         issues = list(super().validate().issues)
         for idx, img in self.differential.items():
-            if any(len(w) == 1 for w in img.terms):
+            # an unknown index is the shared checks' unknown-generator issue
+            if idx in self.lie.by_index and any(
+                    len(w) == 1 for w in img.terms):
                 name = self.lie.by_index[idx].name
                 issues.append(ValidationIssue(
                     "minimality", name, f"delta({name}) has a linear term"))

@@ -59,7 +59,9 @@ class SullivanModel(GradedModel):
                     "simple-connectivity", g.name,
                     f"generator degree {g.degree} < 2 (V^1 must vanish)"))
         for idx, img in self.differential.items():
-            if any(sum(e for _, e in m) < 2 for m in img.terms):
+            # an unknown index is the shared checks' unknown-generator issue
+            if idx in self.algebra.by_index and any(
+                    sum(e for _, e in m) < 2 for m in img.terms):
                 name = self.algebra.by_index[idx].name
                 issues.append(ValidationIssue(
                     "minimality", name, f"d({name}) has a linear term"))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptica import linalg
-from elliptica.errors import InternalInconsistency
+from elliptica.errors import InternalInconsistency, NotInAlgebra
 from elliptica.lie import FreeLie, LieElement, LieGenerator
+from elliptica.quillen import DGLModel
 
 from tensor_oracle import Tensor, TensorRoute, basis_elements
 
@@ -258,6 +260,66 @@ def test_delta_columns_match_the_tensor_route(spec, seed):
             want = route.peel(degree - 1, route.apply(
                 tensor_images, route.key_element(w))) if degree > 1 else {}
             assert delta.key_image(w) == want, (spec, w)
+
+
+FRACTIONS = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4),
+             Fraction(-5, 2), Fraction(7, 6)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("spec", [
+    [("a", 1), ("b", 2), ("c", 3)],
+    [("a", 1), ("b", 1), ("c", 2), ("e", 3), ("f", 4)],
+    [("u", 2), ("v", 3), ("w", 6)],
+])
+def test_fractional_delta_matrices_match_the_tensor_route(spec, seed):
+    # images with coefficients such as 1/2, 2/3 and -3/4, which need not
+    # square to zero: every column of the delta matrix, of the model and of
+    # each truncation, read as Fractions, equals the tensor route on that
+    # truncation's algebra
+    rng = random.Random(seed)
+    lie = make_lie(spec)
+    images = {}
+    for g in lie.generators:
+        images[g.index] = sum(
+            (b.scale(rng.choice(FRACTIONS))
+             for b in basis_elements(lie, g.degree - 1)), LieElement.zero())
+    model = DGLModel(lie, images)
+    dens = set()
+    for k in range(model.max_generator_degree() + 1):
+        t = model.truncate(k)
+        route = TensorRoute(t.lie)
+        tensor_images = {i: route.expand(e) for i, e in t.differential.items()}
+        cx = t.complex()
+        for degree in range(2, 8):
+            m = cx.d_matrix(degree)
+            dens.add(m.den)
+            for c, w in enumerate(t.lie.basis(degree)):
+                want = route.peel(degree - 1, route.apply(
+                    tensor_images, route.key_element(w)))
+                assert m.column(c) == t.lie.coords(
+                    degree - 1, LieElement(want)), (spec, k, w)
+                assert t.delta(LieElement({w: Fraction(1, 5)})) == \
+                    LieElement(want).scale(Fraction(1, 5)), (spec, k, w)
+    assert max(dens) > 1    # some matrix carries a denominator
+
+
+def test_bracket_refuses_a_term_that_is_no_key():
+    # ba is no key (ab is, for [a,b]); nor is a word on a missing generator
+    # or the empty word.  The bracket and the derivation name the word
+    # instead of returning a wrong element
+    lie = make_lie([("a", 1), ("b", 1)])
+    a = lie.gen("a")
+    assert lie.bracket(LieElement({(0, 1): 1}), a) == LieElement(
+        {(0, 0, 1): -1})
+    delta = lie.derivation({})
+    for w in [(1, 0), (7,), (), (0, 0, 0)]:
+        bad = LieElement({w: 1})
+        for x, y in [(bad, a), (a, bad)]:
+            with pytest.raises(NotInAlgebra, match=re.escape(str(w))):
+                lie.bracket(x, y)
+        with pytest.raises(NotInAlgebra, match=re.escape(str(w))):
+            delta(bad)
 
 
 @pytest.mark.parametrize("spec", GEN_SETS)

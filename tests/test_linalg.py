@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -262,3 +263,41 @@ def test_solve_on_empty_shapes():
     assert linalg.solve(QMatrix.zero(0, 3), []) == (Fraction(0),) * 3
     assert linalg.solve(QMatrix.zero(2, 0), [0, 0]) == ()
     assert linalg.solve(QMatrix.zero(2, 0), [0, Fraction(1, 2)]) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix, st.integers(1, 12))
+def test_integer_entries_over_one_denominator_equal_the_fractions(m, den):
+    # the same matrix given as rationals and as integers over den: equal,
+    # in lowest terms, with identical Fraction columns
+    shape, rows = m
+    scaled = [[v * den for v in row] for row in rows]
+    lcd = lcm(*(v.denominator for row in scaled for v in row))
+    ints = {(r, c): int(v * lcd) for r, row in enumerate(scaled)
+            for c, v in enumerate(row)}
+    a = qmatrix(shape, rows)
+    b = QMatrix(shape[0], shape[1], ints, den * lcd)
+    assert a == b and a.den == b.den
+    assert all(type(v) is int for v in b.entries.values())
+    assert gcd(b.den, *b.entries.values()) == 1
+    assert a.columns() == b.columns() == [
+        tuple(Fraction(rows[r][c]) for r in range(shape[0]))
+        for c in range(shape[1])]
+    assert all(type(v) is Fraction for col in b.columns() for v in col)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_matrix, st.data())
+def test_integer_product_equals_the_rational_product(m, data):
+    # matmul multiplies integers and denominators; the entries, read as
+    # rationals, are the row-by-column sums of the rational entries
+    (r, k), rows = m
+    n = data.draw(st.integers(0, 5))
+    other = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=k, max_size=k))
+    got = qmatrix((r, k), rows).matmul(qmatrix((k, n), other))
+    want = [[sum((rows[i][j] * other[j][c] for j in range(k)), Fraction(0))
+             for c in range(n)] for i in range(r)]
+    assert got == qmatrix((r, n), want)
+    assert got.columns() == [tuple(want[i][c] for i in range(r))
+                             for c in range(n)]

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from elliptica import dsl, invariants, quillen
+from elliptica import dsl, invariants, linalg, quillen
 from elliptica.errors import (BadParameter, CompositionNotZero,
-                              InternalInconsistency, UnboundedGamma,
-                              ValidationError)
+                              InternalInconsistency, NotInAlgebra,
+                              UnboundedGamma, ValidationError)
 from elliptica.lie import FreeLie, LieElement, LieGenerator
 from elliptica.quillen import DGLModel
 
@@ -121,6 +121,24 @@ def test_an_image_naming_a_missing_generator_is_an_issue():
         invariants.analysis(bad)
 
 
+def test_a_differential_on_a_missing_generator_is_an_issue():
+    # keyed by an index no generator has, the differential is an issue
+    # naming the index, not a KeyError; a linear image is no minimality
+    # issue of a generator the model lacks
+    gens = [LieGenerator("a", 1, 0), LieGenerator("b", 1, 1),
+            LieGenerator("c", 3, 2)]
+    lie = FreeLie(gens)
+    bad = DGLModel(gens, {9: lie.gen("a")}, name="bad")
+    assert [(i.check, i.generator) for i in bad.validate().issues] == [
+        ("unknown-generator", "index 9")]
+    with pytest.raises(ValidationError, match=r"DGLModel\(bad\): "
+                       r"unknown-generator \(index 9\): delta is given on "
+                       r"generator index 9"):
+        invariants.analysis(bad)
+    with pytest.raises(NotInAlgebra, match="generator index 9"):
+        bad.derivation()
+
+
 def test_whitehead_sequence_exact(catalog_quillen):
     for q in catalog_quillen:
         bound = min(quillen.default_bound(q), 8)
@@ -213,6 +231,35 @@ def test_rank_only_homology_raises_when_delta_squared_is_nonzero():
     assert 3 not in cx._coh_cache   # no representatives were built
     with pytest.raises(CompositionNotZero):
         quillen.homology_table(bad, 4)
+
+
+def test_a_defect_carried_by_a_fractional_coefficient_raises():
+    # delta(w4) = w3 and delta(w3) = 1/3[w1,w1]: delta . delta sends w4 to
+    # 1/3[w1,w1], an entry that exists only over the denominator 3
+    gens = [LieGenerator("w1", 1, 0), LieGenerator("w3", 3, 1),
+            LieGenerator("w4", 4, 2)]
+    lie = FreeLie(gens)
+    bad = DGLModel(gens, {
+        1: lie.bracket(lie.gen("w1"), lie.gen("w1")).scale(Fraction(1, 3)),
+        2: lie.gen("w3"),
+    })
+    cx = bad.complex()
+    assert cx.d_matrix(3).den == 3
+    with pytest.raises(CompositionNotZero):
+        cx.betti(3)
+    with pytest.raises(CompositionNotZero):
+        cx.homology(3)
+
+
+def test_a_planted_entry_in_a_cached_d_matrix_raises():
+    # delta out of degree 2 of CP^2 is zero; a planted entry 1/3 there
+    # composes with delta(w3) = 1/2[w1,w1] to 1/6 w1, which the d.d check
+    # must see
+    cx = dsl.catalog("cpn_quillen", 2).complex()
+    assert cx.d_matrix(2).is_zero() and cx.d_matrix(3).den == 2
+    cx._d_cache[2] = linalg.QMatrix(1, 1, {(0, 0): 1}, den=3)
+    with pytest.raises(CompositionNotZero, match="degree 2"):
+        cx.betti(2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,9 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from elliptica import dsl, invariants, randmodels, sullivan
 from elliptica.commutative import Element, Generator
-from elliptica.errors import (CompositionNotZero, TruncationNotClosed,
-                              ValidationError)
+from elliptica.errors import (CompositionNotZero, NotInAlgebra,
+                              TruncationNotClosed, ValidationError)
 from elliptica.sullivan import SullivanModel, tensor_product
 
 from conftest import CATALOG_SULLIVAN_SPECS
@@ -79,6 +82,75 @@ def test_an_image_naming_a_missing_generator_is_an_issue():
                        r"unknown-generator \(y\): d\(y\) names "
                        r"generator index 7"):
         invariants.analysis(bad)
+
+
+def test_a_differential_on_a_missing_generator_is_an_issue():
+    # keyed by an index no generator has, the differential is an issue
+    # naming the index, not a KeyError
+    gens = [Generator("x", 2, 0), Generator("y", 3, 1)]
+    x2 = Element({((0, 2),): 1})
+    for diff in ({9: x2}, {9: Element({((0, 1),): 1})}, {1: x2, 9: x2}):
+        bad = SullivanModel(gens, diff, name="bad")
+        assert [(i.check, i.generator) for i in bad.validate().issues] == [
+            ("unknown-generator", "index 9")]
+        with pytest.raises(ValidationError, match=r"SullivanModel\(bad\): "
+                           r"unknown-generator \(index 9\): d is given on "
+                           r"generator index 9"):
+            invariants.analysis(bad)
+        with pytest.raises(NotInAlgebra, match="generator index 9"):
+            bad.derivation()
+
+
+FRACTIONS = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4),
+             Fraction(-5, 2), Fraction(7, 6)]
+
+
+def leibniz(alg, images, m):
+    """d of the monomial m by the Leibniz rule over ``Algebra.multiply``:
+    m = g * rest for its first factor g, so d m = d(g) rest +
+    (-1)^|g| g d(rest)."""
+    if not m:
+        return Element()
+    (i, e), *tail = m
+    rest = tuple(([(i, e - 1)] if e > 1 else []) + tail)
+    g, r = alg.from_monomial(((i, 1),)), alg.from_monomial(rest)
+    assert alg.multiply(g, r) == alg.from_monomial(m)
+    sign = -1 if alg.by_index[i].degree % 2 else 1
+    return (alg.multiply(images.get(i, Element()), r)
+            + alg.multiply(g, leibniz(alg, images, rest)).scale(sign))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fractional_d_matrices_match_the_leibniz_rule(seed):
+    # images with coefficients such as 1/2, 2/3 and -3/4, which need not
+    # square to zero: every column of every d matrix, of the model and of
+    # each truncation, read as Fractions, is the Leibniz rule computed with
+    # Algebra.multiply, and so is d applied to an element
+    rng = random.Random(seed)
+    gens = [Generator("x", 2, 0), Generator("y", 3, 1), Generator("z", 4, 2),
+            Generator("u", 5, 3), Generator("v", 7, 4)]
+    alg = SullivanModel(gens, {}).algebra
+    # decomposable images only, so that every truncation is closed
+    images = {g.index: Element({m: rng.choice(FRACTIONS)
+                                for m in alg.basis(g.degree + 1)
+                                if sum(e for _, e in m) > 1
+                                and rng.random() < 0.7})
+              for g in gens}
+    model = SullivanModel(gens, images)
+    dens = set()
+    for k in range(model.max_generator_degree() + 1):
+        t = model.truncate(k)
+        cx = t.complex()
+        for degree in range(17):
+            m = cx.d_matrix(degree)
+            dens.add(m.den)
+            for c, mono in enumerate(cx.keys(degree)):
+                want = leibniz(t.algebra, t.differential, mono)
+                assert m.column(c) == t.algebra.coords(degree + 1, want), (
+                    k, mono)
+                assert t.d(Element({mono: Fraction(1, 5)})) == \
+                    want.scale(Fraction(1, 5)), (k, mono)
+    assert max(dens) > 1    # some matrix carries a denominator
 
 
 def test_truncation_closure_enforced():
