@@ -6,10 +6,11 @@ the Koszul sign rule, derivations satisfy the graded Leibniz identity.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, NotInAlgebra
 from .graded import FreeAlgebra, Generator, GradedDerivation, SparseElement
 
 _ZERO = Fraction(0)
@@ -30,43 +31,53 @@ class Derivation(GradedDerivation):
 
     step = 1
 
-    def _apply(self, m: Monomial, c: int | Fraction, out: dict):
-        """out += c * den * D(m): for each factor g^e of m, the term
-        (-1)^|prefix| e * prefix * g^(e-1) * den * D(g) * rest, multiplied
-        out monomial by monomial."""
+    def _key_image(self, m: Monomial) -> dict:
+        """den * D(m) for m = x * m', x the lowest generator of m:
+        den D(x) m' + (-1)^|x| x den D(m'), with D(m') memoized."""
+        if not m:
+            return {}
         alg = self.algebra
-        prefix_deg = 0
-        for pos, (idx, exp) in enumerate(m):
-            img = self.int_images.get(idx)
-            if img is not None:
-                sc = (-c if prefix_deg % 2 else c) * exp
-                # exp > 1 only for even g, so left stays canonical
-                left = m[:pos] + ((idx, exp - 1),) if exp > 1 else m[:pos]
-                rest = m[pos + 1:]
-                for u, v in img.items():
-                    lu = alg._mul_monomials(left, u)
-                    if lu is None:
-                        continue
-                    prod = alg._mul_monomials(lu[0], rest)
-                    if prod is None:
-                        continue
-                    key = prod[0]
-                    out[key] = out.get(key, 0) + lu[1] * prod[1] * sc * v
-            prefix_deg += alg.by_index[idx].degree * exp
+        (i, e), rest = m[0], m[1:]
+        x = ((i, 1),)
+        m1 = ((i, e - 1),) + rest if e > 1 else rest
+        out: dict = {}
+        for u, v in self.int_images.get(i, {}).items():
+            p = alg._mul_monomials(u, m1)
+            if p is not None:
+                out[p[0]] = out.get(p[0], 0) + p[1] * v
+        sx = -1 if i in alg._odd else 1
+        for u, v in self.key_image(m1).items():
+            p = alg._mul_monomials(x, u)
+            if p is not None:
+                out[p[0]] = out.get(p[0], 0) + sx * p[1] * v
+        return {k: c for k, c in out.items() if c}
 
 
 class Algebra(FreeAlgebra):
     """The free graded-commutative algebra Lambda(V) on a generator list.
 
     Its basis keys are the monomials, each a basis element alone, so an
-    element's terms are its coordinates.  A restricted basis keeps the
-    source's monomials in these generators: filtering a degree-lex list
-    keeps its order, so that is exactly the basis this algebra would
+    element's terms are its coordinates.  Each degree's basis is in
+    ascending lexicographic order of the exponent vector (e_0, e_1, ...)
+    by declaration index: with x, y both of degree 2, it is y^2, x*y, x^2.
+    A restricted basis keeps the source's monomials in these generators;
+    their exponents on the dropped generators are all 0, so filtering
+    keeps that order, and that is exactly the basis this algebra would
     enumerate itself.
     """
 
     element_type = Element
     derivation_type = Derivation
+
+    @functools.cached_property
+    def _odd(self) -> frozenset[int]:
+        """The indices of the odd generators."""
+        return frozenset(g.index for g in self.generators if g.degree % 2)
+
+    @functools.cached_property
+    def _suffixes(self) -> dict[tuple[int, int], list[Monomial]]:
+        """The suffix tables of ``_enumerate``: (pos, degree) -> monomials."""
+        return {}
 
     def key_degree(self, m: Monomial) -> int:
         return sum(self.by_index[i].degree * e for i, e in m)
@@ -84,6 +95,24 @@ class Algebra(FreeAlgebra):
     def key_coords(self, degree: int, e: Element) -> dict:
         return e.terms
 
+    def is_key(self, m: Monomial) -> bool:
+        """Whether m is a monomial over these generators: known indices,
+        strictly ascending, every exponent >= 1 and every odd generator's
+        exactly 1."""
+        last = None
+        for i, e in m:
+            g = self.by_index.get(i)
+            if (g is None or (last is not None and i <= last) or e < 1
+                    or (g.degree % 2 and e != 1)):
+                return False
+            last = i
+        return True
+
+    def require_key(self, m: Monomial):
+        """NotInAlgebra unless m is a monomial over these generators."""
+        if not self.is_key(m):
+            raise NotInAlgebra(f"the monomial {m} is no basis key")
+
     # --- constructors ------------------------------------------------------
 
     def monomial(self, powers: Iterable[tuple[int, int]]) -> Monomial:
@@ -98,50 +127,54 @@ class Algebra(FreeAlgebra):
 
     # --- canonical bases ---------------------------------------------------
 
-    def _enumerate(self, degree: int):
-        """All monomials of exactly the given degree, degree-lex order."""
-        if degree < 0:
-            return []
-        gens = self.generators
-        out: list[Monomial] = []
-
-        def rec(pos: int, remaining: int, acc: list[tuple[int, int]]):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            if pos == len(gens):
-                return
-            g = gens[pos]
-            cap = 1 if g.degree % 2 else remaining // g.degree
-            for e in range(0, cap + 1):
-                if e * g.degree > remaining:
-                    break
-                if e:
-                    acc.append((g.index, e))
-                rec(pos + 1, remaining - e * g.degree, acc)
-                if e:
-                    acc.pop()
-
-        rec(0, degree, [])
+    def _enumerate(self, degree: int, pos: int = 0) -> list[Monomial]:
+        """All monomials of exactly the given degree over ``generators[pos:]``,
+        in ascending lexicographic order of the exponent vector by
+        declaration index: those without g = generators[pos] first, then
+        those with g^1, g^2, ..., each group in the order of its suffix.
+        These suffix tables are memoized per algebra and shared across
+        degrees."""
+        key = (pos, degree)
+        out = self._suffixes.get(key)
+        if out is None:
+            if degree <= 0 or pos == len(self.generators):
+                out = [UNIT] if degree == 0 else []
+            else:
+                g = self.generators[pos]
+                cap = degree // g.degree
+                if g.degree % 2:
+                    cap = min(cap, 1)
+                out = list(self._enumerate(degree, pos + 1))
+                for e in range(1, cap + 1):
+                    head = ((g.index, e),)
+                    out += [head + m for m in
+                            self._enumerate(degree - e * g.degree, pos + 1)]
+            self._suffixes[key] = out
         return out
 
     # --- multiplication ----------------------------------------------------
 
     def _mul_monomials(self, a: Monomial, b: Monomial):
-        """Canonical product monomial and Koszul sign, or None if it dies."""
-        odd_a = [i for i, e in a if self.by_index[i].degree % 2]
-        odd_b = [i for i, e in b if self.by_index[i].degree % 2]
-        if set(odd_a) & set(odd_b):
-            return None  # odd generator squared
-        # Sign: one transposition per (odd in a, odd in b) pair out of order.
-        inversions = sum(1 for i in odd_a for j in odd_b if i > j)
+        """Canonical product monomial and Koszul sign, or None if it dies:
+        one transposition per (odd in a, odd in b) pair out of order."""
+        odd = self._odd
         powers = dict(a)
-        for i, e in b:
-            powers[i] = powers.get(i, 0) + e
-        mono = tuple(sorted(powers.items()))
-        return mono, (-1) ** inversions
+        sign = 1
+        for j, e in b:
+            if j in odd:
+                if j in powers:
+                    return None  # odd generator squared
+                for i, _ in a:
+                    if i > j and i in odd:
+                        sign = -sign
+            powers[j] = powers.get(j, 0) + e
+        return tuple(sorted(powers.items())), sign
 
     def multiply(self, a: Element, b: Element) -> Element:
+        """a * b; NotInAlgebra unless every key of both is a monomial over
+        these generators."""
+        for m in (*a.terms, *b.terms):
+            self.require_key(m)
         out: dict[Monomial, Fraction] = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():

@@ -168,6 +168,10 @@ class FreeAlgebra:
         """The key's basis element in the text format."""
         raise NotImplementedError
 
+    def require_key(self, key):
+        """NotInAlgebra unless key is a basis key over these generators."""
+        raise NotImplementedError
+
     def key_coords(self, degree: int, e) -> dict | None:
         """e's nonzero coefficients over the basis of that degree, keyed by
         basis key; None when e is outside the algebra.  Must not be
@@ -243,7 +247,8 @@ class FreeAlgebra:
 class GradedDerivation:
     """A derivation of degree ``step``, fixed by its images of the
     generators.  Each image must be zero or homogeneous of degree
-    |g| + step >= 1; a subclass applies the derivation to one basis key.
+    |g| + step >= 1.  A subclass gives D of one basis key from the images
+    of smaller keys (``_key_image``), and ``key_image`` memoizes it.
 
     ``den`` is the least common denominator of the images' coefficients,
     and ``int_images`` holds each den * D(g) with int coefficients, so D of
@@ -273,23 +278,29 @@ class GradedDerivation:
             idx: {k: c.numerator * (den // c.denominator)
                   for k, c in img.terms.items()}
             for idx, img in images.items()}
+        self._key_images: dict = {}
 
-    def _apply(self, key, c: int | Fraction, out: dict):
-        """out += c * den * D(key)."""
+    def _key_image(self, key) -> dict:
+        """den * D of the basis element with that key, as ``key_image``
+        returns it, built from the images of smaller keys."""
         raise NotImplementedError
 
     def key_image(self, key) -> dict:
         """den * D of the basis element with that key, in int coordinates
-        over the basis of degree |key| + step; must not be mutated.  Here
-        built by ``_apply``."""
-        out: dict = {}
-        self._apply(key, 1, out)
-        return {k: c for k, c in out.items() if c}
+        over the basis of degree |key| + step, memoized; must not be
+        mutated."""
+        z = self._key_images.get(key)
+        if z is None:
+            z = self._key_images[key] = self._key_image(key)
+        return z
 
     def __call__(self, e):
-        out: dict = {}
+        """D(e); NotInAlgebra unless every key of e is a basis key."""
+        require, out = self.algebra.require_key, {}
         for k, c in e.terms.items():
-            self._apply(k, c, out)
+            require(k)
+            for kk, v in self.key_image(k).items():
+                out[kk] = out.get(kk, 0) + c * v
         if self.den != 1:
             out = {k: c / self.den for k, c in out.items()}
         return self.algebra.element_type._of(out)
@@ -662,9 +673,8 @@ class GradedComplex:
         """A basis of the (co)boundaries of that degree: the independent
         columns of d : degree - step -> degree, in column order."""
         if degree not in self._boundary_cache:
-            d_in = self.d_matrix(degree - self.step)
-            self._boundary_cache[degree] = linalg.independent_subset(
-                d_in.columns(), d_in.rows)
+            self._boundary_cache[degree] = linalg.independent_columns(
+                self.d_matrix(degree - self.step))
         return self._boundary_cache[degree]
 
     def homology(self, degree: int):

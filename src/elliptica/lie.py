@@ -42,48 +42,32 @@ class LieElement(SparseElement):
 
 class LieDerivation(GradedDerivation):
     """Degree -1 derivation of L(W), applied to a basis key by the Leibniz
-    rule (``key_image``)."""
+    rule (``_key_image``)."""
 
     step = -1
 
-    def __init__(self, algebra: FreeLie, images):
-        super().__init__(algebra, images)
-        self._key_images: dict[Word, Coords] = {}
-
-    def _apply(self, w: Word, c: int | Fraction, out: dict):
-        """out += c * den * D(w); NotInAlgebra unless w is a basis key."""
-        self.algebra.require_key(w)
-        for k, v in self.key_image(w).items():
-            out[k] = out.get(k, 0) + c * v
-
-    def key_image(self, w: Word) -> Coords:
-        """den * D of the basis element keyed w, in int coordinates,
-        memoized: a generator's image is read once; then D[b(u), b(v)] =
-        [D b(u), b(v)] + (-1)^|u| [b(u), D b(v)] on the standard
-        factorization (u, v), and D[b(u), b(u)] = 2 [D b(u), b(u)] on a
-        square."""
-        z = self._key_images.get(w)
-        if z is None:
-            alg = self.algebra
-            f = alg.split(w)
-            if f is None:
-                z = self.int_images.get(w[0], {})
-                if not all(map(alg.is_key, z)):
-                    raise InternalInconsistency(
-                        f"the image of {alg.by_index[w[0]].name} is outside "
-                        f"L(W)")
-            else:
-                u, v = f
-                out: dict = {}
-                if u == v:
-                    alg.bracket_into(out, self.key_image(u), {u: 2})
-                else:
-                    alg.bracket_into(out, self.key_image(u), {v: 1})
-                    alg.bracket_into(out, {u: -1 if alg.key_degree(u) % 2
-                                           else 1}, self.key_image(v))
-                z = _nonzero(out)
-            self._key_images[w] = z
-        return z
+    def _key_image(self, w: Word) -> Coords:
+        """den * D of the basis element keyed w: a generator's image is read
+        once; then D[b(u), b(v)] = [D b(u), b(v)] + (-1)^|u| [b(u), D b(v)]
+        on the standard factorization (u, v), and D[b(u), b(u)] =
+        2 [D b(u), b(u)] on a square."""
+        alg = self.algebra
+        f = alg.split(w)
+        if f is None:
+            z = self.int_images.get(w[0], {})
+            if not all(map(alg.is_key, z)):
+                raise InternalInconsistency(
+                    f"the image of {alg.by_index[w[0]].name} is outside L(W)")
+            return z
+        u, v = f
+        out: dict = {}
+        if u == v:
+            alg.bracket_into(out, self.key_image(u), {u: 2})
+        else:
+            alg.bracket_into(out, self.key_image(u), {v: 1})
+            alg.bracket_into(out, {u: -1 if alg.key_degree(u) % 2 else 1},
+                             self.key_image(v))
+        return _nonzero(out)
 
 
 def _nonzero(out: dict) -> dict:

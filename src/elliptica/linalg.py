@@ -12,10 +12,12 @@ multiply integers; a vector or a solution is a tuple of ``Fraction``.
 All elimination runs on one routine, ``_Echelon``: sparse integer rows,
 reduced fraction-free by their leading column and kept primitive.  A
 matrix's rows enter it as they are stored (the common denominator does not
-change a row's span); a rational vector has its denominators cleared once
-on entry.  ``rank``, ``kernel_basis``, ``solve``, ``Span``,
-``independent_subset`` and ``quotient_representatives`` are thin readouts
-of it; results go back to ``Fraction`` only on the way out.  Each readout
+change a row's span), and so do its columns in ``independent_columns``,
+which gives the boundaries; a rational vector has its denominators cleared
+once on entry.  ``rank``, ``kernel_basis``, ``solve``, ``Span``,
+``independent_columns`` and ``quotient_representatives`` are thin readouts
+of it; results go back to ``Fraction`` only on the way out, and
+``independent_columns`` converts only the columns it keeps.  Each readout
 is a canonical object of exact linear algebra (the reduced row echelon
 form, the greedy independent subset in input order, coordinates over
 independent vectors), so it does not depend on how the elimination got
@@ -326,23 +328,28 @@ class Span:
         return self.basis_count
 
 
-def independent_subset(vectors: Sequence[Sequence[Fraction]],
-                       dim: int) -> list[Vector]:
-    """Greedy maximal independent subset, in input order (deterministic)."""
+def independent_columns(m: QMatrix) -> list[Vector]:
+    """The greedy maximal independent subset of m's columns, in column
+    order (deterministic).  The stored integer columns enter the
+    elimination as they are; only the kept ones become Fraction vectors."""
+    by_col: dict[int, Row] = {}
+    for (r, c), v in m.entries.items():
+        by_col.setdefault(c, {})[r] = v
     ech = _Echelon()
-    return [tuple(v) for v in vectors if ech.add(_int_row(v)[0])]
+    return [m.column(c) for c in sorted(by_col) if ech.add(by_col[c])]
 
 
 def quotient_representatives(cycles: Sequence[Sequence[Fraction]],
                              boundaries: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """Cycle vectors complementing span(boundaries) inside span(cycles)."""
+    rows = [_int_row(z)[0] for z in cycles]
     cycle_span = _Echelon()
-    for z in cycles:
-        cycle_span.add(_int_row(z)[0])
+    for row in rows:
+        cycle_span.add(row)
     span = _Echelon()
     for b in boundaries:
         row = _int_row(b)[0]
         if cycle_span.reduce(row)[2] is not None:
             raise NotASubspace("boundary vector outside span of cycles")
         span.add(row)
-    return [tuple(z) for z in cycles if span.add(_int_row(z)[0])]
+    return [tuple(z) for z, row in zip(cycles, rows) if span.add(row)]

@@ -29,7 +29,9 @@ class WhiteheadNodeS:
 
 
 class CochainComplex(GradedComplex):
-    """The cochain complex (Lambda V, d) in the degree-lex monomial bases."""
+    """The cochain complex (Lambda V, d) in the monomial bases, each in
+    ascending lexicographic order of the exponent vector by declaration
+    index."""
 
     step = 1
     cohomology = GradedComplex.homology
@@ -49,6 +51,15 @@ class SullivanModel(GradedModel):
     complex_type = CochainComplex
     node_type = WhiteheadNodeS
     d_name = "d"
+
+    def _image_issue(self, g, img):
+        """The shared issues, else a ``monomial`` issue for an image with a
+        term that is no monomial over the generators, an odd square say."""
+        issue = super()._image_issue(g, img)
+        bad = [m for m in img.terms if not self.algebra.is_key(m)]
+        if issue is None and bad:
+            return "monomial", f"has the term {bad[0]}, which is no monomial"
+        return issue
 
     def validate(self) -> ValidationReport:
         """Simple connectivity and minimality, then the shared checks."""

@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elliptica.commutative import Algebra, Element, Generator
 from elliptica.errors import DegreeMismatch
+
+from leibniz_oracle import d_monomial
 
 GEN_SETS = [
     [("x", 2)],
@@ -42,6 +45,37 @@ def test_basis_counts_match_generating_function(spec):
     expected = poincare_series_counts(spec, 14)
     for k in range(15):
         assert len(alg.basis(k)) == expected[k], f"degree {k}"
+
+
+def brute_force_basis(gens, n):
+    """Every exponent vector of degree n with odd exponents <= 1, sorted
+    lexicographically by declaration index, as monomials."""
+    ranges = [range(2 if g.degree % 2 else max(n, 0) // g.degree + 1)
+              for g in gens]
+    vecs = sorted(v for v in itertools.product(*ranges)
+                  if sum(e * g.degree for e, g in zip(v, gens)) == n)
+    return [tuple((g.index, e) for g, e in zip(gens, v) if e) for v in vecs]
+
+
+# (degree, gap to the previous index) per generator, in declaration order
+generator_lists = st.lists(st.tuples(st.integers(1, 7), st.integers(1, 3)),
+                           max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_lists, st.integers(-1, 14))
+@example([(3, 1), (5, 1), (3, 1)], 11)             # odd only
+@example([(2, 1), (4, 1), (2, 1)], 12)             # even only
+@example([(2, 1), (2, 1), (2, 1)], 8)              # repeated degrees
+@example([(2, 1), (3, 4), (2, 5), (5, 2)], 12)     # index gaps
+@example([(2, 1), (3, 1)], 0)
+@example([(2, 1), (3, 1)], -1)
+def test_enumeration_equals_the_sorted_exponent_vectors(spec, n):
+    gens, index = [], -1
+    for j, (degree, gap) in enumerate(spec):
+        index += gap
+        gens.append(Generator(f"g{j}", degree, index))
+    assert Algebra(gens)._enumerate(n) == brute_force_basis(gens, n)
 
 
 def random_homogeneous(alg, rng, max_degree=8):
@@ -126,6 +160,25 @@ def test_derivation_satisfies_graded_leibniz(spec, seed):
     lhs = D(alg.multiply(a, b))
     rhs = alg.multiply(D(a), b) + alg.multiply(a, D(b)).scale((-1) ** da)
     assert lhs == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GEN_SETS), st.integers(0, 10 ** 9))
+def test_key_image_matches_the_per_factor_rule(spec, seed):
+    # images over every monomial of their degree with fractional
+    # coefficients, square-zero or not: den * D of each basis monomial
+    # through degree 12, over den, is the per-factor Leibniz rule of
+    # tests/leibniz_oracle.py, Koszul signs included
+    alg = make_algebra(spec)
+    rng = random.Random(seed)
+    images = {i: img.scale(rng.choice([Fraction(1, 2), Fraction(-2, 3), 1,
+                                       Fraction(7, 4)]))
+              for i, img in random_images(alg, rng).items()}
+    D = alg.derivation(images)
+    for degree in range(13):
+        for m in alg.basis(degree):
+            got = {k: Fraction(v, D.den) for k, v in D.key_image(m).items()}
+            assert got == d_monomial(alg, images, m), m
 
 
 def test_derivation_rejects_wrong_degree_image():

@@ -171,9 +171,9 @@ def test_span_rank_agrees_with_rank(rows):
     assert span.rank == linalg.rank(QMatrix.from_rows(rows))
 
 
-def test_independent_subset_keeps_input_order():
+def test_independent_columns_keeps_input_order():
     cols = [(1, 0), (2, 0), (0, 1)]
-    out = linalg.independent_subset(cols, 2)
+    out = linalg.independent_columns(QMatrix.from_columns(cols, 2))
     assert out == [(1, 0), (0, 1)]
 
 
@@ -219,9 +219,10 @@ def test_solve_equals_dense_rref_solution(m, data):
 
 @settings(max_examples=150, deadline=None)
 @given(shaped_matrix)
-def test_independent_subset_picks_the_dense_greedy_vectors(m):
+def test_independent_columns_picks_the_dense_greedy_vectors(m):
     shape, rows = m
-    assert linalg.independent_subset(rows, shape[1]) == dense_greedy(rows)
+    assert linalg.independent_columns(QMatrix.from_columns(rows, shape[1])) \
+        == dense_greedy(rows)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elliptica import dsl, invariants, randmodels, sullivan
 from elliptica.commutative import Element, Generator
@@ -10,6 +13,7 @@ from elliptica.errors import (CompositionNotZero, NotInAlgebra,
 from elliptica.sullivan import SullivanModel, tensor_product
 
 from conftest import CATALOG_SULLIVAN_SPECS
+from leibniz_oracle import d_monomial
 
 
 def truncated_polynomial_betti(a, m, top):
@@ -84,6 +88,19 @@ def test_an_image_naming_a_missing_generator_is_an_issue():
         invariants.analysis(bad)
 
 
+def test_an_image_with_an_odd_square_is_an_issue():
+    # y^2 = 0 for y odd, so ((1, 2),) is no monomial: the image is an issue
+    # naming the term, and no d of it is taken
+    gens = [Generator("x", 2, 0), Generator("y", 3, 1), Generator("z", 5, 2)]
+    bad = SullivanModel(gens, {2: Element({((1, 2),): 1})}, name="bad")
+    assert [(i.check, i.generator) for i in bad.validate().issues] == [
+        ("monomial", "z")]
+    with pytest.raises(ValidationError, match=re.escape(
+            "monomial (z): d(z) has the term ((1, 2),), which is no "
+            "monomial")):
+        invariants.analysis(bad)
+
+
 def test_a_differential_on_a_missing_generator_is_an_issue():
     # keyed by an index no generator has, the differential is an issue
     # naming the index, not a KeyError
@@ -151,6 +168,52 @@ def test_fractional_d_matrices_match_the_leibniz_rule(seed):
                 assert t.d(Element({mono: Fraction(1, 5)})) == \
                     want.scale(Fraction(1, 5)), (k, mono)
     assert max(dens) > 1    # some matrix carries a denominator
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+def test_d_matrices_of_random_models_match_the_per_factor_rule(seed, cseed):
+    # a random pure model with each coefficient scaled by a fraction such as
+    # 1/2 or -3/4: every column of every d matrix of the model and of its
+    # truncations, through default_bound + 1, is the per-factor Leibniz rule
+    # of tests/leibniz_oracle.py
+    base = randmodels.random_pure_model(random.Random(seed))
+    rng = random.Random(cseed)
+    images = {i: Element({m: c * rng.choice(FRACTIONS)
+                          for m, c in img.terms.items()})
+              for i, img in base.differential.items()}
+    model = SullivanModel(base.generators, images)
+    top = invariants.default_bound(model) + 1
+    truncations = {id(t): t for t in map(model.truncate, range(top + 1))}
+    for t in truncations.values():
+        cx = t.complex()
+        for degree in range(-1, top + 1):
+            m = cx.d_matrix(degree)
+            for c, mono in enumerate(cx.keys(degree)):
+                want = Element(d_monomial(t.algebra, t.differential, mono))
+                assert m.column(c) == t.algebra.coords(degree + 1, want), (
+                    t, mono)
+
+
+def test_a_monomial_that_is_no_key_is_refused():
+    # with x:2, y:3: an unknown index, indices out of order or repeated, a
+    # zero exponent and an odd square are no monomials of Lambda(x, y), so
+    # d of them and products with them raise NotInAlgebra naming them
+    x, y = Generator("x", 2, 0), Generator("y", 3, 1)
+    model = SullivanModel([x, y], {1: Element({((0, 2),): 1})})
+    alg = model.algebra
+    for m in [((7, 1),), ((0, 1), (7, 1)), ((1, 1), (0, 1)),
+              ((0, 1), (0, 1)), ((0, 0),), ((0, -1),), ((1, 2),)]:
+        bad = Element({m: 1})
+        with pytest.raises(NotInAlgebra, match=re.escape(str(m))):
+            model.d(bad)
+        with pytest.raises(NotInAlgebra, match=re.escape(str(m))):
+            alg.multiply(bad, alg.gen("y"))
+        with pytest.raises(NotInAlgebra, match=re.escape(str(m))):
+            alg.multiply(alg.gen("y"), bad)
+    xy = Element({((0, 1), (1, 1)): 1})
+    assert model.d(xy) == Element({((0, 3),): 1})
+    assert alg.multiply(alg.gen("x"), alg.gen("y")) == xy
 
 
 def test_truncation_closure_enforced():
