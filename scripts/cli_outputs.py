@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Run a fixed set of command lines through ``elliptica.cli.main`` in one
+process and print the exit code, stdout and stderr of each.
+
+Every command runs in text, ``--json`` and ``--verbose`` form on catalog
+specs and on .rhm files, then come refused windows, usage errors, ``--help``
+and ``compare``.  All calls share one process, so an option or a state that
+leaked from one call into the next would show in the output.  Help and usage
+text wrap at the terminal width: run with COLUMNS=80 to compare against
+scripts/expected/cli_outputs.txt.
+
+Usage: COLUMNS=80 python3 scripts/cli_outputs.py
+"""
+import contextlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+
+from elliptica import cli, dsl, randmodels
+
+COMMANDS = ["check", "cohomology", "invariants", "whitehead", "verify"]
+MODELS = ["s2", "sphere_odd(3)", "cpn_sullivan(3)",
+          "product(s2,sphere_odd(3))", "s2_quillen", "sphere_odd_quillen(3)",
+          "cpn_quillen(2)", "cp2.rhm", "cp2q.rhm", "random.rhm"]
+FLAGS = [[], ["--json"], ["--verbose"]]
+
+OTHERS = [
+    ["catalog"], ["catalog", "--json"], ["catalog", "cpn_sullivan(2)"],
+    ["catalog", "product(s2,sphere_odd(3))", "--json"],
+    ["compare", "cpn_sullivan(2)", "cpn_quillen(2)"],
+    ["compare", "cpn_sullivan(2)", "cpn_quillen(2)", "--json"],
+    ["compare", "s2", "s2_quillen", "--verbose"],
+    ["compare", "cp2.rhm", "cp2q.rhm"],
+    ["compare", "cpn_sullivan(2)", "cpn_quillen(3)"],
+    # refused windows
+    ["invariants", "s2", "--max-degree", "3"],
+    ["verify", "cpn_quillen(2)", "--max-degree", "7"],
+    ["invariants", "cpn_quillen(2)", "--max-degree", "1", "--json"],
+    ["compare", "cpn_sullivan(2)", "cpn_quillen(2)", "--max-degree", "3"],
+    ["cohomology", "s2", "--max-degree", "0", "--json"],
+    ["whitehead", "s2", "--verbose", "--max-degree", "6"],
+    ["whitehead", "s2"],
+    # usage, I/O and domain errors
+    [], ["frobnicate"], ["whitehead"], ["whitehead", "s2", "--max-degree"],
+    ["whitehead", "s2", "--max-degree", "-1"],
+    ["whitehead", "s2", "--max-degree", "two"],
+    ["catalog", "s2", "--verbose"], ["compare", "s2", "s2"],
+    ["check", "no_such_model"], ["check", "cpn_sullivan(x)"],
+    ["check", "sphere_odd(4)"], ["check", "missing.rhm"],
+    ["check", "bad.rhm"], ["invariants", "poly.rhm"],
+    # help, then a valid command
+    ["--help"], ["whitehead", "--help"], ["compare", "-h"],
+    ["catalog", "--help"], ["whitehead", "s2", "--json"],
+]
+
+FILES = {
+    "cp2.rhm": dsl.serialize(dsl.catalog_spec("cpn_sullivan(2)")),
+    "cp2q.rhm": dsl.serialize(dsl.catalog_spec("cpn_quillen(2)")),
+    "random.rhm": dsl.serialize(randmodels.random_models(7, 3)[2]),
+    "bad.rhm": "model m : sullivan\ngen x : 2\nd x = $$\n",
+    "poly.rhm": "model poly : sullivan\ngen x : 2\n",
+}
+
+
+def run(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return (f"$ elliptica {shlex.join(argv)}\nexit: {code}\n"
+            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+
+
+def main() -> int:
+    cases = [[c, m, *f] for c in COMMANDS for m in MODELS for f in FLAGS]
+    with tempfile.TemporaryDirectory() as tmp:
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for name, text in FILES.items():
+                with open(name, "w", encoding="utf-8") as f:
+                    f.write(text)
+            for argv in cases + OTHERS:
+                print(run(argv))
+        finally:
+            os.chdir(here)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,7 @@ or internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -171,7 +172,12 @@ def _degree(text: str) -> int:
     return d
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``elliptica`` argument parser, built on the first call and
+    shared by every later one: ``main`` may run any number of times in one
+    process without rebuilding it.  Parsing leaves the parser as it was, so
+    calls do not see each other's options; callers must not mutate it."""
     ap = argparse.ArgumentParser(
         prog="elliptica",
         description="Exact rational-homotopy invariants of Sullivan and "

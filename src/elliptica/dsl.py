@@ -423,8 +423,13 @@ def catalog(name: str, *params) -> "SullivanModel | DGLModel":
     if len(params) != arity:
         raise BadParameter(_ARITY[arity].format(name))
     if arity == 1:
+        # a spec's integer is ASCII digits only, as in .rhm text; int()
+        # would also read a sign, underscores and non-ASCII digits
+        p = params[0]
+        if isinstance(p, str) and not (p and _DIGITS.issuperset(p)):
+            raise BadParameter(_ARITY[1].format(name))
         try:
-            params = (int(params[0]),)
+            params = (int(p),)
         except (TypeError, ValueError):
             raise BadParameter(_ARITY[1].format(name))
     return build(*params)

@@ -202,25 +202,32 @@ class FreeAlgebra:
         """The j-th basis element of that degree."""
         return self.element_type._of({self.basis(degree)[j]: _ONE})
 
-    def coords(self, degree: int, e) -> linalg.Vector | None:
-        """Coordinates of e over the basis of that degree; None when e is
-        outside the algebra."""
+    def sparse_coords(self, degree: int, e) -> linalg.SparseVector | None:
+        """Coordinates of e over the basis of that degree, sparse (in the
+        order of e's terms); None when e is outside the algebra."""
         z = self.key_coords(degree, e)
         if z is None:
             return None
-        t = self.table(degree)
-        v = [_ZERO] * len(t.keys)
+        index = self.table(degree).index
+        v = {}
         for k, c in z.items():
-            j = t.index.get(k)
+            j = index.get(k)
             if j is None:
                 raise DegreeMismatch(
                     f"element has a term outside degree {degree}")
             v[j] = c
-        return tuple(v)
+        return v
 
-    def combination(self, degree: int, v: Sequence[Fraction]):
-        """The element with coordinates v over the basis of that degree."""
-        return self.element_type(dict(zip(self.basis(degree), v)))
+    def coords(self, degree: int, e) -> linalg.Vector | None:
+        """``sparse_coords`` as a dense vector."""
+        v = self.sparse_coords(degree, e)
+        return None if v is None else linalg.dense(v, len(self.basis(degree)))
+
+    def combination(self, degree: int, v):
+        """The element with the dense or sparse coordinates v over the basis
+        of that degree."""
+        keys = self.basis(degree)
+        return self.element_type({keys[j]: c for j, c in linalg.vector_items(v)})
 
     # --- elements --------------------------------------------------------------
 
@@ -583,7 +590,7 @@ class GradedComplex:
         self._d_cache: dict[int, linalg.QMatrix] = {}
         self._rank_cache: dict[int, int] = {}
         self._squares_checked: set[int] = set()
-        self._boundary_cache: dict[int, list[linalg.Vector]] = {}
+        self._boundary_cache: dict[int, list[linalg.SparseVector]] = {}
         self._coh_cache: dict[int, tuple[int, list, list]] = {}
         self._class_cache: dict[int, tuple[linalg.Span, int]] = {}
 
@@ -596,14 +603,18 @@ class GradedComplex:
     def dim(self, degree: int) -> int:
         return len(self.keys(degree))
 
-    def to_coords(self, degree: int, e) -> linalg.Vector:
-        z = self.model.algebra.coords(degree, e)
+    def sparse_coords(self, degree: int, e) -> linalg.SparseVector:
+        z = self.model.algebra.sparse_coords(degree, e)
         if z is None:
             raise InternalInconsistency(
                 f"{self.model!r}: element outside the free algebra")
         return z
 
-    def from_coords(self, degree: int, v: Sequence[Fraction]):
+    def to_coords(self, degree: int, e) -> linalg.Vector:
+        return linalg.dense(self.sparse_coords(degree, e), self.dim(degree))
+
+    def from_coords(self, degree: int, v):
+        """The element with the dense or sparse coordinates v."""
         return self.model.algebra.combination(degree, v)
 
     def d_matrix(self, degree: int) -> linalg.QMatrix:
@@ -669,24 +680,26 @@ class GradedComplex:
 
     # --- (co)homology ------------------------------------------------------
 
-    def boundaries(self, degree: int) -> list[linalg.Vector]:
-        """A basis of the (co)boundaries of that degree: the independent
-        columns of d : degree - step -> degree, in column order."""
+    def boundaries(self, degree: int) -> list[linalg.SparseVector]:
+        """A basis of the (co)boundaries of that degree, sparse: the
+        independent columns of d : degree - step -> degree, in column
+        order."""
         if degree not in self._boundary_cache:
-            self._boundary_cache[degree] = linalg.independent_columns(
+            self._boundary_cache[degree] = linalg.independent_column_vectors(
                 self.d_matrix(degree - self.step))
         return self._boundary_cache[degree]
 
     def homology(self, degree: int):
-        """(dim, representative elements, their coordinate vectors)."""
+        """(dim, representative elements, their sparse coordinate
+        vectors)."""
         if degree in self._coh_cache:
             return self._coh_cache[degree]
         if not self.dim(degree):
             result = (0, [], [])
         else:
             self._check_square(degree)
-            cycles = linalg.kernel_basis(self.d_matrix(degree))
-            reps_v = linalg.quotient_representatives(
+            cycles = linalg.kernel_vectors(self.d_matrix(degree))
+            reps_v = linalg.quotient_vectors(
                 cycles, self.boundaries(degree))
             reps = [self.from_coords(degree, v) for v in reps_v]
             result = (len(reps), reps, reps_v)
@@ -706,7 +719,7 @@ class GradedComplex:
     def class_coords(self, degree: int, e) -> linalg.Vector | None:
         """Coordinates of [e] over the representatives of that degree;
         None when e is not a cycle."""
-        z = self.to_coords(degree, e)
+        z = self.sparse_coords(degree, e)
         if any(self.d_matrix(degree).apply(z)):
             return None
         if degree not in self._class_cache:

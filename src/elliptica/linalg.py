@@ -7,7 +7,13 @@ positive denominator, ``den``: its sparse integer entries, stored by
 bit-reproducible, divided by ``den``.  Entries and ``den`` are kept in
 lowest terms, so two equal matrices have equal entries and denominators.
 The differentials are assembled in this form, and products of matrices
-multiply integers; a vector or a solution is a tuple of ``Fraction``.
+multiply integers.  A vector is dense, a tuple of ``Fraction`` (a solution,
+a coordinate vector of the public readouts), or sparse, a dict from index
+to nonzero ``Fraction`` in ascending index order (``SparseVector``).  The
+(co)homology of a graded complex runs on sparse vectors from the echelon
+form to its representatives, so its cost follows the nonzero entries, not
+the dimension of the degree; ``Span``, ``quotient_vectors``,
+``QMatrix.from_columns`` and ``QMatrix.apply`` take either kind.
 
 All elimination runs on one routine, ``_Echelon``: sparse integer rows,
 reduced fraction-free by their leading column and kept primitive.  A
@@ -17,7 +23,10 @@ which gives the boundaries; a rational vector has its denominators cleared
 once on entry.  ``rank``, ``kernel_basis``, ``solve``, ``Span``,
 ``independent_columns`` and ``quotient_representatives`` are thin readouts
 of it; results go back to ``Fraction`` only on the way out, and
-``independent_columns`` converts only the columns it keeps.  Each readout
+``independent_columns`` converts only the columns it keeps.
+``kernel_vectors``, ``independent_column_vectors`` and ``quotient_vectors``
+give sparse vectors; ``kernel_basis``, ``independent_columns`` and
+``quotient_representatives`` are their dense forms.  Each readout
 is a canonical object of exact linear algebra (the reduced row echelon
 form, the greedy independent subset in input order, coordinates over
 independent vectors), so it does not depend on how the elimination got
@@ -27,14 +36,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotASubspace
 
 Vector = tuple[Fraction, ...]
+SparseVector = dict[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def vector_items(v) -> Iterable[tuple[int, Fraction]]:
+    """The (index, coefficient) pairs of a dense or sparse vector; a dense
+    vector's zeros included."""
+    return v.items() if isinstance(v, dict) else enumerate(v)
+
+
+def dense(v: SparseVector, dim: int) -> Vector:
+    """The sparse vector v as a dense vector of length dim."""
+    out = [_ZERO] * dim
+    for i, x in v.items():
+        out[i] = x
+    return tuple(out)
 
 
 class QMatrix:
@@ -82,10 +106,11 @@ class QMatrix:
                                 for c, v in enumerate(row)})
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], nrows: int) -> "QMatrix":
+    def from_columns(cls, columns: Sequence, nrows: int) -> "QMatrix":
+        """The matrix of the dense or sparse column vectors."""
         return cls(nrows, len(columns), {(r, c): v
                                          for c, col in enumerate(columns)
-                                         for r, v in enumerate(col)})
+                                         for r, v in vector_items(col)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
@@ -123,11 +148,15 @@ class QMatrix:
                     ent[(r, c)] = x
         return QMatrix(self.rows, other.cols, ent, self.den * other.den)
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
+    def apply(self, v) -> Vector:
+        """m.v as a dense vector; v dense or sparse."""
+        if not isinstance(v, dict):
+            v = dict(enumerate(v))
         out = [_ZERO] * self.rows
         for (r, c), a in self.entries.items():
-            if v[c]:
-                out[r] += a * v[c]
+            x = v.get(c)
+            if x:
+                out[r] += a * x
         if self.den != 1:
             return tuple(x / self.den for x in out)
         return tuple(out)
@@ -147,10 +176,10 @@ class QMatrix:
 Row = dict[int, int]   # sparse integer row: column -> nonzero entry
 
 
-def _int_row(v: Sequence[Fraction]) -> tuple[Row, int]:
-    """(row, l): the sparse integer row l * v of the rational vector v, l
-    the least common denominator."""
-    ent = [(c, x) for c, x in enumerate(v) if x]
+def _int_row(v) -> tuple[Row, int]:
+    """(row, l): the sparse integer row l * v of the dense or sparse
+    rational vector v, l the least common denominator."""
+    ent = [(c, x) for c, x in vector_items(v) if x]
     l = lcm(*(x.denominator for _, x in ent))
     return {c: x.numerator * (l // x.denominator) for c, x in ent}, l
 
@@ -248,22 +277,28 @@ def rank(m: QMatrix) -> int:
     return len(_echelon_of_rows(m).rows)
 
 
-def kernel_basis(m: QMatrix) -> list[Vector]:
-    """Basis of ker(m); len == cols - rank, vectors satisfy m.v = 0.
+def kernel_vectors(m: QMatrix) -> list[SparseVector]:
+    """Basis of ker(m), sparse; len == cols - rank, vectors satisfy m.v = 0.
 
     One vector per non-pivot column ``f`` of the reduced row echelon form R,
-    in column order: 1 at ``f`` and -R[i][f] at the pivot of each row i."""
+    in column order: -R[i][f] at the pivot of each row i, all left of
+    ``f``, and 1 at ``f``."""
     rref = _echelon_of_rows(m).reduced()
     pivots = {p for p, _ in rref}
-    basis = {f: [_ZERO] * m.cols for f in range(m.cols) if f not in pivots}
-    for f, v in basis.items():
-        v[f] = _ONE
+    basis = {f: {} for f in range(m.cols) if f not in pivots}
     for p, row in rref:
         a = row[p]
         for f, v in row.items():
             if f != p:
                 basis[f][p] = Fraction(-v, a)
-    return [tuple(v) for v in basis.values()]
+    for f, v in basis.items():
+        v[f] = _ONE
+    return list(basis.values())
+
+
+def kernel_basis(m: QMatrix) -> list[Vector]:
+    """``kernel_vectors`` as dense vectors."""
+    return [dense(v, m.cols) for v in kernel_vectors(m)]
 
 
 def solve(m: QMatrix, rhs: Sequence[Fraction]) -> Vector | None:
@@ -285,8 +320,8 @@ def solve(m: QMatrix, rhs: Sequence[Fraction]) -> Vector | None:
 class Span:
     """Incremental span of vectors, with coordinate tracking.
 
-    ``add`` accepts a vector and reports whether it enlarged the span; the
-    accepted vectors form the span's basis.  ``express`` writes a vector as
+    ``add`` accepts a dense or sparse vector and reports whether it
+    enlarged the span; the accepted vectors form the span's basis.  ``express`` writes a vector as
     a combination of the accepted basis vectors (None if outside the span).
 
     The j-th accepted vector b_j enters the elimination as the row
@@ -299,7 +334,7 @@ class Span:
         self._echelon = _Echelon(limit=dim)
         self.basis_count = 0
 
-    def add(self, v: Sequence[Fraction]) -> bool:
+    def add(self, v) -> bool:
         row, l = _int_row(v)
         row[self.dim + self.basis_count] = l
         if not self._echelon.add(row):
@@ -307,11 +342,11 @@ class Span:
         self.basis_count += 1
         return True
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def contains(self, v) -> bool:
         row, _, lead = self._echelon.reduce(_int_row(v)[0])
         return lead is None
 
-    def express(self, v: Sequence[Fraction]) -> Vector | None:
+    def express(self, v) -> Vector | None:
         """Coefficients over the accepted basis, or None if v is outside."""
         row, l = _int_row(v)
         # s * v - (stored rows) = (0 | y), so v = sum_j (-y_j / s) b_j
@@ -328,20 +363,26 @@ class Span:
         return self.basis_count
 
 
-def independent_columns(m: QMatrix) -> list[Vector]:
+def independent_column_vectors(m: QMatrix) -> list[SparseVector]:
     """The greedy maximal independent subset of m's columns, in column
-    order (deterministic).  The stored integer columns enter the
+    order (deterministic), sparse.  The stored integer columns enter the
     elimination as they are; only the kept ones become Fraction vectors."""
     by_col: dict[int, Row] = {}
     for (r, c), v in m.entries.items():
         by_col.setdefault(c, {})[r] = v
     ech = _Echelon()
-    return [m.column(c) for c in sorted(by_col) if ech.add(by_col[c])]
+    return [{r: Fraction(v, m.den) for r, v in sorted(by_col[c].items())}
+            for c in sorted(by_col) if ech.add(by_col[c])]
 
 
-def quotient_representatives(cycles: Sequence[Sequence[Fraction]],
-                             boundaries: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Cycle vectors complementing span(boundaries) inside span(cycles)."""
+def independent_columns(m: QMatrix) -> list[Vector]:
+    """``independent_column_vectors`` as dense vectors."""
+    return [dense(v, m.rows) for v in independent_column_vectors(m)]
+
+
+def quotient_vectors(cycles: Sequence, boundaries: Sequence) -> list:
+    """The cycles complementing span(boundaries) inside span(cycles): the
+    greedy subset, in order and as given, of dense or sparse vectors."""
     rows = [_int_row(z)[0] for z in cycles]
     cycle_span = _Echelon()
     for row in rows:
@@ -352,4 +393,10 @@ def quotient_representatives(cycles: Sequence[Sequence[Fraction]],
         if cycle_span.reduce(row)[2] is not None:
             raise NotASubspace("boundary vector outside span of cycles")
         span.add(row)
-    return [tuple(z) for z, row in zip(cycles, rows) if span.add(row)]
+    return [z for z, row in zip(cycles, rows) if span.add(row)]
+
+
+def quotient_representatives(cycles: Sequence[Sequence[Fraction]],
+                             boundaries: Sequence[Sequence[Fraction]]) -> list[Vector]:
+    """``quotient_vectors`` of dense vectors, as tuples."""
+    return [tuple(z) for z in quotient_vectors(cycles, boundaries)]

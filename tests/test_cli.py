@@ -301,3 +301,52 @@ def test_a_validation_error_names_the_model(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err == ("error: DGLModel(nm): minimality (b): delta(b) has a "
                    "linear term\n")
+
+
+@pytest.mark.parametrize("spec", ["cpn_sullivan(٣)", "cpn_sullivan(1_0)",
+                                  "sphere_odd(0_3)", "cpn_sullivan(+2)"])
+def test_a_spec_integer_that_is_not_ascii_digits_is_refused(capsys, spec):
+    code, out, err = run(capsys, "check", spec)
+    assert code == 1
+    assert out == ""
+    assert "takes one integer parameter" in err
+
+
+# --- one parser per process ----------------------------------------------------
+
+def fresh_run(capsys, monkeypatch, *argv):
+    """``run`` with a parser built for this call alone."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        return run(capsys, *argv)
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_no_flag_leaks_into_the_next_call(capsys, monkeypatch):
+    first = run(capsys, "whitehead", "s2", "--verbose", "--max-degree", "6")
+    second = run(capsys, "whitehead", "s2")
+    assert second == fresh_run(capsys, monkeypatch, "whitehead", "s2")
+    assert second[0] == 0 and second[1] != first[1]
+    assert first == fresh_run(capsys, monkeypatch, "whitehead", "s2",
+                              "--verbose", "--max-degree", "6")
+
+
+def test_errors_and_help_leave_the_parser_as_it_was(capsys, monkeypatch):
+    calls = [("whitehead", "s2", "--max-degree", "-1"), ("--help",),
+             ("cohomology", "cpn_sullivan(2)", "--json")]
+    shared = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert shared == [fresh_run(capsys, monkeypatch, *argv)
+                      for argv in calls]
+
+
+@pytest.mark.parametrize("argv", [(), ("whitehead",), ("catalog", "-h")])
+def test_help_and_usage_equal_a_fresh_parsers(capsys, monkeypatch, argv):
+    assert cli.build_parser().format_help() == \
+        cli.build_parser.__wrapped__().format_help()
+    assert cli.build_parser().format_usage() == \
+        cli.build_parser.__wrapped__().format_usage()
+    assert run(capsys, *argv) == fresh_run(capsys, monkeypatch, *argv)

@@ -178,3 +178,18 @@ def test_serialize_orders_terms_by_key_not_by_basis():
 
 def test_serialize_is_deterministic(cp2q):
     assert dsl.serialize(cp2q) == dsl.serialize(cp2q)
+
+
+@pytest.mark.parametrize("spec", ["cpn_sullivan(٣)", "cpn_sullivan(1_0)",
+                                  "sphere_odd(0_3)", "cpn_sullivan(+2)"])
+def test_a_spec_integer_is_ascii_digits_only(spec):
+    # int() reads these as 3, 10, 3 and 2
+    with pytest.raises(BadParameter, match="takes one integer parameter"):
+        dsl.catalog_spec(spec)
+
+
+def test_library_callers_may_pass_integers_or_digit_strings():
+    assert dsl.catalog("cpn_sullivan", 3).name == "CP3"
+    assert dsl.catalog("cpn_sullivan", "3").name == "CP3"
+    with pytest.raises(BadParameter):
+        dsl.catalog("cpn_sullivan", "")

@@ -94,3 +94,16 @@ def test_coordinates_roundtrip_through_the_complex(spec):
                 e = e + alg.basis_element(degree, j).scale(c)
             assert cx.to_coords(degree, e) == v
             assert cx.from_coords(degree, cx.to_coords(degree, e)) == e
+
+
+@pytest.mark.parametrize("spec", ["cpn_sullivan(3)", "cpn_quillen(3)",
+                                  "product(s2,sphere_odd(3))"])
+def test_homology_representatives_are_their_sparse_coordinates(spec):
+    cx = dsl.catalog_spec(spec).complex()
+    for degree in range(0, 10):
+        _, reps, reps_v = cx.homology(degree)
+        for rep, v in zip(reps, reps_v):
+            assert isinstance(v, dict) and list(v) == sorted(v)
+            assert cx.sparse_coords(degree, rep) == v
+            assert cx.from_coords(degree, v) == rep
+            assert cx.from_coords(degree, cx.to_coords(degree, rep)) == rep

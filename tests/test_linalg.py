@@ -302,3 +302,44 @@ def test_integer_product_equals_the_rational_product(m, data):
     assert got == qmatrix((r, n), want)
     assert got.columns() == [tuple(want[i][c] for i in range(r))
                              for c in range(n)]
+
+
+def sparse(v):
+    return {i: Fraction(x) for i, x in enumerate(v) if x}
+
+
+def is_sparse(v):
+    return (isinstance(v, dict) and list(v) == sorted(v)
+            and all(isinstance(x, Fraction) and x for x in v.values()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix, st.data())
+def test_sparse_readouts_are_the_dense_ones_without_zeros(m, data):
+    # the sparse vectors the (co)homology runs on hold the same coefficients
+    # as the dense readouts, in ascending index order
+    shape, rows = m
+    kernel = linalg.kernel_vectors(qmatrix(shape, rows))
+    assert all(is_sparse(v) for v in kernel)
+    assert kernel == [sparse(v) for v in linalg.kernel_basis(
+        qmatrix(shape, rows))]
+    cols = QMatrix.from_columns(rows, shape[1])
+    kept = linalg.independent_column_vectors(cols)
+    assert all(is_sparse(v) for v in kept)
+    assert kept == [sparse(v) for v in linalg.independent_columns(cols)]
+    assert QMatrix.from_columns(kept, shape[1]) == \
+        QMatrix.from_columns(linalg.independent_columns(cols), shape[1])
+    v = data.draw(st.lists(entry, min_size=shape[1], max_size=shape[1]))
+    assert qmatrix(shape, rows).apply(sparse(v)) == \
+        qmatrix(shape, rows).apply(v)
+    # cycles: the rows; boundaries: the kept ones among some of them
+    k = data.draw(st.integers(0, len(rows)))
+    boundaries = dense_greedy(rows[:k])
+    assert linalg.quotient_vectors([sparse(z) for z in rows],
+                                   [sparse(b) for b in boundaries]) == \
+        [sparse(z) for z in linalg.quotient_representatives(rows, boundaries)]
+    span, dense_span = Span(shape[1]), Span(shape[1])
+    assert [span.add(sparse(z)) for z in rows] == \
+        [dense_span.add(z) for z in rows]
+    assert span.express(sparse(v)) == dense_span.express(v)
+    assert span.contains(sparse(v)) == dense_span.contains(v)
