@@ -42,6 +42,12 @@ OTHERS = [
     ["cohomology", "s2", "--max-degree", "0", "--json"],
     ["whitehead", "s2", "--verbose", "--max-degree", "6"],
     ["whitehead", "s2"],
+    # larger models, whose top Whitehead nodes lie in the model's own
+    # (co)homology
+    ["whitehead", "cpn_quillen(4)", "--json"],
+    ["whitehead", "cpn_quillen(4)", "--verbose"],
+    ["whitehead", "cpn_sullivan(5)", "--json"],
+    ["whitehead", "cpn_sullivan(5)", "--verbose"],
     # usage, I/O and domain errors
     [], ["frobnicate"], ["whitehead"], ["whitehead", "s2", "--max-degree"],
     ["whitehead", "s2", "--max-degree", "-1"],

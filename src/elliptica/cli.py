@@ -162,13 +162,17 @@ def cmd_catalog(args) -> int:
 # --- driver ------------------------------------------------------------------
 
 def _degree(text: str) -> int:
-    """A --max-degree value: an integer >= 0."""
+    """A --max-degree value: nonempty ASCII digits, as in .rhm text and
+    catalog specs; int() would also read a sign, spaces, underscores and
+    non-ASCII digits."""
     try:
         d = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if d < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {d}")
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not ASCII digits: {text!r}")
     return d
 
 

@@ -24,6 +24,15 @@ Gamma_k = ker(j_k : H_k(L(W_(<= k))) -> W_k).  Both Whitehead sequences
 are then one sequence, gens(i) -b-> Gamma(i + step) -incl-> H(i + step)
 -p-> gens(i + step), and both rho and eta are 1 + sum over k >= 2 of
 (-1)^k dim Gamma(k).
+
+Degree forces two maps of the sequence, which are read from ranks with no
+representative built.  p out of a degree with no generator is the zero map
+from the rank-only betti number.  Where the truncation that holds Gamma(g)
+keeps every generator (g >= max|V| + 2 on cochains, g >= max|W| on chains),
+Gamma(g) lies in H(g) of the model's own complex: the class coordinates of
+the model's representatives over themselves are the identity, so incl is
+Gamma's coordinate matrix.  Only incl out of a proper truncation needs
+representatives.  Truncations are memoized per kept generator set.
 """
 from __future__ import annotations
 
@@ -403,7 +412,6 @@ class GradedModel:
         self._derivation = None
         self._trunc_cache: dict[int, GradedModel] = {}
         self._gamma_cache: dict[int, GammaData] = {}
-        self._gamma_dims: dict[int, int] = {}
         self._valid = False
 
     @property
@@ -485,9 +493,14 @@ class GradedModel:
 
     def truncate(self, k: int):
         """Sub-model on the generators of degree <= k (indices preserved);
-        the model itself when that keeps every generator."""
+        the model itself when that keeps every generator.  k is first
+        lowered to the top kept generator degree, so every k that keeps the
+        same generators gets the same sub-model, with its tables, d
+        matrices and ranks."""
         if k >= self.max_generator_degree():
             return self
+        k = max((g.degree for g in self.generators if g.degree <= k),
+                default=0)
         if k not in self._trunc_cache:
             keep = [g for g in self.generators if g.degree <= k]
             self._trunc_cache[k] = type(self)(
@@ -509,14 +522,10 @@ class GradedModel:
         return GammaData(k, len(kernel), kernel, tc)
 
     def gamma_dim(self, k: int) -> int:
-        """dim Gamma(k), memoized; the truncation's rank-only betti_k when it
-        has no generator of degree k (always on cochains)."""
-        if k not in self._gamma_dims:
-            t = self.truncate(k - 1 - self.complex_type.step)
-            self._gamma_dims[k] = (
-                self.gamma(k).dim if any(g.degree == k for g in t.generators)
-                else t.complex().betti(k))
-        return self._gamma_dims[k]
+        """dim Gamma(k): the truncation's rank-only betti_k when it has no
+        generator of degree k (always on cochains), as its linear part is
+        then the zero map."""
+        return self.gamma(k).dim
 
     def gamma_sum(self, top: int) -> int:
         """1 + sum over 2 <= k <= top of (-1)^k dim Gamma(k): rho on
@@ -542,11 +551,30 @@ class GradedModel:
                 f"{self!r}: b of a degree-{i} generator leaves Gamma({k})")
         return linalg.QMatrix.from_columns(cols, gd.dim)
 
+    def whitehead_incl(self, g: int) -> linalg.QMatrix:
+        """The Whitehead map incl : Gamma(g) -> H(g), over Gamma's basis and
+        the model's representatives: the class coordinates, in the model,
+        of the representatives of the truncation that holds Gamma(g), times
+        ``h_coords``.  When that truncation is the model itself, the class
+        coordinates are the identity, so incl is ``h_coords`` alone and no
+        representative is built."""
+        full, gd = self.complex(), self.gamma(g)
+        if gd.complex is full:
+            return linalg.QMatrix.from_columns(gd.h_coords, full.betti(g))
+        h_reps = gd.complex.homology(g)[1]
+        return full.class_matrix(g, h_reps).matmul(
+            linalg.QMatrix.from_columns(gd.h_coords, len(h_reps)))
+
     def whitehead_sequence(self, max_degree: int) -> WhiteheadReport:
         """gens(i) -b-> Gamma(i + step) -incl-> H(i + step) -p-> gens(i +
         step), checked exact at every node (ExactnessFailure on any breach).
         Node i holds gens(i), and Gamma(g) and H(g) for g the higher of i
-        and i + step, with the rank of the b into Gamma(g)."""
+        and i + step, with the rank of the b into Gamma(g).
+
+        Two maps are read from ranks alone, with no representative built:
+        p out of a degree with no generator is the zero map (``linear_part``),
+        and incl into the model's own homology is Gamma's coordinate matrix
+        (``whitehead_incl``).  Every node is still checked exact."""
         full, step = self.complex(), self.complex_type.step
         p = functools.cache(full.linear_part)
         b = functools.cache(self.whitehead_b)
@@ -554,10 +582,7 @@ class GradedModel:
         nodes = []
         for i in range(2, max_degree + 1):
             g = max(i, i + step)
-            gd = self.gamma(g)
-            h_reps = gd.complex.homology(g)[1]
-            incl = full.class_matrix(g, h_reps).matmul(
-                linalg.QMatrix.from_columns(gd.h_coords, len(h_reps)))
+            incl = self.whitehead_incl(g)
             check_exact(f"{gens}{i}", p(i), b(i))
             check_exact(f"{gam}{g}", b(g - step), incl)
             check_exact(f"{hom}{g}", incl, p(g))
@@ -752,8 +777,12 @@ class GradedComplex:
 
     def linear_part(self, degree: int) -> linalg.QMatrix:
         """Homology of that degree -> the generators of that degree: each
-        representative's coefficients on the generators."""
+        representative's coefficients on the generators.  With no generator
+        of that degree it is the zero map from the rank-only betti number,
+        and no representative is built."""
         gens = [g for g in self.model.generators if g.degree == degree]
+        if not gens:
+            return linalg.QMatrix(0, self.betti(degree))
         _, reps, _ = self.homology(degree)
         key = self.model.algebra.generator_key
         ent = {}

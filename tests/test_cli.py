@@ -312,6 +312,26 @@ def test_a_spec_integer_that_is_not_ascii_digits_is_refused(capsys, spec):
     assert "takes one integer parameter" in err
 
 
+@pytest.mark.parametrize("text", ["1_0", "٣", "+4", " 4", "4\n", "-0", "０"])
+def test_a_max_degree_that_is_not_ascii_digits_is_refused(capsys, text):
+    # int() reads each of these; the window must be ASCII digits only
+    code, out, err = run(capsys, "cohomology", "s2", "--max-degree", text,
+                         "--json")
+    assert code == 2
+    assert out == ""
+    assert err.endswith(
+        f"error: argument --max-degree: not ASCII digits: {text!r}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("two", "not an integer: 'two'"), ("", "not an integer: ''"),
+    ("-1", "must be >= 0, got -1")])
+def test_max_degree_refusals_keep_their_messages(capsys, text, message):
+    code, out, err = run(capsys, "whitehead", "s2", "--max-degree", text)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument --max-degree: {message}\n")
+
+
 # --- one parser per process ----------------------------------------------------
 
 def fresh_run(capsys, monkeypatch, *argv):

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elliptica import dsl, linalg
+from elliptica import dsl, invariants, linalg, randmodels
 from elliptica.commutative import Algebra, Element, Generator
 from elliptica.errors import DegreeMismatch, ExactnessFailure
 from elliptica.graded import check_exact
@@ -107,3 +109,100 @@ def test_homology_representatives_are_their_sparse_coordinates(spec):
             assert cx.sparse_coords(degree, rep) == v
             assert cx.from_coords(degree, v) == rep
             assert cx.from_coords(degree, cx.to_coords(degree, rep)) == rep
+
+
+# --- the Whitehead maps that degree forces -------------------------------------
+
+def default_bound(model):
+    return invariants.analysis(model).bound
+
+
+def node_degrees(model, top):
+    """The degrees g of Gamma(g) -> H(g) at the nodes 2..top."""
+    step = model.complex_type.step
+    return sorted({max(i, i + step) for i in range(2, top + 1)})
+
+
+def truncations(model):
+    """The model and each of its distinct truncations."""
+    return list({id(t): t for t in map(
+        model.truncate, range(model.max_generator_degree() + 1))}.values())
+
+
+def class_coordinate_incl(model, g):
+    """Oracle for incl : Gamma(g) -> H(g): the class coordinates, in the
+    model, of the representatives of the truncation that holds Gamma(g),
+    times Gamma's coordinates over them, on every node."""
+    gd = model.gamma(g)
+    h_reps = gd.complex.homology(g)[1]
+    return model.complex().class_matrix(g, h_reps).matmul(
+        linalg.QMatrix.from_columns(gd.h_coords, len(h_reps)))
+
+
+def check_incl_against_the_oracle(model):
+    """On the model and every truncation, through the model's default
+    window, incl equals the oracle's; returns the number of nodes read
+    from Gamma's coordinates alone."""
+    top, forced = default_bound(model), 0
+    for t in truncations(model):
+        for g in node_degrees(t, top):
+            incl = t.whitehead_incl(g)   # before the oracle fills any cache
+            forced += t.gamma(g).complex is t.complex()
+            assert incl == class_coordinate_incl(t, g), (t, g)
+    return forced
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(dsl.catalog_spec(s), id=s)
+      for s in [*CATALOG_SULLIVAN_SPECS, *CATALOG_QUILLEN_SPECS,
+                "cpn_quillen(4)"]),
+    *(pytest.param(m, id=m.name) for m in randmodels.random_models(7, 20)),
+])
+def test_incl_equals_the_class_coordinate_oracle(model):
+    assert check_incl_against_the_oracle(model) > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_incl_equals_the_oracle_on_random_pure_models(seed):
+    model = randmodels.random_pure_model(random.Random(seed))
+    assert check_incl_against_the_oracle(model) > 0
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(dsl.catalog_spec(s), id=s)
+      for s in [*CATALOG_SULLIVAN_SPECS, *CATALOG_QUILLEN_SPECS,
+                "cpn_quillen(4)", "cpn_sullivan(5)"]),
+    *(pytest.param(m, id=m.name) for m in randmodels.random_models(7, 20)),
+])
+def test_forced_nodes_build_no_representatives(model):
+    # above max|gens| + 1 no degree has a generator, Gamma lies in the
+    # model's own (co)homology and p out of it is zero, so neither incl nor
+    # p builds a representative there
+    top = default_bound(model)
+    model.whitehead_sequence(top)
+    built = sorted(model.complex()._coh_cache)
+    assert all(d <= model.max_generator_degree() + 1 for d in built), built
+    for t in truncations(model):
+        cx = t.complex()
+        for d in range(top + 2):
+            if d not in {g.degree for g in t.generators}:
+                assert cx.linear_part(d) == linalg.QMatrix(0, cx.betti(d))
+
+
+@pytest.mark.parametrize("spec", ["cpn_sullivan(3)", "cpn_quillen(3)",
+                                  "product(s2,sphere_even(4))"])
+def test_one_truncation_per_kept_generator_set(spec):
+    m = dsl.catalog_spec(spec)
+    seen = {}
+    for k in range(-1, m.max_generator_degree() + 2):
+        t = m.truncate(k)
+        assert seen.setdefault(tuple(t.generators), t) is t, k
+
+
+def test_truncations_that_keep_the_same_generators_share_their_data():
+    m = dsl.catalog_spec("cpn_sullivan(3)")   # x:2, y:7
+    t = m.truncate(3)
+    assert m.truncate(2) is t and m.truncate(4) is t and m.truncate(6) is t
+    assert t.complex().d_matrix(4) is m.truncate(5).complex().d_matrix(4)
+    assert t.algebra.table(6) is m.truncate(2).algebra.table(6)
