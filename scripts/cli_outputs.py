@@ -3,7 +3,8 @@
 process and print the exit code, stdout and stderr of each.
 
 Every command runs in text, ``--json`` and ``--verbose`` form on catalog
-specs and on .rhm files, then come refused windows, usage errors, ``--help``
+specs and on .rhm files, then come refused windows, larger models, two
+non-elliptic models and a non-pure elliptic one, usage errors, ``--help``
 and ``compare``.  All calls share one process, so an option or a state that
 leaked from one call into the next would show in the output.  Help and usage
 text wrap at the terminal width: run with COLUMNS=80 to compare against
@@ -48,6 +49,11 @@ OTHERS = [
     ["whitehead", "cpn_quillen(4)", "--verbose"],
     ["whitehead", "cpn_sullivan(5)", "--json"],
     ["whitehead", "cpn_sullivan(5)", "--verbose"],
+    # two non-elliptic models, which the window refuses, and a non-pure
+    # elliptic one, whose ellipticity is certified
+    *([c, f, *j] for f in ("free_x.rhm", "xy_kernel.rhm", "s2_nonpure.rhm")
+      for c in ("invariants", "verify", "whitehead")
+      for j in ([], ["--json"])),
     # usage, I/O and domain errors
     [], ["frobnicate"], ["whitehead"], ["whitehead", "s2", "--max-degree"],
     ["whitehead", "s2", "--max-degree", "-1"],
@@ -67,6 +73,12 @@ FILES = {
     "random.rhm": dsl.serialize(randmodels.random_models(7, 3)[2]),
     "bad.rhm": "model m : sullivan\ngen x : 2\nd x = $$\n",
     "poly.rhm": "model poly : sullivan\ngen x : 2\n",
+    "free_x.rhm": "model free_x : sullivan\ngen x : 2\ngen y : 3\nd y = 0\n",
+    "xy_kernel.rhm": "model xy_kernel : sullivan\ngen x : 2\ngen y : 2\n"
+                     "gen z : 3\nd z = x*y\n",
+    "s2_nonpure.rhm": "model s2_nonpure : sullivan\ngen x : 2\ngen y : 3\n"
+                      "gen a : 3\ngen b : 3\ngen c : 5\nd y = x^2\n"
+                      "d c = a*b + x^3\n",
 }
 
 

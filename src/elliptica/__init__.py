@@ -12,7 +12,8 @@ from .invariants import (InvariantReport, QuillenAnalysis, SullivanAnalysis,
                          invariant_report, is_pure)
 from .lie import FreeLie, LieElement, LieGenerator
 from .quillen import DGLModel, eta, gamma, whitehead_sequence_dgl
-from .randmodels import random_models, random_pure_model
+from .randmodels import (random_models, random_nonelliptic_model,
+                         random_nonpure_model, random_pure_model)
 from .sullivan import SullivanModel, tensor_product, whitehead_sequence
 
 __all__ = [
@@ -26,7 +27,8 @@ __all__ = [
     "analysis", "compare_models", "full_ledger", "invariant_report", "is_pure",
     "FreeLie", "LieElement", "LieGenerator",
     "DGLModel", "eta", "gamma", "whitehead_sequence_dgl",
-    "random_models", "random_pure_model",
+    "random_models", "random_nonelliptic_model", "random_nonpure_model",
+    "random_pure_model",
     "SullivanModel", "tensor_product", "whitehead_sequence",
 ]
 

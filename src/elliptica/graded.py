@@ -33,6 +33,15 @@ Gamma(g) lies in H(g) of the model's own complex: the class coordinates of
 the model's representatives over themselves are the identity, so incl is
 Gamma's coordinate matrix.  Only incl out of a proper truncation needs
 representatives.  Truncations are memoized per kept generator set.
+
+A model's ``certified_top`` n, when a proof (not a degree window) gives
+one, caps its own complex: ``betti`` and ``homology`` return zero above
+n + 1 with no matrix built, while degrees up to n + 1 are still computed,
+each with its d.d check, and dim H(n) = 1 and dim H(n + 1) = 0 are
+checked there at run time.  Only a Sullivan model with no parent has one:
+the ellipticity certificate of ``sullivan.SullivanModel.certified_top``.
+Truncations, Quillen models and models without a certificate compute
+every degree they are asked for.
 """
 from __future__ import annotations
 
@@ -486,6 +495,13 @@ class GradedModel:
     def max_generator_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
 
+    @functools.cached_property
+    def certified_top(self) -> int | None:
+        """The top degree n of the model's (co)homology when a proof, not a
+        degree window, shows that it vanishes in every degree above n; else
+        None.  Only a Sullivan model with no parent can carry one."""
+        return None
+
     def _truncated_differential(self, keep: list, k: int) -> dict:
         """The differential on the kept generators of degree <= k."""
         return {g.index: self.differential[g.index] for g in keep
@@ -536,13 +552,18 @@ class GradedModel:
     def whitehead_b(self, i: int) -> linalg.QMatrix:
         """The Whitehead map b : gens(i) -> Gamma(i + step), g |-> [d g]:
         a class of truncate(i - 1), the truncation that holds Gamma(i + step),
-        written over Gamma's representatives."""
+        written over Gamma's representatives.  On cochains Gamma^(i + 1) is
+        all of H^(i + 1) of that truncation, so b is the class matrix itself;
+        on chains it is solved against Gamma's basis."""
         k = i + self.complex_type.step
         gens = [g for g in self.generators if g.degree == i]
         if not gens:    # a map from zero needs no Gamma representatives
             return linalg.QMatrix(self.gamma_dim(k), 0)
         into_h = self.truncate(i - 1).complex().class_matrix(
             k, [self.d_of_generator(g.index) for g in gens])
+        if self.complex_type.step > 0:
+            # Gamma^k is all of H^k(truncate(k - 2)): h_coords is the identity
+            return into_h
         gd = self.gamma(k)
         onto = linalg.QMatrix.from_columns(gd.h_coords, into_h.rows)
         cols = [linalg.solve(onto, col) for col in into_h.columns()]
@@ -618,6 +639,7 @@ class GradedComplex:
         self._boundary_cache: dict[int, list[linalg.SparseVector]] = {}
         self._coh_cache: dict[int, tuple[int, list, list]] = {}
         self._class_cache: dict[int, tuple[linalg.Span, int]] = {}
+        self._top_checked = False
 
     # --- bases and matrices ------------------------------------------------
 
@@ -714,12 +736,30 @@ class GradedComplex:
                 self.d_matrix(degree - self.step))
         return self._boundary_cache[degree]
 
+    def _proven_zero(self, degree: int) -> bool:
+        """Whether the model's ``certified_top`` n proves the (co)homology
+        of that degree zero: degree > n + 1.  Degrees n and n + 1 are still
+        computed, and on the first such call dim H(n) = 1 and dim H(n + 1)
+        = 0 are checked (InternalInconsistency if not)."""
+        top = self.model.certified_top
+        if top is None or degree <= top + 1:
+            return False
+        if not self._top_checked:
+            for k, want in ((top, 1), (top + 1, 0)):
+                got = self.betti(k)
+                if got != want:
+                    raise InternalInconsistency(
+                        f"{self.model!r}: certified top degree {top}, but "
+                        f"the computed dim H({k}) = {got}, not {want}")
+            self._top_checked = True
+        return True
+
     def homology(self, degree: int):
         """(dim, representative elements, their sparse coordinate
-        vectors)."""
+        vectors); zero with no matrix built above ``certified_top`` + 1."""
         if degree in self._coh_cache:
             return self._coh_cache[degree]
-        if not self.dim(degree):
+        if self._proven_zero(degree) or not self.dim(degree):
             result = (0, [], [])
         else:
             self._check_square(degree)
@@ -732,10 +772,11 @@ class GradedComplex:
         return result
 
     def betti(self, degree: int) -> int:
-        """dim - rank d_out - rank d_in, from ranks alone."""
+        """dim - rank d_out - rank d_in, from ranks alone; 0 with no matrix
+        built above the model's ``certified_top`` + 1."""
         if degree in self._coh_cache:
             return self._coh_cache[degree][0]
-        if not self.dim(degree):
+        if self._proven_zero(degree) or not self.dim(degree):
             return 0
         self._check_square(degree)
         return (self.dim(degree) - self._rank(degree)

@@ -12,7 +12,7 @@ from . import linalg, quillen, sullivan
 from .errors import BadParameter, NotEllipticWithinBound
 from .graded import WhiteheadReport
 from .quillen import DGLModel
-from .sullivan import SullivanModel
+from .sullivan import SullivanModel, candidate_formal_dimension
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,12 @@ class InvariantReport:
     odd_sphere: bool
 
 
-def candidate_formal_dimension(model: SullivanModel) -> int:
-    """sum(odd generator degrees) - sum(even generator degrees - 1); equals
-    the formal dimension whenever the model is elliptic."""
-    n = 0
-    for g in model.generators:
-        n += g.degree if g.degree % 2 else -(g.degree - 1)
-    return n
-
-
 def default_bound(model: SullivanModel) -> int:
+    """The default degree window, max(2n + 2, max|V| + 2, 2) for the
+    candidate formal dimension n.  On a certified model (``certified_top``)
+    only degrees up to max(n + 1, max|V| + 1) build a matrix: the degrees
+    above n + 1 are proven zero.  Elsewhere every degree of it is computed,
+    as the evidence ``require_elliptic`` reads."""
     nc = candidate_formal_dimension(model)
     return max(2 * nc + 2, model.max_generator_degree() + 2, 2)
 
@@ -109,7 +105,13 @@ class SullivanAnalysis(_Analysis):
     def require_elliptic(self) -> int:
         """The top degree of H^* in the window; NotEllipticWithinBound if it
         lies beyond the candidate formal dimension, BadParameter if the
-        window is too short to show that nothing follows it."""
+        window is too short to show that nothing follows it.
+
+        On a model with the ellipticity certificate (``certified_top``) the
+        window's degrees above n + 1 are proven zero and build no matrix;
+        degrees up to n + 1 are computed, with dim H^n = 1 and H^(n+1) = 0
+        checked.  Without one, every degree of the window is computed, and
+        a window free of cohomology beyond n is evidence, not proof."""
         top = max((i for i, d in self.betti.items() if d), default=0)
         n_candidate = candidate_formal_dimension(self.model)
         if top > n_candidate:
@@ -125,7 +127,9 @@ class SullivanAnalysis(_Analysis):
 
     @cached_property
     def formal_dimension(self) -> int:
-        """The formal dimension, proved by ``require_elliptic`` on first use."""
+        """The formal dimension: on first use ``require_elliptic`` reads it
+        from the window, which the certificate, where the model has one,
+        proves to hold all of H^*."""
         return self.require_elliptic()
 
     @property

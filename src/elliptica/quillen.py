@@ -103,11 +103,13 @@ def homology_table(model: DGLModel, bound: int) -> dict[int, int]:
 
 
 def gamma_top(model: DGLModel, bound: int | None = None) -> int:
-    """The top degree of Gamma, proven from the degree window.
+    """The top degree of Gamma, read from window evidence.
 
-    Vanishing of Gamma above the window is certified through exactness:
-    Gamma_i = 0 once W_(i+1) = 0 and H_i(L(W)) = 0.  The window must reach
-    ``default_bound(model)``: below it the top of H_*(L(W)) may be unseen.
+    Gamma_i = 0 once W_(i+1) = 0 and H_i(L(W)) = 0, by exactness; that
+    H_i(L(W)) = 0 above the window is evidence from the degrees computed,
+    not a proof, as no certificate bounds it on the Quillen side.  The
+    window must reach ``default_bound(model)``: below it the top of
+    H_*(L(W)) may be unseen.
     """
     max_w = model.max_generator_degree()
     if bound is None:

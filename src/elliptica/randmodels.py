@@ -1,11 +1,20 @@
-"""Seeded random generation of pure elliptic Sullivan models.
+"""Seeded random generation of Sullivan models: pure elliptic ones, and
+from them non-pure elliptic and non-elliptic ones.
 
-The recipe produces pure models (even generators closed, odd differentials
-land in the even subalgebra) with dim V^even = dim V^odd = m <= 3.  Each odd
-generator's differential is a pure power of a dedicated even generator plus
-extra monomials drawn only from earlier even generators; that triangular
-shape forces the cohomology to be finite dimensional, so every sample is
-elliptic.
+The pure recipe produces pure models (even generators closed, odd
+differentials land in the even subalgebra) with dim V^even = dim V^odd =
+m <= 3.  Each odd generator's differential is a pure power of a dedicated
+even generator plus extra monomials drawn only from earlier even
+generators; that triangular shape forces the cohomology to be finite
+dimensional, so every sample is elliptic.
+
+A non-pure sample tensors a pure one with Lambda(a_3, b_3, c_5; dc = ab + q),
+q a random polynomial of degree 6 in the pure factor's even generators.  Its
+associated pure model adds the relation q to a finite quotient, so it stays
+elliptic (GTM 205, section 32).  A non-elliptic sample drops one odd
+generator of a pure one: then dim V^odd < dim V^even, which no elliptic
+model has.  Both draw from their own ``rng`` and leave the pure recipe's
+streams untouched.
 """
 from __future__ import annotations
 
@@ -73,3 +82,42 @@ def random_models(seed: int, count: int) -> list[SullivanModel]:
     rng = random.Random(seed)
     return [random_pure_model(rng, name=f"random_{seed}_{i}")
             for i in range(count)]
+
+
+def random_nonpure_model(rng: random.Random, name: str = "") -> SullivanModel:
+    """A pure sample tensored with Lambda(a_3, b_3, c_5; dc = ab + q): q is a
+    random combination of the degree-6 monomials of length >= 2 in the pure
+    factor's even generators, each kept with probability 1/2.  The result
+    is elliptic and not pure."""
+    pure = random_pure_model(rng)
+    gens, diff = list(pure.generators), dict(pure.differential)
+    even = [g for g in gens if g.degree % 2 == 0]
+    base = len(gens)
+    a, b, c = (Generator(s, d, base + j)
+               for j, (s, d) in enumerate((("a", 3), ("b", 3), ("c", 5))))
+    dc = Element({((a.index, 1), (b.index, 1)): 1})
+    for mono in _monomials([g.degree for g in even],
+                           [g.index for g in even], 6):
+        if (len(mono) > 1 or mono[0][1] > 1) and rng.random() < 0.5:
+            dc = dc + Element({mono: rng.choice((1, -1, 2))})
+    diff[c.index] = dc
+    return SullivanModel([*gens, a, b, c], diff,
+                         name=name or f"{pure.name}_nonpure")
+
+
+def random_nonelliptic_model(rng: random.Random,
+                             name: str = "") -> SullivanModel:
+    """A pure sample with one odd generator, drawn at random, dropped, and
+    the rest renumbered in order: dim V^odd < dim V^even, so the model is
+    not elliptic.  The pure differentials of the kept odd generators lie
+    in the even generators, so the rest stays closed."""
+    pure = random_pure_model(rng)
+    odd = [g for g in pure.generators if g.degree % 2]
+    drop = rng.choice(odd).index
+    keep = [g for g in pure.generators if g.index != drop]
+    renum = {g.index: j for j, g in enumerate(keep)}
+    gens = [Generator(g.name, g.degree, renum[g.index]) for g in keep]
+    diff = {renum[i]: Element({tuple((renum[k], e) for k, e in m): c
+                               for m, c in img.terms.items()})
+            for i, img in pure.differential.items() if i != drop}
+    return SullivanModel(gens, diff, name=name or f"{pure.name}_nonelliptic")

@@ -1,11 +1,14 @@
-"""Sullivan models: cochain complexes, cohomology, truncations and the
-Whitehead exact sequence on the commutative side, where Gamma^i is L^i."""
+"""Sullivan models: cochain complexes, cohomology, truncations, the
+ellipticity certificate and the Whitehead exact sequence on the commutative
+side, where Gamma^i is L^i."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+from . import linalg
 from .commutative import Algebra, Element, Generator
-from .errors import TruncationNotClosed
+from .errors import TruncationNotClosed, ValidationError
 from .graded import (GradedComplex, GradedModel, ValidationIssue,
                      ValidationReport, WhiteheadReport)
 
@@ -78,6 +81,50 @@ class SullivanModel(GradedModel):
                     "minimality", name, f"d({name}) has a linear term"))
         return ValidationReport((*issues, *super().validate().issues))
 
+    # --- the ellipticity certificate ----------------------------------------
+
+    @functools.cached_property
+    def certified_top(self) -> int | None:
+        """The Friedlander-Halperin certificate: n, the candidate formal
+        dimension, when the model is no truncation, passes ``validate``,
+        has n >= 0, and the pure quotient A = Q[V^even] / (d_sigma y), with
+        d_sigma y the part of d y in the even generators alone, has
+        A_t = 0 for every t in n + 1 .. n + D, D the top even generator
+        degree; else None.  Then H^i = 0 for every i > n.
+
+        Every monomial of degree above n + D has a factor of degree in
+        that band, so A_t = 0 for all t > n and A is finite-dimensional.
+        Then (Lambda V, d_sigma) is elliptic, and with it (Lambda V, d):
+        its cohomology is finite-dimensional, with formal dimension n and
+        H^(>n) = 0 (Felix-Halperin-Thomas, GTM 205, section 32; Halperin,
+        Trans. AMS 230, 1977).  Conversely, for an elliptic model A is the
+        bottom row of the cohomology of the pure model, which vanishes above
+        n, so the certificate holds exactly for the elliptic models.  With
+        no even generator it holds at once.  Each A_t is one exact rank
+        over the polynomial algebra on V^even."""
+        if self.parent is not None:
+            return None
+        try:
+            self.require_valid()
+        except ValidationError:
+            return None
+        n = candidate_formal_dimension(self)
+        even = [g for g in self.generators if g.degree % 2 == 0]
+        if not even:
+            return n
+        if n < 0:
+            return None
+        poly, images = Algebra(even), self.derivation().int_images
+        relations = [(g.degree + 1, {
+            m: c for m, c in images.get(g.index, {}).items()
+            if all(i in poly.by_index for i, _ in m)})
+            for g in self.generators if g.degree % 2]
+        top_even = max(g.degree for g in even)
+        if all(_ideal_fills(poly, relations, t)
+               for t in range(n + 1, n + top_even + 1)):
+            return n
+        return None
+
     # --- truncation --------------------------------------------------------
 
     def _truncated_differential(self, keep: list[Generator], k: int):
@@ -88,6 +135,31 @@ class SullivanModel(GradedModel):
                     raise TruncationNotClosed(
                         f"d({g.name}) involves a generator of degree > {k}")
         return super()._truncated_differential(keep, k)
+
+
+def candidate_formal_dimension(model: SullivanModel) -> int:
+    """sum(odd generator degrees) - sum(even generator degrees - 1); equals
+    the formal dimension whenever the model is elliptic."""
+    return sum(g.degree if g.degree % 2 else 1 - g.degree
+               for g in model.generators)
+
+
+def _ideal_fills(poly: Algebra, relations: list, t: int) -> bool:
+    """Whether the ideal of the polynomial algebra ``poly`` spanned by the
+    (degree, integer monomial coefficients) ``relations`` holds all of
+    degree t: the products of each relation with the monomials of the
+    complementary degree, as columns over the monomials of degree t, have
+    full row rank."""
+    keys = poly.basis(t)
+    if not keys:
+        return True
+    index, ent, c = poly.table(t).index, {}, 0
+    for degree, rel in relations:
+        for m in poly.basis(t - degree):
+            for u, v in rel.items():
+                ent[(index[poly._mul_monomials(m, u)[0]], c)] = v
+            c += 1
+    return linalg.rank(linalg.QMatrix(len(keys), c, ent)) == len(keys)
 
 
 # --- module-level operations matching the engine surface ---------------------

@@ -1,0 +1,170 @@
+"""The Friedlander-Halperin ellipticity certificate and the cap it puts on
+the Sullivan complex, against an uncapped oracle: the same model with no
+certificate, which takes the degree-window path in every degree."""
+import random
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elliptica import dsl, invariants, linalg, randmodels, sullivan
+from elliptica.commutative import Element, Generator
+from elliptica.errors import InternalInconsistency, NotEllipticWithinBound
+from elliptica.sullivan import CochainComplex, SullivanModel
+
+from conftest import CATALOG_SULLIVAN_SPECS
+
+GENERATORS = {
+    "pure": randmodels.random_pure_model,
+    "nonpure": randmodels.random_nonpure_model,
+    "nonelliptic": randmodels.random_nonelliptic_model,
+}
+
+REFUSED = {
+    "free_x": "model free_x : sullivan\ngen x : 2\ngen y : 3\nd y = 0\n",
+    "xy_kernel": "model xy_kernel : sullivan\ngen x : 2\ngen y : 2\n"
+                 "gen z : 3\nd z = x*y\n",
+}
+
+
+class Uncapped(SullivanModel):
+    """The oracle: a Sullivan model that never carries a certificate, so
+    its complex computes every degree of the window."""
+
+    certified_top = None
+
+
+def uncapped(model):
+    return Uncapped(model.generators, model.differential, name=model.name)
+
+
+def window_verdict(model) -> bool:
+    """Elliptic by the degree window: no cohomology between the candidate
+    formal dimension and ``default_bound``, each degree ranked on freshly
+    assembled d matrices."""
+    cx, n = CochainComplex(model), invariants.candidate_formal_dimension(model)
+    ranks = {i: linalg.rank(cx._assemble_d_matrix(i))
+             for i in range(-1, invariants.default_bound(model) + 1)}
+    return not any(cx.dim(i) - ranks[i] - ranks[i - 1]
+                   for i in range(max(n + 1, 0), len(ranks) - 1))
+
+
+def nonpure_population():
+    return [randmodels.random_nonpure_model(random.Random(s), name=f"np{s}")
+            for s in range(8)]
+
+
+def populations():
+    return [
+        *(pytest.param(dsl.catalog_spec(s), id=s)
+          for s in CATALOG_SULLIVAN_SPECS),
+        *(pytest.param(m, id=m.name) for m in randmodels.random_models(7, 20)),
+        *(pytest.param(m, id=m.name) for m in nonpure_population()),
+    ]
+
+
+def reports(model):
+    """Everything the analyses read at ``default_bound``."""
+    a = invariants.SullivanAnalysis(model)
+    return (a.betti, a.l_window(), a.rho(), a.report(), a.ledger().entries,
+            a.whitehead().nodes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 10 ** 9))
+def test_certificate_and_window_verdicts_agree(kind, seed):
+    model = GENERATORS[kind](random.Random(seed))
+    certified = model.certified_top is not None
+    assert certified == window_verdict(model) == (kind != "nonelliptic")
+    if certified:
+        assert model.certified_top == invariants.candidate_formal_dimension(
+            model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_every_random_pure_model_is_certified(seed):
+    model = randmodels.random_pure_model(random.Random(seed))
+    assert model.certified_top == invariants.candidate_formal_dimension(model)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_new_random_populations(seed):
+    m = randmodels.random_nonpure_model(random.Random(seed))
+    assert not invariants.is_pure(m) and m.validate().ok
+    assert m.certified_top == invariants.candidate_formal_dimension(m)
+    m = randmodels.random_nonelliptic_model(random.Random(seed))
+    assert invariants.is_pure(m) and m.validate().ok
+    assert m.certified_top is None
+    with pytest.raises(NotEllipticWithinBound):
+        invariants.invariant_report(m)
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_fixtures_stay_refused(name):
+    model = dsl.parse(REFUSED[name])
+    assert model.certified_top is None
+    with pytest.raises(NotEllipticWithinBound):
+        invariants.invariant_report(model)
+
+
+def test_only_a_valid_root_sullivan_model_is_certified():
+    cp3 = dsl.catalog_spec("cpn_sullivan(3)")
+    assert cp3.certified_top == 6
+    assert cp3.truncate(2).certified_top is None
+    assert dsl.catalog_spec("cpn_quillen(2)").certified_top is None
+    free = dsl.parse("model free : sullivan\ngen x : 2\ngen y : 3\n"
+                     "gen z : 4\nd z = x*y\n")    # valid, not elliptic
+    assert free.validate().ok and free.certified_top is None
+    # n = -3 puts the band n + 1 .. n + 2 below degree 0, where it says nothing
+    poly = dsl.parse("model poly : sullivan\ngen x : 2\ngen y : 2\n"
+                     "gen z : 2\n")
+    assert poly.certified_top is None
+    with pytest.raises(NotEllipticWithinBound):
+        invariants.invariant_report(poly)
+    # d d z = d(x y) = x^3 != 0
+    x, y, z = Generator("x", 2, 0), Generator("y", 3, 1), Generator("z", 4, 2)
+    broken = SullivanModel([x, y, z], {1: Element({((0, 2),): 1}),
+                                       2: Element({((0, 1), (1, 1)): 1})})
+    assert not broken.validate().ok and broken.certified_top is None
+
+
+@pytest.mark.parametrize("model", populations())
+def test_capped_analysis_equals_the_uncapped_oracle(model):
+    assert model.certified_top is not None
+    assert reports(model) == reports(uncapped(model))
+
+
+@pytest.mark.parametrize("model", populations())
+def test_root_d_is_built_only_up_to_the_cap(model):
+    top = max(model.certified_top + 1, model.max_generator_degree() + 1)
+    for run in (invariants.invariant_report, invariants.full_ledger,
+                lambda m: m.whitehead_sequence(invariants.default_bound(m))):
+        fresh = type(model)(model.generators, model.differential,
+                            name=model.name)
+        run(fresh)
+        built = sorted(fresh.complex()._d_cache)
+        assert built and max(built) <= top, built
+
+
+@pytest.mark.parametrize("spec", ["s2", "sphere_odd(3)", "cpn_sullivan(2)",
+                                  "product(s2,sphere_odd(3))"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_a_wrong_certificate_raises(spec, shift, monkeypatch):
+    model = dsl.catalog_spec(spec)
+    n = model.certified_top
+    monkeypatch.setattr(model, "certified_top", n + shift)
+    with pytest.raises(InternalInconsistency, match=re.escape(repr(model))):
+        invariants.invariant_report(model)
+    fresh = dsl.catalog_spec(spec)
+    monkeypatch.setattr(fresh, "certified_top", n + shift)
+    with pytest.raises(InternalInconsistency, match="certified top degree"):
+        fresh.complex().betti(n + 3)
+
+
+def test_a_model_without_even_generators_is_certified_at_once():
+    m = sullivan.tensor_product(dsl.catalog_spec("sphere_odd(3)"),
+                                dsl.catalog_spec("sphere_odd(5)"))
+    assert m.certified_top == 8
+    assert SullivanModel([], {}).certified_top == 0

@@ -169,6 +169,35 @@ def test_incl_equals_the_oracle_on_random_pure_models(seed):
     assert check_incl_against_the_oracle(model) > 0
 
 
+def solved_b(model, i):
+    """Oracle for b : gens(i) -> Gamma(i + step): the class coordinates of
+    the d g in the truncation that holds Gamma, solved against Gamma's
+    basis there."""
+    k = i + model.complex_type.step
+    gens = [g for g in model.generators if g.degree == i]
+    if not gens:
+        return linalg.QMatrix(model.gamma_dim(k), 0)
+    into_h = model.truncate(i - 1).complex().class_matrix(
+        k, [model.d_of_generator(g.index) for g in gens])
+    gd = model.gamma(k)
+    onto = linalg.QMatrix.from_columns(gd.h_coords, into_h.rows)
+    cols = [linalg.solve(onto, col) for col in into_h.columns()]
+    assert None not in cols
+    return linalg.QMatrix.from_columns(cols, gd.dim)
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(dsl.catalog_spec(s), id=s)
+      for s in [*CATALOG_SULLIVAN_SPECS, *CATALOG_QUILLEN_SPECS]),
+    *(pytest.param(m, id=m.name) for m in randmodels.random_models(7, 20)),
+])
+def test_b_equals_the_solve_oracle(model):
+    # on cochains b is read as the class matrix itself; on chains it is
+    # still solved against Gamma's basis
+    for i in range(2, default_bound(model) + 1):
+        assert model.whitehead_b(i) == solved_b(model, i), i
+
+
 @pytest.mark.parametrize("model", [
     *(pytest.param(dsl.catalog_spec(s), id=s)
       for s in [*CATALOG_SULLIVAN_SPECS, *CATALOG_QUILLEN_SPECS,
