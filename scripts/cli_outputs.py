@@ -35,6 +35,11 @@ OTHERS = [
     ["compare", "s2", "s2_quillen", "--verbose"],
     ["compare", "cp2.rhm", "cp2q.rhm"],
     ["compare", "cpn_sullivan(2)", "cpn_quillen(3)"],
+    ["compare", "cpn_sullivan(3)", "cpn_quillen(3)"],
+    # S^3 x S^5 against its Quillen model and against the hyperbolic wedge
+    # S^3 v S^5 v S^8, whose homology the window finds past 2 max|W|
+    ["compare", "s3xs5.rhm", "s3xs5q.rhm"],
+    ["compare", "s3xs5.rhm", "wedge.rhm"],
     # refused windows
     ["invariants", "s2", "--max-degree", "3"],
     ["verify", "cpn_quillen(2)", "--max-degree", "7"],
@@ -76,6 +81,12 @@ FILES = {
     "free_x.rhm": "model free_x : sullivan\ngen x : 2\ngen y : 3\nd y = 0\n",
     "xy_kernel.rhm": "model xy_kernel : sullivan\ngen x : 2\ngen y : 2\n"
                      "gen z : 3\nd z = x*y\n",
+    "s3xs5.rhm": dsl.serialize(
+        dsl.catalog_spec("product(sphere_odd(3),sphere_odd(5))")),
+    "s3xs5q.rhm": "model s3xs5q : quillen\ngen a : 2\ngen b : 4\n"
+                  "gen c : 7\nd c = [a,b]\n",
+    "wedge.rhm": "model wedge : quillen\ngen a : 2\ngen b : 4\ngen c : 7\n"
+                 "d c = 0\n",
     "s2_nonpure.rhm": "model s2_nonpure : sullivan\ngen x : 2\ngen y : 3\n"
                       "gen a : 3\ngen b : 3\ngen c : 5\nd y = x^2\n"
                       "d c = a*b + x^3\n",

@@ -299,12 +299,44 @@ class QuillenAnalysis(_Analysis):
 
     W gives the reduced cohomology, dim H^(i+1)(X) = dim W_i, and homology
     the rational homotopy, dim pi_(i+1)(X) = dim H_i(L(W)).
+
+    On its own the analysis reads H_*(L(W)) up to the default window
+    2 max|W| + 2, and that the homology ends there is window evidence.
+    Built by ``from_partner``, as ``compare_models`` does, ``bound`` is
+    2N - 2, N the Sullivan partner's certificate, and ``proven`` is true:
+    under compare's premise that both models belong to one space, the
+    degrees above 2N - 2 are proven zero (GTM 205, section 32), once a
+    gate has checked the table against the partner's V.
     """
 
     kind = "quillen"
     h_label = "dim H_"
     low = 1
     default_bound = staticmethod(quillen.default_bound)
+    proven = False      # whether H_*(L(W)) = 0 above ``bound`` is proven
+
+    @classmethod
+    def from_partner(cls, model: DGLModel,
+                     partner: SullivanAnalysis) -> "QuillenAnalysis | None":
+        """The analysis of ``model`` as a Quillen model of the partner's
+        space, its table stopped at 2N - 2; None when the premise is
+        refuted.
+
+        N is the partner's ``certified_top``, which proves it elliptic of
+        formal dimension N; then pi_k(X) (x) Q = 0 for k >= 2N (GTM 205,
+        section 32), so H_i(L(W)) = pi_(i+1)(X) (x) Q vanishes for
+        i >= 2N - 1.  The premise is checked where it can be: N must be
+        max|W| + 1, the formal dimension that W gives, and the computed
+        dim H_i(L(W)) must equal dim V^(i+1) for every 1 <= i <= 2N - 2.
+        The matrix of delta out of 2N - 1 is the last one built."""
+        n = partner.model.certified_top
+        if n is None or n != model.max_generator_degree() + 1:
+            return None
+        b = cls(model, 2 * n - 2)
+        b.proven = True
+        if any(d != partner.gen_dim(i + 1) for i, d in b.betti.items()):
+            return None
+        return b
 
     def h_dim(self, i: int) -> int:
         """dim H_i(L(W)), in any degree."""
@@ -317,8 +349,8 @@ class QuillenAnalysis(_Analysis):
 
     @cached_property
     def gamma_top(self) -> int:
-        """Gamma's top degree, proved by ``quillen.gamma_top`` on first use."""
-        return quillen.gamma_top(self.model, self.bound)
+        """Gamma's top degree, read by ``quillen.gamma_top`` on first use."""
+        return quillen.gamma_top(self.model, self.bound, proven=self.proven)
 
     def eta(self) -> int:
         return self.model.gamma_sum(self.gamma_top)
@@ -414,10 +446,30 @@ def compare_models(s: SullivanModel, q: DGLModel,
                    bound: int | None = None) -> ComparisonReport:
     """Duality report for a Sullivan and a Quillen model of the same space:
     the two analyses' tables paired by rho <-> eta, L^k <-> Gamma_(k-2),
-    H^i <-> W_(i-1) and V^i <-> H_(i-1)(L(W))."""
+    H^i <-> W_(i-1) and V^i <-> H_(i-1)(L(W)), the last two for
+    2 <= i <= max(N, max|W| + 1, max|V|), N the formal dimension.
+
+    Under that premise the Sullivan certificate ``certified_top`` N proves
+    the Quillen window: pi_k(X) (x) Q = 0 for k >= 2N (Felix-Halperin-
+    Thomas, GTM 205, section 32), and H_i(L(W)) = pi_(i+1)(X) (x) Q, so
+    H_*(L(W)) vanishes above 2N - 2 and the Quillen table stops there
+    (``QuillenAnalysis.from_partner``).  That report stands only when it
+    matches.  A gate that fails, or any mismatch, refutes the premise, and
+    the report is read again from ``QuillenAnalysis(q)`` on its default
+    window, which is evidence."""
     a = SullivanAnalysis(s, bound)
     r = a.rho()
-    b = QuillenAnalysis(q)
+    b = QuillenAnalysis.from_partner(q, a)
+    if b is not None:
+        rep = _pair(a, r, b)
+        if rep.matches:
+            return rep
+    return _pair(a, r, QuillenAnalysis(q))
+
+
+def _pair(a: SullivanAnalysis, r: int, b: QuillenAnalysis) -> ComparisonReport:
+    """The comparison report of the analyses a and b, with rho = r."""
+    s, q = a.model, b.model
     e = b.eta()
     n = a.formal_dimension
     mismatches = [] if r == e else [f"rho {r} != eta {e}"]
@@ -427,7 +479,8 @@ def compare_models(s: SullivanModel, q: DGLModel,
                    for k, (lk, gk) in l_vs_gamma.items() if lk != gk]
     homology_pairing = {}
     homotopy_pairing = {}
-    for i in range(2, max(n, q.max_generator_degree() + 1) + 1):
+    top = max(n, q.max_generator_degree() + 1, s.max_generator_degree())
+    for i in range(2, top + 1):
         h, w = homology_pairing[i] = (a.betti.get(i, 0), b.gen_dim(i - 1))
         if h != w:
             mismatches.append(f"dim H^{i} = {h} != dim W_{i - 1} = {w}")

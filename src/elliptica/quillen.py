@@ -102,19 +102,31 @@ def homology_table(model: DGLModel, bound: int) -> dict[int, int]:
     return {i: c.betti(i) for i in range(1, bound + 1)}
 
 
-def gamma_top(model: DGLModel, bound: int | None = None) -> int:
-    """The top degree of Gamma, read from window evidence.
+def gamma_top(model: DGLModel, bound: int | None = None, *,
+              proven: bool = False) -> int:
+    """The top degree of Gamma, read from the homology table up to bound.
 
-    Gamma_i = 0 once W_(i+1) = 0 and H_i(L(W)) = 0, by exactness; that
-    H_i(L(W)) = 0 above the window is evidence from the degrees computed,
-    not a proof, as no certificate bounds it on the Quillen side.  The
-    window must reach ``default_bound(model)``: below it the top of
-    H_*(L(W)) may be unseen.
+    Gamma_i = 0 once W_(i+1) = 0 and H_i(L(W)) = 0, by exactness.  That
+    H_i(L(W)) = 0 above the table needs a reason.  On its own a Quillen
+    model has only window evidence, the degrees computed, as no
+    certificate bounds it on the Quillen side: then the window must reach
+    ``default_bound(model)``, as below it the top of H_*(L(W)) may be
+    unseen.  Homology in the window above 2 max|W| raises UnboundedGamma.
+
+    With ``proven`` the caller has a proof that H_i(L(W)) = 0 for every
+    i > bound, and the table stops there, below the default window.
+    ``compare_models`` has one under its premise that a certified Sullivan
+    model, of formal dimension N = max|W| + 1, models the same space:
+    pi_k(X) (x) Q = 0 for k >= 2N (Felix-Halperin-Thomas, GTM 205,
+    section 32), so H_i(L(W)) = pi_(i+1)(X) (x) Q vanishes above
+    bound = 2N - 2 (``invariants.QuillenAnalysis.from_partner`` checks the
+    premise where it can).  A standalone Quillen verdict stays window
+    evidence.
     """
     max_w = model.max_generator_degree()
     if bound is None:
         bound = default_bound(model)
-    elif bound < default_bound(model):
+    elif bound < default_bound(model) and not proven:
         raise BadParameter(
             f"{model!r}: eta needs a degree window of at least "
             f"{default_bound(model)} (2 max|W| + 2), got {bound}")
