@@ -67,6 +67,8 @@ OTHERS = [
     ["check", "no_such_model"], ["check", "cpn_sullivan(x)"],
     ["check", "sphere_odd(4)"], ["check", "missing.rhm"],
     ["check", "bad.rhm"], ["invariants", "poly.rhm"],
+    # nesting 400 levels deep, past the parser's limit
+    ["check", "product(" * 400 + "s2" + ", s2)" * 400], ["check", "deep.rhm"],
     # help, then a valid command
     ["--help"], ["whitehead", "--help"], ["compare", "-h"],
     ["catalog", "--help"], ["whitehead", "s2", "--json"],
@@ -78,6 +80,8 @@ FILES = {
     "random.rhm": dsl.serialize(randmodels.random_models(7, 3)[2]),
     "bad.rhm": "model m : sullivan\ngen x : 2\nd x = $$\n",
     "poly.rhm": "model poly : sullivan\ngen x : 2\n",
+    "deep.rhm": "model deep : quillen\ngen a : 1\ngen b : 2\nd b = "
+                + "[a, " * 399 + "[a, a" + "]" * 400 + "\n",
     "free_x.rhm": "model free_x : sullivan\ngen x : 2\ngen y : 3\nd y = 0\n",
     "xy_kernel.rhm": "model xy_kernel : sullivan\ngen x : 2\ngen y : 2\n"
                      "gen z : 3\nd z = x*y\n",

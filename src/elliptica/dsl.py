@@ -24,6 +24,12 @@ from .sullivan import SullivanModel, tensor_product
 
 _ONE = Fraction(1)
 
+# Deepest nesting of brackets in an expression, or of parentheses in a
+# catalog spec, that is parsed.  Each level takes a few Python frames, so
+# the limit sits well below the interpreter's recursion limit, and deeper
+# input is refused with a located error instead of a RecursionError.
+MAX_NESTING = 100
+
 
 # --- tokenizer ---------------------------------------------------------------
 
@@ -70,6 +76,7 @@ class _ExprParser:
         self.line = line
         self.kind = kind          # "sullivan" | "quillen"
         self.env = env            # the model kind's _Env (see below)
+        self.depth = 0            # brackets open around the current token
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -94,7 +101,7 @@ class _ExprParser:
             raise ModelSyntaxError(f"trailing input {t[1]!r}", self.line, t[2])
         return e
 
-    def expr(self, stop=("",)):
+    def expr(self):
         total = self.env.zero()
         sign = 1
         t = self.peek()
@@ -171,10 +178,16 @@ class _ExprParser:
         if self.kind != "quillen":
             raise ModelSyntaxError("brackets are only valid in quillen models",
                                    self.line, t[2])
+        if self.depth == MAX_NESTING:
+            raise ModelSyntaxError(
+                f"brackets nested deeper than {MAX_NESTING} levels",
+                self.line, t[2])
+        self.depth += 1
         a = self.expr()
         self.expect_sym(",")
         b = self.expr()
         self.expect_sym("]")
+        self.depth -= 1
         return self.env.bracket(a, b)
 
 
@@ -451,6 +464,9 @@ def catalog_spec(spec: str):
             depth += 1
         elif ch == ")":
             depth -= 1
+        if depth >= MAX_NESTING:
+            raise UnknownCatalogEntry(
+                f"catalog spec nested deeper than {MAX_NESTING} levels")
         if ch == "," and depth == 0:
             args.append(cur)
             cur = ""

@@ -216,36 +216,24 @@ class FreeAlgebra:
         """The basis keys of that degree, in canonical order."""
         return self.table(degree).keys
 
-    def basis_element(self, degree: int, j: int):
-        """The j-th basis element of that degree."""
-        return self.element_type._of({self.basis(degree)[j]: _ONE})
-
-    def sparse_coords(self, degree: int, e) -> linalg.SparseVector | None:
-        """Coordinates of e over the basis of that degree, sparse (in the
-        order of e's terms); None when e is outside the algebra."""
+    def coords(self, degree: int, e) -> linalg.SparseVector | None:
+        """Coordinates of e over the basis of that degree, in the order of
+        e's terms; None when e is outside the algebra."""
         z = self.key_coords(degree, e)
         if z is None:
             return None
         index = self.table(degree).index
-        v = {}
-        for k, c in z.items():
-            j = index.get(k)
-            if j is None:
-                raise DegreeMismatch(
-                    f"element has a term outside degree {degree}")
-            v[j] = c
-        return v
+        try:
+            return {index[k]: c for k, c in z.items()}
+        except KeyError:
+            raise DegreeMismatch(
+                f"element has a term outside degree {degree}") from None
 
-    def coords(self, degree: int, e) -> linalg.Vector | None:
-        """``sparse_coords`` as a dense vector."""
-        v = self.sparse_coords(degree, e)
-        return None if v is None else linalg.dense(v, len(self.basis(degree)))
-
-    def combination(self, degree: int, v):
-        """The element with the dense or sparse coordinates v over the basis
-        of that degree."""
+    def combination(self, degree: int, v: linalg.SparseVector):
+        """The element with the coordinates v over the basis of that
+        degree."""
         keys = self.basis(degree)
-        return self.element_type({keys[j]: c for j, c in linalg.vector_items(v)})
+        return self.element_type({keys[j]: c for j, c in v.items()})
 
     # --- elements --------------------------------------------------------------
 
@@ -369,16 +357,10 @@ class WhiteheadReport:
 class GammaData:
     degree: int
     dim: int
-    h_coords: list[linalg.Vector]     # a basis, over the H reps of ``complex``
-    complex: "GradedComplex"          # that of truncate(degree - 1 - step)
-
-    @functools.cached_property
-    def reps(self) -> list:
-        """Cycles of ``complex`` with the coordinates ``h_coords``, built on
-        first access."""
-        k, tc = self.degree, self.complex
-        combine = linalg.QMatrix.from_columns(tc.homology(k)[2], tc.dim(k))
-        return [tc.from_coords(k, combine.apply(v)) for v in self.h_coords]
+    # a basis of Gamma, over the H reps of ``complex``, which is the
+    # complex of truncate(degree - 1 - step)
+    h_coords: list[linalg.SparseVector]
+    complex: "GradedComplex"
 
 
 def check_exact(node: str, incoming: linalg.QMatrix,
@@ -650,18 +632,15 @@ class GradedComplex:
     def dim(self, degree: int) -> int:
         return len(self.keys(degree))
 
-    def sparse_coords(self, degree: int, e) -> linalg.SparseVector:
-        z = self.model.algebra.sparse_coords(degree, e)
+    def coords(self, degree: int, e) -> linalg.SparseVector:
+        z = self.model.algebra.coords(degree, e)
         if z is None:
             raise InternalInconsistency(
                 f"{self.model!r}: element outside the free algebra")
         return z
 
-    def to_coords(self, degree: int, e) -> linalg.Vector:
-        return linalg.dense(self.sparse_coords(degree, e), self.dim(degree))
-
-    def from_coords(self, degree: int, v):
-        """The element with the dense or sparse coordinates v."""
+    def from_coords(self, degree: int, v: linalg.SparseVector):
+        """The element with the coordinates v."""
         return self.model.algebra.combination(degree, v)
 
     def d_matrix(self, degree: int) -> linalg.QMatrix:
@@ -728,11 +707,10 @@ class GradedComplex:
     # --- (co)homology ------------------------------------------------------
 
     def boundaries(self, degree: int) -> list[linalg.SparseVector]:
-        """A basis of the (co)boundaries of that degree, sparse: the
-        independent columns of d : degree - step -> degree, in column
-        order."""
+        """A basis of the (co)boundaries of that degree: the independent
+        columns of d : degree - step -> degree, in column order."""
         if degree not in self._boundary_cache:
-            self._boundary_cache[degree] = linalg.independent_column_vectors(
+            self._boundary_cache[degree] = linalg.independent_columns(
                 self.d_matrix(degree - self.step))
         return self._boundary_cache[degree]
 
@@ -755,16 +733,16 @@ class GradedComplex:
         return True
 
     def homology(self, degree: int):
-        """(dim, representative elements, their sparse coordinate
-        vectors); zero with no matrix built above ``certified_top`` + 1."""
+        """(dim, representative elements, their coordinate vectors); zero
+        with no matrix built above ``certified_top`` + 1."""
         if degree in self._coh_cache:
             return self._coh_cache[degree]
         if self._proven_zero(degree) or not self.dim(degree):
             result = (0, [], [])
         else:
             self._check_square(degree)
-            cycles = linalg.kernel_vectors(self.d_matrix(degree))
-            reps_v = linalg.quotient_vectors(
+            cycles = linalg.kernel_basis(self.d_matrix(degree))
+            reps_v = linalg.quotient_representatives(
                 cycles, self.boundaries(degree))
             reps = [self.from_coords(degree, v) for v in reps_v]
             result = (len(reps), reps, reps_v)
@@ -782,11 +760,11 @@ class GradedComplex:
         return (self.dim(degree) - self._rank(degree)
                 - self._rank(degree - self.step))
 
-    def class_coords(self, degree: int, e) -> linalg.Vector | None:
+    def class_coords(self, degree: int, e) -> linalg.SparseVector | None:
         """Coordinates of [e] over the representatives of that degree;
         None when e is not a cycle."""
-        z = self.sparse_coords(degree, e)
-        if any(self.d_matrix(degree).apply(z)):
+        z = self.coords(degree, e)
+        if self.d_matrix(degree).apply(z):
             return None
         if degree not in self._class_cache:
             _, _, reps_v = self.homology(degree)
@@ -802,7 +780,7 @@ class GradedComplex:
         coords = span.express(z)
         if coords is None:
             raise InternalInconsistency("cycle not in span of reps + boundaries")
-        return coords[:nreps]
+        return {j: c for j, c in coords.items() if j < nreps}
 
     def class_matrix(self, degree: int, elements: Sequence) -> linalg.QMatrix:
         """The matrix whose columns are the class coordinates of

@@ -7,13 +7,11 @@ positive denominator, ``den``: its sparse integer entries, stored by
 bit-reproducible, divided by ``den``.  Entries and ``den`` are kept in
 lowest terms, so two equal matrices have equal entries and denominators.
 The differentials are assembled in this form, and products of matrices
-multiply integers.  A vector is dense, a tuple of ``Fraction`` (a solution,
-a coordinate vector of the public readouts), or sparse, a dict from index
-to nonzero ``Fraction`` in ascending index order (``SparseVector``).  The
-(co)homology of a graded complex runs on sparse vectors from the echelon
-form to its representatives, so its cost follows the nonzero entries, not
-the dimension of the degree; ``Span``, ``quotient_vectors``,
-``QMatrix.from_columns`` and ``QMatrix.apply`` take either kind.
+multiply integers.  A vector is sparse, a dict from index to nonzero
+``Fraction`` (``SparseVector``), in and out of every function here; the
+readouts give theirs in ascending index order.  So the cost of the
+(co)homology, from the echelon form to the representatives and the class
+coordinates, follows the nonzero entries, not the dimension of a degree.
 
 All elimination runs on one routine, ``_Echelon``: sparse integer rows,
 reduced fraction-free by their leading column and kept primitive.  A
@@ -23,10 +21,7 @@ which gives the boundaries; a rational vector has its denominators cleared
 once on entry.  ``rank``, ``kernel_basis``, ``solve``, ``Span``,
 ``independent_columns`` and ``quotient_representatives`` are thin readouts
 of it; results go back to ``Fraction`` only on the way out, and
-``independent_columns`` converts only the columns it keeps.
-``kernel_vectors``, ``independent_column_vectors`` and ``quotient_vectors``
-give sparse vectors; ``kernel_basis``, ``independent_columns`` and
-``quotient_representatives`` are their dense forms.  Each readout
+``independent_columns`` converts only the columns it keeps.  Each readout
 is a canonical object of exact linear algebra (the reduced row echelon
 form, the greedy independent subset in input order, coordinates over
 independent vectors), so it does not depend on how the elimination got
@@ -36,29 +31,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotASubspace
 
-Vector = tuple[Fraction, ...]
 SparseVector = dict[int, Fraction]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def vector_items(v) -> Iterable[tuple[int, Fraction]]:
-    """The (index, coefficient) pairs of a dense or sparse vector; a dense
-    vector's zeros included."""
-    return v.items() if isinstance(v, dict) else enumerate(v)
-
-
-def dense(v: SparseVector, dim: int) -> Vector:
-    """The sparse vector v as a dense vector of length dim."""
-    out = [_ZERO] * dim
-    for i, x in v.items():
-        out[i] = x
-    return tuple(out)
 
 
 class QMatrix:
@@ -99,34 +78,19 @@ class QMatrix:
         self.den = den
 
     @classmethod
-    def from_rows(cls, rowdata: Sequence[Sequence]) -> "QMatrix":
-        rows = len(rowdata)
-        cols = len(rowdata[0]) if rows else 0
-        return cls(rows, cols, {(r, c): v for r, row in enumerate(rowdata)
-                                for c, v in enumerate(row)})
-
-    @classmethod
-    def from_columns(cls, columns: Sequence, nrows: int) -> "QMatrix":
-        """The matrix of the dense or sparse column vectors."""
+    def from_columns(cls, columns: Sequence[SparseVector],
+                     nrows: int) -> "QMatrix":
+        """The matrix of the column vectors."""
         return cls(nrows, len(columns), {(r, c): v
                                          for c, col in enumerate(columns)
-                                         for r, v in vector_items(col)})
+                                         for r, v in col.items()})
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    def column(self, c: int) -> Vector:
-        e, den = self.entries, self.den
-        return tuple(Fraction(e[(r, c)], den) if (r, c) in e else _ZERO
-                     for r in range(self.rows))
-
-    def columns(self) -> list[Vector]:
-        return [self.column(c) for c in range(self.cols)]
+    def columns(self) -> list[SparseVector]:
+        """The column vectors, in column order."""
+        cols = [{} for _ in range(self.cols)]
+        for (r, c), v in sorted(self.entries.items()):
+            cols[c][r] = Fraction(v, self.den)
+        return cols
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -148,18 +112,16 @@ class QMatrix:
                     ent[(r, c)] = x
         return QMatrix(self.rows, other.cols, ent, self.den * other.den)
 
-    def apply(self, v) -> Vector:
-        """m.v as a dense vector; v dense or sparse."""
-        if not isinstance(v, dict):
-            v = dict(enumerate(v))
-        out = [_ZERO] * self.rows
+    def apply(self, v: SparseVector) -> SparseVector:
+        """m.v, summed in integers over the one denominator."""
+        row, l = _int_row(v)
+        acc: dict[int, int] = {}
         for (r, c), a in self.entries.items():
-            x = v.get(c)
+            x = row.get(c)
             if x:
-                out[r] += a * x
-        if self.den != 1:
-            return tuple(x / self.den for x in out)
-        return tuple(out)
+                acc[r] = acc.get(r, 0) + a * x
+        den = l * self.den
+        return {r: Fraction(x, den) for r, x in sorted(acc.items()) if x}
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -176,12 +138,12 @@ class QMatrix:
 Row = dict[int, int]   # sparse integer row: column -> nonzero entry
 
 
-def _int_row(v) -> tuple[Row, int]:
-    """(row, l): the sparse integer row l * v of the dense or sparse
-    rational vector v, l the least common denominator."""
-    ent = [(c, x) for c, x in vector_items(v) if x]
-    l = lcm(*(x.denominator for _, x in ent))
-    return {c: x.numerator * (l // x.denominator) for c, x in ent}, l
+def _int_row(v: SparseVector) -> tuple[Row, int]:
+    """(row, l): the sparse integer row l * v, l the least common
+    denominator of v."""
+    l = lcm(*(x.denominator for x in v.values()))
+    return {c: x.numerator * (l // x.denominator) for c, x in v.items()
+            if x}, l
 
 
 def _clear(row: Row, piv: Row, c: int) -> int:
@@ -277,8 +239,8 @@ def rank(m: QMatrix) -> int:
     return len(_echelon_of_rows(m).rows)
 
 
-def kernel_vectors(m: QMatrix) -> list[SparseVector]:
-    """Basis of ker(m), sparse; len == cols - rank, vectors satisfy m.v = 0.
+def kernel_basis(m: QMatrix) -> list[SparseVector]:
+    """Basis of ker(m); len == cols - rank, vectors satisfy m.v = 0.
 
     One vector per non-pivot column ``f`` of the reduced row echelon form R,
     in column order: -R[i][f] at the pivot of each row i, all left of
@@ -296,33 +258,26 @@ def kernel_vectors(m: QMatrix) -> list[SparseVector]:
     return list(basis.values())
 
 
-def kernel_basis(m: QMatrix) -> list[Vector]:
-    """``kernel_vectors`` as dense vectors."""
-    return [dense(v, m.cols) for v in kernel_vectors(m)]
-
-
-def solve(m: QMatrix, rhs: Sequence[Fraction]) -> Vector | None:
+def solve(m: QMatrix, rhs: SparseVector) -> SparseVector | None:
     """One solution of m.x = rhs, or None if inconsistent: the free
     variables are 0 and each pivot variable reads off the reduced row
     echelon form of [m | rhs], i.e. of [den * m | den * rhs]."""
     n = m.cols
     ech = _echelon_of_rows(QMatrix(m.rows, n + 1, {
-        **m.entries, **{(r, n): m.den * rhs[r] for r in range(m.rows)}}))
+        **m.entries, **{(r, n): m.den * x for r, x in rhs.items()}}))
     if n in ech.rows:  # a row [0 ... 0 | b], b != 0
         return None
-    x = [_ZERO] * n
-    for p, row in ech.reduced():
-        if n in row:
-            x[p] = Fraction(row[n], row[p])
-    return tuple(x)
+    return {p: Fraction(row[n], row[p]) for p, row in ech.reduced()
+            if n in row}
 
 
 class Span:
     """Incremental span of vectors, with coordinate tracking.
 
-    ``add`` accepts a dense or sparse vector and reports whether it
-    enlarged the span; the accepted vectors form the span's basis.  ``express`` writes a vector as
-    a combination of the accepted basis vectors (None if outside the span).
+    ``add`` reports whether a vector enlarged the span; the accepted vectors
+    form the span's basis, and ``rank`` counts them.  ``express`` writes a
+    vector as a combination of the accepted basis vectors (None if outside
+    the span).
 
     The j-th accepted vector b_j enters the elimination as the row
     (b_j | e_j), its coordinates riding in column ``dim + j``; every stored
@@ -332,40 +287,33 @@ class Span:
     def __init__(self, dim: int):
         self.dim = dim
         self._echelon = _Echelon(limit=dim)
-        self.basis_count = 0
+        self.rank = 0
 
-    def add(self, v) -> bool:
+    def add(self, v: SparseVector) -> bool:
         row, l = _int_row(v)
-        row[self.dim + self.basis_count] = l
+        row[self.dim + self.rank] = l
         if not self._echelon.add(row):
             return False
-        self.basis_count += 1
+        self.rank += 1
         return True
 
-    def contains(self, v) -> bool:
+    def contains(self, v: SparseVector) -> bool:
         row, _, lead = self._echelon.reduce(_int_row(v)[0])
         return lead is None
 
-    def express(self, v) -> Vector | None:
+    def express(self, v: SparseVector) -> SparseVector | None:
         """Coefficients over the accepted basis, or None if v is outside."""
         row, l = _int_row(v)
         # s * v - (stored rows) = (0 | y), so v = sum_j (-y_j / s) b_j
         row, s, lead = self._echelon.reduce(row, l)
         if lead is not None:
             return None
-        coeffs = [_ZERO] * self.basis_count
-        for c, y in row.items():
-            coeffs[c - self.dim] = Fraction(-y, s)
-        return tuple(coeffs)
-
-    @property
-    def rank(self) -> int:
-        return self.basis_count
+        return {c - self.dim: Fraction(-y, s) for c, y in sorted(row.items())}
 
 
-def independent_column_vectors(m: QMatrix) -> list[SparseVector]:
+def independent_columns(m: QMatrix) -> list[SparseVector]:
     """The greedy maximal independent subset of m's columns, in column
-    order (deterministic), sparse.  The stored integer columns enter the
+    order (deterministic).  The stored integer columns enter the
     elimination as they are; only the kept ones become Fraction vectors."""
     by_col: dict[int, Row] = {}
     for (r, c), v in m.entries.items():
@@ -375,14 +323,11 @@ def independent_column_vectors(m: QMatrix) -> list[SparseVector]:
             for c in sorted(by_col) if ech.add(by_col[c])]
 
 
-def independent_columns(m: QMatrix) -> list[Vector]:
-    """``independent_column_vectors`` as dense vectors."""
-    return [dense(v, m.rows) for v in independent_column_vectors(m)]
-
-
-def quotient_vectors(cycles: Sequence, boundaries: Sequence) -> list:
+def quotient_representatives(cycles: Sequence[SparseVector],
+                             boundaries: Sequence[SparseVector]
+                             ) -> list[SparseVector]:
     """The cycles complementing span(boundaries) inside span(cycles): the
-    greedy subset, in order and as given, of dense or sparse vectors."""
+    greedy subset, in order and as given."""
     rows = [_int_row(z)[0] for z in cycles]
     cycle_span = _Echelon()
     for row in rows:
@@ -394,9 +339,3 @@ def quotient_vectors(cycles: Sequence, boundaries: Sequence) -> list:
             raise NotASubspace("boundary vector outside span of cycles")
         span.add(row)
     return [z for z, row in zip(cycles, rows) if span.add(row)]
-
-
-def quotient_representatives(cycles: Sequence[Sequence[Fraction]],
-                             boundaries: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """``quotient_vectors`` of dense vectors, as tuples."""
-    return [tuple(z) for z in quotient_vectors(cycles, boundaries)]

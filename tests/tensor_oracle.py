@@ -29,8 +29,7 @@ class Tensor(SparseElement):
 
 def basis_elements(lie, degree):
     """The basis elements of L_degree, in coordinates."""
-    return [lie.basis_element(degree, j)
-            for j in range(len(lie.basis(degree)))]
+    return [LieElement({key: 1}) for key in lie.basis(degree)]
 
 
 class TensorRoute:
@@ -49,14 +48,14 @@ class TensorRoute:
                 if g.degree <= degree for w in self.words(degree - g.degree)]
 
     def to_coords(self, degree, t):
-        """t's coefficients over ``words(degree)``."""
+        """t's coefficients over ``words(degree)``, as a sparse vector."""
         idx = {w: j for j, w in enumerate(self.words(degree))}
-        v = [_ZERO] * len(idx)
+        v = {}
         for w, c in t.terms.items():
             if w not in idx:
                 raise DegreeMismatch(f"word outside degree {degree}")
             v[idx[w]] = c
-        return tuple(v)
+        return v
 
     def bracket(self, a, b):
         """[a, b] = a (x) b - (-1)^(|a||b|) b (x) a, extended bilinearly."""

@@ -370,3 +370,28 @@ def test_help_and_usage_equal_a_fresh_parsers(capsys, monkeypatch, argv):
     assert cli.build_parser().format_usage() == \
         cli.build_parser.__wrapped__().format_usage()
     assert run(capsys, *argv) == fresh_run(capsys, monkeypatch, *argv)
+
+
+def test_a_catalog_spec_nested_past_the_limit_is_a_usage_error(capsys):
+    # 400 levels escaped main as a RecursionError, with a traceback
+    spec = "product(" * 400 + "s2" + ", s2)" * 400
+    code, out, err = run(capsys, "check", spec)
+    assert code == 2 and out == ""
+    assert err == "usage error: catalog spec nested deeper than 100 levels\n"
+    code, out, _ = run(capsys, "check", "product(product(s2, s2), s2)")
+    assert code == 0 and "ok" in out
+
+
+def test_brackets_nested_past_the_limit_are_a_located_syntax_error(
+        tmp_path, capsys):
+    deep = "[a, " * 399 + "[a, a" + "]" * 400
+    p = tmp_path / "deep.rhm"
+    p.write_text(f"model deep : quillen\ngen a : 1\ngen b : 2\nd b = {deep}\n")
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err == ("syntax error (line 4, col 406): brackets nested deeper "
+                   "than 100 levels\n")
+    p.write_text("model m : quillen\ngen a : 1\ngen b : 3\n"
+                 "d b = [a, [a, a]]\n")
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0 and "ok" in out

@@ -193,3 +193,48 @@ def test_library_callers_may_pass_integers_or_digit_strings():
     assert dsl.catalog("cpn_sullivan", "3").name == "CP3"
     with pytest.raises(BadParameter):
         dsl.catalog("cpn_sullivan", "")
+
+
+def nested_brackets(depth):
+    """[a, [a, ... [a, a] ...]], ``depth`` brackets deep."""
+    return "[a, " * (depth - 1) + "[a, a" + "]" * depth
+
+
+def nested_product(depth):
+    """product(product(... s2, s2) ..., s2), ``depth`` parentheses deep."""
+    return "product(" * depth + "s2" + ", s2)" * depth
+
+
+def test_a_catalog_spec_nested_past_the_limit_is_refused():
+    # 400 levels overflowed the interpreter's stack as a RecursionError
+    for depth in (dsl.MAX_NESTING + 1, 400):
+        with pytest.raises(UnknownCatalogEntry, match="nested deeper"):
+            dsl.catalog_spec(nested_product(depth))
+    m = dsl.catalog_spec(nested_product(dsl.MAX_NESTING))
+    assert len(m.generators) == 2 * (dsl.MAX_NESTING + 1)
+
+
+def test_brackets_nested_past_the_limit_are_a_located_syntax_error():
+    # the error sits at the first opening bracket past the limit
+    for depth in (dsl.MAX_NESTING + 1, 400):
+        line = f"d b = {nested_brackets(depth)}"
+        with pytest.raises(ModelSyntaxError, match="nested deeper") as ei:
+            dsl.parse(f"model m : quillen\ngen a : 1\ngen b : 2\n{line}\n")
+        opening = [i for i, ch in enumerate(line) if ch == "["]
+        assert (ei.value.line, ei.value.col) == (4, opening[dsl.MAX_NESTING])
+
+
+def test_nested_brackets_within_the_limit_parse():
+    # [a, a] is the basis element [a,a] for the odd a, and [a, [a, a]] = 0
+    # by Jacobi, so every deeper bracket is 0 too
+    m = dsl.parse("model m : quillen\ngen a : 1\ngen b : 3\nd b = [a, a]\n")
+    assert dsl.serialize(m).splitlines()[-1] == "d b = [a,a]"
+    m = dsl.parse("model m : quillen\ngen a : 1\ngen b : 3\n"
+                  "d b = [a, [a, a]] + [a, [a, [a, a]]]\n")
+    assert m.differential == {}
+    # two brackets at the limit side by side: each closed bracket gives its
+    # level back
+    deep = nested_brackets(dsl.MAX_NESTING)
+    m = dsl.parse(f"model m : quillen\ngen a : 1\ngen b : 2\n"
+                  f"d b = {deep} + {deep}\n")
+    assert m.differential == {}

@@ -161,9 +161,11 @@ def test_fractional_d_matrices_match_the_leibniz_rule(seed):
         for degree in range(17):
             m = cx.d_matrix(degree)
             dens.add(m.den)
+            assert m.rows == cx.dim(degree + 1)
+            cols = m.columns()
             for c, mono in enumerate(cx.keys(degree)):
                 want = leibniz(t.algebra, t.differential, mono)
-                assert m.column(c) == t.algebra.coords(degree + 1, want), (
+                assert cols[c] == t.algebra.coords(degree + 1, want), (
                     k, mono)
                 assert t.d(Element({mono: Fraction(1, 5)})) == \
                     want.scale(Fraction(1, 5)), (k, mono)
@@ -189,9 +191,11 @@ def test_d_matrices_of_random_models_match_the_per_factor_rule(seed, cseed):
         cx = t.complex()
         for degree in range(-1, top + 1):
             m = cx.d_matrix(degree)
+            assert m.rows == cx.dim(degree + 1)
+            cols = m.columns()
             for c, mono in enumerate(cx.keys(degree)):
                 want = Element(d_monomial(t.algebra, t.differential, mono))
-                assert m.column(c) == t.algebra.coords(degree + 1, want), (
+                assert cols[c] == t.algebra.coords(degree + 1, want), (
                     t, mono)
 
 
