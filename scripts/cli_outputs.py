@@ -3,11 +3,12 @@
 process and print the exit code, stdout and stderr of each.
 
 Every command runs in text, ``--json`` and ``--verbose`` form on catalog
-specs and on .rhm files, then come refused windows, larger models, two
-non-elliptic models and a non-pure elliptic one, usage errors, ``--help``
-and ``compare``.  All calls share one process, so an option or a state that
-leaked from one call into the next would show in the output.  Help and usage
-text wrap at the terminal width: run with COLUMNS=80 to compare against
+specs and on .rhm files, then come refused windows, larger models, random
+models with three even generators, two non-elliptic models and a non-pure
+elliptic one, usage errors, ``--help`` and ``compare``.  All calls share
+one process, so an option or a state that leaked from one call into the
+next would show in the output.  Help and usage text wrap at the terminal
+width: run with COLUMNS=80 to compare against
 scripts/expected/cli_outputs.txt.
 
 Usage: COLUMNS=80 python3 scripts/cli_outputs.py
@@ -26,6 +27,9 @@ MODELS = ["s2", "sphere_odd(3)", "cpn_sullivan(3)",
           "product(s2,sphere_odd(3))", "s2_quillen", "sphere_odd_quillen(3)",
           "cpn_quillen(2)", "cp2.rhm", "cp2q.rhm", "random.rhm"]
 FLAGS = [[], ["--json"], ["--verbose"]]
+
+# members of random_models(7, 20) with three even generators
+THREE_EVEN = [4, 13, 18]
 
 OTHERS = [
     ["catalog"], ["catalog", "--json"], ["catalog", "cpn_sullivan(2)"],
@@ -54,6 +58,10 @@ OTHERS = [
     ["whitehead", "cpn_quillen(4)", "--verbose"],
     ["whitehead", "cpn_sullivan(5)", "--json"],
     ["whitehead", "cpn_sullivan(5)", "--verbose"],
+    # random models with three even generators, where most spaces and maps
+    # of the Whitehead sequence and the (co)homology are zero
+    *([c, f"random{k}.rhm", "--json", "--verbose"] for k in THREE_EVEN
+      for c in ("whitehead", "verify")),
     # two non-elliptic models, which the window refuses, and a non-pure
     # elliptic one, whose ellipticity is certified
     *([c, f, *j] for f in ("free_x.rhm", "xy_kernel.rhm", "s2_nonpure.rhm")
@@ -78,6 +86,8 @@ FILES = {
     "cp2.rhm": dsl.serialize(dsl.catalog_spec("cpn_sullivan(2)")),
     "cp2q.rhm": dsl.serialize(dsl.catalog_spec("cpn_quillen(2)")),
     "random.rhm": dsl.serialize(randmodels.random_models(7, 3)[2]),
+    **{f"random{k}.rhm": dsl.serialize(randmodels.random_models(7, 20)[k])
+       for k in THREE_EVEN},
     "bad.rhm": "model m : sullivan\ngen x : 2\nd x = $$\n",
     "poly.rhm": "model poly : sullivan\ngen x : 2\n",
     "deep.rhm": "model deep : quillen\ngen a : 1\ngen b : 2\nd b = "

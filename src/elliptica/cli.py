@@ -58,11 +58,11 @@ def _emit(args, lines: list[str], tables, model=None, bound=None,
     """Print the text lines, or the JSON report, whose tables are a dict or
     a record; the exit code of its status."""
     if args.json:
-        json.dump(_jsonable({
+        # one write: json.dump with indent writes each token on its own
+        sys.stdout.write(json.dumps(_jsonable({
             "model": model, "bound": bound, "tables": tables,
             "ledger": ledger, "status": status,
-        }), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        }), indent=2, sort_keys=True) + "\n")
     else:
         for line in lines:
             print(line)

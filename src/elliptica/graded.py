@@ -42,6 +42,16 @@ checked there at run time.  Only a Sullivan model with no parent has one:
 the ellipticity certificate of ``sullivan.SullivanModel.certified_top``.
 Truncations, Quillen models and models without a certificate compute
 every degree they are asked for.
+
+A zero space or a zero map costs nothing beyond its ranks: ``homology``
+builds no kernel, boundaries or quotient where the rank-only ``betti`` is
+0, ``class_coords`` there reads every cycle's class as 0 with no ``Span``,
+and ``linalg`` answers a matrix with no entries from its shape.  The
+Whitehead sequence ranks each of its maps once and hands the ranks to
+``check_exact``.  The checks stay: d.d = 0 in every degree that builds a
+matrix, exactness at every node, and the certificate's two degrees; on a
+zero space the skipped consistency checks of the representatives follow
+from the exact ranks and d.d = 0.
 """
 from __future__ import annotations
 
@@ -364,11 +374,16 @@ class GammaData:
 
 
 def check_exact(node: str, incoming: linalg.QMatrix,
-                outgoing: linalg.QMatrix):
-    """ExactnessFailure unless im(incoming) = ker(outgoing) at ``node``."""
+                outgoing: linalg.QMatrix, rank_in: int, rank_out: int):
+    """ExactnessFailure unless im(incoming) = ker(outgoing) at ``node``,
+    given the ranks of the two maps: the maps must meet at the node, their
+    composite must vanish, and rank_in = dim(node) - rank_out."""
+    if incoming.rows != outgoing.cols:
+        raise ExactnessFailure(
+            f"maps do not meet at {node}: {incoming.rows} != {outgoing.cols}")
     if not outgoing.matmul(incoming).is_zero():
         raise ExactnessFailure(f"composite nonzero at {node}")
-    if linalg.rank(incoming) != incoming.rows - linalg.rank(outgoing):
+    if rank_in != incoming.rows - rank_out:
         raise ExactnessFailure(f"im != ker at {node}")
 
 
@@ -577,21 +592,26 @@ class GradedModel:
         Two maps are read from ranks alone, with no representative built:
         p out of a degree with no generator is the zero map (``linear_part``),
         and incl into the model's own homology is Gamma's coordinate matrix
-        (``whitehead_incl``).  Every node is still checked exact."""
+        (``whitehead_incl``).  Each map is built and ranked once, and every
+        node is still checked exact."""
         full, step = self.complex(), self.complex_type.step
         p = functools.cache(full.linear_part)
         b = functools.cache(self.whitehead_b)
+        rank_p = functools.cache(lambda i: linalg.rank(p(i)))
+        rank_b = functools.cache(lambda i: linalg.rank(b(i)))
         gens, gam, hom = self.node_type.labels
         nodes = []
         for i in range(2, max_degree + 1):
             g = max(i, i + step)
             incl = self.whitehead_incl(g)
-            check_exact(f"{gens}{i}", p(i), b(i))
-            check_exact(f"{gam}{g}", b(g - step), incl)
-            check_exact(f"{hom}{g}", incl, p(g))
+            rank_incl = linalg.rank(incl)
+            check_exact(f"{gens}{i}", p(i), b(i), rank_p(i), rank_b(i))
+            check_exact(f"{gam}{g}", b(g - step), incl, rank_b(g - step),
+                        rank_incl)
+            check_exact(f"{hom}{g}", incl, p(g), rank_incl, rank_p(g))
             nodes.append(self.node_type(
-                i, p(i).rows, incl.cols, incl.rows, linalg.rank(b(g - step)),
-                linalg.rank(incl)))
+                i, p(i).rows, incl.cols, incl.rows, rank_b(g - step),
+                rank_incl))
         return WhiteheadReport(tuple(nodes), max_degree)
 
     def complex(self) -> "GradedComplex":
@@ -608,7 +628,9 @@ class GradedComplex:
     """Per-degree matrices and (co)homology data of a free graded model.
 
     Dimensions of (co)homology come from ranks alone; representatives, and
-    the coordinates of classes over them, are built only on request.
+    the coordinates of classes over them, are built only on request, and
+    only in a degree whose (co)homology is not zero: a zero degree costs
+    at most its two ranks and its d.d check.
     """
 
     step: int   # degree of the differential
@@ -733,14 +755,15 @@ class GradedComplex:
         return True
 
     def homology(self, degree: int):
-        """(dim, representative elements, their coordinate vectors); zero
-        with no matrix built above ``certified_top`` + 1."""
+        """(dim, representative elements, their coordinate vectors).  Zero
+        when the rank-only ``betti`` is 0, with no kernel, boundaries or
+        quotient built, and with no matrix at all above ``certified_top``
+        + 1."""
         if degree in self._coh_cache:
             return self._coh_cache[degree]
-        if self._proven_zero(degree) or not self.dim(degree):
+        if not self.betti(degree):
             result = (0, [], [])
         else:
-            self._check_square(degree)
             cycles = linalg.kernel_basis(self.d_matrix(degree))
             reps_v = linalg.quotient_representatives(
                 cycles, self.boundaries(degree))
@@ -762,10 +785,13 @@ class GradedComplex:
 
     def class_coords(self, degree: int, e) -> linalg.SparseVector | None:
         """Coordinates of [e] over the representatives of that degree;
-        None when e is not a cycle."""
+        None when e is not a cycle.  In a degree with zero (co)homology
+        every cycle's class is 0, read with no ``Span`` built."""
         z = self.coords(degree, e)
         if self.d_matrix(degree).apply(z):
             return None
+        if not self.betti(degree):
+            return {}
         if degree not in self._class_cache:
             _, _, reps_v = self.homology(degree)
             # representatives then boundaries: a basis of the cycles

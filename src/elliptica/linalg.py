@@ -26,6 +26,12 @@ is a canonical object of exact linear algebra (the reduced row echelon
 form, the greedy independent subset in input order, coordinates over
 independent vectors), so it does not depend on how the elimination got
 there.
+
+A zero map costs nothing: a matrix with no entries is answered from its
+shape by ``rank`` (0), ``kernel_basis`` (the unit vectors),
+``independent_columns`` (none) and ``solve`` (0 for a zero right-hand
+side, else None), and a product with such a factor is the zero matrix of
+its shape; no ``_Echelon`` is built and no entry is visited.
 """
 from __future__ import annotations
 
@@ -93,8 +99,12 @@ class QMatrix:
         return cols
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
+        """The product; the zero matrix of its shape, read from the shapes
+        alone, when either factor has no entries."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
+        if not (self.entries and other.entries):
+            return QMatrix(self.rows, other.cols)
         by_row: dict[int, dict[int, int]] = {}
         for (r, k), v in self.entries.items():
             by_row.setdefault(r, {})[k] = v
@@ -236,7 +246,7 @@ def _echelon_of_rows(m: QMatrix) -> _Echelon:
 
 def rank(m: QMatrix) -> int:
     """Rank over Q."""
-    return len(_echelon_of_rows(m).rows)
+    return len(_echelon_of_rows(m).rows) if m.entries else 0
 
 
 def kernel_basis(m: QMatrix) -> list[SparseVector]:
@@ -244,7 +254,9 @@ def kernel_basis(m: QMatrix) -> list[SparseVector]:
 
     One vector per non-pivot column ``f`` of the reduced row echelon form R,
     in column order: -R[i][f] at the pivot of each row i, all left of
-    ``f``, and 1 at ``f``."""
+    ``f``, and 1 at ``f``: the unit vectors when m has no entries."""
+    if not m.entries:
+        return [{f: _ONE} for f in range(m.cols)]
     rref = _echelon_of_rows(m).reduced()
     pivots = {p for p, _ in rref}
     basis = {f: {} for f in range(m.cols) if f not in pivots}
@@ -261,7 +273,10 @@ def kernel_basis(m: QMatrix) -> list[SparseVector]:
 def solve(m: QMatrix, rhs: SparseVector) -> SparseVector | None:
     """One solution of m.x = rhs, or None if inconsistent: the free
     variables are 0 and each pivot variable reads off the reduced row
-    echelon form of [m | rhs], i.e. of [den * m | den * rhs]."""
+    echelon form of [m | rhs], i.e. of [den * m | den * rhs].  When m has
+    no entries, x = 0 solves exactly the zero right-hand side."""
+    if not m.entries:
+        return None if any(rhs.values()) else {}
     n = m.cols
     ech = _echelon_of_rows(QMatrix(m.rows, n + 1, {
         **m.entries, **{(r, n): m.den * x for r, x in rhs.items()}}))
@@ -314,7 +329,10 @@ class Span:
 def independent_columns(m: QMatrix) -> list[SparseVector]:
     """The greedy maximal independent subset of m's columns, in column
     order (deterministic).  The stored integer columns enter the
-    elimination as they are; only the kept ones become Fraction vectors."""
+    elimination as they are; only the kept ones become Fraction vectors.
+    A matrix with no entries has none."""
+    if not m.entries:
+        return []
     by_col: dict[int, Row] = {}
     for (r, c), v in m.entries.items():
         by_col.setdefault(c, {})[r] = v

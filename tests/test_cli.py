@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -395,3 +397,22 @@ def test_brackets_nested_past_the_limit_are_a_located_syntax_error(
                  "d b = [a, [a, a]]\n")
     code, out, _ = run(capsys, "check", str(p))
     assert code == 0 and "ok" in out
+
+
+@pytest.mark.parametrize("argv", [["whitehead", "cpn_sullivan(2)"],
+                                  ["verify", "cpn_quillen(2)"],
+                                  ["cohomology", "s2"]])
+def test_a_json_report_is_one_write(monkeypatch, argv):
+    # the same text as json.dump with indent, written in one call
+    writes = []
+
+    class Counting(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Counting())
+    assert cli.main([*argv, "--json"]) == 0
+    (text,) = writes
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"

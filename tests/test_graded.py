@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from elliptica import dsl, invariants, linalg, randmodels
 from elliptica.commutative import Algebra, Element, Generator
-from elliptica.errors import DegreeMismatch, ExactnessFailure
+from elliptica.errors import (DegreeMismatch, ExactnessFailure,
+                             InternalInconsistency)
 from elliptica.graded import check_exact
 from elliptica.lie import FreeLie, LieElement
 
+import full_path_oracle
 from conftest import CATALOG_QUILLEN_SPECS, CATALOG_SULLIVAN_SPECS
 from dense_oracle import from_rows, sparse
 
@@ -33,13 +35,28 @@ def test_arithmetic_keeps_the_subclass(cls):
     assert repr(b).startswith(cls.__name__ + "(")
 
 
+def ranked_check_exact(node, incoming, outgoing):
+    check_exact(node, incoming, outgoing, linalg.rank(incoming),
+                linalg.rank(outgoing))
+
+
 def test_check_exact():
     inc = from_rows([[1], [0]])
-    check_exact("ok", inc, from_rows([[0, 1]]))
+    ranked_check_exact("ok", inc, from_rows([[0, 1]]))
     with pytest.raises(ExactnessFailure, match="composite nonzero"):
-        check_exact("bad", inc, from_rows([[1, 0]]))
+        ranked_check_exact("bad", inc, from_rows([[1, 0]]))
     with pytest.raises(ExactnessFailure, match="im != ker"):
-        check_exact("bad", inc, linalg.QMatrix(1, 2))
+        ranked_check_exact("bad", inc, linalg.QMatrix(1, 2))
+
+
+@pytest.mark.parametrize("outgoing", [from_rows([[0, 1, 0]]),
+                                      linalg.QMatrix(1, 1),
+                                      linalg.QMatrix(0, 0)])
+def test_check_exact_names_the_node_where_the_maps_do_not_meet(outgoing):
+    # a shape mismatch is an exactness breach at the node, not a bare
+    # ValueError out of the product
+    with pytest.raises(ExactnessFailure, match="do not meet at H\\^4"):
+        ranked_check_exact("H^4", from_rows([[1], [0]]), outgoing)
 
 
 @pytest.mark.parametrize("spec,degree", [("cpn_sullivan(2)", 4),
@@ -236,3 +253,102 @@ def test_truncations_that_keep_the_same_generators_share_their_data():
     assert m.truncate(2) is t and m.truncate(4) is t and m.truncate(6) is t
     assert t.complex().d_matrix(4) is m.truncate(5).complex().d_matrix(4)
     assert t.algebra.table(6) is m.truncate(2).algebra.table(6)
+
+
+# --- zero costs nothing ----------------------------------------------------------
+
+def full_readout(make):
+    """What the zero shortcuts touch, on a fresh model from ``make``: the
+    Whitehead nodes, ledger entries and reports of its analysis, then, on
+    the model and each truncation, the homology of every degree and the
+    class matrices of a cycle basis in the degrees of its generators, in
+    the truncation and in the model."""
+    model = make()
+    a = invariants.analysis(model)
+    out = {"nodes": a.whitehead().nodes, "ledger": a.ledger().entries,
+           "invariants": a.invariants(verbose=True)}
+    if model.kind == "sullivan":
+        out["report"] = a.report()
+    top = model.max_generator_degree() + 2
+    full = model.complex()
+    for t in truncations(model):
+        cx, name = t.complex(), tuple(g.name for g in t.generators)
+        for d in range(1, (a.bound if t is model else top) + 2):
+            out[name, "homology", d] = cx.homology(d)
+        for d in range(1, top + 1):
+            cycles = [cx.from_coords(d, v)
+                      for v in linalg.kernel_basis(cx.d_matrix(d))]
+            out[name, "class_matrix", d] = (cx.class_matrix(d, cycles),
+                                            full.class_matrix(d, cycles))
+    return out
+
+
+def zero_shortcut_models():
+    specs = [*CATALOG_SULLIVAN_SPECS, *CATALOG_QUILLEN_SPECS]
+    yield from (pytest.param(lambda s=s: dsl.catalog_spec(s), id=s)
+                for s in specs)
+    yield from (pytest.param(lambda k=k: randmodels.random_models(7, 20)[k],
+                             id=f"random_models(7,20)[{k}]")
+                for k in range(20))
+    yield from (pytest.param(lambda s=s: randmodels.random_nonpure_model(
+        random.Random(s)), id=f"nonpure-{s}") for s in range(8))
+
+
+@pytest.mark.parametrize("make", zero_shortcut_models())
+def test_zero_shortcuts_equal_the_full_path_oracle(make, monkeypatch):
+    # homology, class matrices, Whitehead nodes, ledger and reports are
+    # identical when every degree builds its kernel, boundaries, quotient
+    # and Span, zero or not
+    fast = full_readout(make)
+    full_path_oracle.full_path(monkeypatch)
+    assert full_readout(make) == fast
+
+
+def test_no_span_in_a_degree_with_zero_cohomology():
+    # CP^2 = (x:2, y:5; dy = x^3): H^5 = H^6 = 0, so a cycle there has class
+    # 0 with no Span built; y is no cycle, and still refused
+    m = dsl.catalog_spec("cpn_sullivan(2)")
+    cx = m.complex()
+    x, y = m.algebra.gen("x"), m.algebra.gen("y")
+    x3 = m.algebra.multiply(m.algebra.multiply(x, x), x)
+    assert cx.betti(5) == cx.betti(6) == 0
+    assert cx.class_coords(6, x3) == {}
+    assert cx.class_matrix(6, [x3, x3]) == linalg.QMatrix(0, 2)
+    assert cx.class_coords(5, y) is None
+    with pytest.raises(InternalInconsistency, match="not a cycle"):
+        cx.class_matrix(5, [y])
+    assert cx.homology(5) == cx.homology(6) == (0, [], [])
+    assert cx._class_cache == {} and cx._boundary_cache == {}
+
+
+@pytest.mark.parametrize("spec", ["cpn_sullivan(3)", "cpn_quillen(3)",
+                                  "product(s2,sphere_even(4))"])
+def test_each_map_of_a_whitehead_report_is_ranked_once(spec, monkeypatch):
+    ranked, rank = [], linalg.rank
+
+    def counting_rank(m):
+        ranked.append(m)    # kept alive, so no two share an id
+        return rank(m)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    m = dsl.catalog_spec(spec)
+    m.whitehead_sequence(default_bound(m))
+    assert ranked
+    assert len({id(x) for x in ranked}) == len(ranked)
+
+
+@pytest.mark.parametrize("plant,match", [
+    (lambda incl: linalg.QMatrix(incl.rows, incl.cols), "im != ker"),
+    (lambda incl: linalg.QMatrix(incl.rows + 1, incl.cols, incl.entries,
+                                 incl.den),
+     "do not meet at H\\^4"),
+])
+def test_a_planted_incl_breach_raises(plant, match, monkeypatch):
+    # incl : L^4 -> H^4 of CP^2 has rank 1; a zero map of its shape breaks
+    # exactness at L^4, and one extra row makes incl and p miss each other
+    m = dsl.catalog_spec("cpn_sullivan(2)")
+    incl = m.whitehead_incl
+    monkeypatch.setattr(m, "whitehead_incl",
+                        lambda g: plant(incl(g)) if g == 4 else incl(g))
+    with pytest.raises(ExactnessFailure, match=match):
+        m.whitehead_sequence(6)

@@ -269,3 +269,64 @@ def test_sparse_readouts_are_the_dense_ones_without_zeros(m, data):
     if coeffs is not None:
         assert is_sparse(coeffs) and coeffs == sparse(want)
     assert span.contains(sparse(v)) == (want is not None)
+
+
+# --- a zero map costs nothing ----------------------------------------------------
+
+shape = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape, st.data())
+def test_readouts_of_a_matrix_with_no_entries_equal_the_dense_oracle(s, data):
+    # every shape up to 6 x 6, 0 rows and 0 columns included; explicit zero
+    # entries are dropped, so the matrix has no entries either way
+    r, c = s
+    rows = [[Fraction(0)] * c for _ in range(r)]
+    z = qmatrix(s, rows)
+    assert z.is_zero() and z.den == 1
+    assert linalg.rank(z) == oracle.rank(rows) == 0
+    assert [dense(v, c) for v in linalg.kernel_basis(z)] == \
+        oracle.kernel(rows, c)
+    assert [dense(v, r) for v in linalg.independent_columns(z)] == \
+        oracle.greedy([[row[j] for row in rows] for j in range(c)]) == []
+    rhs = data.draw(st.lists(entry, min_size=r, max_size=r))
+    sol = linalg.solve(z, sparse(rhs))
+    assert (sol if sol is None else dense(sol, c)) == \
+        oracle.solve(rows, c, rhs)
+    # a product with a zero factor on either side: the zero matrix of its
+    # shape, as the row-by-column sums give it
+    n = data.draw(st.integers(0, 6))
+    right = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=c, max_size=c))
+    left = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                              min_size=n, max_size=n))
+    for a, b, (p, k, q) in [(rows, right, (r, c, n)), (left, rows, (n, r, c))]:
+        got = qmatrix((p, k), a).matmul(qmatrix((k, q), b))
+        want = [[sum((a[i][j] * b[j][l] for j in range(k)), Fraction(0))
+                 for l in range(q)] for i in range(p)]
+        assert got == qmatrix((p, q), want) == QMatrix(p, q)
+
+
+def test_no_elimination_runs_on_a_matrix_with_no_entries(monkeypatch):
+    built = []
+
+    class CountingEchelon(linalg._Echelon):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_Echelon", CountingEchelon)
+    for r, c in [(0, 0), (0, 4), (3, 0), (5, 5), (2, 6)]:
+        z = QMatrix(r, c, {(i, j): 0 for i in range(r) for j in range(c)})
+        linalg.rank(z)
+        linalg.kernel_basis(z)
+        linalg.independent_columns(z)
+        linalg.solve(z, {})
+        linalg.solve(z, {0: Fraction(1)} if r else {})
+        z.matmul(from_rows([[1] * 2] * c) if c else QMatrix(0, 2))
+        QMatrix(2, r, {(0, 0): 1} if r else {}).matmul(z)
+    assert built == []
+    # the counter sees an elimination when there is one
+    linalg.rank(from_rows([[1, 2]]))
+    assert len(built) == 1
