@@ -4,7 +4,8 @@ process and print the exit code, stdout and stderr of each.
 
 Every command runs in text, ``--json`` and ``--verbose`` form on catalog
 specs and on .rhm files, then come refused windows, larger models, random
-models with three even generators, two non-elliptic models and a non-pure
+models with three even generators, a model whose Whitehead sequence ends
+in the certified zero tail, two non-elliptic models and a non-pure
 elliptic one, usage errors, ``--help`` and ``compare``.  All calls share
 one process, so an option or a state that leaked from one call into the
 next would show in the output.  Help and usage text wrap at the terminal
@@ -61,6 +62,10 @@ OTHERS = [
     # random models with three even generators, where most spaces and maps
     # of the Whitehead sequence and the (co)homology are zero
     *([c, f"random{k}.rhm", "--json", "--verbose"] for k in THREE_EVEN
+      for c in ("whitehead", "verify")),
+    # S^3 x S^5 has no even generator, so it is certified with n = 8; with
+    # max|V| = 5, nodes 10-18 of its window are the certified zero tail
+    *([c, "s3xs5.rhm", "--json", "--verbose"]
       for c in ("whitehead", "verify")),
     # two non-elliptic models, which the window refuses, and a non-pure
     # elliptic one, whose ellipticity is certified

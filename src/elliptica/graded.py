@@ -32,26 +32,34 @@ keeps every generator (g >= max|V| + 2 on cochains, g >= max|W| on chains),
 Gamma(g) lies in H(g) of the model's own complex: the class coordinates of
 the model's representatives over themselves are the identity, so incl is
 Gamma's coordinate matrix.  Only incl out of a proper truncation needs
-representatives.  Truncations are memoized per kept generator set.
+representatives.  A model indexes its generators by degree once, at
+construction, and ``linear_part``, ``whitehead_b``, ``truncate`` and the
+analyses read that index.  Truncations are memoized per kept generator
+set, and each k that ``truncate`` has seen is one lookup.
 
 A model's ``certified_top`` n, when a proof (not a degree window) gives
 one, caps its own complex: ``betti`` and ``homology`` return zero above
 n + 1 with no matrix built, while degrees up to n + 1 are still computed,
 each with its d.d check, and dim H(n) = 1 and dim H(n + 1) = 0 are
-checked there at run time.  Only a Sullivan model with no parent has one:
-the ellipticity certificate of ``sullivan.SullivanModel.certified_top``.
-Truncations, Quillen models and models without a certificate compute
-every degree they are asked for.
+checked there at run time.  Above z = max(n + 1, max|gens| + 1) there is
+no generator, the truncation that holds Gamma is the model itself and H
+is zero, so ``gamma`` is zero there and the Whitehead sequence records
+its nodes above z as zero, with no map built; the certificate's check runs
+before the first of them.  Only a Sullivan model with no parent has a
+certificate: ``sullivan.SullivanModel.certified_top``.  Truncations,
+Quillen models and models without a certificate compute every degree they
+are asked for.
 
 A zero space or a zero map costs nothing beyond its ranks: ``homology``
 builds no kernel, boundaries or quotient where the rank-only ``betti`` is
 0, ``class_coords`` there reads every cycle's class as 0 with no ``Span``,
 and ``linalg`` answers a matrix with no entries from its shape.  The
 Whitehead sequence ranks each of its maps once and hands the ranks to
-``check_exact``.  The checks stay: d.d = 0 in every degree that builds a
-matrix, exactness at every node, and the certificate's two degrees; on a
-zero space the skipped consistency checks of the representatives follow
-from the exact ranks and d.d = 0.
+``check_exact``, which forms no product with a zero map.  The checks stay:
+d.d = 0 in every degree that builds a matrix, exactness at every node with
+a nonzero space, and the certificate's two degrees; on a zero space the
+skipped consistency checks of the representatives follow from the exact
+ranks and d.d = 0, and the nodes above z are zero by the certificate.
 """
 from __future__ import annotations
 
@@ -174,6 +182,7 @@ class FreeAlgebra:
                 source.by_index.get(g.index) != g for g in generators):
             raise ValueError("generators are not a subset of the source's")
         self._source = source
+        self._kept = frozenset(self.by_index)
         self._tables: dict[int, BasisTable] = {}
 
     def key_degree(self, key) -> int:
@@ -215,10 +224,9 @@ class FreeAlgebra:
             if self._source is None:
                 t = BasisTable(self._enumerate(degree))
             else:
-                kept = self.by_index
+                kept = self._kept.issuperset
                 t = BasisTable([k for k in self._source.basis(degree)
-                                if all(i in kept
-                                       for i in self.key_generators(k))])
+                                if kept(self.key_generators(k))])
             self._tables[degree] = t
         return t
 
@@ -377,11 +385,13 @@ def check_exact(node: str, incoming: linalg.QMatrix,
                 outgoing: linalg.QMatrix, rank_in: int, rank_out: int):
     """ExactnessFailure unless im(incoming) = ker(outgoing) at ``node``,
     given the ranks of the two maps: the maps must meet at the node, their
-    composite must vanish, and rank_in = dim(node) - rank_out."""
+    composite must vanish, and rank_in = dim(node) - rank_out.  A composite
+    with a zero factor vanishes, so no product is formed for it."""
     if incoming.rows != outgoing.cols:
         raise ExactnessFailure(
             f"maps do not meet at {node}: {incoming.rows} != {outgoing.cols}")
-    if not outgoing.matmul(incoming).is_zero():
+    if (incoming.entries and outgoing.entries
+            and not outgoing.matmul(incoming).is_zero()):
         raise ExactnessFailure(f"composite nonzero at {node}")
     if rank_in != incoming.rows - rank_out:
         raise ExactnessFailure(f"im != ker at {node}")
@@ -414,6 +424,11 @@ class GradedModel:
                              if not e.is_zero()}
         self.name = name
         self.parent = parent
+        by_degree: dict[int, list[Generator]] = {}
+        for g in self.algebra.generators:
+            by_degree.setdefault(g.degree, []).append(g)
+        self._by_degree = {d: tuple(gs) for d, gs in by_degree.items()}
+        self._top_degree = max(by_degree, default=0)
         self._complex = None
         self._derivation = None
         self._trunc_cache: dict[int, GradedModel] = {}
@@ -489,8 +504,12 @@ class GradedModel:
             self._valid = True
         return self
 
+    def generators_of_degree(self, degree: int) -> tuple[Generator, ...]:
+        """The generators of that degree, in declaration order."""
+        return self._by_degree.get(degree, ())
+
     def max_generator_degree(self) -> int:
-        return max((g.degree for g in self.generators), default=0)
+        return self._top_degree
 
     @functools.cached_property
     def certified_top(self) -> int | None:
@@ -509,17 +528,24 @@ class GradedModel:
         the model itself when that keeps every generator.  k is first
         lowered to the top kept generator degree, so every k that keeps the
         same generators gets the same sub-model, with its tables, d
-        matrices and ranks."""
-        if k >= self.max_generator_degree():
+        matrices and ranks.  Every k is memoized."""
+        t = self._trunc_cache.get(k)
+        if t is None:
+            t = self._trunc_cache[k] = self._truncate(k)
+        return t
+
+    def _truncate(self, k: int):
+        """``truncate(k)`` for a k not seen yet."""
+        if k >= self._top_degree:
             return self
-        k = max((g.degree for g in self.generators if g.degree <= k),
-                default=0)
-        if k not in self._trunc_cache:
+        k = max((d for d in self._by_degree if d <= k), default=0)
+        t = self._trunc_cache.get(k)
+        if t is None:
             keep = [g for g in self.generators if g.degree <= k]
-            self._trunc_cache[k] = type(self)(
+            t = self._trunc_cache[k] = type(self)(
                 keep, self._truncated_differential(keep, k),
                 name=f"{self.name}[<={k}]" if self.name else "", parent=self)
-        return self._trunc_cache[k]
+        return t
 
     def gamma(self, k: int) -> GammaData:
         """Gamma(k), memoized: every caller gets the same GammaData, which
@@ -529,10 +555,27 @@ class GradedModel:
         return self._gamma_cache[k]
 
     def _gamma(self, k: int) -> GammaData:
-        """ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k))."""
+        """ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k)); zero
+        over the model's own complex, with nothing built, above the
+        certified zero tail."""
+        if self._in_zero_tail(k):
+            return GammaData(k, 0, [], self.complex())
         tc = self.truncate(k - 1 - self.complex_type.step).complex()
         kernel = linalg.kernel_basis(tc.linear_part(k))
         return GammaData(k, len(kernel), kernel, tc)
+
+    def _in_zero_tail(self, degree: int) -> bool:
+        """Whether ``degree`` lies above z = max(n + 1, max|gens| + 1) for
+        the model's ``certified_top`` n.  There no generator lies, the
+        truncation that holds Gamma is the model itself, and H = 0 by the
+        certificate, so Gamma and every space of a Whitehead node are zero.
+        The first True is returned only after the certificate's check of
+        dim H(n) = 1 and dim H(n + 1) = 0 (InternalInconsistency if not)."""
+        top = self.certified_top
+        if top is None or degree <= max(top, self._top_degree) + 1:
+            return False
+        self.complex().check_certified_top()
+        return True
 
     def gamma_dim(self, k: int) -> int:
         """dim Gamma(k): the truncation's rank-only betti_k when it has no
@@ -553,7 +596,7 @@ class GradedModel:
         all of H^(i + 1) of that truncation, so b is the class matrix itself;
         on chains it is solved against Gamma's basis."""
         k = i + self.complex_type.step
-        gens = [g for g in self.generators if g.degree == i]
+        gens = self.generators_of_degree(i)
         if not gens:    # a map from zero needs no Gamma representatives
             return linalg.QMatrix(self.gamma_dim(k), 0)
         into_h = self.truncate(i - 1).complex().class_matrix(
@@ -585,15 +628,21 @@ class GradedModel:
 
     def whitehead_sequence(self, max_degree: int) -> WhiteheadReport:
         """gens(i) -b-> Gamma(i + step) -incl-> H(i + step) -p-> gens(i +
-        step), checked exact at every node (ExactnessFailure on any breach).
-        Node i holds gens(i), and Gamma(g) and H(g) for g the higher of i
-        and i + step, with the rank of the b into Gamma(g).
+        step), checked exact at every node with a nonzero space
+        (ExactnessFailure on any breach).  Node i holds gens(i), and Gamma(g)
+        and H(g) for g the higher of i and i + step, with the rank of the b
+        into Gamma(g).
+
+        On a model with ``certified_top`` n, every node above z = max(n + 1,
+        max|gens| + 1) is recorded as zero from the certificate, with no map
+        built: there is no generator, Gamma lies in the model's own H, and H
+        is zero, so its three exactness checks are vacuous.  The
+        certificate's check runs before the first such node.
 
         Two maps are read from ranks alone, with no representative built:
         p out of a degree with no generator is the zero map (``linear_part``),
         and incl into the model's own homology is Gamma's coordinate matrix
-        (``whitehead_incl``).  Each map is built and ranked once, and every
-        node is still checked exact."""
+        (``whitehead_incl``).  Each map is built and ranked once."""
         full, step = self.complex(), self.complex_type.step
         p = functools.cache(full.linear_part)
         b = functools.cache(self.whitehead_b)
@@ -602,6 +651,9 @@ class GradedModel:
         gens, gam, hom = self.node_type.labels
         nodes = []
         for i in range(2, max_degree + 1):
+            if self._in_zero_tail(i):
+                nodes.append(self.node_type(i, 0, 0, 0, 0, 0))
+                continue
             g = max(i, i + step)
             incl = self.whitehead_incl(g)
             rank_incl = linalg.rank(incl)
@@ -649,10 +701,10 @@ class GradedComplex:
 
     def keys(self, degree: int) -> list:
         """The basis keys of that degree, in canonical order."""
-        return self.model.algebra.basis(degree)
+        return self.model.algebra.table(degree).keys
 
     def dim(self, degree: int) -> int:
-        return len(self.keys(degree))
+        return len(self.model.algebra.table(degree).keys)
 
     def coords(self, degree: int, e) -> linalg.SparseVector:
         z = self.model.algebra.coords(degree, e)
@@ -739,12 +791,18 @@ class GradedComplex:
     def _proven_zero(self, degree: int) -> bool:
         """Whether the model's ``certified_top`` n proves the (co)homology
         of that degree zero: degree > n + 1.  Degrees n and n + 1 are still
-        computed, and on the first such call dim H(n) = 1 and dim H(n + 1)
-        = 0 are checked (InternalInconsistency if not)."""
+        computed, and the first True follows ``check_certified_top``."""
         top = self.model.certified_top
         if top is None or degree <= top + 1:
             return False
+        self.check_certified_top()
+        return True
+
+    def check_certified_top(self):
+        """InternalInconsistency unless dim H(n) = 1 and dim H(n + 1) = 0
+        for the model's ``certified_top`` n, computed once."""
         if not self._top_checked:
+            top = self.model.certified_top
             for k, want in ((top, 1), (top + 1, 0)):
                 got = self.betti(k)
                 if got != want:
@@ -752,7 +810,6 @@ class GradedComplex:
                         f"{self.model!r}: certified top degree {top}, but "
                         f"the computed dim H({k}) = {got}, not {want}")
             self._top_checked = True
-        return True
 
     def homology(self, degree: int):
         """(dim, representative elements, their coordinate vectors).  Zero
@@ -825,7 +882,7 @@ class GradedComplex:
         representative's coefficients on the generators.  With no generator
         of that degree it is the zero map from the rank-only betti number,
         and no representative is built."""
-        gens = [g for g in self.model.generators if g.degree == degree]
+        gens = self.model.generators_of_degree(degree)
         if not gens:
             return linalg.QMatrix(0, self.betti(degree))
         _, reps, _ = self.homology(degree)

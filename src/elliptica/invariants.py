@@ -57,9 +57,11 @@ class InvariantReport:
 def default_bound(model: SullivanModel) -> int:
     """The default degree window, max(2n + 2, max|V| + 2, 2) for the
     candidate formal dimension n.  On a certified model (``certified_top``)
-    only degrees up to max(n + 1, max|V| + 1) build a matrix: the degrees
-    above n + 1 are proven zero.  Elsewhere every degree of it is computed,
-    as the evidence ``require_elliptic`` reads."""
+    only degrees up to z = max(n + 1, max|V| + 1) build a matrix: the
+    degrees above n + 1 are proven zero, and so are L^k and the Whitehead
+    nodes above z, which are recorded as zero with no map built.  Elsewhere
+    every degree of it is computed, as the evidence ``require_elliptic``
+    reads."""
     nc = candidate_formal_dimension(model)
     return max(2 * nc + 2, model.max_generator_degree() + 2, 2)
 
@@ -89,7 +91,7 @@ class _Analysis:
 
     def gen_dim(self, i: int) -> int:
         """The number of generators of degree i: dim V^i, resp. dim W_i."""
-        return sum(1 for g in self.model.generators if g.degree == i)
+        return len(self.model.generators_of_degree(i))
 
 
 class SullivanAnalysis(_Analysis):

@@ -85,7 +85,7 @@ class FreeLie(FreeAlgebra):
     given, the restricted tables keep the basis elements whose leading word
     uses only these generators: the Lyndon basis of a sub-alphabet is the
     part of the full Lyndon basis over that alphabet.  A restriction shares
-    its source's factorizations and structure constants.
+    its source's factorizations, structure constants and key degrees.
     """
 
     element_type = LieElement
@@ -102,9 +102,16 @@ class FreeLie(FreeAlgebra):
         # (p, q) -> [B_p, B_q] over the basis keys, int coefficients
         self._brackets: dict[tuple[Word, Word], Coords] = (
             {} if source is None else source._brackets)
+        # word -> its degree
+        self._degrees: dict[Word, int] = (
+            {} if source is None else source._degrees)
 
     def key_degree(self, w: Word) -> int:
-        return sum(self.by_index[i].degree for i in w)
+        """The sum of w's generator degrees, memoized."""
+        d = self._degrees.get(w)
+        if d is None:
+            d = self._degrees[w] = sum(self.by_index[i].degree for i in w)
+        return d
 
     def generator_key(self, index: int) -> Word:
         return (index,)

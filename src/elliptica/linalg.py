@@ -59,9 +59,12 @@ class QMatrix:
         denominator once, here."""
         self.rows = rows
         self.cols = cols
+        if not entries:
+            self.entries, self.den = {}, 1
+            return
         clean = {}
         l = 1
-        for (r, c), v in (entries or {}).items():
+        for (r, c), v in entries.items():
             if v:
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")

@@ -100,8 +100,9 @@ class SullivanModel(GradedModel):
         Trans. AMS 230, 1977).  Conversely, for an elliptic model A is the
         bottom row of the cohomology of the pure model, which vanishes above
         n, so the certificate holds exactly for the elliptic models.  With
-        no even generator it holds at once.  Each A_t is one exact rank
-        over the polynomial algebra on V^even."""
+        no even generator it holds at once.  Each A_t of even t is one exact
+        rank over the polynomial algebra on V^even; the odd degrees of the
+        band are skipped, as Q[V^even] has no monomial there."""
         if self.parent is not None:
             return None
         try:
@@ -119,9 +120,10 @@ class SullivanModel(GradedModel):
             m: c for m, c in images.get(g.index, {}).items()
             if all(i in poly.by_index for i, _ in m)})
             for g in self.generators if g.degree % 2]
+        # Q[V^even] has no monomial of odd degree: A_t = 0 there at once
         top_even = max(g.degree for g in even)
         if all(_ideal_fills(poly, relations, t)
-               for t in range(n + 1, n + top_even + 1)):
+               for t in range(n + 1, n + top_even + 1) if t % 2 == 0):
             return n
         return None
 

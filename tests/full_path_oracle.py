@@ -1,17 +1,24 @@
-"""The (co)homology readout with no zero shortcut: the oracle for the zero
-degrees of ``elliptica.graded.GradedComplex``.
+"""The readout with no zero shortcut: the oracle for the zero degrees of
+``elliptica.graded.GradedComplex`` and the certified zero tail of
+``elliptica.graded.GradedModel``.
 
 ``homology`` here builds the kernel, the boundaries and the quotient in
 every degree that has a basis, and ``class_coords`` the ``Span`` of the
 representatives and the boundaries, even where the rank-only betti number
 is 0; both raise on the consistency checks that the shortcut skips.  Above
 a model's certified top degree plus one the (co)homology is zero by proof,
-as in the engine.  ``full_path(monkeypatch)`` puts both on
-``GradedComplex``.
+as in the engine.  ``whitehead_sequence`` builds the maps of every node and
+checks it exact, and ``_gamma`` builds the truncation, the linear part and
+its kernel in every degree, above the certified zero tail too.
+``full_path(monkeypatch)`` puts all four on ``GradedComplex`` and
+``GradedModel``.
 """
+import functools
+
 from elliptica import linalg
 from elliptica.errors import InternalInconsistency
-from elliptica.graded import GradedComplex
+from elliptica.graded import (GammaData, GradedComplex, GradedModel,
+                              WhiteheadReport, check_exact)
 
 
 def homology(self, degree):
@@ -48,7 +55,38 @@ def class_coords(self, degree, e):
     return {j: c for j, c in coords.items() if j < nreps}
 
 
+def _gamma(self, k):
+    tc = self.truncate(k - 1 - self.complex_type.step).complex()
+    kernel = linalg.kernel_basis(tc.linear_part(k))
+    return GammaData(k, len(kernel), kernel, tc)
+
+
+def whitehead_sequence(self, max_degree):
+    full, step = self.complex(), self.complex_type.step
+    p = functools.cache(full.linear_part)
+    b = functools.cache(self.whitehead_b)
+    rank_p = functools.cache(lambda i: linalg.rank(p(i)))
+    rank_b = functools.cache(lambda i: linalg.rank(b(i)))
+    gens, gam, hom = self.node_type.labels
+    nodes = []
+    for i in range(2, max_degree + 1):
+        g = max(i, i + step)
+        incl = self.whitehead_incl(g)
+        rank_incl = linalg.rank(incl)
+        check_exact(f"{gens}{i}", p(i), b(i), rank_p(i), rank_b(i))
+        check_exact(f"{gam}{g}", b(g - step), incl, rank_b(g - step),
+                    rank_incl)
+        check_exact(f"{hom}{g}", incl, p(g), rank_incl, rank_p(g))
+        nodes.append(self.node_type(
+            i, p(i).rows, incl.cols, incl.rows, rank_b(g - step),
+            rank_incl))
+    return WhiteheadReport(tuple(nodes), max_degree)
+
+
 def full_path(monkeypatch):
-    """Run ``GradedComplex`` on the oracle's readout from here on."""
+    """Run ``GradedComplex`` and ``GradedModel`` on the oracle from here
+    on."""
     monkeypatch.setattr(GradedComplex, "homology", homology)
     monkeypatch.setattr(GradedComplex, "class_coords", class_coords)
+    monkeypatch.setattr(GradedModel, "_gamma", _gamma)
+    monkeypatch.setattr(GradedModel, "whitehead_sequence", whitehead_sequence)

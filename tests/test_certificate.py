@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptica import dsl, invariants, linalg, randmodels, sullivan
-from elliptica.commutative import Element, Generator
+from elliptica.commutative import Algebra, Element, Generator
 from elliptica.errors import InternalInconsistency, NotEllipticWithinBound
 from elliptica.sullivan import CochainComplex, SullivanModel
 
 from conftest import CATALOG_SULLIVAN_SPECS
+from dense_oracle import rank as dense_rank
 
 GENERATORS = {
     "pure": randmodels.random_pure_model,
@@ -48,6 +49,45 @@ def window_verdict(model) -> bool:
              for i in range(-1, invariants.default_bound(model) + 1)}
     return not any(cx.dim(i) - ranks[i] - ranks[i - 1]
                    for i in range(max(n + 1, 0), len(ranks) - 1))
+
+
+def ranked_band(model):
+    """Oracle for ``certified_top``: the certificate with a dense rank of
+    A_t in every degree t of the band n + 1 .. n + D, odd t included, over
+    the monomials of Q[V^even] listed by brute force."""
+    n = invariants.candidate_formal_dimension(model)
+    even = [g for g in model.generators if g.degree % 2 == 0]
+    if not even:
+        return n
+    if n < 0:
+        return None
+    poly = Algebra(even)
+
+    def monomials(t):
+        out = [()]
+        for g in even:
+            out = [m + (((g.index, e),) if e else ())
+                   for m in out for e in range(t // g.degree + 1)]
+        return [m for m in out if poly.key_degree(m) == t]
+
+    relations = []
+    for g in model.generators:
+        if g.degree % 2:
+            img = model.d_of_generator(g.index)
+            relations.append((g.degree + 1, {
+                m: c for m, c in img.terms.items()
+                if all(i in poly.by_index for i, _ in m)}))
+    for t in range(n + 1, n + max(g.degree for g in even) + 1):
+        keys = monomials(t)
+        columns = []
+        for degree, rel in relations:
+            for m in monomials(t - degree):
+                prod = poly.multiply(poly.from_monomial(m), Element(rel))
+                columns.append([prod.terms.get(k, 0) for k in keys])
+        rows = [list(r) for r in zip(*columns)] if columns else []
+        if dense_rank(rows) != len(keys):
+            return None
+    return n
 
 
 def nonpure_population():
@@ -132,7 +172,7 @@ def test_only_a_valid_root_sullivan_model_is_certified():
 
 @pytest.mark.parametrize("model", populations())
 def test_capped_analysis_equals_the_uncapped_oracle(model):
-    assert model.certified_top is not None
+    assert model.certified_top == ranked_band(model) is not None
     assert reports(model) == reports(uncapped(model))
 
 
@@ -157,10 +197,17 @@ def test_a_wrong_certificate_raises(spec, shift, monkeypatch):
     monkeypatch.setattr(model, "certified_top", n + shift)
     with pytest.raises(InternalInconsistency, match=re.escape(repr(model))):
         invariants.invariant_report(model)
-    fresh = dsl.catalog_spec(spec)
-    monkeypatch.setattr(fresh, "certified_top", n + shift)
-    with pytest.raises(InternalInconsistency, match="certified top degree"):
-        fresh.complex().betti(n + 3)
+    # the check runs before a zero Whitehead node or a zero Gamma above
+    # z = max(n + 1, max|V| + 1) is returned
+    z = max(n + shift, model.max_generator_degree()) + 1
+    for run in (lambda m: m.complex().betti(n + 3),
+                lambda m: m.whitehead_sequence(invariants.default_bound(m)),
+                lambda m: m.gamma(z + 1)):
+        fresh = dsl.catalog_spec(spec)
+        monkeypatch.setattr(fresh, "certified_top", n + shift)
+        with pytest.raises(InternalInconsistency,
+                           match="certified top degree"):
+            run(fresh)
 
 
 def test_a_model_without_even_generators_is_certified_at_once():
@@ -168,3 +215,12 @@ def test_a_model_without_even_generators_is_certified_at_once():
                                 dsl.catalog_spec("sphere_odd(5)"))
     assert m.certified_top == 8
     assert SullivanModel([], {}).certified_top == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 10 ** 9))
+def test_certificate_equals_the_ranked_band_oracle(kind, seed):
+    # certified_top skips the odd degrees of the band, where Q[V^even] has
+    # no monomial; ranking them too gives the same verdict
+    model = GENERATORS[kind](random.Random(seed))
+    assert model.certified_top == ranked_band(model)

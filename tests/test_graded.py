@@ -135,6 +135,11 @@ def default_bound(model):
     return invariants.analysis(model).bound
 
 
+def zero_tail(model):
+    """z = max(n + 1, max|V| + 1) for the certified top n."""
+    return max(model.certified_top + 1, model.max_generator_degree() + 1)
+
+
 def node_degrees(model, top):
     """The degrees g of Gamma(g) -> H(g) at the nodes 2..top."""
     step = model.complex_type.step
@@ -268,7 +273,7 @@ def full_readout(make):
     out = {"nodes": a.whitehead().nodes, "ledger": a.ledger().entries,
            "invariants": a.invariants(verbose=True)}
     if model.kind == "sullivan":
-        out["report"] = a.report()
+        out["report"], out["l_window"] = a.report(), a.l_window()
     top = model.max_generator_degree() + 2
     full = model.complex()
     for t in truncations(model):
@@ -296,9 +301,10 @@ def zero_shortcut_models():
 
 @pytest.mark.parametrize("make", zero_shortcut_models())
 def test_zero_shortcuts_equal_the_full_path_oracle(make, monkeypatch):
-    # homology, class matrices, Whitehead nodes, ledger and reports are
-    # identical when every degree builds its kernel, boundaries, quotient
-    # and Span, zero or not
+    # homology, class matrices, Whitehead nodes, ledger, L^k window and
+    # reports are identical when every degree builds its kernel,
+    # boundaries, quotient and Span, zero or not, and every Whitehead node
+    # and Gamma is computed, above the certified zero tail too
     fast = full_readout(make)
     full_path_oracle.full_path(monkeypatch)
     assert full_readout(make) == fast
@@ -352,3 +358,123 @@ def test_a_planted_incl_breach_raises(plant, match, monkeypatch):
                         lambda g: plant(incl(g)) if g == 4 else incl(g))
     with pytest.raises(ExactnessFailure, match=match):
         m.whitehead_sequence(6)
+
+
+@pytest.mark.parametrize("plant,match", [
+    (lambda incl: linalg.QMatrix(incl.rows + 1, incl.cols), "H\\^7"),
+    (lambda incl: linalg.QMatrix(incl.rows, incl.cols + 1), "L\\^7"),
+])
+def test_a_planted_incl_breach_at_node_z_raises(plant, match, monkeypatch):
+    # CP^2: n = 4 and max|V| = 5, so z = 6, and L^7 -> H^7 at node 6 is the
+    # last incl built before the zero tail; a row or a column too many
+    # there still raises
+    m = dsl.catalog_spec("cpn_sullivan(2)")
+    assert zero_tail(m) == 6
+    incl = m.whitehead_incl
+    monkeypatch.setattr(m, "whitehead_incl",
+                        lambda g: plant(incl(g)) if g == 7 else incl(g))
+    with pytest.raises(ExactnessFailure, match="do not meet at " + match):
+        m.whitehead_sequence(default_bound(m))
+
+
+def test_check_exact_with_a_zero_map_keeps_its_shape_and_rank_checks():
+    # no product is formed with a zero factor, but a shape or a rank that
+    # does not fit still raises
+    zero_in, zero_out = linalg.QMatrix(2, 1), linalg.QMatrix(1, 2)
+    identity = from_rows([[1, 0], [0, 1]])
+    ranked_check_exact("ok", linalg.QMatrix(2, 0), identity)
+    ranked_check_exact("ok", identity, linalg.QMatrix(0, 2))
+    ranked_check_exact("ok", linalg.QMatrix(0, 0), linalg.QMatrix(0, 0))
+    for inc, out in [(zero_in, linalg.QMatrix(1, 3)),
+                     (from_rows([[1], [0], [0]]), zero_out),
+                     (zero_in, from_rows([[1, 0, 0]]))]:
+        with pytest.raises(ExactnessFailure, match="do not meet at H\\^4"):
+            ranked_check_exact("H^4", inc, out)
+    for inc, out in [(zero_in, from_rows([[1, 0]])),
+                     (from_rows([[1], [0]]), linalg.QMatrix(0, 2)),
+                     (zero_in, zero_out)]:
+        with pytest.raises(ExactnessFailure, match="im != ker at H\\^4"):
+            ranked_check_exact("H^4", inc, out)
+
+
+# --- the per-model degree index ----------------------------------------------------
+
+def index_models():
+    yield from (pytest.param(dsl.catalog_spec(s), id=s)
+                for s in [*CATALOG_SULLIVAN_SPECS, *CATALOG_QUILLEN_SPECS])
+    yield from (pytest.param(m, id=m.name)
+                for m in randmodels.random_models(7, 20))
+
+
+@pytest.mark.parametrize("model", index_models())
+def test_the_degree_index_equals_the_scans(model):
+    analysis = invariants.analysis(model)
+    for d in range(-1, model.max_generator_degree() + 3):
+        assert analysis.gen_dim(d) == len(
+            [g for g in model.generators if g.degree == d])
+    for t in truncations(model):
+        degrees = [g.degree for g in t.generators]
+        assert t.max_generator_degree() == max(degrees, default=0)
+        assert t._by_degree == {
+            d: tuple(g for g in t.generators if g.degree == d)
+            for d in degrees}
+        for d in range(-1, t.max_generator_degree() + 3):
+            assert t.generators_of_degree(d) == tuple(
+                g for g in t.generators if g.degree == d)
+
+
+@pytest.mark.parametrize("model", index_models())
+def test_truncate_equals_the_scan_based_lowering(model):
+    # k is lowered to the top kept generator degree by a scan of the
+    # generators; the model itself once every generator is kept
+    top = max((g.degree for g in model.generators), default=0)
+    for k in range(-1, top + 3):
+        low = max((g.degree for g in model.generators if g.degree <= k),
+                  default=0)
+        t = model.truncate(k)
+        assert t is (model if k >= top else model.truncate(low)), k
+        assert t.generators == [g for g in model.generators
+                                if g.degree <= k], k
+        assert model._trunc_cache[k] is t and model.truncate(k) is t
+
+
+# --- the certified zero tail -----------------------------------------------------
+
+def certified_models():
+    yield from (pytest.param(dsl.catalog_spec(s), id=s)
+                for s in CATALOG_SULLIVAN_SPECS)
+    yield from (pytest.param(m, id=m.name)
+                for m in randmodels.random_models(7, 20))
+    yield from (pytest.param(randmodels.random_nonpure_model(
+        random.Random(s), name=f"nonpure-{s}"), id=f"nonpure-{s}")
+        for s in range(8))
+
+
+@pytest.mark.parametrize("model", certified_models())
+def test_no_whitehead_map_is_built_above_the_zero_tail(model, monkeypatch):
+    # incl is built at nodes 2..z only, the nodes above z are zero, and
+    # Gamma above z builds no truncation, linear part or kernel
+    fresh = type(model)(model.generators, model.differential,
+                        name=model.name)
+    z, top = zero_tail(fresh), default_bound(fresh)
+    assert top > z
+    seen, incl = [], fresh.whitehead_incl
+    monkeypatch.setattr(fresh, "whitehead_incl",
+                        lambda g: seen.append(g) or incl(g))
+    nodes = invariants.analysis(fresh).whitehead().nodes
+    invariants.full_ledger(fresh)
+    assert seen and max(seen) == z + 1, seen
+    assert [n.degree for n in nodes] == list(range(2, top + 1))
+    assert all(vars(n) == vars(fresh.node_type(n.degree, 0, 0, 0, 0, 0))
+               for n in nodes if n.degree > z)
+
+    def refuse(*args):
+        raise AssertionError(f"built above the zero tail: {args}")
+
+    cx = fresh.complex()
+    monkeypatch.setattr(cx, "linear_part", refuse)
+    monkeypatch.setattr(fresh, "truncate", refuse)
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    for k in range(z + 1, top + 3):
+        gd = fresh.gamma(k)
+        assert (gd.degree, gd.dim, gd.h_coords, gd.complex) == (k, 0, [], cx)

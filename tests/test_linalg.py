@@ -308,6 +308,15 @@ def test_readouts_of_a_matrix_with_no_entries_equal_the_dense_oracle(s, data):
         assert got == qmatrix((p, q), want) == QMatrix(p, q)
 
 
+def test_a_matrix_with_no_entries_has_denominator_one():
+    # the denominator of no entries is 1, whatever was passed, so that equal
+    # matrices stay equal
+    for m in (QMatrix(2, 3), QMatrix(2, 3, {}, 5),
+              QMatrix(2, 3, {(0, 0): 0, (1, 2): Fraction(0)}, 7)):
+        assert (m.rows, m.cols, m.entries, m.den) == (2, 3, {}, 1)
+        assert m == QMatrix(2, 3) and m.is_zero()
+
+
 def test_no_elimination_runs_on_a_matrix_with_no_entries(monkeypatch):
     built = []
 
