@@ -6,7 +6,8 @@ Every command runs in text, ``--json`` and ``--verbose`` form on catalog
 specs and on .rhm files, then come refused windows, larger models, random
 models with three even generators, a model whose Whitehead sequence ends
 in the certified zero tail, two non-elliptic models and a non-pure
-elliptic one, usage errors, ``--help`` and ``compare``.  All calls share
+elliptic one, the Quillen fixtures of tests/fixtures, usage errors,
+``--help`` and ``compare``.  All calls share
 one process, so an option or a state that leaked from one call into the
 next would show in the output.  Help and usage text wrap at the terminal
 width: run with COLUMNS=80 to compare against
@@ -31,6 +32,18 @@ FLAGS = [[], ["--json"], ["--verbose"]]
 
 # members of random_models(7, 20) with three even generators
 THREE_EVEN = [4, 13, 18]
+
+# the .rhm fixtures of tests/fixtures
+FIXTURES = ["s2xs2q", "s2vs2q", "hp2q", "s2x3q", "cp2xcp2q", "s2xs2xs3q",
+            "cubic"]
+FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "tests", "fixtures")
+
+
+def fixture_text(name: str) -> str:
+    with open(os.path.join(FIXTURE_DIR, f"{name}.rhm"), encoding="utf-8") as f:
+        return f.read()
+
 
 OTHERS = [
     ["catalog"], ["catalog", "--json"], ["catalog", "cpn_sullivan(2)"],
@@ -59,6 +72,11 @@ OTHERS = [
     ["whitehead", "cpn_quillen(4)", "--verbose"],
     ["whitehead", "cpn_sullivan(5)", "--json"],
     ["whitehead", "cpn_sullivan(5)", "--verbose"],
+    # quadratic Quillen models whose homology above max|W| is read from Ext
+    # over the cohomology algebra, a hyperbolic one, and one with a cubic
+    # term, which keeps elimination
+    *([c, f"{name}.rhm", *j] for name in FIXTURES
+      for c, j in (("whitehead", []), ("invariants", ["--json"]))),
     # random models with three even generators, where most spaces and maps
     # of the Whitehead sequence and the (co)homology are zero
     *([c, f"random{k}.rhm", "--json", "--verbose"] for k in THREE_EVEN
@@ -109,6 +127,7 @@ FILES = {
     "s2_nonpure.rhm": "model s2_nonpure : sullivan\ngen x : 2\ngen y : 3\n"
                       "gen a : 3\ngen b : 3\ngen c : 5\nd y = x^2\n"
                       "d c = a*b + x^3\n",
+    **{f"{name}.rhm": fixture_text(name) for name in FIXTURES},
 }
 
 

@@ -44,9 +44,12 @@ each with its d.d check, and dim H(n) = 1 and dim H(n + 1) = 0 are
 checked there at run time.  Above z = max(n + 1, max|gens| + 1) there is
 no generator, the truncation that holds Gamma is the model itself and H
 is zero, so ``gamma`` is zero there and the Whitehead sequence records
-its nodes above z as zero, with no map built; the certificate's check runs
-before the first of them.  Only a Sullivan model with no parent has a
-certificate: ``sullivan.SullivanModel.certified_top``.  Truncations,
+as zero, with no map built, each node whose Gamma and H lie above z: on
+cochains node z itself (V^z = 0, and Gamma^(z+1) = H^(z+1) = 0) and every
+node above it.  Gamma(z) is still computed, as the truncation that holds
+it can be proper.  The certificate's check runs before the first zero
+node.  Only a Sullivan model with no parent has a certificate:
+``sullivan.SullivanModel.certified_top``.  Truncations,
 Quillen models and models without a certificate compute every degree they
 are asked for.
 
@@ -59,7 +62,9 @@ Whitehead sequence ranks each of its maps once and hands the ranks to
 d.d = 0 in every degree that builds a matrix, exactness at every node with
 a nonzero space, and the certificate's two degrees; on a zero space the
 skipped consistency checks of the representatives follow from the exact
-ranks and d.d = 0, and the nodes above z are zero by the certificate.
+ranks and d.d = 0, and the nodes from z on are zero by the certificate.
+An ``incl`` into a zero H(g) is the zero map, with no representative of
+the truncation built.
 """
 from __future__ import annotations
 
@@ -618,10 +623,14 @@ class GradedModel:
         of the representatives of the truncation that holds Gamma(g), times
         ``h_coords``.  When that truncation is the model itself, the class
         coordinates are the identity, so incl is ``h_coords`` alone and no
-        representative is built."""
+        representative is built; when the model's H(g) is zero, incl is the
+        zero map from Gamma(g), and the truncation's representatives are not
+        built either."""
         full, gd = self.complex(), self.gamma(g)
         if gd.complex is full:
             return linalg.QMatrix.from_columns(gd.h_coords, full.betti(g))
+        if not full.betti(g):
+            return linalg.QMatrix(0, gd.dim)
         h_reps = gd.complex.homology(g)[1]
         return full.class_matrix(g, h_reps).matmul(
             linalg.QMatrix.from_columns(gd.h_coords, len(h_reps)))
@@ -633,11 +642,13 @@ class GradedModel:
         and H(g) for g the higher of i and i + step, with the rank of the b
         into Gamma(g).
 
-        On a model with ``certified_top`` n, every node above z = max(n + 1,
-        max|gens| + 1) is recorded as zero from the certificate, with no map
-        built: there is no generator, Gamma lies in the model's own H, and H
-        is zero, so its three exactness checks are vacuous.  The
-        certificate's check runs before the first such node.
+        On a model with ``certified_top`` n, every node whose Gamma(g) and
+        H(g) lie above z = max(n + 1, max|gens| + 1) is recorded as zero from
+        the certificate, with no map built: on cochains that is node z and
+        every node above it.  Such a node has no generator, Gamma(g) lies in
+        the model's own H(g), and H(g) is zero, so its three exactness checks
+        are vacuous.  The certificate's check runs before the first such
+        node.
 
         Two maps are read from ranks alone, with no representative built:
         p out of a degree with no generator is the zero map (``linear_part``),
@@ -651,10 +662,10 @@ class GradedModel:
         gens, gam, hom = self.node_type.labels
         nodes = []
         for i in range(2, max_degree + 1):
-            if self._in_zero_tail(i):
+            g = max(i, i + step)
+            if self._in_zero_tail(g):
                 nodes.append(self.node_type(i, 0, 0, 0, 0, 0))
                 continue
-            g = max(i, i + step)
             incl = self.whitehead_incl(g)
             rank_incl = linalg.rank(incl)
             check_exact(f"{gens}{i}", p(i), b(i), rank_p(i), rank_b(i))

@@ -58,10 +58,10 @@ def default_bound(model: SullivanModel) -> int:
     """The default degree window, max(2n + 2, max|V| + 2, 2) for the
     candidate formal dimension n.  On a certified model (``certified_top``)
     only degrees up to z = max(n + 1, max|V| + 1) build a matrix: the
-    degrees above n + 1 are proven zero, and so are L^k and the Whitehead
-    nodes above z, which are recorded as zero with no map built.  Elsewhere
-    every degree of it is computed, as the evidence ``require_elliptic``
-    reads."""
+    degrees above n + 1 are proven zero, and so are L^k above z and the
+    Whitehead nodes from z on, which are recorded as zero with no map
+    built.  Elsewhere every degree of it is computed, as the evidence
+    ``require_elliptic`` reads."""
     nc = candidate_formal_dimension(model)
     return max(2 * nc + 2, model.max_generator_degree() + 2, 2)
 
@@ -303,7 +303,11 @@ class QuillenAnalysis(_Analysis):
     the rational homotopy, dim pi_(i+1)(X) = dim H_i(L(W)).
 
     On its own the analysis reads H_*(L(W)) up to the default window
-    2 max|W| + 2, and that the homology ends there is window evidence.
+    2 max|W| + 2, and that the homology ends there is window evidence.  On
+    a quadratic model every degree of the table above max|W| is read from
+    Ext over the cohomology algebra (``quillen.DGLComplex``), so the window
+    builds no Lie basis above max|W| + 1; the verdict's meaning is the
+    same.
     Built by ``from_partner``, as ``compare_models`` does, ``bound`` is
     2N - 2, N the Sullivan partner's certificate, and ``proven`` is true:
     under compare's premise that both models belong to one space, the
@@ -330,7 +334,9 @@ class QuillenAnalysis(_Analysis):
         i >= 2N - 1.  The premise is checked where it can be: N must be
         max|W| + 1, the formal dimension that W gives, and the computed
         dim H_i(L(W)) must equal dim V^(i+1) for every 1 <= i <= 2N - 2.
-        The matrix of delta out of 2N - 1 is the last one built."""
+        The matrix of delta out of 2N - 1 is the last one built, or out of
+        max|W| + 1 = N on a quadratic model, whose degrees above max|W|
+        come from Ext."""
         n = partner.model.certified_top
         if n is None or n != model.max_generator_degree() + 1:
             return None

@@ -21,11 +21,12 @@ which gives the boundaries; a rational vector has its denominators cleared
 once on entry.  ``rank``, ``kernel_basis``, ``solve``, ``Span``,
 ``independent_columns`` and ``quotient_representatives`` are thin readouts
 of it; results go back to ``Fraction`` only on the way out, and
-``independent_columns`` converts only the columns it keeps.  Each readout
-is a canonical object of exact linear algebra (the reduced row echelon
-form, the greedy independent subset in input order, coordinates over
-independent vectors), so it does not depend on how the elimination got
-there.
+``independent_columns`` converts only the columns it keeps.  ``relations``
+(a kernel) and ``complement`` read integer rows and columns and return
+integers.  Each readout is a canonical object of exact linear algebra (the
+reduced row echelon form, the greedy independent subset in input order,
+coordinates over independent vectors), so it does not depend on how the
+elimination got there.
 
 A zero map costs nothing: a matrix with no entries is answered from its
 shape by ``rank`` (0), ``kernel_basis`` (the unit vectors),
@@ -327,6 +328,38 @@ class Span:
         if lead is not None:
             return None
         return {c - self.dim: Fraction(-y, s) for c, y in sorted(row.items())}
+
+
+def relations(columns: Sequence[Row], nrows: int) -> list[Row]:
+    """A basis of the kernel of the integer matrix with these sparse
+    columns, each of length ``nrows``: one primitive integer relation for
+    each column that depends on the columns before it, nonzero there and
+    at none after it.  Column n enters the elimination as the row
+    (column | e_n), its index riding in column nrows + n as in ``Span``; a
+    row whose column part reduces to zero is a relation, read off its
+    riders.  With no rows every column is zero, and the relations are the
+    unit vectors, read with no elimination."""
+    if not nrows:
+        return [{n: 1} for n in range(len(columns))]
+    ech = _Echelon(limit=nrows)
+    out = []
+    for n, col in enumerate(columns):
+        row, _, lead = ech.reduce({**col, nrows + n: 1})
+        if lead is None:
+            out.append(_primitive({c - nrows: v for c, v in row.items()}))
+        else:
+            ech.rows[lead] = _primitive(row)
+    return out
+
+
+def complement(span: Sequence[Row], rows: Sequence[Row]
+               ) -> tuple[int, list[Row]]:
+    """(r, kept): r the rank of the integer rows ``span``, and kept the
+    ``rows``, in order, each independent of ``span`` and of the rows kept
+    before it."""
+    ech = _Echelon()
+    r = sum(map(ech.add, span))
+    return r, [row for row in rows if ech.add(row)]
 
 
 def independent_columns(m: QMatrix) -> list[SparseVector]:

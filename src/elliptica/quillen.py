@@ -1,10 +1,13 @@
 """Quillen models: DGL homology, the Whitehead exact sequence on the Lie
-side, and the invariant eta."""
+side, and the invariant eta.  The homology of a quadratic model above
+max|W| comes from Ext over its cohomology algebra (``ext``)."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .errors import BadParameter, UnboundedGamma
+from . import ext
+from .errors import BadParameter, InternalInconsistency, UnboundedGamma
 from .graded import (GammaData, GradedComplex, GradedModel, ValidationIssue,
                      ValidationReport, WhiteheadReport)
 from .lie import FreeLie
@@ -30,9 +33,34 @@ class WhiteheadNodeL:
 
 class DGLComplex(GradedComplex):
     """The chain complex (L_*(W), delta) in the Lie bases, keyed by their
-    leading words."""
+    leading words.
+
+    On a root model whose delta is quadratic, ``betti`` above max|W| is
+    read from Ext over the cohomology algebra (``DGLModel.resolution``), so
+    no Lie basis above max|W| + 1 is enumerated and no matrix of delta out
+    of a degree above max|W| + 1 is built.  Degrees up to max|W| are
+    eliminated, with their d.d checks, and must equal the Ext dimension.
+    Truncations and models with a term of higher bracket length eliminate
+    in every degree."""
 
     step = -1
+
+    def betti(self, degree: int) -> int:
+        """dim H_degree(L(W)): from Ext above max|W| on a quadratic root
+        model, else by elimination, where on a quadratic root model
+        InternalInconsistency is raised unless it equals the Ext dimension."""
+        res = self.model.resolution
+        if res is None:
+            return super().betti(degree)
+        if degree > self.model.max_generator_degree():
+            return res.lie_dim(degree)
+        got = super().betti(degree)
+        if degree >= 1 and got != res.lie_dim(degree):
+            raise InternalInconsistency(
+                f"{self.model!r}: dim H_{degree}(L(W)) = {got} by elimination "
+                f"but {res.lie_dim(degree)} from Ext over the cohomology "
+                f"algebra")
+        return got
 
 
 class DGLModel(GradedModel):
@@ -56,6 +84,17 @@ class DGLModel(GradedModel):
 
     delta = GradedModel.d
     delta_of_generator = GradedModel.d_of_generator
+
+    @functools.cached_property
+    def resolution(self) -> "ext.MinimalResolution | None":
+        """The minimal resolution of Q over the cohomology algebra C, whose
+        Ext gives H_*(L(W)) (``ext``), on a root model whose delta is
+        quadratic; None on a truncation or when a term of delta is not a
+        bracket of two generators.  C is built, and checked, on first use."""
+        if self.parent is not None:
+            return None
+        alg = ext.CohomologyAlgebra.of_quadratic(self)
+        return None if alg is None else ext.MinimalResolution(alg)
 
     def _image_issue(self, g, img):
         """The shared issues, else a ``lie-element`` issue for an image that
@@ -98,6 +137,9 @@ def default_bound(model: DGLModel) -> int:
 
 
 def homology_table(model: DGLModel, bound: int) -> dict[int, int]:
+    """dim H_i(L(W)) for 1 <= i <= bound: by elimination up to max|W|, and
+    above it from Ext over the cohomology algebra on a quadratic model
+    (``DGLComplex``), else by elimination."""
     c = model.complex()
     return {i: c.betti(i) for i in range(1, bound + 1)}
 
@@ -112,6 +154,9 @@ def gamma_top(model: DGLModel, bound: int | None = None, *,
     certificate bounds it on the Quillen side: then the window must reach
     ``default_bound(model)``, as below it the top of H_*(L(W)) may be
     unseen.  Homology in the window above 2 max|W| raises UnboundedGamma.
+    On a quadratic model the window's degrees above max|W| are read from
+    Ext, with no Lie basis, so the whole window is cheap; it is still
+    evidence, not proof.
 
     With ``proven`` the caller has a proof that H_i(L(W)) = 0 for every
     i > bound, and the table stops there, below the default window.

@@ -10,8 +10,9 @@ a model's certified top degree plus one the (co)homology is zero by proof,
 as in the engine.  ``whitehead_sequence`` builds the maps of every node and
 checks it exact, and ``_gamma`` builds the truncation, the linear part and
 its kernel in every degree, above the certified zero tail too.
-``full_path(monkeypatch)`` puts all four on ``GradedComplex`` and
-``GradedModel``.
+``whitehead_incl`` builds the representatives of a proper truncation
+even where the model's (co)homology is zero.  ``full_path(monkeypatch)``
+puts all five on ``GradedComplex`` and ``GradedModel``.
 """
 import functools
 
@@ -61,6 +62,15 @@ def _gamma(self, k):
     return GammaData(k, len(kernel), kernel, tc)
 
 
+def whitehead_incl(self, g):
+    full, gd = self.complex(), self.gamma(g)
+    if gd.complex is full:
+        return linalg.QMatrix.from_columns(gd.h_coords, full.betti(g))
+    h_reps = gd.complex.homology(g)[1]
+    return full.class_matrix(g, h_reps).matmul(
+        linalg.QMatrix.from_columns(gd.h_coords, len(h_reps)))
+
+
 def whitehead_sequence(self, max_degree):
     full, step = self.complex(), self.complex_type.step
     p = functools.cache(full.linear_part)
@@ -89,4 +99,5 @@ def full_path(monkeypatch):
     monkeypatch.setattr(GradedComplex, "homology", homology)
     monkeypatch.setattr(GradedComplex, "class_coords", class_coords)
     monkeypatch.setattr(GradedModel, "_gamma", _gamma)
+    monkeypatch.setattr(GradedModel, "whitehead_incl", whitehead_incl)
     monkeypatch.setattr(GradedModel, "whitehead_sequence", whitehead_sequence)

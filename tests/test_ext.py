@@ -1,0 +1,350 @@
+"""H_*(L(W)) from Ext over the cohomology algebra against elimination, the
+known tables, and the run-time checks: C's associativity and graded
+commutativity, d.d = 0 in the resolution, and the identity with elimination
+up to max|W|."""
+import os
+import time
+
+import pytest
+
+from elimination_oracle import elimination_table
+from elliptica import dsl, ext, invariants, linalg, quillen
+from elliptica.errors import InternalInconsistency, UnboundedGamma
+from elliptica.graded import FreeAlgebra, Generator
+from elliptica.invariants import QuillenAnalysis
+from elliptica.lie import FreeLie
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def fixture(name):
+    return dsl.parse_file(os.path.join(FIXTURES, f"{name}.rhm"))
+
+
+def window(q):
+    return quillen.default_bound(q)
+
+
+def ext_table(q, top):
+    return {i: q.resolution.lie_dim(i) for i in range(1, top + 1)}
+
+
+def nonzero(table):
+    return {i: d for i, d in table.items() if d}
+
+
+QUADRATIC_CATALOG = ["s2_quillen", "sphere_odd_quillen(3)",
+                     "sphere_odd_quillen(5)", "sphere_odd_quillen(7)",
+                     *(f"cpn_quillen({n})" for n in range(1, 7))]
+
+# fixture -> (the degree to which elimination is affordable, the known
+# nonzero table through ``KNOWN_TOP``)
+FIXTURE_TABLES = {
+    "s2xs2q": (8, {1: 2, 2: 2}),
+    "s2vs2q": (9, {1: 2, 2: 3, 3: 2, 4: 3, 5: 6, 6: 11, 7: 18, 8: 30, 9: 56}),
+    "hp2q": (16, {3: 1, 10: 1}),
+    "s2x3q": (7, {1: 3, 2: 3}),
+    "cp2xcp2q": (9, {1: 2, 4: 2}),
+    "s2xs2xs3q": (8, {1: 2, 2: 3}),
+}
+KNOWN_TOP = {"s2xs2q": 16, "s2vs2q": 9, "hp2q": 24, "s2x3q": 12,
+             "cp2xcp2q": 18, "s2xs2xs3q": 14}
+
+
+# --- the table against elimination -------------------------------------------
+
+@pytest.mark.parametrize("spec", QUADRATIC_CATALOG)
+def test_ext_equals_elimination_through_the_window(spec):
+    q = dsl.catalog_spec(spec)
+    top = window(q)
+    assert q.resolution is not None
+    want = elimination_table(dsl.catalog_spec(spec), top)
+    assert ext_table(q, top) == want
+    assert quillen.homology_table(q, top) == want
+
+
+@pytest.mark.parametrize("name", FIXTURE_TABLES)
+def test_ext_equals_elimination_on_the_fixtures(name):
+    affordable, known = FIXTURE_TABLES[name]
+    q = fixture(name)
+    assert q.resolution is not None
+    top = min(affordable, window(q))
+    assert ext_table(q, top) == elimination_table(fixture(name), top)
+
+
+@pytest.mark.parametrize("name", FIXTURE_TABLES)
+def test_the_known_tables(name):
+    q = fixture(name)
+    top = KNOWN_TOP[name]
+    assert nonzero(quillen.homology_table(q, top)) == FIXTURE_TABLES[name][1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20])
+def test_cpn_has_homology_in_degrees_1_and_2n(n):
+    q = dsl.catalog("cpn_quillen", n)
+    assert nonzero(ext_table(q, 4 * n + 2)) == {1: 1, 2 * n: 1}
+
+
+@pytest.mark.parametrize("n", [7, 8, 10])
+def test_eta_of_large_cpn(n):
+    q = dsl.catalog("cpn_quillen", n)
+    start = time.perf_counter()
+    assert quillen.eta(q) == n + 1
+    assert time.perf_counter() - start < 30
+    assert max(q.complex()._d_cache) == q.max_generator_degree() + 1
+
+
+def test_the_cp2xcp2_partner_end_to_end():
+    q = fixture("cp2xcp2q")
+    a = QuillenAnalysis(q)
+    assert a.eta() == 9 == a.chi_h - a.chi_pi
+    assert a.ledger().all_verified
+    rep = a.whitehead()
+    assert [n.degree for n in rep.nodes if n.dim_h] == [4]
+    assert max(q.complex()._d_cache) == 8
+
+
+WEDGE = "model wedge : quillen\ngen a : 2\ngen b : 4\ngen c : 7\nd c = 0\n"
+
+
+def test_the_hyperbolic_wedge_still_raises():
+    # S^3 v S^5 v S^8: delta = 0 is quadratic, and H_15 is nonzero
+    q = dsl.parse(WEDGE)
+    assert q.resolution is not None
+    with pytest.raises(UnboundedGamma):
+        quillen.eta(q)
+    table = quillen.homology_table(q, window(q))
+    assert table == elimination_table(dsl.parse(WEDGE), window(q))
+    assert table[15]
+
+
+def test_a_cubic_delta_keeps_elimination():
+    q = fixture("cubic")
+    assert q.resolution is None
+    top = window(q)
+    assert quillen.homology_table(q, top) == elimination_table(
+        fixture("cubic"), top)
+    assert max(q.complex()._d_cache) == top + 1
+
+
+def test_a_truncation_keeps_elimination():
+    q = dsl.catalog("cpn_quillen", 3)
+    t = q.truncate(3)
+    assert t is not q and t.resolution is None
+
+
+# --- no Lie basis above max|W| + 1 -------------------------------------------
+
+def pair(q):
+    n = (q.max_generator_degree() + 1) // 2
+    return invariants.compare_models(dsl.catalog("cpn_sullivan", n), q)
+
+
+REQUESTS = {
+    "eta": quillen.eta,
+    "whitehead": lambda q: quillen.whitehead_sequence_dgl(q, window(q)),
+    "invariants": lambda q: QuillenAnalysis(q).invariants(verbose=True),
+    "ledger": lambda q: QuillenAnalysis(q).ledger(),
+    "compare": pair,
+    "homology_table": lambda q: quillen.homology_table(q, window(q)),
+}
+
+
+@pytest.mark.parametrize("request_name", REQUESTS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_no_lie_basis_above_max_w_plus_one(request_name, n, monkeypatch):
+    seen, enumerate_ = [], FreeLie._enumerate
+
+    def counting(self, degree):
+        seen.append(degree)
+        return enumerate_(self, degree)
+
+    monkeypatch.setattr(FreeLie, "_enumerate", counting)
+    q = dsl.catalog("cpn_quillen", n)
+    REQUESTS[request_name](q)
+    assert seen and max(seen) <= q.max_generator_degree() + 1
+
+
+def test_the_partner_builds_no_lie_basis_above_max_w_plus_one(monkeypatch):
+    seen, table = [], FreeAlgebra.table
+
+    def counting(self, degree):
+        if isinstance(self, FreeLie):
+            seen.append(degree)
+        return table(self, degree)
+
+    monkeypatch.setattr(FreeAlgebra, "table", counting)
+    q = fixture("cp2xcp2q")
+    quillen.eta(q)
+    quillen.whitehead_sequence_dgl(q, window(q))
+    assert max(seen) == 8
+
+
+# --- the run-time checks -----------------------------------------------------
+
+def test_ext_off_by_one_below_max_w_raises(monkeypatch):
+    lie_dim = ext.MinimalResolution.lie_dim
+    monkeypatch.setattr(ext.MinimalResolution, "lie_dim",
+                        lambda self, k: lie_dim(self, k) + (k == 3))
+    q = dsl.catalog("cpn_quillen", 2)
+    with pytest.raises(InternalInconsistency,
+                       match=r"CP2q.*H_3\(L\(W\)\) = 0 by elimination but 1"):
+        quillen.eta(q)
+
+
+@pytest.mark.parametrize("degree", [1, 4, 5])
+def test_ext_off_by_one_at_every_checked_degree_raises(degree, monkeypatch):
+    lie_dim = ext.MinimalResolution.lie_dim
+    monkeypatch.setattr(ext.MinimalResolution, "lie_dim",
+                        lambda self, k: lie_dim(self, k) + (k == degree))
+    q = fixture("cp2xcp2q")
+    with pytest.raises(InternalInconsistency, match=f"H_{degree}"):
+        quillen.homology_table(q, 7)
+
+
+def algebra(name):
+    return ext.CohomologyAlgebra.of_quadratic(fixture(name))
+
+
+def planted(alg, ab, scale):
+    products = {k: dict(z) for k, z in alg.products.items()}
+    products[ab] = {c: v * scale for c, v in products[ab].items()}
+    return products
+
+
+def test_the_cohomology_algebra_of_the_partner():
+    alg = algebra("cp2xcp2q")
+    # x, y, xx, xy, yy, xxy, xyy, xxyy are 1..8, of degrees 2, 2, 4, ..., 8
+    assert alg.degrees == (0, 2, 2, 4, 4, 4, 6, 6, 8)
+    assert alg.products[1, 1] == {3: -1} and alg.products[1, 2] == {4: -1}
+    assert alg.products[4, 4] == {8: -1}
+
+
+@pytest.mark.parametrize("ab,scale,match", [
+    ((1, 2), -1, "not graded commutative"),
+    ((2, 1), 2, "not graded commutative"),
+])
+def test_a_planted_structure_constant_raises(ab, scale, match):
+    alg = algebra("cp2xcp2q")
+    with pytest.raises(InternalInconsistency, match=match):
+        ext.CohomologyAlgebra(alg.degrees[1:], planted(alg, ab, scale),
+                              name="planted")
+
+
+def test_a_planted_factor_on_both_orders_breaks_associativity():
+    # x y = -xy in both orders, scaled by 2: (x x) y != x (x y)
+    alg = algebra("cp2xcp2q")
+    products = planted(alg, (1, 2), 2)
+    products[(2, 1)] = dict(products[(1, 2)])
+    with pytest.raises(InternalInconsistency, match="not associative"):
+        ext.CohomologyAlgebra(alg.degrees[1:], products, name="planted")
+
+
+def test_a_product_of_the_wrong_degree_raises():
+    alg = algebra("hp2q")
+    with pytest.raises(InternalInconsistency, match="not of degree 8"):
+        ext.CohomologyAlgebra(alg.degrees[1:], {(1, 1): {1: 1}})
+
+
+def test_mixed_parities_give_a_graded_commutative_algebra():
+    # x, y of degree 2 and z of degree 3: z^2 = 0, x z = z x, and x y z is
+    # the top class
+    alg = algebra("s2xs2xs3q")
+    assert alg.degrees == (0, 2, 2, 3, 4, 5, 5, 7)
+    assert (3, 3) not in alg.products
+    assert alg.products[1, 3] == alg.products[3, 1]
+    assert list(alg.product(alg.products[1, 2], {3: 1})) == [7]
+
+
+def test_a_non_quadratic_model_has_no_algebra():
+    assert ext.CohomologyAlgebra.of_quadratic(fixture("cubic")) is None
+
+
+def test_a_generator_whose_boundary_is_no_cycle_raises(monkeypatch):
+    # every column claimed a relation: the first new generator of V_2 has
+    # a boundary that is no cycle, and no image to hide it
+    monkeypatch.setattr(ext.linalg, "relations",
+                        lambda columns, nrows: [{n: 1} for n in
+                                                range(len(columns))])
+    res = ext.MinimalResolution(algebra("cp2xcp2q"))
+    with pytest.raises(InternalInconsistency,
+                       match="d.d != 0 on a generator of V_2 in degree 4"):
+        res.ext_dim(4)
+
+
+def test_an_image_outside_the_kernel_raises(monkeypatch):
+    # a relation dropped: the image of V_2 no longer lies in the kernel
+    relations = linalg.relations
+
+    def drop_first(columns, nrows):
+        found = relations(columns, nrows)
+        return found[1:] if nrows and len(found) > 1 else found
+
+    monkeypatch.setattr(ext.linalg, "relations", drop_first)
+    res = ext.MinimalResolution(algebra("cp2xcp2q"))
+    with pytest.raises(InternalInconsistency,
+                       match="d.d != 0 on V_2 in degree 8"):
+        res.ext_dim(8)
+
+
+def test_the_resolution_is_minimal_and_its_boundaries_compose_to_zero():
+    res = ext.MinimalResolution(algebra("s2x3q"))
+    res.ext_dim(6)
+    alg = res.algebra
+    for s in range(1, len(res.gens)):
+        for t, z in zip(res.gens[s], res.boundary[s]):
+            # each boundary lies in C-bar P_(s-1), in degree t
+            assert all(c and alg.degrees[c] + res.gens[s - 1][j] == t
+                       for c, j in z)
+            if s == 1:
+                continue
+            out = {}
+            for (c, j), v in z.items():
+                for (c2, i), u in res.boundary[s - 1][j].items():
+                    for c3, w in alg.products.get((c, c2), {}).items():
+                        out[c3, i] = out.get((c3, i), 0) + v * u * w
+            assert not any(out.values())
+
+
+def test_the_ext_series_of_the_three_spheres():
+    # (S^2)^3: Ext = Q[a, b, c] on three classes of bidegree (1, 2), so
+    # total degree k holds the monomials of degree k
+    res = ext.MinimalResolution(algebra("s2x3q"))
+    assert [res.ext_dim(k) for k in range(6)] == [1, 3, 6, 10, 15, 21]
+
+
+# --- PBW ---------------------------------------------------------------------
+
+def free_lie_dims(degrees, top):
+    gens = [Generator(f"w{i}", d, i) for i, d in enumerate(degrees)]
+    lie = FreeLie(gens)
+    return [0] + [len(lie.basis(k)) for k in range(1, top + 1)]
+
+
+def tensor_series(degrees, top):
+    """1 / (1 - sum t^d): the Hilbert series of T(W) = U L(W)."""
+    e = [1] + [0] * top
+    for k in range(1, top + 1):
+        e[k] = sum(e[k - d] for d in degrees if d <= k)
+    return e
+
+
+@pytest.mark.parametrize("degrees", [[1], [2], [1, 1], [1, 2], [2, 4, 7],
+                                     [1, 1, 3], [3, 3, 2]])
+def test_pbw_inverts_the_tensor_algebra_to_the_free_lie_algebra(degrees):
+    top = 10
+    assert [0, *ext.primitive_dims(tensor_series(degrees, top))] == \
+        free_lie_dims(degrees, top)
+
+
+def test_pbw_on_cpn():
+    # (1 + t) / (1 - t^4) = U of Q in degrees 1 (odd) and 4 (even)
+    series = [1, 1, 0, 0, 1, 1, 0, 0, 1, 1]
+    assert list(ext.primitive_dims(series)) == [1, 0, 0, 1, 0, 0, 0, 0, 0]
+
+
+def test_pbw_refuses_a_negative_dimension():
+    with pytest.raises(InternalInconsistency, match="dim g_2 = -1"):
+        list(ext.primitive_dims([1, 2, 0]))     # (1 + t)^2 has t^2
+    with pytest.raises(InternalInconsistency, match="starts with"):
+        list(ext.primitive_dims([2, 1]))

@@ -9,7 +9,7 @@ from elliptica import dsl, invariants, linalg, randmodels
 from elliptica.commutative import Algebra, Element, Generator
 from elliptica.errors import (DegreeMismatch, ExactnessFailure,
                              InternalInconsistency)
-from elliptica.graded import check_exact
+from elliptica.graded import GradedComplex, check_exact
 from elliptica.lie import FreeLie, LieElement
 
 import full_path_oracle
@@ -361,18 +361,18 @@ def test_a_planted_incl_breach_raises(plant, match, monkeypatch):
 
 
 @pytest.mark.parametrize("plant,match", [
-    (lambda incl: linalg.QMatrix(incl.rows + 1, incl.cols), "H\\^7"),
-    (lambda incl: linalg.QMatrix(incl.rows, incl.cols + 1), "L\\^7"),
+    (lambda incl: linalg.QMatrix(incl.rows + 1, incl.cols), "H\\^6"),
+    (lambda incl: linalg.QMatrix(incl.rows, incl.cols + 1), "L\\^6"),
 ])
 def test_a_planted_incl_breach_at_node_z_raises(plant, match, monkeypatch):
-    # CP^2: n = 4 and max|V| = 5, so z = 6, and L^7 -> H^7 at node 6 is the
-    # last incl built before the zero tail; a row or a column too many
-    # there still raises
+    # CP^2: n = 4 and max|V| = 5, so z = 6; node z is zero, and L^6 -> H^6
+    # at node z - 1 is the last incl built before the zero tail; a row or a
+    # column too many there still raises
     m = dsl.catalog_spec("cpn_sullivan(2)")
     assert zero_tail(m) == 6
     incl = m.whitehead_incl
     monkeypatch.setattr(m, "whitehead_incl",
-                        lambda g: plant(incl(g)) if g == 7 else incl(g))
+                        lambda g: plant(incl(g)) if g == 6 else incl(g))
     with pytest.raises(ExactnessFailure, match="do not meet at " + match):
         m.whitehead_sequence(default_bound(m))
 
@@ -452,8 +452,8 @@ def certified_models():
 
 @pytest.mark.parametrize("model", certified_models())
 def test_no_whitehead_map_is_built_above_the_zero_tail(model, monkeypatch):
-    # incl is built at nodes 2..z only, the nodes above z are zero, and
-    # Gamma above z builds no truncation, linear part or kernel
+    # incl is built at nodes 2..z - 1 only, the nodes from z on are zero,
+    # and Gamma above z builds no truncation, linear part or kernel
     fresh = type(model)(model.generators, model.differential,
                         name=model.name)
     z, top = zero_tail(fresh), default_bound(fresh)
@@ -463,10 +463,10 @@ def test_no_whitehead_map_is_built_above_the_zero_tail(model, monkeypatch):
                         lambda g: seen.append(g) or incl(g))
     nodes = invariants.analysis(fresh).whitehead().nodes
     invariants.full_ledger(fresh)
-    assert seen and max(seen) == z + 1, seen
+    assert seen and max(seen) == z, seen
     assert [n.degree for n in nodes] == list(range(2, top + 1))
     assert all(vars(n) == vars(fresh.node_type(n.degree, 0, 0, 0, 0, 0))
-               for n in nodes if n.degree > z)
+               for n in nodes if n.degree >= z)
 
     def refuse(*args):
         raise AssertionError(f"built above the zero tail: {args}")
@@ -478,3 +478,26 @@ def test_no_whitehead_map_is_built_above_the_zero_tail(model, monkeypatch):
     for k in range(z + 1, top + 3):
         gd = fresh.gamma(k)
         assert (gd.degree, gd.dim, gd.h_coords, gd.complex) == (k, 0, [], cx)
+
+
+def test_incl_into_a_zero_homology_builds_no_representatives(monkeypatch):
+    # where the truncation that holds Gamma(g) is proper and the model's
+    # H(g) is 0, incl is the zero map from Gamma(g), read with no kernel,
+    # boundaries or quotient of the truncation
+    models = [dsl.catalog_spec(s) for s in CATALOG_SULLIVAN_SPECS]
+    models += randmodels.random_models(7, 20)
+    cases = []
+    for m in models:
+        full = m.complex()
+        for g in node_degrees(m, default_bound(m)):
+            gd = m.gamma(g)
+            if gd.complex is not full and not full.betti(g):
+                cases.append((m, g, gd.dim))
+    assert len(cases) >= 10
+
+    def refuse(self, degree):
+        raise AssertionError(f"representatives built in degree {degree}")
+
+    monkeypatch.setattr(GradedComplex, "homology", refuse)
+    for m, g, dim in cases:
+        assert m.whitehead_incl(g) == linalg.QMatrix(0, dim)

@@ -60,6 +60,58 @@ def test_kernel_basis_is_a_kernel_basis(rows):
     assert linalg.rank(QMatrix.from_columns(basis, m.cols)) == len(basis)
 
 
+int_matrix = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6]),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]).map(
+        lambda rows: (shape, rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrix)
+def test_relations_are_a_primitive_integer_kernel_basis(shaped):
+    # one relation per column that depends on the columns before it,
+    # nonzero there and at none after it
+    (nrows, ncols), rows = shaped
+    columns = [{r: rows[r][c] for r in range(nrows) if rows[r][c]}
+               for c in range(ncols)]
+    m = QMatrix(nrows, ncols, {(r, c): v for c, col in enumerate(columns)
+                               for r, v in col.items()})
+    found = linalg.relations(columns, nrows)
+    assert len(found) == ncols - linalg.rank(m)
+    dependent = [c for c in range(ncols) if linalg.rank(QMatrix.from_columns(
+        [dict(col) for col in columns[:c + 1]], nrows)) == linalg.rank(
+        QMatrix.from_columns([dict(col) for col in columns[:c]], nrows))]
+    assert [max(v) for v in found] == dependent
+    for v in found:
+        assert all(x.__class__ is int and x for x in v.values())
+        assert gcd(*v.values()) == 1
+        assert not m.apply({c: Fraction(x) for c, x in v.items()})
+    assert linalg.rank(QMatrix.from_columns(found, ncols)) == len(found)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrix, int_matrix)
+def test_complement_keeps_the_rows_that_enlarge_the_span(first, second):
+    def rows_of(shaped, ncols):
+        (_, nc), rows = shaped
+        return [{c: row[c] for c in range(min(nc, ncols)) if row[c]}
+                for row in rows]
+
+    def rank(rows):
+        return linalg.rank(QMatrix(len(rows), 6, {
+            (r, c): v for r, row in enumerate(rows) for c, v in row.items()}))
+
+    span, rows = rows_of(first, 6), rows_of(second, 6)
+    r, kept = linalg.complement(span, rows)
+    assert r == rank(span)
+    assert r + len(kept) == rank(span + rows)
+    # greedy in order: each row is kept exactly when it enlarges the span
+    assert kept == [row for k, row in enumerate(rows)
+                    if rank(span + rows[:k + 1]) > rank(span + rows[:k])]
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_matrix, st.data())
 def test_solve_recovers_consistent_systems(rows, data):

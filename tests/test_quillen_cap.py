@@ -1,9 +1,10 @@
 """The Quillen table that ``compare_models`` stops at 2N - 2, N the Sullivan
 partner's certificate, against an uncapped oracle: the comparison with the
-Quillen side read on its default window 2 max|W| + 2, pairing i only up to
-max(N, max|W| + 1)."""
+Quillen side read on its default window 2 max|W| + 2 by elimination in
+every degree, pairing i only up to max(N, max|W| + 1)."""
 import pytest
 
+from elimination_oracle import elimination_route
 from elliptica import dsl, invariants, quillen
 from elliptica.errors import UnboundedGamma
 from elliptica.invariants import (ComparisonReport, QuillenAnalysis,
@@ -28,7 +29,13 @@ def wedge(dc: str):
 
 def window_compare(s, q) -> ComparisonReport:
     """The oracle: ``compare_models`` with the Quillen table read on its
-    default window, with no partner's proof."""
+    default window, with no partner's proof, by elimination (not Ext) in
+    every degree."""
+    with elimination_route():
+        return _window_compare(s, q)
+
+
+def _window_compare(s, q) -> ComparisonReport:
     a = SullivanAnalysis(s)
     r = a.rho()
     b = QuillenAnalysis(q)
@@ -76,11 +83,12 @@ def test_capped_comparison_equals_the_window_oracle(s_spec, q_spec):
     assert_equal_over_old_range(rep, oracle)
     n = s.certified_top
     assert n == q.max_generator_degree() + 1
-    assert top_d_degree(q) <= 2 * n - 1
+    # the degrees above max|W| = N - 1 are read from Ext, with no matrix
+    assert top_d_degree(q) <= n
     if q_spec.startswith("cpn_quillen"):
-        assert top_d_degree(q) == 2 * n - 1
-        # the window builds d out of 2N + 1, but L(W) of cpn_quillen(1)
-        # vanishes above 2, so its last d is out of 3 on both paths
+        assert sorted(q.complex()._d_cache) == list(range(1, n + 1))
+        # the window oracle eliminates and builds d out of 2N + 1, but L(W)
+        # of cpn_quillen(1) vanishes above 2, so its last d is out of 3
         window_top = 3 if q_spec == "cpn_quillen(1)" else 2 * n + 1
         assert top_d_degree(q_oracle) == window_top
 
@@ -120,7 +128,7 @@ def test_the_elliptic_partner_of_the_wedge_matches():
     assert rep.matches and rep.rho == rep.eta == 2
     assert_equal_over_old_range(
         rep, window_compare(dsl.catalog_spec(S3XS5), wedge("[a,b]")))
-    assert top_d_degree(q) <= 2 * s.certified_top - 1
+    assert top_d_degree(q) <= s.certified_top
 
 
 def test_a_mismatch_under_the_cap_is_read_again_from_the_window(monkeypatch):
@@ -155,8 +163,9 @@ def test_the_gate_needs_the_certificate_at_max_w_plus_one():
     assert not q.complex()._d_cache
 
 
-# The degrees whose delta matrix the default window builds: 1 .. 2 max|W| + 3
-# (cpn_quillen(1): L(W) vanishes above 2, so d out of 3 is the last).
+# The degrees whose delta matrix the default window builds by elimination:
+# 1 .. 2 max|W| + 3 (cpn_quillen(1): L(W) vanishes above 2, so d out of 3
+# is the last).  With Ext above max|W| the last is out of max|W| + 1.
 WINDOW_TOP = {1: 3, 2: 9, 3: 13, 4: 17}
 STANDALONE = {
     "eta": quillen.eta,
@@ -170,6 +179,15 @@ STANDALONE = {
 @pytest.mark.parametrize("request_name", STANDALONE)
 @pytest.mark.parametrize("n", WINDOW_TOP)
 def test_a_standalone_quillen_request_keeps_the_window(request_name, n):
+    # the same answer as the elimination oracle on the whole window, with
+    # no delta matrix out of a degree above max|W| + 1
     q = dsl.catalog("cpn_quillen", n)
-    STANDALONE[request_name](q)
-    assert sorted(q.complex()._d_cache) == list(range(1, WINDOW_TOP[n] + 1))
+    got = STANDALONE[request_name](q)
+    assert sorted(q.complex()._d_cache) == list(
+        range(1, q.max_generator_degree() + 2))
+    oracle = dsl.catalog("cpn_quillen", n)
+    with elimination_route():
+        want = STANDALONE[request_name](oracle)
+    assert got == want
+    assert sorted(oracle.complex()._d_cache) == list(
+        range(1, WINDOW_TOP[n] + 1))
