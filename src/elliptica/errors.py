@@ -11,10 +11,6 @@ class CompositionNotZero(EllipticaError):
     """d_out . d_in != 0: the differential upstream is broken."""
 
 
-class NotASubspace(EllipticaError):
-    """A claimed boundary vector is outside the span of the cycles."""
-
-
 # --- graded algebra / Lie algebra -------------------------------------------
 
 class DegreeMismatch(EllipticaError):

@@ -25,46 +25,37 @@ are then one sequence, gens(i) -b-> Gamma(i + step) -incl-> H(i + step)
 -p-> gens(i + step), and both rho and eta are 1 + sum over k >= 2 of
 (-1)^k dim Gamma(k).
 
-Degree forces two maps of the sequence, which are read from ranks with no
-representative built.  p out of a degree with no generator is the zero map
-from the rank-only betti number.  Where the truncation that holds Gamma(g)
-keeps every generator (g >= max|V| + 2 on cochains, g >= max|W| on chains),
-Gamma(g) lies in H(g) of the model's own complex: the class coordinates of
-the model's representatives over themselves are the identity, so incl is
-Gamma's coordinate matrix.  Only incl out of a proper truncation needs
-representatives.  A model indexes its generators by degree once, at
-construction, and ``linear_part``, ``whitehead_b``, ``truncate`` and the
-analyses read that index.  Truncations are memoized per kept generator
-set, and each k that ``truncate`` has seen is one lookup.
+Gamma(k) is read over the model's own complex wherever the truncation
+drops no generator of degree <= k on cochains (V^(k-1) = V^k = 0), or
+<= k + 1 on chains (W_(k+1) = 0): there the two complexes agree in every
+degree H(k) reads, up to zero rows of d, and so do H(k), its
+representatives and the linear part.  Then incl : Gamma(k) -> H(k) is
+Gamma's coordinate matrix; only incl out of a proper truncation needs
+representatives.  p out of a degree with no generator is the zero map from
+the rank-only betti number.
 
 A model's ``certified_top`` n, when a proof (not a degree window) gives
 one, caps its own complex: ``betti`` and ``homology`` return zero above
-n + 1 with no matrix built, while degrees up to n + 1 are still computed,
-each with its d.d check, and dim H(n) = 1 and dim H(n + 1) = 0 are
-checked there at run time.  Above z = max(n + 1, max|gens| + 1) there is
-no generator, the truncation that holds Gamma is the model itself and H
-is zero, so ``gamma`` is zero there and the Whitehead sequence records
-as zero, with no map built, each node whose Gamma and H lie above z: on
-cochains node z itself (V^z = 0, and Gamma^(z+1) = H^(z+1) = 0) and every
-node above it.  Gamma(z) is still computed, as the truncation that holds
-it can be proper.  The certificate's check runs before the first zero
-node.  Only a Sullivan model with no parent has a certificate:
-``sullivan.SullivanModel.certified_top``.  Truncations,
-Quillen models and models without a certificate compute every degree they
-are asked for.
+n + 1 with no matrix built, and dim H(n) = 1 and dim H(n + 1) = 0 are
+checked at run time.  Above z = max(n + 1, max|gens| + 1) there is no
+generator and H is zero, so ``gamma`` is zero there and the Whitehead
+sequence records as zero, with no map built, each node whose Gamma and H
+lie above z: on cochains node z itself and every node above it.  The
+certificate's check runs before the first zero node.  Only a Sullivan
+model with no parent has a certificate
+(``sullivan.SullivanModel.certified_top``); truncations, Quillen models
+and models without one compute every degree they are asked for.
 
-A zero space or a zero map costs nothing beyond its ranks: ``homology``
-builds no kernel, boundaries or quotient where the rank-only ``betti`` is
-0, ``class_coords`` there reads every cycle's class as 0 with no ``Span``,
-and ``linalg`` answers a matrix with no entries from its shape.  The
-Whitehead sequence ranks each of its maps once and hands the ranks to
-``check_exact``, which forms no product with a zero map.  The checks stay:
-d.d = 0 in every degree that builds a matrix, exactness at every node with
-a nonzero space, and the certificate's two degrees; on a zero space the
-skipped consistency checks of the representatives follow from the exact
-ranks and d.d = 0, and the nodes from z on are zero by the certificate.
-An ``incl`` into a zero H(g) is the zero map, with no representative of
-the truncation built.
+A degree with nonzero (co)homology eliminates each matrix once: its kernel
+is read off the echelon form that the rank of d out of it built, and one
+``Span`` takes the columns of d into it, untracked, then the cycles; the
+cycles it accepts are the representatives, and ``class_coords`` expresses
+over it.  A zero space or map costs nothing beyond its ranks: no kernel or
+``Span`` where the rank-only ``betti`` is 0, no representative for an
+``incl`` into a zero H(g), and no product with a zero map in
+``check_exact``.  The checks stay: d.d = 0 in every degree that builds a
+matrix, as many representatives as the rank-only ``betti``, exactness at
+every node with a nonzero space, and the certificate's two degrees.
 """
 from __future__ import annotations
 
@@ -380,8 +371,8 @@ class WhiteheadReport:
 class GammaData:
     degree: int
     dim: int
-    # a basis of Gamma, over the H reps of ``complex``, which is the
-    # complex of truncate(degree - 1 - step)
+    # a basis of Gamma, over the H reps of ``complex``: that of
+    # truncate(degree - 1 - step), or the model's own (``_gamma``)
     h_coords: list[linalg.SparseVector]
     complex: "GradedComplex"
 
@@ -560,12 +551,16 @@ class GradedModel:
         return self._gamma_cache[k]
 
     def _gamma(self, k: int) -> GammaData:
-        """ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k)); zero
-        over the model's own complex, with nothing built, above the
-        certified zero tail."""
+        """ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k)), over
+        the model's own complex where the truncation drops no generator of
+        degree <= max(k, k - step) (module docstring); zero, with nothing
+        built, above the certified zero tail."""
         if self._in_zero_tail(k):
             return GammaData(k, 0, [], self.complex())
-        tc = self.truncate(k - 1 - self.complex_type.step).complex()
+        step = self.complex_type.step
+        t = k - 1 - step
+        drops = self._by_degree.keys() & range(t + 1, max(k, k - step) + 1)
+        tc = (self.truncate(t) if drops else self).complex()
         kernel = linalg.kernel_basis(tc.linear_part(k))
         return GammaData(k, len(kernel), kernel, tc)
 
@@ -596,20 +591,20 @@ class GradedModel:
 
     def whitehead_b(self, i: int) -> linalg.QMatrix:
         """The Whitehead map b : gens(i) -> Gamma(i + step), g |-> [d g]:
-        a class of truncate(i - 1), the truncation that holds Gamma(i + step),
-        written over Gamma's representatives.  On cochains Gamma^(i + 1) is
-        all of H^(i + 1) of that truncation, so b is the class matrix itself;
-        on chains it is solved against Gamma's basis."""
+        a class of the complex that holds Gamma(i + step), written over
+        Gamma's representatives.  On cochains Gamma^(i + 1) is all of
+        H^(i + 1) of that complex, so b is the class matrix itself; on
+        chains it is solved against Gamma's basis."""
         k = i + self.complex_type.step
         gens = self.generators_of_degree(i)
         if not gens:    # a map from zero needs no Gamma representatives
             return linalg.QMatrix(self.gamma_dim(k), 0)
-        into_h = self.truncate(i - 1).complex().class_matrix(
+        gd = self.gamma(k)
+        into_h = gd.complex.class_matrix(
             k, [self.d_of_generator(g.index) for g in gens])
         if self.complex_type.step > 0:
-            # Gamma^k is all of H^k(truncate(k - 2)): h_coords is the identity
+            # Gamma^k is all of H^k of its complex: h_coords is the identity
             return into_h
-        gd = self.gamma(k)
         onto = linalg.QMatrix.from_columns(gd.h_coords, into_h.rows)
         cols = [linalg.solve(onto, col) for col in into_h.columns()]
         if None in cols:
@@ -620,12 +615,9 @@ class GradedModel:
     def whitehead_incl(self, g: int) -> linalg.QMatrix:
         """The Whitehead map incl : Gamma(g) -> H(g), over Gamma's basis and
         the model's representatives: the class coordinates, in the model,
-        of the representatives of the truncation that holds Gamma(g), times
-        ``h_coords``.  When that truncation is the model itself, the class
-        coordinates are the identity, so incl is ``h_coords`` alone and no
-        representative is built; when the model's H(g) is zero, incl is the
-        zero map from Gamma(g), and the truncation's representatives are not
-        built either."""
+        of the representatives of Gamma's complex, times ``h_coords``.  No
+        representative is built when that complex is the model's, where
+        incl is ``h_coords``, or when H(g) is zero, where incl is zero."""
         full, gd = self.complex(), self.gamma(g)
         if gd.complex is full:
             return linalg.QMatrix.from_columns(gd.h_coords, full.betti(g))
@@ -642,18 +634,12 @@ class GradedModel:
         and H(g) for g the higher of i and i + step, with the rank of the b
         into Gamma(g).
 
-        On a model with ``certified_top`` n, every node whose Gamma(g) and
-        H(g) lie above z = max(n + 1, max|gens| + 1) is recorded as zero from
-        the certificate, with no map built: on cochains that is node z and
-        every node above it.  Such a node has no generator, Gamma(g) lies in
-        the model's own H(g), and H(g) is zero, so its three exactness checks
-        are vacuous.  The certificate's check runs before the first such
-        node.
-
-        Two maps are read from ranks alone, with no representative built:
-        p out of a degree with no generator is the zero map (``linear_part``),
-        and incl into the model's own homology is Gamma's coordinate matrix
-        (``whitehead_incl``).  Each map is built and ranked once."""
+        A node whose Gamma(g) and H(g) lie above the certified zero tail's z
+        is recorded as zero, with no map built: it has no generator and its
+        H(g) is zero, so its three exactness checks are vacuous.  p out of a
+        degree with no generator and incl out of a Gamma read over the
+        model's own complex need no representative (module docstring).
+        Each map is built and ranked once."""
         full, step = self.complex(), self.complex_type.step
         p = functools.cache(full.linear_part)
         b = functools.cache(self.whitehead_b)
@@ -702,10 +688,10 @@ class GradedComplex:
         self.model = model
         self._d_cache: dict[int, linalg.QMatrix] = {}
         self._rank_cache: dict[int, int] = {}
+        self._echelons: dict[int, linalg._Echelon | None] = {}
         self._squares_checked: set[int] = set()
-        self._boundary_cache: dict[int, list[linalg.SparseVector]] = {}
         self._coh_cache: dict[int, tuple[int, list, list]] = {}
-        self._class_cache: dict[int, tuple[linalg.Span, int]] = {}
+        self._class_cache: dict[int, linalg.Span] = {}
         self._top_checked = False
 
     # --- bases and matrices ------------------------------------------------
@@ -775,9 +761,13 @@ class GradedComplex:
         return linalg.QMatrix(len(rows), len(cols), ent, pmat.den)
 
     def _rank(self, degree: int) -> int:
-        """rank of d : degree -> degree + step."""
+        """rank of d : degree -> degree + step.  Its rows' echelon form is kept
+        until ``homology`` reads the kernel off it or ``betti`` reads 0."""
         if degree not in self._rank_cache:
-            self._rank_cache[degree] = linalg.rank(self.d_matrix(degree))
+            m = self.d_matrix(degree)
+            ech = self._echelons[degree] = (linalg._Echelon() if m.entries
+                                            else None)
+            self._rank_cache[degree] = linalg.rank(m, ech)
         return self._rank_cache[degree]
 
     def _check_square(self, degree: int):
@@ -790,14 +780,6 @@ class GradedComplex:
             self._squares_checked.add(degree)
 
     # --- (co)homology ------------------------------------------------------
-
-    def boundaries(self, degree: int) -> list[linalg.SparseVector]:
-        """A basis of the (co)boundaries of that degree: the independent
-        columns of d : degree - step -> degree, in column order."""
-        if degree not in self._boundary_cache:
-            self._boundary_cache[degree] = linalg.independent_columns(
-                self.d_matrix(degree - self.step))
-        return self._boundary_cache[degree]
 
     def _proven_zero(self, degree: int) -> bool:
         """Whether the model's ``certified_top`` n proves the (co)homology
@@ -823,20 +805,31 @@ class GradedComplex:
             self._top_checked = True
 
     def homology(self, degree: int):
-        """(dim, representative elements, their coordinate vectors).  Zero
-        when the rank-only ``betti`` is 0, with no kernel, boundaries or
-        quotient built, and with no matrix at all above ``certified_top``
-        + 1."""
+        """(dim, representative elements, their coordinate vectors), each
+        matrix eliminated once (module docstring); the representatives are
+        the cycles that complement the boundaries, greedily in kernel order.
+        Zero where the rank-only ``betti`` is 0, with no kernel or ``Span``
+        built.  d.d = 0, checked here, makes every boundary a cycle;
+        InternalInconsistency unless the representatives number ``betti``."""
         if degree in self._coh_cache:
             return self._coh_cache[degree]
-        if not self.betti(degree):
+        dim = self.betti(degree)
+        if not dim:
             result = (0, [], [])
         else:
-            cycles = linalg.kernel_basis(self.d_matrix(degree))
-            reps_v = linalg.quotient_representatives(
-                cycles, self.boundaries(degree))
+            self._check_square(degree)
+            cycles = linalg.kernel_basis(self.d_matrix(degree),
+                                         self._echelons.pop(degree, None))
+            span = linalg.Span(self.dim(degree),
+                               self.d_matrix(degree - self.step))
+            reps_v = [z for z in cycles if span.add(z)]
+            if len(reps_v) != dim:
+                raise InternalInconsistency(
+                    f"{self.model!r}: {len(reps_v)} representatives of "
+                    f"degree {degree}, but dim H({degree}) = {dim}")
+            self._class_cache[degree] = span
             reps = [self.from_coords(degree, v) for v in reps_v]
-            result = (len(reps), reps, reps_v)
+            result = (dim, reps, reps_v)
         self._coh_cache[degree] = result
         return result
 
@@ -848,33 +841,28 @@ class GradedComplex:
         if self._proven_zero(degree) or not self.dim(degree):
             return 0
         self._check_square(degree)
-        return (self.dim(degree) - self._rank(degree)
-                - self._rank(degree - self.step))
+        dim = (self.dim(degree) - self._rank(degree)
+               - self._rank(degree - self.step))
+        if not dim:
+            self._echelons.pop(degree, None)
+        return dim
 
     def class_coords(self, degree: int, e) -> linalg.SparseVector | None:
-        """Coordinates of [e] over the representatives of that degree;
-        None when e is not a cycle.  In a degree with zero (co)homology
-        every cycle's class is 0, read with no ``Span`` built."""
+        """Coordinates of [e] over the representatives of that degree, read
+        over the ``Span`` that ``homology`` built; None when e is not a
+        cycle.  With zero (co)homology every cycle's class is 0, read with
+        no ``Span`` built."""
         z = self.coords(degree, e)
         if self.d_matrix(degree).apply(z):
             return None
         if not self.betti(degree):
             return {}
-        if degree not in self._class_cache:
-            _, _, reps_v = self.homology(degree)
-            # representatives then boundaries: a basis of the cycles
-            span = linalg.Span(self.dim(degree))
-            for v in [*reps_v, *self.boundaries(degree)]:
-                if not span.add(v):
-                    raise InternalInconsistency(
-                        f"{self.model!r}: representatives and boundaries of "
-                        f"degree {degree} are dependent")
-            self._class_cache[degree] = (span, len(reps_v))
-        span, nreps = self._class_cache[degree]
-        coords = span.express(z)
+        self.homology(degree)
+        coords = self._class_cache[degree].express(z)
         if coords is None:
-            raise InternalInconsistency("cycle not in span of reps + boundaries")
-        return {j: c for j, c in coords.items() if j < nreps}
+            raise InternalInconsistency(f"{self.model!r}: a cycle of degree "
+                                        f"{degree} is outside the Span")
+        return coords
 
     def class_matrix(self, degree: int, elements: Sequence) -> linalg.QMatrix:
         """The matrix whose columns are the class coordinates of

@@ -16,31 +16,31 @@ coordinates, follows the nonzero entries, not the dimension of a degree.
 All elimination runs on one routine, ``_Echelon``: sparse integer rows,
 reduced fraction-free by their leading column and kept primitive.  A
 matrix's rows enter it as they are stored (the common denominator does not
-change a row's span), and so do its columns in ``independent_columns``,
-which gives the boundaries; a rational vector has its denominators cleared
-once on entry.  ``rank``, ``kernel_basis``, ``solve``, ``Span``,
-``independent_columns`` and ``quotient_representatives`` are thin readouts
-of it; results go back to ``Fraction`` only on the way out, and
-``independent_columns`` converts only the columns it keeps.  ``relations``
-(a kernel) and ``complement`` read integer rows and columns and return
-integers.  Each readout is a canonical object of exact linear algebra (the
-reduced row echelon form, the greedy independent subset in input order,
-coordinates over independent vectors), so it does not depend on how the
-elimination got there.
+change a row's span), and so do its columns when they are a ``Span``'s
+untracked base; a rational vector has its denominators cleared once on
+entry.  ``rank``, ``kernel_basis``, ``solve`` and ``Span`` are thin
+readouts of it; results go back to ``Fraction`` only on the way out.
+``relations`` (a kernel) and ``complement`` read integer rows and columns
+and return integers.  Each readout is a canonical object of exact linear
+algebra (the reduced row echelon form, the greedy independent subset in
+input order, coordinates over independent vectors), so it does not depend
+on how the elimination got there.  A (co)homology degree is read off one
+elimination per matrix: ``rank`` hands its echelon form on to
+``kernel_basis``, and one ``Span`` takes the columns of d into the degree,
+untracked, then the cycles; it accepts the representatives, and
+``express`` gives class coordinates over them.
 
 A zero map costs nothing: a matrix with no entries is answered from its
-shape by ``rank`` (0), ``kernel_basis`` (the unit vectors),
-``independent_columns`` (none) and ``solve`` (0 for a zero right-hand
-side, else None), and a product with such a factor is the zero matrix of
-its shape; no ``_Echelon`` is built and no entry is visited.
+shape by ``rank`` (0), ``kernel_basis`` (the unit vectors) and ``solve``
+(0 for a zero right-hand side, else None), and a product with such a
+factor is the zero matrix of its shape; no ``_Echelon`` is built and no
+entry is visited.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
-
-from .errors import NotASubspace
 
 SparseVector = dict[int, Fraction]
 
@@ -237,31 +237,35 @@ class _Echelon:
         return sorted(done.items())
 
 
-def _echelon_of_rows(m: QMatrix) -> _Echelon:
-    """The echelon form of m's integer rows, which span what m's rows do."""
+def _echelon_of_rows(m: QMatrix, ech: _Echelon | None = None) -> _Echelon:
+    """The echelon form of m's integer rows, which span what m's rows do,
+    built in ``ech`` when given."""
     by_row: dict[int, Row] = {}
     for (r, c), v in m.entries.items():
         by_row.setdefault(r, {})[c] = v
-    ech = _Echelon()
+    ech = _Echelon() if ech is None else ech
     for r in sorted(by_row):
         ech.add(by_row[r])
     return ech
 
 
-def rank(m: QMatrix) -> int:
-    """Rank over Q."""
-    return len(_echelon_of_rows(m).rows) if m.entries else 0
+def rank(m: QMatrix, echelon: _Echelon | None = None) -> int:
+    """Rank over Q.  An empty ``echelon``, when given, receives the echelon
+    form of m's rows, which ``kernel_basis`` can read again."""
+    return len(_echelon_of_rows(m, echelon).rows) if m.entries else 0
 
 
-def kernel_basis(m: QMatrix) -> list[SparseVector]:
+def kernel_basis(m: QMatrix, echelon: _Echelon | None = None
+                 ) -> list[SparseVector]:
     """Basis of ker(m); len == cols - rank, vectors satisfy m.v = 0.
 
     One vector per non-pivot column ``f`` of the reduced row echelon form R,
     in column order: -R[i][f] at the pivot of each row i, all left of
-    ``f``, and 1 at ``f``: the unit vectors when m has no entries."""
+    ``f``, and 1 at ``f``: the unit vectors when m has no entries.  R is
+    read off ``echelon``, when given: the echelon form ``rank`` built."""
     if not m.entries:
         return [{f: _ONE} for f in range(m.cols)]
-    rref = _echelon_of_rows(m).reduced()
+    rref = (_echelon_of_rows(m) if echelon is None else echelon).reduced()
     pivots = {p for p, _ in rref}
     basis = {f: {} for f in range(m.cols) if f not in pivots}
     for p, row in rref:
@@ -298,15 +302,24 @@ class Span:
     vector as a combination of the accepted basis vectors (None if outside
     the span).
 
+    The columns of ``base``, when given, enter first and untracked: ``add``
+    then accepts the greedy complement of the base, and ``express`` gives
+    coordinates modulo the base.
+
     The j-th accepted vector b_j enters the elimination as the row
     (b_j | e_j), its coordinates riding in column ``dim + j``; every stored
-    row (x | y) then satisfies x = sum_j y_j b_j.
+    row (x | y) then satisfies x = sum_j y_j b_j modulo the base.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, base: QMatrix | None = None):
         self.dim = dim
         self._echelon = _Echelon(limit=dim)
         self.rank = 0
+        by_col: dict[int, Row] = {}     # the base's stored integer columns
+        for (r, c), v in (base.entries if base is not None else {}).items():
+            by_col.setdefault(c, {})[r] = v
+        for c in sorted(by_col):
+            self._echelon.add(by_col[c])
 
     def add(self, v: SparseVector) -> bool:
         row, l = _int_row(v)
@@ -361,35 +374,3 @@ def complement(span: Sequence[Row], rows: Sequence[Row]
     r = sum(map(ech.add, span))
     return r, [row for row in rows if ech.add(row)]
 
-
-def independent_columns(m: QMatrix) -> list[SparseVector]:
-    """The greedy maximal independent subset of m's columns, in column
-    order (deterministic).  The stored integer columns enter the
-    elimination as they are; only the kept ones become Fraction vectors.
-    A matrix with no entries has none."""
-    if not m.entries:
-        return []
-    by_col: dict[int, Row] = {}
-    for (r, c), v in m.entries.items():
-        by_col.setdefault(c, {})[r] = v
-    ech = _Echelon()
-    return [{r: Fraction(v, m.den) for r, v in sorted(by_col[c].items())}
-            for c in sorted(by_col) if ech.add(by_col[c])]
-
-
-def quotient_representatives(cycles: Sequence[SparseVector],
-                             boundaries: Sequence[SparseVector]
-                             ) -> list[SparseVector]:
-    """The cycles complementing span(boundaries) inside span(cycles): the
-    greedy subset, in order and as given."""
-    rows = [_int_row(z)[0] for z in cycles]
-    cycle_span = _Echelon()
-    for row in rows:
-        cycle_span.add(row)
-    span = _Echelon()
-    for b in boundaries:
-        row = _int_row(b)[0]
-        if cycle_span.reduce(row)[2] is not None:
-            raise NotASubspace("boundary vector outside span of cycles")
-        span.add(row)
-    return [z for z, row in zip(cycles, rows) if span.add(row)]

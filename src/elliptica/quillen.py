@@ -38,10 +38,10 @@ class DGLComplex(GradedComplex):
     On a root model whose delta is quadratic, ``betti`` above max|W| is
     read from Ext over the cohomology algebra (``DGLModel.resolution``), so
     no Lie basis above max|W| + 1 is enumerated and no matrix of delta out
-    of a degree above max|W| + 1 is built.  Degrees up to max|W| are
-    eliminated, with their d.d checks, and must equal the Ext dimension.
-    Truncations and models with a term of higher bracket length eliminate
-    in every degree."""
+    of a degree above max|W| + 1 is built, nor a cell where L(W) is 0
+    (``FreeLie.vanishes``).  Degrees up to max|W| are eliminated, with
+    their d.d checks, and must equal the Ext dimension.  Truncations and
+    models with a term of higher bracket length eliminate in every degree."""
 
     step = -1
 
@@ -53,7 +53,7 @@ class DGLComplex(GradedComplex):
         if res is None:
             return super().betti(degree)
         if degree > self.model.max_generator_degree():
-            return res.lie_dim(degree)
+            return 0 if self.model.lie.vanishes(degree) else res.lie_dim(degree)
         got = super().betti(degree)
         if degree >= 1 and got != res.lie_dim(degree):
             raise InternalInconsistency(
@@ -179,7 +179,8 @@ def gamma_top(model: DGLModel, bound: int | None = None, *,
     for i in range(2 * max_w + 1, bound + 1):
         if table.get(i, 0):
             raise UnboundedGamma(
-                f"H_{i}(L(W)) != 0 beyond the elliptic window (bound {bound})")
+                f"{model!r}: H_{i}(L(W)) != 0 beyond the elliptic window "
+                f"(bound {bound})")
     h_top = max((i for i, d in table.items() if d), default=0)
     return max(max_w, h_top)
 

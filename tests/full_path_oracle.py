@@ -1,25 +1,75 @@
-"""The readout with no zero shortcut: the oracle for the zero degrees of
-``elliptica.graded.GradedComplex`` and the certified zero tail of
-``elliptica.graded.GradedModel``.
+"""The readout with no zero shortcut and no shared elimination: the oracle
+for the zero degrees and the one-``Span`` readout of
+``elliptica.graded.GradedComplex``, for the certified zero tail of
+``elliptica.graded.GradedModel``, and for where it reads Gamma.
 
 ``homology`` here builds the kernel, the boundaries and the quotient in
-every degree that has a basis, and ``class_coords`` the ``Span`` of the
-representatives and the boundaries, even where the rank-only betti number
-is 0; both raise on the consistency checks that the shortcut skips.  Above
-a model's certified top degree plus one the (co)homology is zero by proof,
-as in the engine.  ``whitehead_sequence`` builds the maps of every node and
-checks it exact, and ``_gamma`` builds the truncation, the linear part and
-its kernel in every degree, above the certified zero tail too.
-``whitehead_incl`` builds the representatives of a proper truncation
-even where the model's (co)homology is zero.  ``full_path(monkeypatch)``
-puts all five on ``GradedComplex`` and ``GradedModel``.
+every degree that has a basis, each on its own elimination: the kernel of
+d out of the degree, the boundaries as the independent columns of d into
+it (``independent_columns``), and the representatives as the cycles that
+complement the boundaries (``quotient_representatives``, which raises
+``NotASubspace`` on a boundary outside the span of the cycles).
+``class_coords`` builds the ``Span`` of the representatives and then the
+boundaries, even where the rank-only betti number is 0; both raise on the
+consistency checks that the shortcut skips.  Above a model's certified top
+degree plus one the (co)homology is zero by proof, as in the engine.
+``whitehead_sequence`` builds the maps of every node and checks it exact,
+and ``_gamma`` builds the truncation, the linear part and its kernel in
+every degree, above the certified zero tail too, and where the truncation
+agrees with the model.  ``whitehead_incl`` builds the representatives of a
+proper truncation even where the model's (co)homology is zero.
+``full_path(monkeypatch)`` puts all five on ``GradedComplex`` and
+``GradedModel``.
 """
 import functools
+from fractions import Fraction
 
 from elliptica import linalg
-from elliptica.errors import InternalInconsistency
+from elliptica.errors import EllipticaError, InternalInconsistency
 from elliptica.graded import (GammaData, GradedComplex, GradedModel,
                               WhiteheadReport, check_exact)
+
+
+class NotASubspace(EllipticaError):
+    """A claimed boundary vector is outside the span of the cycles."""
+
+
+def independent_columns(m):
+    """The greedy maximal independent subset of m's columns, in column
+    order.  The stored integer columns enter the elimination as they are;
+    only the kept ones become Fraction vectors.  A matrix with no entries
+    has none."""
+    if not m.entries:
+        return []
+    by_col = {}
+    for (r, c), v in m.entries.items():
+        by_col.setdefault(c, {})[r] = v
+    ech = linalg._Echelon()
+    return [{r: Fraction(v, m.den) for r, v in sorted(by_col[c].items())}
+            for c in sorted(by_col) if ech.add(by_col[c])]
+
+
+def quotient_representatives(cycles, boundaries):
+    """The cycles complementing span(boundaries) inside span(cycles): the
+    greedy subset, in order and as given; NotASubspace on a boundary
+    outside span(cycles)."""
+    rows = [linalg._int_row(z)[0] for z in cycles]
+    cycle_span = linalg._Echelon()
+    for row in rows:
+        cycle_span.add(row)
+    span = linalg._Echelon()
+    for b in boundaries:
+        row = linalg._int_row(b)[0]
+        if cycle_span.reduce(row)[2] is not None:
+            raise NotASubspace("boundary vector outside span of cycles")
+        span.add(row)
+    return [z for z, row in zip(cycles, rows) if span.add(row)]
+
+
+def boundaries(cx, degree):
+    """A basis of the (co)boundaries of that degree: the independent
+    columns of d : degree - step -> degree, in column order."""
+    return independent_columns(cx.d_matrix(degree - cx.step))
 
 
 def homology(self, degree):
@@ -30,8 +80,7 @@ def homology(self, degree):
     else:
         self._check_square(degree)
         cycles = linalg.kernel_basis(self.d_matrix(degree))
-        reps_v = linalg.quotient_representatives(
-            cycles, self.boundaries(degree))
+        reps_v = quotient_representatives(cycles, boundaries(self, degree))
         reps = [self.from_coords(degree, v) for v in reps_v]
         result = (len(reps), reps, reps_v)
     self._coh_cache[degree] = result
@@ -45,7 +94,7 @@ def class_coords(self, degree, e):
     if degree not in self._class_cache:
         _, _, reps_v = self.homology(degree)
         span = linalg.Span(self.dim(degree))
-        for v in [*reps_v, *self.boundaries(degree)]:
+        for v in [*reps_v, *boundaries(self, degree)]:
             if not span.add(v):
                 raise InternalInconsistency("reps and boundaries dependent")
         self._class_cache[degree] = (span, len(reps_v))

@@ -6,6 +6,8 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elimination_oracle import elimination_table
 from elliptica import dsl, ext, invariants, linalg, quillen
@@ -111,7 +113,7 @@ def test_the_hyperbolic_wedge_still_raises():
     # S^3 v S^5 v S^8: delta = 0 is quadratic, and H_15 is nonzero
     q = dsl.parse(WEDGE)
     assert q.resolution is not None
-    with pytest.raises(UnboundedGamma):
+    with pytest.raises(UnboundedGamma, match=r"^DGLModel\(wedge\): H_15"):
         quillen.eta(q)
     table = quillen.homology_table(q, window(q))
     assert table == elimination_table(dsl.parse(WEDGE), window(q))
@@ -178,6 +180,56 @@ def test_the_partner_builds_no_lie_basis_above_max_w_plus_one(monkeypatch):
     quillen.eta(q)
     quillen.whitehead_sequence_dgl(q, window(q))
     assert max(seen) == 8
+
+
+# --- where L(W) itself is zero ----------------------------------------------
+
+@pytest.mark.parametrize("spec,top", [("sphere_odd_quillen(3)", 2),
+                                      ("sphere_odd_quillen(5)", 4),
+                                      ("s2_quillen", 2),
+                                      ("cpn_quillen(1)", 2)])
+def test_no_cell_is_grown_where_the_free_lie_algebra_is_zero(
+        spec, top, monkeypatch):
+    # above max|W| these L(W) are 0 but for [w, w] of s2's odd w in degree
+    # 2, so the resolution grows no total degree t - s above top, yet the
+    # Ext identity up to max|W| still runs
+    cells, cell = [], ext.MinimalResolution._cell
+
+    def counting(self, s, t):
+        cells.append(t - s)
+        return cell(self, s, t)
+
+    monkeypatch.setattr(ext.MinimalResolution, "_cell", counting)
+    q = dsl.catalog_spec(spec)
+    for request in REQUESTS.values():
+        if request is not pair:
+            request(q)
+    assert cells and max(cells) == top
+    assert len(q.resolution.series) == top + 1
+    assert quillen.homology_table(q, 3 * window(q)) == elimination_table(
+        dsl.catalog_spec(spec), 3 * window(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3), st.randoms())
+def test_the_free_lie_algebra_vanishes_where_pbw_says(degrees, rng):
+    # read in any order, L_k(W) = 0 exactly where PBW over the series of
+    # T(W) gives 0 (PBW equals the Lie basis dims: the PBW tests below)
+    top = 16
+    pbw = [0, *ext.primitive_dims(tensor_series(degrees, top))]
+    lie = FreeLie([Generator(f"w{i}", d, i) for i, d in enumerate(degrees)])
+    order = rng.sample(range(1, top + 1), top)
+    assert [lie.vanishes(k) for k in order] == [not pbw[k] for k in order]
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(lambda s=s: dsl.catalog_spec(s), id=s)
+      for s in QUADRATIC_CATALOG[:6]),
+    *(pytest.param(lambda n=n: fixture(n), id=n) for n in FIXTURE_TABLES)])
+def test_vanishes_where_the_lie_basis_is_empty(model):
+    lie = model().lie
+    assert [lie.vanishes(k) for k in range(1, 13)] == \
+        [not lie.basis(k) for k in range(1, 13)]
 
 
 # --- the run-time checks -----------------------------------------------------

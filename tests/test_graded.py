@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptica import dsl, invariants, linalg, randmodels
+from elliptica import dsl, ext, invariants, linalg, randmodels
 from elliptica.commutative import Algebra, Element, Generator
 from elliptica.errors import (DegreeMismatch, ExactnessFailure,
                              InternalInconsistency)
@@ -312,7 +312,9 @@ def test_zero_shortcuts_equal_the_full_path_oracle(make, monkeypatch):
 
 def test_no_span_in_a_degree_with_zero_cohomology():
     # CP^2 = (x:2, y:5; dy = x^3): H^5 = H^6 = 0, so a cycle there has class
-    # 0 with no Span built; y is no cycle, and still refused
+    # 0 with no Span built, and so with no boundary read, as the boundaries
+    # enter only the Span; y is no cycle, and still refused; the echelon
+    # forms of d out of 5 and 6, which no kernel needs, are not kept
     m = dsl.catalog_spec("cpn_sullivan(2)")
     cx = m.complex()
     x, y = m.algebra.gen("x"), m.algebra.gen("y")
@@ -324,7 +326,8 @@ def test_no_span_in_a_degree_with_zero_cohomology():
     with pytest.raises(InternalInconsistency, match="not a cycle"):
         cx.class_matrix(5, [y])
     assert cx.homology(5) == cx.homology(6) == (0, [], [])
-    assert cx._class_cache == {} and cx._boundary_cache == {}
+    assert cx._class_cache == {}
+    assert 5 not in cx._echelons and 6 not in cx._echelons
 
 
 @pytest.mark.parametrize("spec", ["cpn_sullivan(3)", "cpn_quillen(3)",
@@ -332,9 +335,9 @@ def test_no_span_in_a_degree_with_zero_cohomology():
 def test_each_map_of_a_whitehead_report_is_ranked_once(spec, monkeypatch):
     ranked, rank = [], linalg.rank
 
-    def counting_rank(m):
+    def counting_rank(m, *echelon):
         ranked.append(m)    # kept alive, so no two share an id
-        return rank(m)
+        return rank(m, *echelon)
 
     monkeypatch.setattr(linalg, "rank", counting_rank)
     m = dsl.catalog_spec(spec)
@@ -501,3 +504,120 @@ def test_incl_into_a_zero_homology_builds_no_representatives(monkeypatch):
     monkeypatch.setattr(GradedComplex, "homology", refuse)
     for m, g, dim in cases:
         assert m.whitehead_incl(g) == linalg.QMatrix(0, dim)
+
+
+# --- one elimination per degree, and Gamma where its homology lives ------------
+
+def counting_echelons(monkeypatch):
+    """The list of every ``_Echelon`` built from here on."""
+    built = []
+
+    class CountingEchelon(linalg._Echelon):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_Echelon", CountingEchelon)
+    return built
+
+
+def test_a_nonzero_degree_eliminates_each_matrix_once(monkeypatch):
+    # random_7_2 has H^6 of dim 3, with d into and out of degree 6 nonzero:
+    # homology and class_coords there build the two ranks' echelons and one
+    # Span, where the kernel, the independent columns, the two echelons of
+    # the quotient and the class Span made 7
+    m = randmodels.random_models(7, 20)[2]
+    cx = m.complex()
+    assert m.certified_top    # the certificate eliminates too
+    assert cx.d_matrix(5).entries and cx.d_matrix(6).entries
+    cycles = [cx.from_coords(6, v)
+              for v in linalg.kernel_basis(cx.d_matrix(6))]
+    built = counting_echelons(monkeypatch)
+    dim, reps, _ = cx.homology(6)
+    assert dim == 3 and len(built) == 3
+    assert [cx.class_coords(6, r) for r in reps] == [
+        {0: 1}, {1: 1}, {2: 1}]
+    for z in cycles:
+        cx.class_coords(6, z)
+    assert len(built) == 3 and 6 not in cx._echelons
+
+
+def one_span_models():
+    yield from (pytest.param(dsl.catalog_spec(s), id=s)
+                for s in [*CATALOG_SULLIVAN_SPECS, *CATALOG_QUILLEN_SPECS])
+    yield from (pytest.param(m, id=m.name)
+                for m in randmodels.random_models(7, 20))
+    yield from (pytest.param(randmodels.random_nonpure_model(
+        random.Random(s), name=f"nonpure-{s}"), id=f"nonpure-{s}")
+        for s in range(8))
+
+
+@pytest.mark.parametrize("model", one_span_models())
+def test_gamma_lives_on_the_model_exactly_where_the_truncation_agrees(model):
+    # Gamma(k) is read over the model's own complex exactly where the
+    # truncation that holds it drops no generator of degree <= k (k + 1 on
+    # chains); there the truncation's representatives and Gamma's
+    # coordinates over them are the model's
+    step, full = model.complex_type.step, model.complex()
+    for k in range(2, default_bound(model) + 2):
+        if model._in_zero_tail(k):
+            continue
+        t = model.truncate(k - 1 - step)
+        reach = k if step > 0 else k + 1
+        agrees = all(g.degree > reach for g in model.generators
+                     if g not in t.generators)
+        gd = model.gamma(k)
+        assert (gd.complex is full) == agrees, k
+        if agrees and t is not model:
+            tc = t.complex()
+            assert tc.homology(k)[2] == full.homology(k)[2], k
+            assert linalg.kernel_basis(tc.linear_part(k)) == gd.h_coords
+
+
+def test_the_truncation_that_agrees_is_proper_somewhere():
+    # the rule reaches further than "the truncation is the model"
+    hits = 0
+    for param in one_span_models():
+        model = param.values[0]
+        step = model.complex_type.step
+        for k in range(2, model.max_generator_degree() + 2):
+            if (model.truncate(k - 1 - step) is not model
+                    and model.gamma(k).complex is model.complex()):
+                hits += 1
+    assert hits >= 20
+
+
+@pytest.mark.parametrize("plant,spec,degree,match", [
+    # the rank of d into degree 6 short by one: 3 representatives where
+    # betti says H^6 has 4
+    ("rank", None, 6, r"random_7_2.*3 representatives of degree 6, but "
+                      r"dim H\(6\) = 4"),
+    # an Ext dimension off by one above max|W|, where no elimination
+    # checks betti: one representative where Ext claims H_4 has 2
+    ("ext", "cpn_quillen(2)", 4, r"CP2q.*1 representatives of degree 4, "
+                                 r"but dim H\(4\) = 2"),
+])
+def test_a_planted_representative_count_breach_raises(plant, spec, degree,
+                                                      match, monkeypatch):
+    if plant == "rank":
+        model = randmodels.random_models(7, 20)[2]
+        d_in, rank = model.complex().d_matrix(degree - 1), linalg.rank
+        monkeypatch.setattr(linalg, "rank",
+                            lambda m, *e: rank(m, *e) - (m is d_in))
+    else:
+        model = dsl.catalog_spec(spec)
+        lie_dim = ext.MinimalResolution.lie_dim
+        monkeypatch.setattr(ext.MinimalResolution, "lie_dim",
+                            lambda self, k: lie_dim(self, k) + (k == degree))
+    with pytest.raises(InternalInconsistency, match=match):
+        model.complex().homology(degree)
+
+
+def test_homology_above_max_w_checks_d_squared():
+    # on a quadratic root model betti above max|W| comes from Ext, with no
+    # matrix built; homology there still checks d.d = 0 before its Span
+    q = dsl.catalog_spec("cpn_quillen(2)")
+    cx = q.complex()
+    assert cx.betti(4) == 1 and 4 not in cx._squares_checked
+    cx.homology(4)
+    assert 4 in cx._squares_checked

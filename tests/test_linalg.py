@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import dense_oracle as oracle
 from dense_oracle import dense, from_rows, is_sparse, sparse
 from elliptica import linalg
-from elliptica.errors import NotASubspace
 from elliptica.linalg import QMatrix, Span
+from full_path_oracle import (NotASubspace, independent_columns,
+                              quotient_representatives)
 
 
 # Sparse-ish rational matrices of any shape, empty and all-zero rows included.
@@ -152,20 +153,20 @@ def test_span_rank_agrees_with_rank(rows):
 
 def test_independent_columns_keeps_input_order():
     cols = [sparse(c) for c in [(1, 0), (2, 0), (0, 1)]]
-    out = linalg.independent_columns(QMatrix.from_columns(cols, 2))
+    out = independent_columns(QMatrix.from_columns(cols, 2))
     assert out == [sparse((1, 0)), sparse((0, 1))]
 
 
 def test_quotient_representatives_counts():
     cycles = [sparse(z) for z in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
     boundaries = [sparse((1, 1, 0))]
-    reps = linalg.quotient_representatives(cycles, boundaries)
+    reps = quotient_representatives(cycles, boundaries)
     assert len(reps) == 2
 
 
 def test_quotient_representatives_rejects_non_subspace():
     with pytest.raises(NotASubspace):
-        linalg.quotient_representatives([sparse((1, 0))], [sparse((0, 1))])
+        quotient_representatives([sparse((1, 0))], [sparse((0, 1))])
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,7 +203,7 @@ def test_solve_equals_dense_rref_solution(m, data):
 def test_independent_columns_picks_the_dense_greedy_vectors(m):
     shape, rows = m
     cols = QMatrix.from_columns([sparse(r) for r in rows], shape[1])
-    assert [dense(v, shape[1]) for v in linalg.independent_columns(cols)] \
+    assert [dense(v, shape[1]) for v in independent_columns(cols)] \
         == oracle.greedy(rows)
 
 
@@ -218,7 +219,7 @@ def test_quotient_representatives_pick_the_dense_greedy_vectors(m, data):
         boundaries.append(tuple(
             sum((a * z[j] for a, z in zip(coeffs, cycles)), Fraction(0))
             for j in range(shape[1])))
-    got = linalg.quotient_representatives(
+    got = quotient_representatives(
         [sparse(z) for z in cycles], [sparse(b) for b in boundaries])
     assert [dense(v, shape[1]) for v in got] == \
         oracle.greedy(cycles, oracle.greedy(boundaries))
@@ -298,7 +299,7 @@ def test_sparse_readouts_are_the_dense_ones_without_zeros(m, data):
     assert all(is_sparse(v) for v in kernel)
     assert kernel == [sparse(v) for v in oracle.kernel(rows, shape[1])]
     cols = QMatrix.from_columns([sparse(r) for r in rows], shape[1])
-    kept = linalg.independent_columns(cols)
+    kept = independent_columns(cols)
     assert all(is_sparse(v) for v in kept)
     assert kept == [sparse(v) for v in oracle.greedy(rows)]
     v = data.draw(st.lists(entry, min_size=shape[1], max_size=shape[1]))
@@ -310,7 +311,7 @@ def test_sparse_readouts_are_the_dense_ones_without_zeros(m, data):
     # cycles: the rows; boundaries: the kept ones among some of them
     k = data.draw(st.integers(0, len(rows)))
     boundaries = oracle.greedy(rows[:k])
-    assert linalg.quotient_representatives(
+    assert quotient_representatives(
         [sparse(z) for z in rows], [sparse(b) for b in boundaries]) == \
         [sparse(z) for z in oracle.greedy(rows, boundaries)]
     span = Span(shape[1])
@@ -321,6 +322,76 @@ def test_sparse_readouts_are_the_dense_ones_without_zeros(m, data):
     if coeffs is not None:
         assert is_sparse(coeffs) and coeffs == sparse(want)
     assert span.contains(sparse(v)) == (want is not None)
+
+
+# --- one elimination per (co)homology degree -------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix, st.data())
+def test_a_span_over_a_base_accepts_the_quotient_representatives(m, data):
+    # the base's columns enter untracked: add accepts the greedy complement
+    # of the base, and express reads the coordinates over the accepted
+    # vectors modulo the base; with the base inside the span of the
+    # vectors, as the boundaries lie in the cycles', the accepted ones are
+    # the quotient representatives over the base's independent columns
+    shape, rows = m
+    dim = shape[1]
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+
+    def combination(parts):
+        coeffs = data.draw(st.lists(entry, min_size=len(parts),
+                                    max_size=len(parts)))
+        return [sum((a * p[j] for a, p in zip(coeffs, parts)), Fraction(0))
+                for j in range(dim)]
+
+    inside = data.draw(st.booleans())
+    base = [combination(rows) if inside else data.draw(vector)
+            for _ in range(data.draw(st.integers(0, 4)))]
+    base_m = QMatrix.from_columns([sparse(b) for b in base], dim)
+    span = Span(dim, base_m)
+    got = [tuple(z) for z in rows if span.add(sparse(z))]
+    assert got == oracle.greedy(rows, oracle.greedy(base))
+    assert span.rank == len(got)
+    if inside:
+        assert [sparse(z) for z in got] == quotient_representatives(
+            [sparse(z) for z in rows], independent_columns(base_m))
+    # half the draws lie in the span
+    v = combination([*rows, *base]) if data.draw(st.booleans()) else \
+        data.draw(vector)
+    want = oracle.express([*got, *oracle.greedy(base)], v, dim)
+    coords = span.express(sparse(v))
+    assert (coords is None) == (want is None)
+    if want is not None:
+        assert is_sparse(coords) and coords == sparse(want[:len(got)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix)
+def test_kernel_basis_reads_the_echelon_that_rank_built(m):
+    shape, rows = m
+    a = qmatrix(shape, rows)
+    ech = linalg._Echelon()
+    assert linalg.rank(a, ech) == oracle.rank(rows)
+    assert len(ech.rows) == (oracle.rank(rows) if a.entries else 0)
+    assert linalg.kernel_basis(a, ech) == linalg.kernel_basis(a)
+
+
+def test_rank_and_kernel_basis_share_one_elimination(monkeypatch):
+    built = []
+
+    class CountingEchelon(linalg._Echelon):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    a = from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    ech = linalg._Echelon()
+    monkeypatch.setattr(linalg, "_Echelon", CountingEchelon)
+    assert linalg.rank(a, ech) == 2
+    assert linalg.kernel_basis(a, ech) == [sparse((-1, -1, 1))]
+    assert built == []
+    linalg.kernel_basis(a)
+    assert len(built) == 1
 
 
 # --- a zero map costs nothing ----------------------------------------------------
@@ -340,7 +411,7 @@ def test_readouts_of_a_matrix_with_no_entries_equal_the_dense_oracle(s, data):
     assert linalg.rank(z) == oracle.rank(rows) == 0
     assert [dense(v, c) for v in linalg.kernel_basis(z)] == \
         oracle.kernel(rows, c)
-    assert [dense(v, r) for v in linalg.independent_columns(z)] == \
+    assert [dense(v, r) for v in independent_columns(z)] == \
         oracle.greedy([[row[j] for row in rows] for j in range(c)]) == []
     rhs = data.draw(st.lists(entry, min_size=r, max_size=r))
     sol = linalg.solve(z, sparse(rhs))
@@ -382,7 +453,7 @@ def test_no_elimination_runs_on_a_matrix_with_no_entries(monkeypatch):
         z = QMatrix(r, c, {(i, j): 0 for i in range(r) for j in range(c)})
         linalg.rank(z)
         linalg.kernel_basis(z)
-        linalg.independent_columns(z)
+        independent_columns(z)
         linalg.solve(z, {})
         linalg.solve(z, {0: Fraction(1)} if r else {})
         z.matmul(from_rows([[1] * 2] * c) if c else QMatrix(0, 2))

@@ -168,7 +168,7 @@ def test_whitehead_nodes_cp3q_pinned():
 def test_eta_unbounded_gamma_detected():
     # the free DGL on two degree-1 generators has homology in all degrees
     gens = [LieGenerator("u", 1, 0), LieGenerator("v", 1, 1)]
-    with pytest.raises(UnboundedGamma):
+    with pytest.raises(UnboundedGamma, match=r"^DGLModel\(u:1, v:1\): H_3"):
         quillen.eta(DGLModel(gens, {}))
 
 

@@ -118,7 +118,7 @@ def test_the_hyperbolic_wedge_still_raises():
     the window finds H_15(L(W)) != 0, as before."""
     s, q = dsl.catalog_spec(S3XS5), wedge("0")
     assert QuillenAnalysis.from_partner(q, SullivanAnalysis(s)) is None
-    with pytest.raises(UnboundedGamma):
+    with pytest.raises(UnboundedGamma, match=r"^DGLModel\(wedge\): H_15"):
         invariants.compare_models(s, q)
 
 
