@@ -63,6 +63,12 @@ OTHERS = [
     ["verify", "cpn_quillen(2)", "--max-degree", "7"],
     ["invariants", "cpn_quillen(2)", "--max-degree", "1", "--json"],
     ["compare", "cpn_sullivan(2)", "cpn_quillen(2)", "--max-degree", "3"],
+    # windows that end below the top class: refused, though no cohomology
+    # above the candidate formal dimension is in them
+    ["invariants", "sphere_odd(11)", "--max-degree", "5"],
+    ["verify", "product(sphere_odd(3),sphere_odd(11))", "--max-degree", "9"],
+    ["compare", "sphere_odd(11)", "sphere_odd_quillen(11)",
+     "--max-degree", "5"],
     ["cohomology", "s2", "--max-degree", "0", "--json"],
     ["whitehead", "s2", "--verbose", "--max-degree", "6"],
     ["whitehead", "s2"],
@@ -85,8 +91,8 @@ OTHERS = [
     # max|V| = 5, nodes 10-18 of its window are the certified zero tail
     *([c, "s3xs5.rhm", "--json", "--verbose"]
       for c in ("whitehead", "verify")),
-    # two non-elliptic models, which the window refuses, and a non-pure
-    # elliptic one, whose ellipticity is certified
+    # two non-elliptic models, which the certificate refuses, and a
+    # non-pure elliptic one, whose ellipticity it proves
     *([c, f, *j] for f in ("free_x.rhm", "xy_kernel.rhm", "s2_nonpure.rhm")
       for c in ("invariants", "verify", "whitehead")
       for j in ([], ["--json"])),

@@ -37,7 +37,7 @@ class ExactnessFailure(EllipticaError):
 
 
 class NotEllipticWithinBound(EllipticaError):
-    """Nonzero cohomology persists past the elliptic window."""
+    """The model has no ellipticity certificate, so it is not elliptic."""
 
 
 class UnboundedGamma(EllipticaError):

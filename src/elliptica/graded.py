@@ -34,17 +34,17 @@ Gamma's coordinate matrix; only incl out of a proper truncation needs
 representatives.  p out of a degree with no generator is the zero map from
 the rank-only betti number.
 
-A model's ``certified_top`` n, when a proof (not a degree window) gives
-one, caps its own complex: ``betti`` and ``homology`` return zero above
-n + 1 with no matrix built, and dim H(n) = 1 and dim H(n + 1) = 0 are
-checked at run time.  Above z = max(n + 1, max|gens| + 1) there is no
-generator and H is zero, so ``gamma`` is zero there and the Whitehead
-sequence records as zero, with no map built, each node whose Gamma and H
-lie above z: on cochains node z itself and every node above it.  The
-certificate's check runs before the first zero node.  Only a Sullivan
-model with no parent has a certificate
-(``sullivan.SullivanModel.certified_top``); truncations, Quillen models
-and models without one compute every degree they are asked for.
+A root model's ``certified_top`` n, a proof (not a degree window) that
+its (co)homology vanishes above n and the only verdict on ellipticity
+(``sullivan.SullivanModel.certified_top``), caps its own complex, and only
+``GradedComplex._proven_zero`` skips work by it: ``betti`` and
+``homology`` return zero above n + 1 with no matrix built, and dim H(n) = 1
+and dim H(n + 1) = 0 are checked at run time.  Above z = max(n + 1,
+max|gens| + 1) there is no generator and H is zero, so ``gamma`` is zero
+there and the Whitehead sequence records as zero, with no map built, each
+node whose Gamma and H lie above z: on cochains node z itself and every
+node above it.  The certificate's check runs before the first zero node.
+Truncations, Quillen models and models without one compute every degree.
 
 A degree with nonzero (co)homology eliminates each matrix once: its kernel
 is read off the echelon form that the rank of d out of it built, and one
@@ -511,7 +511,8 @@ class GradedModel:
     def certified_top(self) -> int | None:
         """The top degree n of the model's (co)homology when a proof, not a
         degree window, shows that it vanishes in every degree above n; else
-        None.  Only a Sullivan model with no parent can carry one."""
+        None.  Only a Sullivan model can carry one, and only a root model's
+        complex is capped by it (``GradedComplex._proven_zero``)."""
         return None
 
     def _truncated_differential(self, keep: list, k: int) -> dict:
@@ -565,17 +566,13 @@ class GradedModel:
         return GammaData(k, len(kernel), kernel, tc)
 
     def _in_zero_tail(self, degree: int) -> bool:
-        """Whether ``degree`` lies above z = max(n + 1, max|gens| + 1) for
-        the model's ``certified_top`` n.  There no generator lies, the
-        truncation that holds Gamma is the model itself, and H = 0 by the
-        certificate, so Gamma and every space of a Whitehead node are zero.
-        The first True is returned only after the certificate's check of
-        dim H(n) = 1 and dim H(n + 1) = 0 (InternalInconsistency if not)."""
-        top = self.certified_top
-        if top is None or degree <= max(top, self._top_degree) + 1:
-            return False
-        self.complex().check_certified_top()
-        return True
+        """Whether ``degree`` lies above z = max(n + 1, max|gens| + 1) on a
+        complex capped at n (``GradedComplex._proven_zero``).  There no
+        generator lies, the truncation that holds Gamma is the model itself,
+        and H = 0 by the certificate, so Gamma and every space of a
+        Whitehead node are zero."""
+        return (degree > self._top_degree + 1
+                and self.complex()._proven_zero(degree))
 
     def gamma_dim(self, k: int) -> int:
         """dim Gamma(k): the truncation's rank-only betti_k when it has no
@@ -782,10 +779,11 @@ class GradedComplex:
     # --- (co)homology ------------------------------------------------------
 
     def _proven_zero(self, degree: int) -> bool:
-        """Whether the model's ``certified_top`` n proves the (co)homology
-        of that degree zero: degree > n + 1.  Degrees n and n + 1 are still
-        computed, and the first True follows ``check_certified_top``."""
-        top = self.model.certified_top
+        """Whether the ``certified_top`` n of a root model proves the
+        (co)homology of that degree zero: degree > n + 1.  A truncation's
+        complex is never capped.  Degrees n and n + 1 are still computed,
+        and the first True follows ``check_certified_top``."""
+        top = self.model.certified_top if self.model.parent is None else None
         if top is None or degree <= top + 1:
             return False
         self.check_certified_top()

@@ -49,19 +49,18 @@ class InvariantReport:
     chi_v: int
     rho: int
     formal_dimension: int
-    elliptic_verified_up_to: int
     f0: bool
     odd_sphere: bool
 
 
 def default_bound(model: SullivanModel) -> int:
     """The default degree window, max(2n + 2, max|V| + 2, 2) for the
-    candidate formal dimension n.  On a certified model (``certified_top``)
-    only degrees up to z = max(n + 1, max|V| + 1) build a matrix: the
-    degrees above n + 1 are proven zero, and so are L^k above z and the
-    Whitehead nodes from z on, which are recorded as zero with no map
-    built.  Elsewhere every degree of it is computed, as the evidence
-    ``require_elliptic`` reads."""
+    candidate formal dimension n: the shortest window that holds all of
+    H^* and L^* of an elliptic model, which ``require_elliptic`` asks of
+    the window.  On a certified model (``certified_top``) only degrees up
+    to z = max(n + 1, max|V| + 1) build a matrix: the degrees above n + 1
+    are proven zero, and so are L^k above z and the Whitehead nodes from z
+    on, which are recorded as zero with no map built."""
     nc = candidate_formal_dimension(model)
     return max(2 * nc + 2, model.max_generator_degree() + 2, 2)
 
@@ -105,33 +104,33 @@ class SullivanAnalysis(_Analysis):
     default_bound = staticmethod(default_bound)
 
     def require_elliptic(self) -> int:
-        """The top degree of H^* in the window; NotEllipticWithinBound if it
-        lies beyond the candidate formal dimension, BadParameter if the
-        window is too short to show that nothing follows it.
-
-        On a model with the ellipticity certificate (``certified_top``) the
-        window's degrees above n + 1 are proven zero and build no matrix;
-        degrees up to n + 1 are computed, with dim H^n = 1 and H^(n+1) = 0
-        checked.  Without one, every degree of the window is computed, and
-        a window free of cohomology beyond n is evidence, not proof."""
-        top = max((i for i, d in self.betti.items() if d), default=0)
-        n_candidate = candidate_formal_dimension(self.model)
-        if top > n_candidate:
-            raise NotEllipticWithinBound(
-                f"H^i != 0 for i = {top} beyond the candidate "
-                f"formal dimension {n_candidate} (bound {self.bound})")
-        if self.bound < 2 * top + 2:
+        """The formal dimension n, which the model's ellipticity certificate
+        (``certified_top``) proves; no degree window is read for it.
+        NotEllipticWithinBound when there is none, which proves the model
+        not elliptic: the message names the first degree t of the band
+        with A_t != 0, or that n < 0.  Then dim H^n = 1 and H^(n+1) = 0 are
+        checked, and BadParameter is raised if the window is shorter than
+        ``default_bound``, too short for the invariants read from it."""
+        model, n = self.model, self.model.certified_top
+        if n is None:
+            n, t = candidate_formal_dimension(model), model.band_witness
+            why = (f"the candidate formal dimension {n} is negative"
+                   if t is None else
+                   f"Q[V^even] / (d_sigma y) is nonzero in degree {t}, "
+                   f"above the candidate formal dimension {n}")
+            raise NotEllipticWithinBound(f"{model!r} is not elliptic: {why}")
+        model.complex().check_certified_top()
+        if self.bound < default_bound(model):
             raise BadParameter(
-                f"{self.model!r}: the ellipticity verdict needs a degree "
-                f"window of at least {default_bound(self.model)}, got "
+                f"{model!r}: the ellipticity verdict needs a degree "
+                f"window of at least {default_bound(model)}, got "
                 f"{self.bound}")
-        return top
+        return n
 
     @cached_property
     def formal_dimension(self) -> int:
-        """The formal dimension: on first use ``require_elliptic`` reads it
-        from the window, which the certificate, where the model has one,
-        proves to hold all of H^*."""
+        """The formal dimension, which ``require_elliptic`` proves on first
+        use."""
         return self.require_elliptic()
 
     @property
@@ -269,7 +268,6 @@ class SullivanAnalysis(_Analysis):
         return InvariantReport(
             chi_h=self.chi_h, chi_v=self.chi_v, rho=self.rho(),
             formal_dimension=self.formal_dimension,
-            elliptic_verified_up_to=self.bound,
             f0=self.f0()[0], odd_sphere=self.odd_sphere()[0])
 
     def whitehead(self) -> WhiteheadReport:
@@ -279,7 +277,6 @@ class SullivanAnalysis(_Analysis):
         """(tables, text lines) of the ``invariants`` report."""
         rep = self.report()
         tables = {**asdict(rep), "l_window": self.l_window()}
-        del tables["elliptic_verified_up_to"]
         lines = [f"formal dimension = {rep.formal_dimension}",
                  f"chi_H = {rep.chi_h}", f"chi_V = {rep.chi_v}",
                  f"rho = {rep.rho}",

@@ -83,14 +83,17 @@ class SullivanModel(GradedModel):
 
     # --- the ellipticity certificate ----------------------------------------
 
+    band_witness: int | None = None     # set by a refuted ``certified_top``
+
     @functools.cached_property
     def certified_top(self) -> int | None:
         """The Friedlander-Halperin certificate: n, the candidate formal
-        dimension, when the model is no truncation, passes ``validate``,
-        has n >= 0, and the pure quotient A = Q[V^even] / (d_sigma y), with
-        d_sigma y the part of d y in the even generators alone, has
-        A_t = 0 for every t in n + 1 .. n + D, D the top even generator
-        degree; else None.  Then H^i = 0 for every i > n.
+        dimension, when the model passes ``validate``, has n >= 0, and the
+        pure quotient A = Q[V^even] / (d_sigma y), with d_sigma y the part
+        of d y in the even generators alone, has A_t = 0 for every t in
+        n + 1 .. n + D, D the top even generator degree; else None, and
+        the first t of the band with A_t != 0, if any, is kept as
+        ``band_witness``.  Then H^i = 0 for every i > n.
 
         Every monomial of degree above n + D has a factor of degree in
         that band, so A_t = 0 for all t > n and A is finite-dimensional.
@@ -102,9 +105,9 @@ class SullivanModel(GradedModel):
         n, so the certificate holds exactly for the elliptic models.  With
         no even generator it holds at once.  Each A_t of even t is one exact
         rank over the polynomial algebra on V^even; the odd degrees of the
-        band are skipped, as Q[V^even] has no monomial there."""
-        if self.parent is not None:
-            return None
+        band are skipped, as Q[V^even] has no monomial there.  A truncation
+        is certified on its own generators, but only a root model's complex
+        is capped (``GradedComplex._proven_zero``)."""
         try:
             self.require_valid()
         except ValidationError:
@@ -122,10 +125,10 @@ class SullivanModel(GradedModel):
             for g in self.generators if g.degree % 2]
         # Q[V^even] has no monomial of odd degree: A_t = 0 there at once
         top_even = max(g.degree for g in even)
-        if all(_ideal_fills(poly, relations, t)
-               for t in range(n + 1, n + top_even + 1) if t % 2 == 0):
-            return n
-        return None
+        self.band_witness = next(
+            (t for t in range(n + 1, n + top_even + 1)
+             if t % 2 == 0 and not _ideal_fills(poly, relations, t)), None)
+        return n if self.band_witness is None else None
 
     # --- truncation --------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """The Friedlander-Halperin ellipticity certificate and the cap it puts on
-the Sullivan complex, against an uncapped oracle: the same model with no
-certificate, which takes the degree-window path in every degree."""
+the Sullivan complex, against an uncapped oracle: the same model with the
+same certificate, whose complex is never capped and so computes every
+degree of the window."""
 import random
 import re
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from elliptica import dsl, invariants, linalg, randmodels, sullivan
 from elliptica.commutative import Algebra, Element, Generator
-from elliptica.errors import InternalInconsistency, NotEllipticWithinBound
+from elliptica.errors import (BadParameter, InternalInconsistency,
+                              NotEllipticWithinBound)
 from elliptica.sullivan import CochainComplex, SullivanModel
 
 from conftest import CATALOG_SULLIVAN_SPECS
@@ -29,11 +31,19 @@ REFUSED = {
 }
 
 
-class Uncapped(SullivanModel):
-    """The oracle: a Sullivan model that never carries a certificate, so
-    its complex computes every degree of the window."""
+class UncappedComplex(CochainComplex):
+    """A cochain complex that proves no degree zero."""
 
-    certified_top = None
+    def _proven_zero(self, degree):
+        return False
+
+
+class Uncapped(SullivanModel):
+    """The oracle: a Sullivan model that keeps its certificate, the
+    ellipticity verdict, but whose complex, and each of its truncations',
+    computes every degree of the window."""
+
+    complex_type = UncappedComplex
 
 
 def uncapped(model):
@@ -147,6 +157,42 @@ def test_refused_fixtures_stay_refused(name):
     assert model.certified_top is None
     with pytest.raises(NotEllipticWithinBound):
         invariants.invariant_report(model)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["pure", "nonpure"]), st.integers(0, 10 ** 9))
+def test_the_window_only_bounds_the_verdict(kind, seed):
+    # the certificate decides ellipticity; the window is only refused when
+    # it is too short to hold H^* and L^*
+    model = GENERATORS[kind](random.Random(seed))
+    need = invariants.default_bound(model)
+    for bound in range(need):
+        a = invariants.SullivanAnalysis(model, bound)
+        with pytest.raises(BadParameter,
+                           match=f"at least {need}, got {bound}"):
+            a.formal_dimension
+    assert (invariants.SullivanAnalysis(model, need).formal_dimension
+            == model.certified_top is not None)
+
+
+def test_a_truncation_is_certified_but_not_capped():
+    # S^3 x S^5 cut to degree 3 is S^3
+    t = dsl.catalog_spec("product(sphere_odd(3),sphere_odd(5))").truncate(3)
+    assert t.parent is not None and t.certified_top == 3
+    rep = invariants.SullivanAnalysis(t).report()
+    assert (rep.formal_dimension, rep.odd_sphere) == (3, True)
+    assert not any(t.complex()._proven_zero(k) for k in range(20))
+    assert not any(t._in_zero_tail(k) for k in range(20))
+
+
+def test_a_refusal_ranks_no_window():
+    # the certificate's band names the degree; the complex builds nothing
+    model = dsl.parse(REFUSED["free_x"])
+    with pytest.raises(NotEllipticWithinBound,
+                       match=r"free_x\) is not elliptic: .* nonzero in degree "
+                             r"4, above the candidate formal dimension 2"):
+        invariants.invariant_report(model)
+    assert model.band_witness == 4 and model.complex()._d_cache == {}
 
 
 def test_only_a_valid_root_sullivan_model_is_certified():

@@ -54,9 +54,12 @@ def test_non_elliptic_model_rejected():
         a.require_elliptic()
 
 
-@pytest.mark.parametrize("spec,bound,need", [("s2", 3, 6),
-                                              ("cpn_sullivan(2)", 3, 10),
-                                              ("cpn_sullivan(2)", 6, 10)])
+@pytest.mark.parametrize("spec,bound,need", [
+    ("s2", 3, 6), ("cpn_sullivan(2)", 3, 10), ("cpn_sullivan(2)", 6, 10),
+    # a window that ends below the top class once read as formal dimension
+    # 0 on S^11, and as 3, an odd sphere, on S^3 x S^11
+    ("sphere_odd(11)", 5, 24),
+    ("product(sphere_odd(3),sphere_odd(11))", 9, 30)])
 def test_short_window_is_blamed_on_the_window(spec, bound, need):
     # the top class seen lies within the candidate formal dimension, but the
     # window is too short to certify that nothing follows it
@@ -66,6 +69,15 @@ def test_short_window_is_blamed_on_the_window(spec, bound, need):
         a.require_elliptic()
     with pytest.raises(BadParameter):
         invariants.SullivanAnalysis(model, bound).formal_dimension
+
+
+def test_compare_refuses_a_window_short_of_the_top_class():
+    # with the window's verdict S^11 had formal dimension 0, and the
+    # pairing with its Quillen model reported a false mismatch
+    with pytest.raises(BadParameter, match="at least 24, got 5"):
+        invariants.compare_models(dsl.catalog_spec("sphere_odd(11)"),
+                                  dsl.catalog_spec("sphere_odd_quillen(11)"),
+                                  5)
 
 
 @pytest.mark.parametrize("entry", [invariants.invariant_report,
