@@ -10,8 +10,10 @@ combination of keys, so its terms are its coordinates.  A ``GradedComplex``
 reads it for coordinates and for ``d``, which moves degree by ``step``:
 +1 for cochains, -1 for chains; a subclass sets only ``step``.  A
 truncation keeps its ``parent`` model, whose basis keys contain its own in
-the same order, and its ``d`` matrices are the parent's restricted to its
-keys.
+the same order, and its ``derivation`` is its root's, so one memo of key
+images serves the root and all of its truncations.  Every complex, root or
+truncation, assembles its ``d`` matrices from that derivation over its own
+basis tables.
 
 Gamma is defined once for both sides:
 
@@ -436,9 +438,13 @@ class GradedModel:
         return self.algebra.generators
 
     def derivation(self) -> GradedDerivation:
-        """The derivation extending the differential, built once."""
+        """The derivation extending the root model's differential, built
+        once on the root; a truncation returns its root's, whose key images
+        over the root's keys are its own wherever it is closed."""
         if self._derivation is None:
-            self._derivation = self.algebra.derivation(self.differential)
+            self._derivation = (
+                self.parent.derivation() if self.parent is not None
+                else self.algebra.derivation(self.differential))
         return self._derivation
 
     def d(self, e):
@@ -712,20 +718,18 @@ class GradedComplex:
         return self.model.algebra.combination(degree, v)
 
     def d_matrix(self, degree: int) -> linalg.QMatrix:
-        """Matrix of d : degree -> degree + step in the canonical bases."""
-        if degree in self._d_cache:
-            return self._d_cache[degree]
-        if self.model.parent is not None:
-            mat = self._restricted_d_matrix(degree)
-        else:
-            mat = self._assemble_d_matrix(degree)
-        self._d_cache[degree] = mat
-        return mat
+        """Matrix of d : degree -> degree + step in the canonical bases,
+        memoized."""
+        if degree not in self._d_cache:
+            self._d_cache[degree] = self._assemble_d_matrix(degree)
+        return self._d_cache[degree]
 
     def _assemble_d_matrix(self, degree: int) -> linalg.QMatrix:
         """d : degree -> degree + step, column by column: each basis key's
-        integer image, den * d(key) in coordinates, from the model's
-        derivation, over the derivation's ``den``."""
+        integer image, den * d(key) in coordinates, from the root's
+        derivation, over the derivation's ``den``, placed by this complex's
+        own basis table of degree + step.  TruncationNotClosed when an image
+        has a term outside that table: d leaves the kept generators."""
         der, idx = self.model.derivation(), self.model.algebra.table(
             degree + self.step).index
         ent = {}
@@ -735,27 +739,16 @@ class GradedComplex:
             except InternalInconsistency as e:
                 raise InternalInconsistency(
                     f"{self.model!r}: d out of degree {degree}: {e}") from None
-            for k, v in z.items():
-                ent[(idx[k], c)] = v
+            try:
+                for k, v in z.items():
+                    ent[(idx[k], c)] = v
+            except KeyError:
+                if self.model.parent is None:
+                    raise
+                raise TruncationNotClosed(
+                    f"{self.model!r}: d of a degree-{degree} basis element "
+                    f"leaves the kept generators") from None
         return linalg.QMatrix(len(idx), self.dim(degree), ent, der.den)
-
-    def _restricted_d_matrix(self, degree: int) -> linalg.QMatrix:
-        """The parent's d matrix restricted to this model's basis keys."""
-        palg = self.model.parent.algebra
-        pidx = palg.table(degree).index
-        cols = {pidx[k]: c for c, k in enumerate(self.keys(degree))}
-        pidx = palg.table(degree + self.step).index
-        rows = {pidx[k]: r for r, k in enumerate(self.keys(degree + self.step))}
-        pmat = self.model.parent.complex().d_matrix(degree)
-        ent = {}
-        for (r, c), v in pmat.entries.items():
-            if c in cols:
-                if r not in rows:
-                    raise TruncationNotClosed(
-                        f"{self.model!r}: d of a degree-{degree} basis "
-                        f"element leaves the kept generators")
-                ent[(rows[r], cols[c])] = v
-        return linalg.QMatrix(len(rows), len(cols), ent, pmat.den)
 
     def _rank(self, degree: int) -> int:
         """rank of d : degree -> degree + step.  Its rows' echelon form is kept

@@ -105,9 +105,6 @@ class FreeLie(FreeAlgebra):
         # word -> its degree
         self._degrees: dict[Word, int] = (
             {} if source is None else source._degrees)
-        # on first use: the generator degrees and |a| + |b| for a != b, both
-        # sorted, and whether each n is a sum of generator degrees
-        self._sums: tuple[list, list, list] | None = None
 
     def key_degree(self, w: Word) -> int:
         """The sum of w's generator degrees, memoized."""
@@ -120,33 +117,14 @@ class FreeLie(FreeAlgebra):
         return (index,)
 
     def vanishes(self, degree: int) -> bool:
-        """Whether L(W) is zero in that degree, read from the generator
-        degrees with no basis built: L_k(W) != 0 exactly when k is |w|, 2|w|
-        for an odd w, or |a| + |b| + a sum of generator degrees for a != b
-        (the letters of a word in two distinct generators or more, sorted,
-        form a Lyndon word, a key; w^m is one only for m = 1 and, w odd, 2).
-        With |a| = 1 that last kind holds every k > |b|, b the next one."""
-        if self._sums is None:
-            degs = sorted(g.degree for g in self.generators)
-            self._sums = degs, sorted({a + b for i, a in enumerate(degs)
-                                       for b in degs[i + 1:]}), [True]
-        degs, pairs, sums = self._sums
-        if len(degs) > 1 and degs[0] == 1 and degree > degs[1]:
+        """Whether L(W) is zero in that degree, answered with no basis built
+        for one generator w only: L(w) is w, and [w, w] when |w| is odd.
+        With any other number of generators the answer is False, which
+        claims nothing."""
+        if len(self.generators) != 1:
             return False
-        for s in pairs:
-            if s > degree:
-                break
-            while len(sums) <= degree - s:
-                n = len(sums)
-                for d in degs:
-                    if d <= n and sums[n - d]:
-                        sums.append(True)
-                        break
-                else:
-                    sums.append(False)
-            if sums[degree - s]:
-                return False
-        return not any(d == degree or d % 2 and 2 * d == degree for d in degs)
+        d = self.generators[0].degree
+        return degree != d and not (d % 2 and degree == 2 * d)
 
     def key_generators(self, w: Word) -> Word:
         return w

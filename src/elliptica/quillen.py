@@ -38,10 +38,12 @@ class DGLComplex(GradedComplex):
     On a root model whose delta is quadratic, ``betti`` above max|W| is
     read from Ext over the cohomology algebra (``DGLModel.resolution``), so
     no Lie basis above max|W| + 1 is enumerated and no matrix of delta out
-    of a degree above max|W| + 1 is built, nor a cell where L(W) is 0
-    (``FreeLie.vanishes``).  Degrees up to max|W| are eliminated, with
-    their d.d checks, and must equal the Ext dimension.  Truncations and
-    models with a term of higher bracket length eliminate in every degree."""
+    of a degree above max|W| + 1 is built; on a one-generator model no
+    resolution cell is grown where L(W) is 0 (``FreeLie.vanishes``).
+    Degrees up to max|W| are eliminated, with their d.d checks, and must
+    equal the Ext dimension.  Truncations and models with a term of higher
+    bracket length eliminate in every degree, each from its root's
+    derivation over its own Lie bases."""
 
     step = -1
 
@@ -66,9 +68,9 @@ class DGLComplex(GradedComplex):
 class DGLModel(GradedModel):
     """A finite free DGL (L(W), delta) with delta of degree -1.
 
-    A truncation keeps its ``parent``: its Lie bases and differential
-    matrices are the parent's, restricted to its generators.  Truncations
-    are closed because delta lowers degree.
+    A truncation keeps its ``parent``: its Lie bases are the parent's,
+    restricted to its generators, and its derivation is its root's.
+    Truncations are closed because delta lowers degree.
     """
 
     kind = "quillen"

@@ -45,8 +45,9 @@ class SullivanModel(GradedModel):
 
     ``differential`` maps generator index -> Element (absent means zero).
     Models are immutable after construction; the cochain complex is memoized.
-    A truncation keeps its ``parent``: its bases and differential matrices
-    are the parent's, restricted to the monomials in its generators.
+    A truncation keeps its ``parent``: its bases are the parent's,
+    restricted to the monomials in its generators, and its derivation is
+    its root's.
     """
 
     kind = "sullivan"
@@ -106,8 +107,9 @@ class SullivanModel(GradedModel):
         no even generator it holds at once.  Each A_t of even t is one exact
         rank over the polynomial algebra on V^even; the odd degrees of the
         band are skipped, as Q[V^even] has no monomial there.  A truncation
-        is certified on its own generators, but only a root model's complex
-        is capped (``GradedComplex._proven_zero``)."""
+        is certified on its own generators, from its root's integer images,
+        which share one denominator and so leave each rank as it is; only
+        a root model's complex is capped (``GradedComplex._proven_zero``)."""
         try:
             self.require_valid()
         except ValidationError:

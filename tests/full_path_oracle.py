@@ -20,12 +20,17 @@ agrees with the model.  ``whitehead_incl`` builds the representatives of a
 proper truncation even where the model's (co)homology is zero.
 ``full_path(monkeypatch)`` puts all five on ``GradedComplex`` and
 ``GradedModel``.
+
+``restricted_d_matrix`` is the reference for a truncation's ``d``: its
+parent's matrix restricted to the truncation's basis keys, which the
+truncation's own assembly, from its root's derivation, must equal.
 """
 import functools
 from fractions import Fraction
 
 from elliptica import linalg
-from elliptica.errors import EllipticaError, InternalInconsistency
+from elliptica.errors import (EllipticaError, InternalInconsistency,
+                              TruncationNotClosed)
 from elliptica.graded import (GammaData, GradedComplex, GradedModel,
                               WhiteheadReport, check_exact)
 
@@ -70,6 +75,27 @@ def boundaries(cx, degree):
     """A basis of the (co)boundaries of that degree: the independent
     columns of d : degree - step -> degree, in column order."""
     return independent_columns(cx.d_matrix(degree - cx.step))
+
+
+def restricted_d_matrix(cx, degree):
+    """The parent's d matrix out of that degree restricted to the basis keys
+    of the truncation's complex ``cx``; TruncationNotClosed when a kept
+    column has an entry in a dropped row."""
+    palg = cx.model.parent.algebra
+    pidx = palg.table(degree).index
+    cols = {pidx[k]: c for c, k in enumerate(cx.keys(degree))}
+    pidx = palg.table(degree + cx.step).index
+    rows = {pidx[k]: r for r, k in enumerate(cx.keys(degree + cx.step))}
+    pmat = cx.model.parent.complex().d_matrix(degree)
+    ent = {}
+    for (r, c), v in pmat.entries.items():
+        if c in cols:
+            if r not in rows:
+                raise TruncationNotClosed(
+                    f"{cx.model!r}: d of a degree-{degree} basis element "
+                    f"leaves the kept generators")
+            ent[(rows[r], cols[c])] = v
+    return linalg.QMatrix(len(rows), len(cols), ent, pmat.den)
 
 
 def homology(self, degree):

@@ -195,10 +195,14 @@ def test_a_refusal_ranks_no_window():
     assert model.band_witness == 4 and model.complex()._d_cache == {}
 
 
-def test_only_a_valid_root_sullivan_model_is_certified():
+def test_only_a_valid_elliptic_sullivan_model_is_certified():
+    # validity and the band decide, not being a root: CP^3 cut to degree 2
+    # is Q[x], whose candidate formal dimension -1 leaves it uncertified
     cp3 = dsl.catalog_spec("cpn_sullivan(3)")
     assert cp3.certified_top == 6
-    assert cp3.truncate(2).certified_top is None
+    t = cp3.truncate(2)
+    assert invariants.candidate_formal_dimension(t) == -1
+    assert t.certified_top is None
     assert dsl.catalog_spec("cpn_quillen(2)").certified_top is None
     free = dsl.parse("model free : sullivan\ngen x : 2\ngen y : 3\n"
                      "gen z : 4\nd z = x*y\n")    # valid, not elliptic
@@ -232,6 +236,20 @@ def test_root_d_is_built_only_up_to_the_cap(model):
         run(fresh)
         built = sorted(fresh.complex()._d_cache)
         assert built and max(built) <= top, built
+
+
+@pytest.mark.parametrize("model", populations())
+def test_a_certified_root_builds_no_d_above_n_plus_one(model):
+    # the truncations that hold Gamma assemble their own d from the root's
+    # derivation, so the root builds d only where its own H is not proven
+    # zero, up to its certified top n + 1
+    fresh = type(model)(model.generators, model.differential,
+                        name=model.name)
+    invariants.invariant_report(fresh)
+    invariants.full_ledger(fresh)
+    fresh.whitehead_sequence(invariants.default_bound(fresh))
+    built = sorted(fresh.complex()._d_cache)
+    assert built and max(built) <= fresh.certified_top + 1, built
 
 
 @pytest.mark.parametrize("spec", ["s2", "sphere_odd(3)", "cpn_sullivan(2)",

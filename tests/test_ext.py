@@ -211,15 +211,28 @@ def test_no_cell_is_grown_where_the_free_lie_algebra_is_zero(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=3), st.randoms())
-def test_the_free_lie_algebra_vanishes_where_pbw_says(degrees, rng):
-    # read in any order, L_k(W) = 0 exactly where PBW over the series of
-    # T(W) gives 0 (PBW equals the Lie basis dims: the PBW tests below)
+@given(st.lists(st.integers(1, 6), min_size=0, max_size=3))
+def test_the_free_lie_algebra_vanishes_where_pbw_says(degrees):
+    # vanishes claims L_k(W) = 0 only where PBW over the series of T(W)
+    # gives 0 and the Lie basis is empty (PBW equals the Lie basis dims: the
+    # PBW tests below); on two generators or more it claims nothing
     top = 16
     pbw = [0, *ext.primitive_dims(tensor_series(degrees, top))]
     lie = FreeLie([Generator(f"w{i}", d, i) for i, d in enumerate(degrees)])
-    order = rng.sample(range(1, top + 1), top)
-    assert [lie.vanishes(k) for k in order] == [not pbw[k] for k in order]
+    for k in range(1, top + 1):
+        if lie.vanishes(k):
+            assert not pbw[k] and not lie.basis(k), k
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_vanishes_is_exact_on_one_generator(degree):
+    # L(w) is w, and [w, w] for odd |w|: zero everywhere else
+    top = 16
+    pbw = [0, *ext.primitive_dims(tensor_series([degree], top))]
+    lie = FreeLie([Generator("w", degree, 0)])
+    got = [lie.vanishes(k) for k in range(1, top + 1)]
+    assert got == [not pbw[k] for k in range(1, top + 1)]
+    assert got == [not lie.basis(k) for k in range(1, top + 1)]
 
 
 @pytest.mark.parametrize("model", [
@@ -227,9 +240,29 @@ def test_the_free_lie_algebra_vanishes_where_pbw_says(degrees, rng):
       for s in QUADRATIC_CATALOG[:6]),
     *(pytest.param(lambda n=n: fixture(n), id=n) for n in FIXTURE_TABLES)])
 def test_vanishes_where_the_lie_basis_is_empty(model):
+    # exact on one generator, and a claim of zero is never wrong
     lie = model().lie
-    assert [lie.vanishes(k) for k in range(1, 13)] == \
-        [not lie.basis(k) for k in range(1, 13)]
+    got = [lie.vanishes(k) for k in range(1, 13)]
+    empty = [not lie.basis(k) for k in range(1, 13)]
+    if len(lie.generators) == 1:
+        assert got == empty
+    assert all(e for v, e in zip(got, empty) if v)
+
+
+# fixture -> len(resolution.series) after the default-window homology table
+SERIES_LENGTHS = {"s2xs2q": 9, "s2vs2q": 5, "hp2q": 17, "s2x3q": 13,
+                  "cp2xcp2q": 17, "s2xs2xs3q": 15}
+
+
+@pytest.mark.parametrize("name", SERIES_LENGTHS)
+def test_the_resolution_grows_as_far_as_the_window(name):
+    # with two generators or more vanishes claims nothing, and no fixture's
+    # L(W) is zero above max|W|, so the resolution grows every total degree
+    # that the window's Ext readings need, and no more
+    q = fixture(name)
+    assert len(q.generators) >= 2
+    quillen.homology_table(q, window(q))
+    assert len(q.resolution.series) == SERIES_LENGTHS[name]
 
 
 # --- the run-time checks -----------------------------------------------------

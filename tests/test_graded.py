@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -258,6 +259,43 @@ def test_truncations_that_keep_the_same_generators_share_their_data():
     assert m.truncate(2) is t and m.truncate(4) is t and m.truncate(6) is t
     assert t.complex().d_matrix(4) is m.truncate(5).complex().d_matrix(4)
     assert t.algebra.table(6) is m.truncate(2).algebra.table(6)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def one_d_path_models():
+    specs = [*CATALOG_SULLIVAN_SPECS, *CATALOG_QUILLEN_SPECS]
+    yield from (pytest.param(lambda s=s: dsl.catalog_spec(s), id=s)
+                for s in specs)
+    yield from (pytest.param(lambda k=k: randmodels.random_models(7, 20)[k],
+                             id=f"random_models(7,20)[{k}]")
+                for k in range(20))
+    yield from (pytest.param(lambda s=s: randmodels.random_nonpure_model(
+        random.Random(s)), id=f"nonpure-{s}") for s in range(8))
+    # the Quillen fixtures
+    yield from (pytest.param(lambda f=f: dsl.parse_file(
+        os.path.join(FIXTURES, f)), id=f)
+        for f in sorted(os.listdir(FIXTURES)))
+
+
+@pytest.mark.parametrize("make", one_d_path_models())
+def test_a_truncation_assembles_its_parents_restricted_d(make):
+    # one d path: every truncation shares its root's derivation and
+    # assembles d from it over its own tables, which gives the parent's d
+    # restricted to the truncation's keys (Sullivan d through the window,
+    # Quillen delta up to max|W| + 1, where its Gamma and H are read)
+    model = make()
+    top = (default_bound(model) if model.kind == "sullivan"
+           else model.max_generator_degree()) + 1
+    for t in truncations(model):
+        assert t.derivation() is model.derivation()
+        if t is model:
+            continue
+        cx = t.complex()
+        for deg in range(top + 1):
+            assert cx.d_matrix(deg) == full_path_oracle.restricted_d_matrix(
+                cx, deg), (t, deg)
 
 
 # --- zero costs nothing ----------------------------------------------------------

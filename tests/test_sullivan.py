@@ -325,7 +325,8 @@ def test_truncations_are_views_of_the_parent(model):
 
 def test_restriction_that_leaves_the_kept_generators_raises():
     # a model whose d(z) involves a dropped generator, built around the
-    # generator-level check in truncate: only the restriction can see it
+    # generator-level check in truncate: only the assembly, placing the
+    # root's image of z by the truncation's own table, can see it
     x = Generator("x", 2, 0)
     w = Generator("w", 4, 1)
     z = Generator("z", 3, 2)
