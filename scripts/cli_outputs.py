@@ -91,6 +91,12 @@ OTHERS = [
     # max|V| = 5, nodes 10-18 of its window are the certified zero tail
     *([c, "s3xs5.rhm", "--json", "--verbose"]
       for c in ("whitehead", "verify")),
+    # CP^3 x S^4 and CP^4 x CP^2, whose windows, 22 and 26, reach far above
+    # n + 1, so Gamma is read over the decomposables there; the first has a
+    # certificate band of two degrees
+    *([c, spec, flag] for spec in ("product(cpn_sullivan(3),sphere_even(4))",
+                                   "product(cpn_sullivan(4),cpn_sullivan(2))")
+      for c, flag in (("verify", "--json"), ("whitehead", "--verbose"))),
     # two non-elliptic models, which the certificate refuses, and a
     # non-pure elliptic one, whose ellipticity it proves
     *([c, f, *j] for f in ("free_x.rhm", "xy_kernel.rhm", "s2_nonpure.rhm")

@@ -75,9 +75,11 @@ class Algebra(FreeAlgebra):
         return frozenset(g.index for g in self.generators if g.degree % 2)
 
     @functools.cached_property
-    def _suffixes(self) -> dict[tuple[int, int], list[Monomial]]:
-        """The suffix tables of ``_enumerate``: (pos, degree) -> monomials."""
-        return {}
+    def _suffixes(self) -> list[list[list[Monomial]]]:
+        """The suffix tables of ``_enumerate``: [pos][degree] -> the
+        monomials of that degree over ``generators[pos:]``; the last
+        position, past every generator, holds the unit alone."""
+        return [[] for _ in range(len(self.generators) + 1)]
 
     def key_degree(self, m: Monomial) -> int:
         return sum(self.by_index[i].degree * e for i, e in m)
@@ -127,30 +129,30 @@ class Algebra(FreeAlgebra):
 
     # --- canonical bases ---------------------------------------------------
 
-    def _enumerate(self, degree: int, pos: int = 0) -> list[Monomial]:
-        """All monomials of exactly the given degree over ``generators[pos:]``,
-        in ascending lexicographic order of the exponent vector by
-        declaration index: those without g = generators[pos] first, then
-        those with g^1, g^2, ..., each group in the order of its suffix.
-        These suffix tables are memoized per algebra and shared across
-        degrees."""
-        key = (pos, degree)
-        out = self._suffixes.get(key)
-        if out is None:
-            if degree <= 0 or pos == len(self.generators):
-                out = [UNIT] if degree == 0 else []
-            else:
-                g = self.generators[pos]
-                cap = degree // g.degree
+    def _enumerate(self, degree: int) -> list[Monomial]:
+        """All monomials of exactly the given degree, in ascending
+        lexicographic order of the exponent vector by declaration index:
+        over ``generators[pos:]``, those without g = generators[pos] first,
+        then those with g^1, g^2, ..., each group in the order of its
+        suffix.  The suffix tables are filled bottom-up by degree, each
+        position's from the next one's lower degrees, with no recursion, and
+        are kept for the algebra's later degrees."""
+        if degree < 0:
+            return []
+        tables, gens = self._suffixes, self.generators
+        for d in range(len(tables[-1]), degree + 1):
+            tables[-1].append([UNIT] if d == 0 else [])
+            for pos in range(len(gens) - 1, -1, -1):
+                g, nxt = gens[pos], tables[pos + 1]
+                cap = d // g.degree
                 if g.degree % 2:
                     cap = min(cap, 1)
-                out = list(self._enumerate(degree, pos + 1))
+                out = list(nxt[d])
                 for e in range(1, cap + 1):
                     head = ((g.index, e),)
-                    out += [head + m for m in
-                            self._enumerate(degree - e * g.degree, pos + 1)]
-            self._suffixes[key] = out
-        return out
+                    out += [head + m for m in nxt[d - e * g.degree]]
+                tables[pos].append(out)
+        return tables[0][degree]
 
     # --- multiplication ----------------------------------------------------
 

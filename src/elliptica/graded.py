@@ -32,9 +32,25 @@ drops no generator of degree <= k on cochains (V^(k-1) = V^k = 0), or
 <= k + 1 on chains (W_(k+1) = 0): there the two complexes agree in every
 degree H(k) reads, up to zero rows of d, and so do H(k), its
 representatives and the linear part.  Then incl : Gamma(k) -> H(k) is
-Gamma's coordinate matrix; only incl out of a proper truncation needs
+Gamma's coordinate matrix; only incl out of a ``TruncationView`` needs
 representatives.  p out of a degree with no generator is the zero map from
 the rank-only betti number.
+
+Elsewhere Gamma(k) is read over the model's decomposables, and no
+truncation model is built.  The two maps d that H(k) reads start in
+degrees whose bases the truncation lacks only the generators of (V^(k-1)
+and V^k on cochains, as V^1 = 0; W_(k+1) on chains, as every |w| >= 1),
+and the images of the kept keys stay in its keys, so the model's rows
+beyond them are zero.  So a ``TruncationView`` of the model's complex
+reads d-bar_j, d out of degree j with the columns of the generators of
+degree j left zero (``GradedComplex.d_bar``): Gamma^k = ker d-bar_k /
+im d-bar_(k-1) on cochains, and the kernel of the linear part on
+ker d_k / im d-bar_(k+1) on chains, with the representatives in the
+model's coordinates and one ``Span`` per degree.  Its premises are
+checked at run time: a Sullivan model with a generator of degree 1 is
+refused, and d of a kept generator that leaves the kept ones raises
+``TruncationNotClosed``, as ``truncate`` does.  ``truncate`` stays
+public; the test oracle reads Gamma through it.
 
 A root model's ``certified_top`` n, a proof (not a degree window) that
 its (co)homology vanishes above n and the only verdict on ellipticity
@@ -373,8 +389,9 @@ class WhiteheadReport:
 class GammaData:
     degree: int
     dim: int
-    # a basis of Gamma, over the H reps of ``complex``: that of
-    # truncate(degree - 1 - step), or the model's own (``_gamma``)
+    # a basis of Gamma, over the H reps of ``complex``: the model's own, or
+    # a ``TruncationView`` of it that reads truncate(degree - 1 - step) over
+    # the model's decomposables, its reps in the model's coordinates
     h_coords: list[linalg.SparseVector]
     complex: "GradedComplex"
 
@@ -522,7 +539,9 @@ class GradedModel:
         return None
 
     def _truncated_differential(self, keep: list, k: int) -> dict:
-        """The differential on the kept generators of degree <= k."""
+        """The differential on the kept generators of degree <= k;
+        TruncationNotClosed when it leaves them (``_check_closed``)."""
+        self._check_closed(k)
         return {g.index: self.differential[g.index] for g in keep
                 if g.index in self.differential}
 
@@ -560,16 +579,34 @@ class GradedModel:
     def _gamma(self, k: int) -> GammaData:
         """ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k)), over
         the model's own complex where the truncation drops no generator of
-        degree <= max(k, k - step) (module docstring); zero, with nothing
-        built, above the certified zero tail."""
+        degree <= max(k, k - step), else over a ``TruncationView`` of it
+        (module docstring); zero, with nothing built, above the certified
+        zero tail."""
         if self._in_zero_tail(k):
             return GammaData(k, 0, [], self.complex())
         step = self.complex_type.step
         t = k - 1 - step
-        drops = self._by_degree.keys() & range(t + 1, max(k, k - step) + 1)
-        tc = (self.truncate(t) if drops else self).complex()
+        if self._by_degree.keys() & range(t + 1, max(k, k - step) + 1):
+            self._check_closed(t)
+            tc = TruncationView(self.complex(), t)
+        else:
+            tc = self.complex()
         kernel = linalg.kernel_basis(tc.linear_part(k))
         return GammaData(k, len(kernel), kernel, tc)
+
+    def _check_closed(self, k: int):
+        """TruncationNotClosed when d of a generator of degree <= k involves
+        a generator of higher degree, so that the truncation to degree k is
+        no sub-model; d lowers degree on chains, so only cochains can."""
+        alg = self.algebra
+        high = {g.index for g in self.generators if g.degree > k}
+        for g in self.generators:
+            if g.degree <= k and any(
+                    j in high for key in self.d_of_generator(g.index).terms
+                    for j in alg.key_generators(key)):
+                raise TruncationNotClosed(
+                    f"{self!r}: d({g.name}) involves a generator of degree "
+                    f"> {k}")
 
     def _in_zero_tail(self, degree: int) -> bool:
         """Whether ``degree`` lies above z = max(n + 1, max|gens| + 1) on a
@@ -692,6 +729,10 @@ class GradedComplex:
         self._d_cache: dict[int, linalg.QMatrix] = {}
         self._rank_cache: dict[int, int] = {}
         self._echelons: dict[int, linalg._Echelon | None] = {}
+        self._cycle_cache: dict[int, list[linalg.SparseVector]] = {}
+        self._bar_cache: dict[int, linalg.QMatrix] = {}
+        self._bar_ranks: dict[int, int] = {}
+        self._bar_echelons: dict[int, linalg._Echelon | None] = {}
         self._squares_checked: set[int] = set()
         self._coh_cache: dict[int, tuple[int, list, list]] = {}
         self._class_cache: dict[int, linalg.Span] = {}
@@ -724,41 +765,99 @@ class GradedComplex:
             self._d_cache[degree] = self._assemble_d_matrix(degree)
         return self._d_cache[degree]
 
-    def _assemble_d_matrix(self, degree: int) -> linalg.QMatrix:
-        """d : degree -> degree + step, column by column: each basis key's
-        integer image, den * d(key) in coordinates, from the root's
-        derivation, over the derivation's ``den``, placed by this complex's
-        own basis table of degree + step.  TruncationNotClosed when an image
-        has a term outside that table: d leaves the kept generators."""
+    def d_bar(self, degree: int) -> linalg.QMatrix:
+        """d-bar out of that degree: d with the columns of the generators of
+        that degree left zero, the map out of the decomposables that a
+        ``TruncationView`` reads.  It is ``d_matrix`` itself, with its rank
+        and echelon form, where no generator has that degree, at or below a
+        certified n + 1; else it is assembled on its own, memoized apart
+        from ``d_matrix``, so a capped root builds no d above n + 1."""
+        m = self._bar_cache.get(degree)
+        if m is None:
+            gens = self.model.generators_of_degree(degree)
+            if gens or self._proven_zero(degree):
+                key = self.model.algebra.generator_key
+                m = self._assemble_d_matrix(degree,
+                                            {key(g.index) for g in gens})
+            else:
+                m = self.d_matrix(degree)
+            self._bar_cache[degree] = m
+        return m
+
+    def _assemble_d_matrix(self, degree: int,
+                           skip=frozenset()) -> linalg.QMatrix:
+        """d : degree -> degree + step, column by column, the columns of the
+        keys in ``skip`` left zero: each basis key's integer image,
+        den * d(key) in coordinates, from the root's derivation, over the
+        derivation's ``den``, placed by this complex's own basis table of
+        degree + step.  When an image has a term outside that table,
+        TruncationNotClosed on a truncation (d leaves the kept generators),
+        NotInAlgebra on a root (the term is no basis key)."""
         der, idx = self.model.derivation(), self.model.algebra.table(
             degree + self.step).index
         ent = {}
         for c, key in enumerate(self.keys(degree)):
+            if key in skip:
+                continue
             try:
                 z = der.key_image(key)
             except InternalInconsistency as e:
                 raise InternalInconsistency(
                     f"{self.model!r}: d out of degree {degree}: {e}") from None
-            try:
-                for k, v in z.items():
-                    ent[(idx[k], c)] = v
-            except KeyError:
-                if self.model.parent is None:
-                    raise
-                raise TruncationNotClosed(
-                    f"{self.model!r}: d of a degree-{degree} basis element "
-                    f"leaves the kept generators") from None
+            for k, v in z.items():
+                r = idx.get(k)
+                if r is None:
+                    if self.model.parent is None:
+                        raise NotInAlgebra(
+                            f"{self.model!r}: d of a degree-{degree} basis "
+                            f"element has the term {k}, which is no basis "
+                            f"key of degree {degree + self.step}")
+                    raise TruncationNotClosed(
+                        f"{self.model!r}: d of a degree-{degree} basis "
+                        f"element leaves the kept generators")
+                ent[(r, c)] = v
         return linalg.QMatrix(len(idx), self.dim(degree), ent, der.den)
 
     def _rank(self, degree: int) -> int:
         """rank of d : degree -> degree + step.  Its rows' echelon form is kept
-        until ``homology`` reads the kernel off it or ``betti`` reads 0."""
-        if degree not in self._rank_cache:
-            m = self.d_matrix(degree)
-            ech = self._echelons[degree] = (linalg._Echelon() if m.entries
-                                            else None)
-            self._rank_cache[degree] = linalg.rank(m, ech)
-        return self._rank_cache[degree]
+        until ``_cycles`` reads the kernel off it, or ``betti`` reads 0 and
+        no d-bar is d there."""
+        return _ranked(self.d_matrix(degree), degree, self._rank_cache,
+                       self._echelons)
+
+    def _bar_rank(self, degree: int) -> int:
+        """rank of d-bar out of that degree: ``_rank`` where d-bar is d."""
+        m = self.d_bar(degree)
+        if m is self._d_cache.get(degree):
+            return self._rank(degree)
+        return _ranked(m, degree, self._bar_ranks, self._bar_echelons)
+
+    def _cycles(self, degree: int) -> list[linalg.SparseVector]:
+        """A basis of ker d out of that degree, read off the echelon form
+        that its rank built, memoized: the complex's ``homology`` and a
+        ``TruncationView`` that shares d there both read it."""
+        z = self._cycle_cache.get(degree)
+        if z is None:
+            self._rank(degree)
+            z = self._cycle_cache[degree] = linalg.kernel_basis(
+                self.d_matrix(degree), self._echelons.pop(degree, None))
+        return z
+
+    def _bar_cycles(self, degree: int) -> list[linalg.SparseVector]:
+        """A basis of ker d-bar on the decomposables of that degree: the
+        kernel of d-bar without the unit vectors of its zero generator
+        columns, in the order of the decomposables' own kernel basis;
+        ``_cycles`` where d-bar is d."""
+        m = self.d_bar(degree)
+        if m is self._d_cache.get(degree):
+            return self._cycles(degree)
+        self._bar_rank(degree)
+        alg = self.model.algebra
+        index = alg.table(degree).index
+        gens = {index[alg.generator_key(g.index)]
+                for g in self.model.generators_of_degree(degree)}
+        return [z for z in linalg.kernel_basis(
+            m, self._bar_echelons.pop(degree, None)) if not gens & z.keys()]
 
     def _check_square(self, degree: int):
         """CompositionNotZero unless d . d = 0 through ``degree``."""
@@ -809,8 +908,7 @@ class GradedComplex:
             result = (0, [], [])
         else:
             self._check_square(degree)
-            cycles = linalg.kernel_basis(self.d_matrix(degree),
-                                         self._echelons.pop(degree, None))
+            cycles = self._cycles(degree)
             span = linalg.Span(self.dim(degree),
                                self.d_matrix(degree - self.step))
             reps_v = [z for z in cycles if span.add(z)]
@@ -834,7 +932,8 @@ class GradedComplex:
         self._check_square(degree)
         dim = (self.dim(degree) - self._rank(degree)
                - self._rank(degree - self.step))
-        if not dim:
+        if not dim and self._bar_cache.get(degree) is not self.d_matrix(
+                degree):
             self._echelons.pop(degree, None)
         return dim
 
@@ -867,12 +966,16 @@ class GradedComplex:
             cols.append(coords)
         return linalg.QMatrix.from_columns(cols, self.betti(degree))
 
+    def _generators(self, degree: int) -> tuple[Generator, ...]:
+        """The generators of that degree in the complex."""
+        return self.model.generators_of_degree(degree)
+
     def linear_part(self, degree: int) -> linalg.QMatrix:
         """Homology of that degree -> the generators of that degree: each
         representative's coefficients on the generators.  With no generator
         of that degree it is the zero map from the rank-only betti number,
         and no representative is built."""
-        gens = self.model.generators_of_degree(degree)
+        gens = self._generators(degree)
         if not gens:
             return linalg.QMatrix(0, self.betti(degree))
         _, reps, _ = self.homology(degree)
@@ -884,3 +987,64 @@ class GradedComplex:
                 if v:
                     ent[(r, c)] = v
         return linalg.QMatrix(len(gens), len(reps), ent)
+
+
+def _ranked(m: linalg.QMatrix, degree: int, ranks: dict,
+            echelons: dict) -> int:
+    """The rank of m, d out of that degree, memoized in ``ranks``; its rows'
+    echelon form is kept in ``echelons``."""
+    if degree not in ranks:
+        ech = echelons[degree] = linalg._Echelon() if m.entries else None
+        ranks[degree] = linalg.rank(m, ech)
+    return ranks[degree]
+
+
+class TruncationView(GradedComplex):
+    """The complex of ``truncate(top)`` in the degrees that H(k) reads, for
+    k = top + 1 + step, read over the model's complex ``cx`` with no
+    truncation built (module docstring).  Its d out of a degree j is cx's
+    d-bar_j above ``top`` and cx's d_j at or below it, with cx's ranks, and
+    its coordinates are cx's.  In degree k the truncation lacks only the
+    generators of degree k above ``top`` (cochains), so ``betti`` counts the
+    decomposables there and the cycles are d-bar's on them: its H(k), the
+    representatives, in cx's coordinates, and the linear part are the
+    truncation's.  Like a truncation, it is never capped."""
+
+    def __init__(self, cx: GradedComplex, top: int):
+        super().__init__(cx.model)
+        self.step, self._cx, self._top = cx.step, cx, top
+
+    def d_matrix(self, degree: int) -> linalg.QMatrix:
+        cx = self._cx
+        return (cx.d_bar if degree > self._top else cx.d_matrix)(degree)
+
+    def _rank(self, degree: int) -> int:
+        cx = self._cx
+        return (cx._bar_rank if degree > self._top else cx._rank)(degree)
+
+    def _cycles(self, degree: int) -> list[linalg.SparseVector]:
+        cx = self._cx
+        return (cx._bar_cycles if degree > self._top else cx._cycles)(degree)
+
+    def _generators(self, degree: int) -> tuple[Generator, ...]:
+        return () if degree > self._top else super()._generators(degree)
+
+    def _check_square(self, degree: int):
+        """d.d = 0 through that degree: the view's two maps are blocks of
+        cx's, with the same product there (the decomposables' images are
+        decomposable), so cx's check covers them, except above a certified
+        n + 1, where cx builds no d and the view multiplies its own."""
+        if self._cx._proven_zero(degree):
+            super()._check_square(degree)
+        else:
+            self._cx._check_square(degree)
+
+    def betti(self, degree: int) -> int:
+        """The truncation's dim - rank d_out - rank d_in, from cx's ranks."""
+        if degree in self._coh_cache:
+            return self._coh_cache[degree][0]
+        self._check_square(degree)
+        dropped = (len(self.model.generators_of_degree(degree))
+                   if degree > self._top else 0)
+        return (self.dim(degree) - dropped - self._rank(degree)
+                - self._rank(degree - self.step))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .commutative import Algebra, Element, Generator
-from .errors import TruncationNotClosed, ValidationError
+from .errors import ValidationError
 from .graded import (GradedComplex, GradedModel, ValidationIssue,
                      ValidationReport, WhiteheadReport)
 
@@ -105,8 +105,10 @@ class SullivanModel(GradedModel):
         bottom row of the cohomology of the pure model, which vanishes above
         n, so the certificate holds exactly for the elliptic models.  With
         no even generator it holds at once.  Each A_t of even t is one exact
-        rank over the polynomial algebra on V^even; the odd degrees of the
-        band are skipped, as Q[V^even] has no monomial there.  A truncation
+        rank over the polynomial algebra on V^even, whose bases are the
+        model's own, restricted to the even generators, as every basis a
+        request reads is the model's; the odd degrees of the band are
+        skipped, as Q[V^even] has no monomial there.  A truncation
         is certified on its own generators, from its root's integer images,
         which share one denominator and so leave each rank as it is; only
         a root model's complex is capped (``GradedComplex._proven_zero``)."""
@@ -120,7 +122,8 @@ class SullivanModel(GradedModel):
             return n
         if n < 0:
             return None
-        poly, images = Algebra(even), self.derivation().int_images
+        poly = Algebra(even, source=self.algebra)
+        images = self.derivation().int_images
         relations = [(g.degree + 1, {
             m: c for m, c in images.get(g.index, {}).items()
             if all(i in poly.by_index for i, _ in m)})
@@ -132,16 +135,17 @@ class SullivanModel(GradedModel):
              if t % 2 == 0 and not _ideal_fills(poly, relations, t)), None)
         return n if self.band_witness is None else None
 
-    # --- truncation --------------------------------------------------------
+    # --- Gamma -----------------------------------------------------------
 
-    def _truncated_differential(self, keep: list[Generator], k: int):
-        kept = {g.index for g in keep}
-        for g in keep:
-            for m in self.d_of_generator(g.index).terms:
-                if any(i not in kept for i, _ in m):
-                    raise TruncationNotClosed(
-                        f"d({g.name}) involves a generator of degree > {k}")
-        return super()._truncated_differential(keep, k)
+    def _gamma(self, k: int):
+        """Gamma^k = L^k; ValidationError on a generator of degree 1, as
+        Gamma is read over the decomposables only where V^1 = 0."""
+        low = self.generators_of_degree(1)
+        if low:
+            raise ValidationError(self, ValidationReport((ValidationIssue(
+                "simple-connectivity", low[0].name,
+                "generator degree 1 < 2 (V^1 must vanish)"),)))
+        return super()._gamma(k)
 
 
 def candidate_formal_dimension(model: SullivanModel) -> int:

@@ -240,9 +240,9 @@ def test_root_d_is_built_only_up_to_the_cap(model):
 
 @pytest.mark.parametrize("model", populations())
 def test_a_certified_root_builds_no_d_above_n_plus_one(model):
-    # the truncations that hold Gamma assemble their own d from the root's
-    # derivation, so the root builds d only where its own H is not proven
-    # zero, up to its certified top n + 1
+    # Gamma is read over the root's decomposables, whose d-bar is assembled
+    # apart from the root's d above n + 1, so the root builds d only where
+    # its own H is not proven zero, up to its certified top n + 1
     fresh = type(model)(model.generators, model.differential,
                         name=model.name)
     invariants.invariant_report(fresh)

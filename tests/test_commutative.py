@@ -71,11 +71,28 @@ generator_lists = st.lists(st.tuples(st.integers(1, 7), st.integers(1, 3)),
 @example([(2, 1), (3, 1)], 0)
 @example([(2, 1), (3, 1)], -1)
 def test_enumeration_equals_the_sorted_exponent_vectors(spec, n):
+    gens = spaced_generators(spec)
+    assert Algebra(gens)._enumerate(n) == brute_force_basis(gens, n)
+
+
+def spaced_generators(spec):
     gens, index = [], -1
     for j, (degree, gap) in enumerate(spec):
         index += gap
         gens.append(Generator(f"g{j}", degree, index))
-    assert Algebra(gens)._enumerate(n) == brute_force_basis(gens, n)
+    return gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists, st.permutations(range(-1, 13)))
+def test_enumeration_in_any_degree_order_equals_ascending_reads(spec, order):
+    # the suffix tables, filled bottom-up and kept, give every degree the
+    # same basis whichever degree is read first
+    gens = spaced_generators(spec)
+    alg, ascending = Algebra(gens), Algebra(gens)
+    got = {n: alg._enumerate(n) for n in order}
+    for n in range(-1, 13):
+        assert got[n] == ascending._enumerate(n) == brute_force_basis(gens, n)
 
 
 def random_homogeneous(alg, rng, max_degree=8):

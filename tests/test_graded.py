@@ -1,3 +1,4 @@
+import contextlib
 import os
 import random
 from fractions import Fraction
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from elliptica import dsl, ext, invariants, linalg, randmodels
 from elliptica.commutative import Algebra, Element, Generator
 from elliptica.errors import (DegreeMismatch, ExactnessFailure,
-                             InternalInconsistency)
-from elliptica.graded import GradedComplex, check_exact
+                             InternalInconsistency, UnboundedGamma)
+from elliptica.graded import (GradedComplex, GradedModel, TruncationView,
+                              check_exact)
 from elliptica.lie import FreeLie, LieElement
 
 import full_path_oracle
@@ -277,6 +279,57 @@ def one_d_path_models():
     yield from (pytest.param(lambda f=f: dsl.parse_file(
         os.path.join(FIXTURES, f)), id=f)
         for f in sorted(os.listdir(FIXTURES)))
+
+
+@pytest.mark.parametrize("make", one_d_path_models())
+def test_gamma_b_and_incl_equal_the_truncation_route(make, monkeypatch):
+    # Gamma read over the root's decomposables, with no truncation built,
+    # and the b and incl built on it equal the oracle's truncation route,
+    # which builds truncate(k - 1 - step) and the kernel of its linear part
+    # for every Gamma(k), through the model's default window
+    def readout(model):
+        top = default_bound(model)
+        gammas = [model.gamma(k) for k in range(1, top + 2)]
+        return ([(gd.dim, gd.h_coords) for gd in gammas],
+                [model.whitehead_b(i) for i in range(2, top + 1)],
+                [model.whitehead_incl(g) for g in node_degrees(model, top)],
+                sum(isinstance(gd.complex, TruncationView) for gd in gammas))
+
+    fast = readout(make())
+    monkeypatch.setattr(GradedModel, "_gamma", full_path_oracle._gamma)
+    oracle = readout(make())
+    # the oracle reads every Gamma over the model or a truncation
+    assert oracle[:3] == fast[:3] and oracle[3] == 0
+
+
+def test_gamma_is_read_over_a_view_somewhere():
+    # the models above read Gamma over a TruncationView at 203 degrees up to
+    # max|gens| + 1, where the truncation drops a generator that H(k) reads
+    views = 0
+    for param in one_d_path_models():
+        model = param.values[0]()
+        views += sum(isinstance(model.gamma(k).complex, TruncationView)
+                     for k in range(1, model.max_generator_degree() + 2))
+    assert views >= 200
+
+
+@pytest.mark.parametrize("make", one_d_path_models())
+def test_a_root_builds_no_truncation(make, monkeypatch):
+    # the report, the ledger and the Whitehead sequence of a root read
+    # every Gamma over its own complex or a view of it
+    def refuse(self, k):
+        raise AssertionError(f"{self!r} truncated to degree {k}")
+
+    monkeypatch.setattr(GradedModel, "_truncate", refuse)
+    model = make()
+    if model.kind == "sullivan":
+        invariants.invariant_report(model)
+        invariants.full_ledger(model)
+    else:
+        # the hyperbolic and the cubic fixture are refused past the window
+        with contextlib.suppress(UnboundedGamma):
+            invariants.analysis(model).ledger()
+    model.whitehead_sequence(default_bound(model))
 
 
 @pytest.mark.parametrize("make", one_d_path_models())

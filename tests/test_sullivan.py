@@ -337,6 +337,50 @@ def test_restriction_that_leaves_the_kept_generators_raises():
         t.complex().d_matrix(3)
 
 
+def test_a_term_that_is_no_key_is_refused_with_a_typed_error():
+    # d y = x^2 with x odd: x^2 is no monomial, so d out of degree 5 has no
+    # row for it, and the root names the model and the degree instead of
+    # letting a bare KeyError escape; Gamma^6 reads it too
+    x, y = Generator("x", 3, 0), Generator("y", 5, 1)
+    m = SullivanModel([x, y], {1: Element({((0, 2),): 1})}, name="oddsq")
+    for run in (lambda m: m.complex().betti(5), lambda m: m.gamma(6)):
+        with pytest.raises(NotInAlgebra, match=re.escape(
+                "SullivanModel(oddsq): d of a degree-5 basis element has the "
+                "term ((0, 2),), which is no basis key of degree 6")):
+            run(SullivanModel(m.generators, m.differential, name=m.name))
+    # d-bar shares the assembly: with w:2 and u:7, d-bar out of degree 7
+    # reads the decomposable y*w, whose image x^2 w is no key either
+    w, u = Generator("w", 2, 2), Generator("u", 7, 3)
+    m = SullivanModel([x, y, w, u], m.differential, name="oddsq2")
+    with pytest.raises(NotInAlgebra, match=re.escape(
+            "SullivanModel(oddsq2): d of a degree-7 basis element has the "
+            "term ((0, 2), (2, 1))")):
+        m.complex().d_bar(7)
+
+
+def test_gamma_refuses_a_generator_of_degree_1():
+    # with V^1 != 0 the decomposables of degree k hold V^(k-1) * V^1, which
+    # truncate(k - 2) lacks, so Gamma is not read over them
+    t, x = Generator("t", 1, 0), Generator("x", 2, 1)
+    m = SullivanModel([t, x], {}, name="circle")
+    for k in (2, 3, 4):
+        with pytest.raises(ValidationError, match=re.escape(
+                "SullivanModel(circle): simple-connectivity (t)")):
+            m.gamma(k)
+
+
+def test_gamma_refuses_a_kept_generator_whose_d_leaves_the_kept_ones():
+    # d z = w is linear: Gamma^5 reads truncate(3), which keeps z but not w,
+    # and raises as that truncation does
+    x, w, z = Generator("x", 2, 0), Generator("w", 4, 1), Generator("z", 3, 2)
+    m = SullivanModel([x, w, z], {2: Element({((1, 1),): 1})}, name="lin")
+    with pytest.raises(TruncationNotClosed, match=re.escape(
+            "SullivanModel(lin): d(z) involves a generator of degree > 3")):
+        m.gamma(5)
+    with pytest.raises(TruncationNotClosed):
+        m.truncate(3)
+
+
 def test_rank_only_betti_raises_when_d_squared_is_nonzero():
     x = Generator("x", 2, 0)
     y = Generator("y", 3, 1)
