@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import is_dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import dsl, invariants
 from .errors import (CompositionNotZero, EllipticaError, ExactnessFailure,
@@ -41,16 +41,58 @@ class _Usage(Exception):
     pass
 
 
-def _jsonable(v):
+def _json(v, nl: str = "\n") -> str:
+    """The JSON text of ``v``, byte for byte what ``json.dumps(...,
+    indent=2, sort_keys=True)`` writes, in one walk; ``nl`` is a newline and
+    the indent of the line ``v`` starts on.
+
+    Lists and tuples are arrays; a dict's keys are ``str()``'d (the last
+    value wins where two keys collide) and sorted as strings; a record
+    (dataclass) is the dict of its fields; any other value is its ``str()``.
+    Strings are ASCII-escaped, ints are ``int.__repr__``.  Exact types are
+    tried first, then subclasses in that order."""
+    t = type(v)
+    if t is str:
+        return _json_str(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is dict:
+        return _json_object(v, nl)
+    if t is list or t is tuple:
+        return _json_array(v, nl)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
     if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
+        return _json_array(v, nl)
     if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (bool, int, str)) or v is None:
-        return v
-    if is_dataclass(v):         # a record: the dict of its fields
-        return _jsonable(vars(v))
-    return str(v)
+        return _json_object(v, nl)
+    if isinstance(v, str):
+        return _json_str(v)
+    if isinstance(v, int):      # IntEnum: its value, as json writes it
+        return int.__repr__(v)
+    if is_dataclass(v):
+        return _json(vars(v), nl)
+    return _json_str(str(v))
+
+
+def _json_array(v, nl: str) -> str:
+    if not v:
+        return "[]"
+    inner = nl + "  "
+    return ("[" + inner + ("," + inner).join([_json(x, inner) for x in v])
+            + nl + "]")
+
+
+def _json_object(v, nl: str) -> str:
+    items = {str(k): x for k, x in v.items()}
+    if not items:
+        return "{}"
+    inner = nl + "  "
+    return ("{" + inner + ("," + inner).join(
+        [_json_str(k) + ": " + _json(items[k], inner) for k in sorted(items)])
+        + nl + "}")
 
 
 def _emit(args, lines: list[str], tables, model=None, bound=None,
@@ -59,10 +101,10 @@ def _emit(args, lines: list[str], tables, model=None, bound=None,
     a record; the exit code of its status."""
     if args.json:
         # one write: json.dump with indent writes each token on its own
-        sys.stdout.write(json.dumps(_jsonable({
+        sys.stdout.write(_json({
             "model": model, "bound": bound, "tables": tables,
             "ledger": ledger, "status": status,
-        }), indent=2, sort_keys=True) + "\n")
+        }) + "\n")
     else:
         for line in lines:
             print(line)

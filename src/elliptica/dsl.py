@@ -22,6 +22,7 @@ from .lie import FreeLie, LieElement
 from .quillen import DGLModel
 from .sullivan import SullivanModel, tensor_product
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # Deepest nesting of brackets in an expression, or of parentheses in a
@@ -102,7 +103,7 @@ class _ExprParser:
         return e
 
     def expr(self):
-        total = self.env.zero()
+        total = {}              # the sum's terms, none of them zero
         sign = 1
         t = self.peek()
         if t and t[:2] == ("sym", "-"):
@@ -111,10 +112,15 @@ class _ExprParser:
         elif t and t[:2] == ("sym", "+"):
             self.next()
         while True:
-            total = total + self.term().scale(sign)
+            for k, c in self.term().terms.items():
+                c = total.get(k, _ZERO) + (c if sign == 1 else -c)
+                if c:
+                    total[k] = c
+                else:
+                    del total[k]
             t = self.peek()
             if t is None or (t[0] == "sym" and t[1] in (",", "]")):
-                return total
+                return self.env.algebra.element_type._of(total)
             if t[0] == "sym" and t[1] in "+-":
                 self.next()
                 sign = 1 if t[1] == "+" else -1
@@ -158,7 +164,7 @@ class _ExprParser:
                 return self.env.zero()
             raise DegreeError("a bare nonzero constant is not homogeneous",
                               self.line)
-        return value.scale(coeff)
+        return value if coeff == 1 else value.scale(coeff)
 
     def factor_ident(self, t):
         name = t[1]

@@ -399,11 +399,28 @@ def test_brackets_nested_past_the_limit_are_a_located_syntax_error(
     assert code == 0 and "ok" in out
 
 
-@pytest.mark.parametrize("argv", [["whitehead", "cpn_sullivan(2)"],
-                                  ["verify", "cpn_quillen(2)"],
-                                  ["cohomology", "s2"]])
-def test_a_json_report_is_one_write(monkeypatch, argv):
+NON_ASCII = "model \u00e9 : sullivan\ngen x : 2\ngen y : 3\nd y = x^2\n"
+
+
+# the reports whose status is not "ok" (exit 1)
+NOT_OK = {("check", "bad.rhm"): "invalid",
+          ("compare", "cpn_sullivan(2)", "cpn_quillen(3)"): "mismatch"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["whitehead", "cpn_sullivan(2)"], ["verify", "cpn_quillen(2)"],
+    ["cohomology", "s2"], *NOT_OK,
+    ["check", "cpn_sullivan(2)"], ["whitehead", "cpn_quillen(2)"],
+    *([c, spec] for c in ("cohomology", "invariants")
+      for spec in ("cpn_sullivan(2)", "cpn_quillen(2)")),
+    ["verify", "cpn_sullivan(2)"], ["invariants", "e.rhm"],
+    ["compare", "cpn_sullivan(2)", "cpn_quillen(2)"],
+    ["catalog"], ["catalog", "product(s2,sphere_odd(3))"]])
+def test_a_json_report_is_one_write(monkeypatch, tmp_path, argv):
     # the same text as json.dump with indent, written in one call
+    (tmp_path / "bad.rhm").write_text(BROKEN_D_SQUARED)
+    (tmp_path / "e.rhm").write_text(NON_ASCII, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     writes = []
 
     class Counting(io.StringIO):
@@ -412,7 +429,22 @@ def test_a_json_report_is_one_write(monkeypatch, argv):
             return super().write(text)
 
     monkeypatch.setattr(sys, "stdout", Counting())
-    assert cli.main([*argv, "--json"]) == 0
+    status = NOT_OK.get(tuple(argv), "ok")
+    assert cli.main([*argv, "--json"]) == (0 if status == "ok" else 1)
     (text,) = writes
     assert text == json.dumps(json.loads(text), indent=2,
                               sort_keys=True) + "\n"
+    assert json.loads(text)["status"] == status
+
+
+def test_a_non_ascii_model_name_is_escaped_in_json_and_printed_in_text(
+        tmp_path, capsys):
+    p = tmp_path / "e.rhm"
+    p.write_text(NON_ASCII, encoding="utf-8")
+    code, out, _ = run(capsys, "invariants", str(p), "--json")
+    assert code == 0
+    assert '  "model": "\\u00e9",' in out.splitlines()
+    assert json.loads(out)["model"] == "\u00e9"
+    code, out, _ = run(capsys, "invariants", str(p))
+    assert code == 0
+    assert out.splitlines()[0] == "model: \u00e9 (sullivan; x:2, y:3)"
