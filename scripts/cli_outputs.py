@@ -48,6 +48,8 @@ def fixture_text(name: str) -> str:
 OTHERS = [
     ["catalog"], ["catalog", "--json"], ["catalog", "cpn_sullivan(2)"],
     ["catalog", "product(s2,sphere_odd(3))", "--json"],
+    # delta of CP^7 carries the 1/2-weighted squares [w_i, w_i]
+    ["catalog", "cpn_quillen(7)"], ["catalog", "cpn_quillen(7)", "--json"],
     ["compare", "cpn_sullivan(2)", "cpn_quillen(2)"],
     ["compare", "cpn_sullivan(2)", "cpn_quillen(2)", "--json"],
     ["compare", "s2", "s2_quillen", "--verbose"],

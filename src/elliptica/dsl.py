@@ -376,16 +376,20 @@ def _cpn_quillen(n: int) -> DGLModel:
         raise BadParameter("cpn_quillen needs n >= 1")
     lie = FreeLie([Generator(f"w{2 * k - 1}", 2 * k - 1, k - 1)
                    for k in range(1, n + 1)])
-    w = {g.degree: lie.gen(g.name) for g in lie.generators}
+    # delta w = 1/2 sum over i + j = |w| - 1 of [w_i, w_j], summed in int
+    # over the generator keys and halved once
+    key = {g.degree: lie.generator_key(g.index) for g in lie.generators}
     diff = {}
     for g in lie.generators:
-        total = LieElement.zero()
+        total: dict = {}
         for i in range(1, g.degree - 1):
             j = g.degree - 1 - i
-            if i in w and j in w:
-                total = total + lie.bracket(w[i], w[j]).scale(Fraction(1, 2))
-        if not total.is_zero():
-            diff[g.index] = total
+            if i in key and j in key:
+                for k, c in lie.key_bracket(key[i], key[j]).items():
+                    total[k] = total.get(k, 0) + c
+        if total:
+            diff[g.index] = LieElement._of(
+                {k: Fraction(c, 2) for k, c in total.items()})
     return DGLModel(lie, diff, name=f"CP{n}q")
 
 

@@ -51,7 +51,11 @@ Let xi_a be the basis of (sW)^v dual to s w_a, of degree |a| + 1, and set
 
 Each identity is checked at run time: C's degrees, associativity and
 graded commutativity when it is built, d.d = 0 on every new generator of
-the resolution, and dims of the Lie algebra that are not negative.
+the resolution, and dims of the Lie algebra that are not negative.  C's
+checks and the resolution run on its integer constants, the products times
+their least common denominator: scaling every product by one nonzero
+factor f gives an isomorphic algebra (x -> f x on C-bar), so each identity
+holds for one set of constants exactly when it holds for the other.
 """
 from __future__ import annotations
 
@@ -108,9 +112,15 @@ class CohomologyAlgebra:
     dimension, by structure constants.  Basis index 0 is the unit, of
     degree 0; 1..n span C-bar, of degrees ``degrees[1:]``, each >= 2.
     ``products[(a, b)]`` is the product of xi_a and xi_b, 1 <= a, b <= n,
-    as {c: coefficient}.  The degrees of the products, associativity and
-    graded commutativity are checked on construction
-    (InternalInconsistency, naming the algebra, on a breach)."""
+    as {c: coefficient}.
+
+    ``den`` is the least common denominator of the products' coefficients,
+    and ``int_products`` holds each product times ``den``, with int
+    coefficients: the structure constants of an isomorphic algebra
+    (x -> den x on C-bar), on which the checks and ``MinimalResolution``
+    run.  The degrees of the products, associativity and graded
+    commutativity are checked on construction (InternalInconsistency,
+    naming the algebra, on a breach)."""
 
     def __init__(self, degrees: Sequence[int],
                  products: Mapping[tuple[int, int], Mapping[int, Fraction]],
@@ -119,6 +129,12 @@ class CohomologyAlgebra:
         self.top = max(self.degrees)    # the top degree of C
         self.products = {ab: nonzero for ab, z in products.items()
                          if (nonzero := {c: v for c, v in z.items() if v})}
+        self.den = den = lcm(*(v.denominator for z in self.products.values()
+                               for v in z.values()))
+        self.int_products = {
+            ab: {c: v.numerator * (den // v.denominator)
+                 for c, v in z.items()}
+            for ab, z in self.products.items()}
         self.name = name
         self.by_degree: dict[int, list[int]] = {}
         for c, d in enumerate(self.degrees):
@@ -166,19 +182,15 @@ class CohomologyAlgebra:
     def product(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]
                 ) -> dict[int, Fraction]:
         """The product of two combinations of C-bar's basis elements."""
-        out: dict = {}
-        for a, u in x.items():
-            for b, v in y.items():
-                for c, w in self.products.get((a, b), {}).items():
-                    out[c] = out.get(c, 0) + u * v * w
-        return {c: v for c, v in out.items() if v}
+        return _multiply(self.products, x, y)
 
     def _check(self):
         """The degree of every product, graded commutativity
         xi_b xi_a = (-1)^(|a||b|) xi_a xi_b, and associativity on every
-        triple whose product has a degree of C."""
+        triple whose product has a degree of C, all on ``int_products``."""
         deg, n = self.degrees, len(self.degrees) - 1
-        for (a, b), z in self.products.items():
+        products = self.int_products
+        for (a, b), z in products.items():
             if not (0 < a <= n and 0 < b <= n) or any(
                     not 0 < c <= n or deg[c] != deg[a] + deg[b] for c in z):
                 raise InternalInconsistency(
@@ -187,8 +199,8 @@ class CohomologyAlgebra:
         for a in range(1, n + 1):
             for b in range(a, n + 1):
                 sign = -1 if deg[a] % 2 and deg[b] % 2 else 1
-                if {c: sign * v for c, v in self.products.get(
-                        (a, b), {}).items()} != self.products.get((b, a), {}):
+                if {c: sign * v for c, v in products.get(
+                        (a, b), {}).items()} != products.get((b, a), {}):
                     raise InternalInconsistency(
                         f"{self}: the product of {a} and {b} is not graded "
                         f"commutative")
@@ -196,11 +208,11 @@ class CohomologyAlgebra:
             for b in range(1, n + 1):
                 if deg[a] + deg[b] + 2 > self.top:
                     continue
-                ab = self.products.get((a, b), {})
+                ab = products.get((a, b), {})
                 for e in range(1, n + 1):
-                    if deg[a] + deg[b] + deg[e] <= self.top and self.product(
-                            ab, {e: 1}) != self.product(
-                            {a: 1}, self.products.get((b, e), {})):
+                    if deg[a] + deg[b] + deg[e] <= self.top and _multiply(
+                            products, ab, {e: 1}) != _multiply(
+                            products, {a: 1}, products.get((b, e), {})):
                         raise InternalInconsistency(
                             f"{self}: the product is not associative on "
                             f"{a}, {b}, {e}")
@@ -216,8 +228,8 @@ class MinimalResolution:
     each generator's boundary lies in C-bar P_(s-1).  V_0 is Q in degree 0,
     and the augmentation P_0 = C -> Q kills C-bar.  Scaling every product
     of C by one nonzero factor gives an isomorphic algebra (x -> f x on
-    C-bar), so the resolution runs on the products times their common
-    denominator, with integer boundaries.
+    C-bar), so the resolution runs on the algebra's ``int_products``, the
+    products times their common denominator, with integer boundaries.
 
     The new generators of V_s in degree t complement, in the kernel of
     the boundary on C-bar P_(s-1) in degree t, the image of the generators
@@ -232,10 +244,6 @@ class MinimalResolution:
 
     def __init__(self, algebra: CohomologyAlgebra):
         self.algebra = algebra
-        den = lcm(*(Fraction(v).denominator for z in algebra.products.values()
-                    for v in z.values()))
-        self._products = {ab: {c: int(v * den) for c, v in z.items()}
-                          for ab, z in algebra.products.items()}
         self.gens: list[list[int]] = [[0]]       # s -> generator degrees
         self.boundary: list[list[Vector]] = [[{}]]  # s -> d g over P_(s-1)
         self.series = [1]        # total degree k -> dim of Ext in it
@@ -318,7 +326,7 @@ class MinimalResolution:
         the pairs (c'', j) through ``index``; with ``grow``, a pair not yet
         in ``index`` is given the next position."""
         out: dict = {}
-        products = self._products
+        products = self.algebra.int_products
         for (c2, j), v in x.items():
             z = products.get((c, c2))
             if z:
@@ -333,6 +341,17 @@ class MinimalResolution:
                         n = index[key] = len(index)
                     out[n] = out.get(n, 0) + v * u
         return {n: v for n, v in out.items() if v}
+
+
+def _multiply(products: Mapping, x: Mapping, y: Mapping) -> dict:
+    """x y for two combinations of C-bar's basis elements, over the
+    structure constants ``products``."""
+    out: dict = {}
+    for a, u in x.items():
+        for b, v in y.items():
+            for c, w in products.get((a, b), {}).items():
+                out[c] = out.get(c, 0) + u * v * w
+    return {c: v for c, v in out.items() if v}
 
 
 def _combine(columns: list[dict], z: dict) -> dict:

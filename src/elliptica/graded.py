@@ -133,17 +133,17 @@ class SparseElement:
         t = dict(self.terms)
         for k, c in other.terms.items():
             t[k] = t.get(k, _ZERO) + c
-        return type(self)(t)
+        return type(self)._of(t)
 
     def __sub__(self, other):
         t = dict(self.terms)
         for k, c in other.terms.items():
             t[k] = t.get(k, _ZERO) - c
-        return type(self)(t)
+        return type(self)._of(t)
 
     def scale(self, c):
         c = Fraction(c)
-        return type(self)({k: c * v for k, v in self.terms.items()})
+        return type(self)._of({k: c * v for k, v in self.terms.items()})
 
     def __neg__(self):
         return self.scale(-1)

@@ -19,12 +19,14 @@ streams untouched.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .commutative import Element, Generator
 from .sullivan import SullivanModel
 
 _EVEN_DEGREES = (2, 2, 2, 4, 4, 6, 8)  # biased toward low degrees
 _MAX_FORMAL_DIM = 10
+_ONE = Fraction(1)
 
 
 def random_pure_model(rng: random.Random, name: str = "") -> SullivanModel:
@@ -44,15 +46,16 @@ def random_pure_model(rng: random.Random, name: str = "") -> SullivanModel:
     diff: dict[int, Element] = {}
     for j in range(m):
         target = odd_degs[j] + 1  # = powers[j] * even_degs[j]
-        img = Element({((j, powers[j]),): 1})
-        # extra monomials use only x_1..x_j, keeping the system triangular
+        terms = {((j, powers[j]),): _ONE}
+        # extra monomials use only x_1..x_j, keeping the system triangular;
+        # the monomials are distinct, so each term is the one drawn
         sub_idx = list(range(j))
         for mono in _monomials(even_degs[:j], sub_idx, target):
             if len(mono) == 1 and mono[0][1] == 1:
                 continue  # a linear term would break minimality
             if rng.random() < 0.35:
-                img = img + Element({mono: rng.choice((1, 1, -1, 2))})
-        diff[m + j] = img
+                terms[mono] = Fraction(rng.choice((1, 1, -1, 2)))
+        diff[m + j] = Element._of(terms)
     return SullivanModel(gens, diff, name=name or f"random_pure_m{m}")
 
 
@@ -95,12 +98,12 @@ def random_nonpure_model(rng: random.Random, name: str = "") -> SullivanModel:
     base = len(gens)
     a, b, c = (Generator(s, d, base + j)
                for j, (s, d) in enumerate((("a", 3), ("b", 3), ("c", 5))))
-    dc = Element({((a.index, 1), (b.index, 1)): 1})
+    terms = {((a.index, 1), (b.index, 1)): _ONE}
     for mono in _monomials([g.degree for g in even],
                            [g.index for g in even], 6):
         if (len(mono) > 1 or mono[0][1] > 1) and rng.random() < 0.5:
-            dc = dc + Element({mono: rng.choice((1, -1, 2))})
-    diff[c.index] = dc
+            terms[mono] = Fraction(rng.choice((1, -1, 2)))
+    diff[c.index] = Element._of(terms)
     return SullivanModel([*gens, a, b, c], diff,
                          name=name or f"{pure.name}_nonpure")
 

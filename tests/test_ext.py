@@ -2,13 +2,16 @@
 known tables, and the run-time checks: C's associativity and graded
 commutativity, d.d = 0 in the resolution, and the identity with elimination
 up to max|W|."""
+import math
 import os
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import build_oracle
 from elimination_oracle import elimination_table
 from elliptica import dsl, ext, invariants, linalg, quillen
 from elliptica.errors import InternalInconsistency, UnboundedGamma
@@ -295,6 +298,106 @@ def planted(alg, ab, scale):
     products = {k: dict(z) for k, z in alg.products.items()}
     products[ab] = {c: v * scale for c, v in products[ab].items()}
     return products
+
+
+def halved(alg):
+    """C's products times 1/2: an isomorphic algebra whose constants have
+    the denominator 2."""
+    return {ab: {c: v / 2 for c, v in z.items()}
+            for ab, z in alg.products.items()}
+
+
+THIRDS = dsl.parse("model thirds : quillen\ngen a : 1\ngen b : 3\n"
+                   "d b = 1/3*[a,a]\n")
+
+
+def integer_constant_cases():
+    yield from ((name, algebra(name)) for name in
+                ("cp2xcp2q", "hp2q", "s2vs2q", "s2x3q", "s2xs2q",
+                 "s2xs2xs3q"))
+    base = algebra("cp2xcp2q")
+    yield "halved", ext.CohomologyAlgebra(base.degrees[1:], halved(base))
+    yield "thirds", ext.CohomologyAlgebra.of_quadratic(THIRDS)
+
+
+@pytest.mark.parametrize("name,alg", list(integer_constant_cases()))
+def test_int_products_are_the_products_times_their_common_denominator(
+        name, alg):
+    den = alg.den
+    assert den == math.lcm(*(Fraction(v).denominator
+                             for z in alg.products.values()
+                             for v in z.values()))
+    assert list(alg.int_products) == list(alg.products)
+    for ab, z in alg.products.items():
+        assert alg.int_products[ab] == {c: v * den for c, v in z.items()}
+        assert all(type(v) is int for v in alg.int_products[ab].values())
+    # no smaller positive factor makes every constant an integer
+    assert all(any((v * d).denominator != 1 for z in alg.products.values()
+                   for v in z.values()) for d in range(1, den))
+
+
+def test_the_denominators_of_the_planted_algebras():
+    assert ext.CohomologyAlgebra(algebra("cp2xcp2q").degrees[1:],
+                                 halved(algebra("cp2xcp2q"))).den == 2
+    thirds = ext.CohomologyAlgebra.of_quadratic(THIRDS)
+    assert thirds.den == 3
+    assert thirds.products == {(1, 1): {2: Fraction(-2, 3)}}
+    assert thirds.int_products == {(1, 1): {2: -2}}
+
+
+def test_the_resolution_reads_the_algebras_integer_constants():
+    alg = algebra("cp2xcp2q")
+    half = ext.CohomologyAlgebra(alg.degrees[1:], halved(alg), name="half")
+    assert half.int_products == alg.int_products
+    res, res_half = ext.MinimalResolution(alg), ext.MinimalResolution(half)
+    # scaling C-bar gives an isomorphic algebra: the same Ext and Lie dims,
+    # and over the same integer constants the same int boundaries
+    assert [res_half.ext_dim(k) for k in range(12)] == [
+        res.ext_dim(k) for k in range(12)]
+    assert [res_half.lie_dim(k) for k in range(1, 12)] == [
+        res.lie_dim(k) for k in range(1, 12)]
+    assert res_half.boundary == res.boundary
+    assert all(type(v) is int for bs in res_half.boundary for z in bs
+               for v in z.values())
+    # the resolution reads no other constants than the integer ones
+    half.products = None
+    assert ext.MinimalResolution(half).ext_dim(12) == res.ext_dim(12)
+
+
+@pytest.mark.parametrize("ab,scale,match", [
+    ((1, 2), -1, "not graded commutative"),
+    ((2, 1), 2, "not graded commutative"),
+])
+def test_a_planted_constant_over_the_denominator_2_raises(ab, scale, match):
+    base = algebra("cp2xcp2q")
+    products = halved(base)
+    products[ab] = {c: v * scale for c, v in products[ab].items()}
+    with pytest.raises(InternalInconsistency, match=match):
+        ext.CohomologyAlgebra(base.degrees[1:], products, name="planted")
+
+
+def test_a_planted_factor_over_the_denominator_2_breaks_associativity():
+    base = algebra("cp2xcp2q")
+    products = halved(base)
+    products[(1, 2)] = {c: 2 * v for c, v in products[(1, 2)].items()}
+    products[(2, 1)] = dict(products[(1, 2)])
+    with pytest.raises(InternalInconsistency,
+                       match="planted: the product is not associative"):
+        ext.CohomologyAlgebra(base.degrees[1:], products, name="planted")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_products_of_cpn_are_unchanged(n):
+    # C = Q[x]/x^(n+1), xi_a dual to s w_(2a-1): xi_a xi_b = -xi_(a+b)
+    alg = ext.CohomologyAlgebra.of_quadratic(dsl.catalog("cpn_quillen", n))
+    want = ext.CohomologyAlgebra.of_quadratic(build_oracle.cpn_quillen(n))
+    assert [(ab, list(z.items())) for ab, z in alg.products.items()] == [
+        (ab, list(z.items())) for ab, z in want.products.items()]
+    assert alg.products == {(a, b): {a + b: -1} for a in range(1, n + 1)
+                            for b in range(1, n + 1) if a + b <= n}
+    assert all(type(v) is Fraction for z in alg.products.values()
+               for v in z.values())
+    assert alg.den == 1
 
 
 def test_the_cohomology_algebra_of_the_partner():

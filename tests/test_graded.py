@@ -38,6 +38,30 @@ def test_arithmetic_keeps_the_subclass(cls):
     assert repr(b).startswith(cls.__name__ + "(")
 
 
+@pytest.mark.parametrize("cls", [Element, LieElement])
+def test_arithmetic_gives_fractions_and_drops_zeros(cls):
+    a = cls({(0,): 1, (1,): Fraction(1, 2), (2,): 3})
+    b = cls({(1,): Fraction(1, 2), (2,): -3, (3,): 2})
+    results = {
+        "add": (a + b, {(0,): 1, (1,): 1, (3,): 2}),
+        "sub": (a - b, {(0,): 1, (2,): 6, (3,): -2}),
+        "scale int": (a.scale(2), {(0,): 2, (1,): 1, (2,): 6}),
+        "scale fraction": (a.scale(Fraction(2, 3)),
+                           {(0,): Fraction(2, 3), (1,): Fraction(1, 3),
+                            (2,): 2}),
+        "scale 0": (a.scale(0), {}),
+        "neg": (-b, {(1,): Fraction(-1, 2), (2,): 3, (3,): -2}),
+        "cancel": (a - a, {}),
+    }
+    for what, (e, terms) in results.items():
+        assert type(e) is cls, what
+        assert e.terms == terms, what
+        assert all(type(c) is Fraction for c in e.terms.values()), what
+    # the left operand's terms first, in order, then the right's new keys
+    assert list((a + b).terms) == [(0,), (1,), (3,)]
+    assert list((b - a).terms) == [(2,), (3,), (0,)]
+
+
 def ranked_check_exact(node, incoming, outgoing):
     check_exact(node, incoming, outgoing, linalg.rank(incoming),
                 linalg.rank(outgoing))
