@@ -1,33 +1,30 @@
 """What the Sullivan and the Quillen side share: generators, sparse
 elements, the free graded algebra with its derivations, validation reports,
-free graded models with their truncations, Gamma and the Whitehead
-sequence, the graded complex with its (co)homology, and the Whitehead
-report.
+free graded models with Gamma and the Whitehead sequence, the graded
+complex with its (co)homology, and the Whitehead report.
 
 A ``FreeAlgebra`` owns a basis table in each degree, indexed by keys
 (monomials, resp. leading words of the Lie basis); an element is a sparse
 combination of keys, so its terms are its coordinates.  A ``GradedComplex``
 reads it for coordinates and for ``d``, which moves degree by ``step``:
-+1 for cochains, -1 for chains; a subclass sets only ``step``.  A
-truncation keeps its ``parent`` model, whose basis keys contain its own in
-the same order, and its ``derivation`` is its root's, so one memo of key
-images serves the root and all of its truncations.  Every complex, root or
-truncation, assembles its ``d`` matrices from that derivation over its own
++1 for cochains, -1 for chains; a subclass sets only ``step``.  Every
+complex assembles its ``d`` matrices from its model's derivation over the
 basis tables.
 
-Gamma is defined once for both sides:
+Gamma is defined once for both sides.  With M(t) the sub-model on the
+generators of degree <= t,
 
-    Gamma(k) = ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k)),
+    Gamma(k) = ker(linear part : H_k(M(k - 1 - step)) -> gens(k)),
 
 where gens(k) are the generators of degree k.  On cochains (step = +1)
-the truncation to degrees <= k - 2 has no generator of degree k, so
+M(k - 2) has no generator of degree k, so
 Gamma^k = H^k(Lambda V^(<= k - 2)) = L^k.  On chains (step = -1) it is
 Gamma_k = ker(j_k : H_k(L(W_(<= k))) -> W_k).  Both Whitehead sequences
 are then one sequence, gens(i) -b-> Gamma(i + step) -incl-> H(i + step)
 -p-> gens(i + step), and both rho and eta are 1 + sum over k >= 2 of
 (-1)^k dim Gamma(k).
 
-Gamma(k) is read over the model's own complex wherever the truncation
+Gamma(k) is read over the model's own complex wherever M(k - 1 - step)
 drops no generator of degree <= k on cochains (V^(k-1) = V^k = 0), or
 <= k + 1 on chains (W_(k+1) = 0): there the two complexes agree in every
 degree H(k) reads, up to zero rows of d, and so do H(k), its
@@ -37,24 +34,23 @@ representatives.  p out of a degree with no generator is the zero map from
 the rank-only betti number.
 
 Elsewhere Gamma(k) is read over the model's decomposables, and no
-truncation model is built.  The two maps d that H(k) reads start in
-degrees whose bases the truncation lacks only the generators of (V^(k-1)
-and V^k on cochains, as V^1 = 0; W_(k+1) on chains, as every |w| >= 1),
-and the images of the kept keys stay in its keys, so the model's rows
-beyond them are zero.  So a ``TruncationView`` of the model's complex
-reads d-bar_j, d out of degree j with the columns of the generators of
-degree j left zero (``GradedComplex.d_bar``): Gamma^k = ker d-bar_k /
-im d-bar_(k-1) on cochains, and the kernel of the linear part on
-ker d_k / im d-bar_(k+1) on chains, with the representatives in the
-model's coordinates and one ``Span`` per degree.  Its premises are
-checked at run time: a Sullivan model with a generator of degree 1 is
-refused, and d of a kept generator that leaves the kept ones raises
-``TruncationNotClosed``, as ``truncate`` does.  ``truncate`` stays
-public; the test oracle reads Gamma through it.
+sub-model is built.  The two maps d that H(k) reads start in degrees whose
+bases M(k - 1 - step) lacks only the generators of (V^(k-1) and V^k on
+cochains, as V^1 = 0; W_(k+1) on chains, as every |w| >= 1), and the
+images of the kept keys stay in its keys, so the model's rows beyond them
+are zero.  So a ``TruncationView`` of the model's complex reads d-bar_j, d
+out of degree j with the columns of the generators of degree j left zero
+(``GradedComplex.d_bar``): Gamma^k = ker d-bar_k / im d-bar_(k-1) on
+cochains, and the kernel of the linear part on ker d_k / im d-bar_(k+1) on
+chains, with the representatives in the model's coordinates and one
+``Span`` per degree.  Its premises are checked at run time: a Sullivan
+model with a generator of degree 1 is refused, and d of a kept generator
+that leaves the kept ones raises ``TruncationNotClosed``
+(``GradedModel._check_closed``).
 
-A root model's ``certified_top`` n, a proof (not a degree window) that
-its (co)homology vanishes above n and the only verdict on ellipticity
-(``sullivan.SullivanModel.certified_top``), caps its own complex, and only
+A model's ``certified_top`` n, a proof (not a degree window) that its
+(co)homology vanishes above n and the only verdict on ellipticity
+(``sullivan.SullivanModel.certified_top``), caps its complex, and only
 ``GradedComplex._proven_zero`` skips work by it: ``betti`` and
 ``homology`` return zero above n + 1 with no matrix built, and dim H(n) = 1
 and dim H(n + 1) = 0 are checked at run time.  Above z = max(n + 1,
@@ -62,7 +58,7 @@ max|gens| + 1) there is no generator and H is zero, so ``gamma`` is zero
 there and the Whitehead sequence records as zero, with no map built, each
 node whose Gamma and H lie above z: on cochains node z itself and every
 node above it.  The certificate's check runs before the first zero node.
-Truncations, Quillen models and models without one compute every degree.
+Quillen models and models without one compute every degree.
 
 A degree with nonzero (co)homology eliminates each matrix once: its kernel
 is read off the echelon form that the rank of d out of it built, and one
@@ -390,8 +386,8 @@ class GammaData:
     degree: int
     dim: int
     # a basis of Gamma, over the H reps of ``complex``: the model's own, or
-    # a ``TruncationView`` of it that reads truncate(degree - 1 - step) over
-    # the model's decomposables, its reps in the model's coordinates
+    # a ``TruncationView`` of it that reads M(degree - 1 - step) over the
+    # model's decomposables, its reps in the model's coordinates
     h_coords: list[linalg.SparseVector]
     complex: "GradedComplex"
 
@@ -413,8 +409,8 @@ def check_exact(node: str, incoming: linalg.QMatrix,
 
 
 class GradedModel:
-    """What the two model types share: a free algebra on the generators, a
-    differential given on them, and truncations that keep their ``parent``.
+    """What the two model types share: a free algebra on the generators and
+    a differential given on them.
 
     A subclass sets ``kind``, ``algebra_type``, ``complex_type``,
     ``node_type``, the record of one Whitehead node, and ``d_name``, the
@@ -430,15 +426,12 @@ class GradedModel:
     d_name: str
 
     def __init__(self, generators: "Sequence[Generator] | FreeAlgebra",
-                 differential: Mapping[int, SparseElement], name: str = "",
-                 parent: "GradedModel | None" = None):
+                 differential: Mapping[int, SparseElement], name: str = ""):
         self.algebra = generators if isinstance(
-            generators, self.algebra_type) else self.algebra_type(
-            generators, source=parent.algebra if parent else None)
+            generators, self.algebra_type) else self.algebra_type(generators)
         self.differential = {i: e for i, e in differential.items()
                              if not e.is_zero()}
         self.name = name
-        self.parent = parent
         by_degree: dict[int, list[Generator]] = {}
         for g in self.algebra.generators:
             by_degree.setdefault(g.degree, []).append(g)
@@ -446,7 +439,6 @@ class GradedModel:
         self._top_degree = max(by_degree, default=0)
         self._complex = None
         self._derivation = None
-        self._trunc_cache: dict[int, GradedModel] = {}
         self._gamma_cache: dict[int, GammaData] = {}
         self._valid = False
 
@@ -455,13 +447,9 @@ class GradedModel:
         return self.algebra.generators
 
     def derivation(self) -> GradedDerivation:
-        """The derivation extending the root model's differential, built
-        once on the root; a truncation returns its root's, whose key images
-        over the root's keys are its own wherever it is closed."""
+        """The derivation extending the differential, built once."""
         if self._derivation is None:
-            self._derivation = (
-                self.parent.derivation() if self.parent is not None
-                else self.algebra.derivation(self.differential))
+            self._derivation = self.algebra.derivation(self.differential)
         return self._derivation
 
     def d(self, e):
@@ -534,40 +522,9 @@ class GradedModel:
     def certified_top(self) -> int | None:
         """The top degree n of the model's (co)homology when a proof, not a
         degree window, shows that it vanishes in every degree above n; else
-        None.  Only a Sullivan model can carry one, and only a root model's
-        complex is capped by it (``GradedComplex._proven_zero``)."""
+        None.  Only a Sullivan model can carry one, and it caps the model's
+        complex (``GradedComplex._proven_zero``)."""
         return None
-
-    def _truncated_differential(self, keep: list, k: int) -> dict:
-        """The differential on the kept generators of degree <= k;
-        TruncationNotClosed when it leaves them (``_check_closed``)."""
-        self._check_closed(k)
-        return {g.index: self.differential[g.index] for g in keep
-                if g.index in self.differential}
-
-    def truncate(self, k: int):
-        """Sub-model on the generators of degree <= k (indices preserved);
-        the model itself when that keeps every generator.  k is first
-        lowered to the top kept generator degree, so every k that keeps the
-        same generators gets the same sub-model, with its tables, d
-        matrices and ranks.  Every k is memoized."""
-        t = self._trunc_cache.get(k)
-        if t is None:
-            t = self._trunc_cache[k] = self._truncate(k)
-        return t
-
-    def _truncate(self, k: int):
-        """``truncate(k)`` for a k not seen yet."""
-        if k >= self._top_degree:
-            return self
-        k = max((d for d in self._by_degree if d <= k), default=0)
-        t = self._trunc_cache.get(k)
-        if t is None:
-            keep = [g for g in self.generators if g.degree <= k]
-            t = self._trunc_cache[k] = type(self)(
-                keep, self._truncated_differential(keep, k),
-                name=f"{self.name}[<={k}]" if self.name else "", parent=self)
-        return t
 
     def gamma(self, k: int) -> GammaData:
         """Gamma(k), memoized: every caller gets the same GammaData, which
@@ -577,11 +534,11 @@ class GradedModel:
         return self._gamma_cache[k]
 
     def _gamma(self, k: int) -> GammaData:
-        """ker(linear part : H_k(truncate(k - 1 - step)) -> gens(k)), over
-        the model's own complex where the truncation drops no generator of
-        degree <= max(k, k - step), else over a ``TruncationView`` of it
-        (module docstring); zero, with nothing built, above the certified
-        zero tail."""
+        """ker(linear part : H_k(M(k - 1 - step)) -> gens(k)), M(t) the
+        sub-model on the generators of degree <= t, over the model's own
+        complex where M(k - 1 - step) drops no generator of degree <= max(k,
+        k - step), else over a ``TruncationView`` of it (module docstring);
+        zero, with nothing built, above the certified zero tail."""
         if self._in_zero_tail(k):
             return GammaData(k, 0, [], self.complex())
         step = self.complex_type.step
@@ -596,8 +553,8 @@ class GradedModel:
 
     def _check_closed(self, k: int):
         """TruncationNotClosed when d of a generator of degree <= k involves
-        a generator of higher degree, so that the truncation to degree k is
-        no sub-model; d lowers degree on chains, so only cochains can."""
+        a generator of higher degree, so that the generators of degree <= k
+        span no sub-model; d lowers degree on chains, so only cochains can."""
         alg = self.algebra
         high = {g.index for g in self.generators if g.degree > k}
         for g in self.generators:
@@ -611,15 +568,15 @@ class GradedModel:
     def _in_zero_tail(self, degree: int) -> bool:
         """Whether ``degree`` lies above z = max(n + 1, max|gens| + 1) on a
         complex capped at n (``GradedComplex._proven_zero``).  There no
-        generator lies, the truncation that holds Gamma is the model itself,
+        generator lies, the sub-model that holds Gamma is the model itself,
         and H = 0 by the certificate, so Gamma and every space of a
         Whitehead node are zero."""
         return (degree > self._top_degree + 1
                 and self.complex()._proven_zero(degree))
 
     def gamma_dim(self, k: int) -> int:
-        """dim Gamma(k): the truncation's rank-only betti_k when it has no
-        generator of degree k (always on cochains), as its linear part is
+        """dim Gamma(k): the rank-only betti_k of Gamma's complex when it has
+        no generator of degree k (always on cochains), as its linear part is
         then the zero map."""
         return self.gamma(k).dim
 
@@ -771,7 +728,7 @@ class GradedComplex:
         ``TruncationView`` reads.  It is ``d_matrix`` itself, with its rank
         and echelon form, where no generator has that degree, at or below a
         certified n + 1; else it is assembled on its own, memoized apart
-        from ``d_matrix``, so a capped root builds no d above n + 1."""
+        from ``d_matrix``, so a capped complex builds no d above n + 1."""
         m = self._bar_cache.get(degree)
         if m is None:
             gens = self.model.generators_of_degree(degree)
@@ -788,11 +745,10 @@ class GradedComplex:
                            skip=frozenset()) -> linalg.QMatrix:
         """d : degree -> degree + step, column by column, the columns of the
         keys in ``skip`` left zero: each basis key's integer image,
-        den * d(key) in coordinates, from the root's derivation, over the
-        derivation's ``den``, placed by this complex's own basis table of
-        degree + step.  When an image has a term outside that table,
-        TruncationNotClosed on a truncation (d leaves the kept generators),
-        NotInAlgebra on a root (the term is no basis key)."""
+        den * d(key) in coordinates, from the model's derivation, over the
+        derivation's ``den``, placed by the basis table of degree + step;
+        NotInAlgebra when an image has a term outside that table (the term
+        is no basis key)."""
         der, idx = self.model.derivation(), self.model.algebra.table(
             degree + self.step).index
         ent = {}
@@ -807,14 +763,10 @@ class GradedComplex:
             for k, v in z.items():
                 r = idx.get(k)
                 if r is None:
-                    if self.model.parent is None:
-                        raise NotInAlgebra(
-                            f"{self.model!r}: d of a degree-{degree} basis "
-                            f"element has the term {k}, which is no basis "
-                            f"key of degree {degree + self.step}")
-                    raise TruncationNotClosed(
+                    raise NotInAlgebra(
                         f"{self.model!r}: d of a degree-{degree} basis "
-                        f"element leaves the kept generators")
+                        f"element has the term {k}, which is no basis key of "
+                        f"degree {degree + self.step}")
                 ent[(r, c)] = v
         return linalg.QMatrix(len(idx), self.dim(degree), ent, der.den)
 
@@ -871,11 +823,10 @@ class GradedComplex:
     # --- (co)homology ------------------------------------------------------
 
     def _proven_zero(self, degree: int) -> bool:
-        """Whether the ``certified_top`` n of a root model proves the
-        (co)homology of that degree zero: degree > n + 1.  A truncation's
-        complex is never capped.  Degrees n and n + 1 are still computed,
-        and the first True follows ``check_certified_top``."""
-        top = self.model.certified_top if self.model.parent is None else None
+        """Whether the model's ``certified_top`` n proves the (co)homology
+        of that degree zero: degree > n + 1.  Degrees n and n + 1 are still
+        computed, and the first True follows ``check_certified_top``."""
+        top = self.model.certified_top
         if top is None or degree <= top + 1:
             return False
         self.check_certified_top()
@@ -1000,15 +951,16 @@ def _ranked(m: linalg.QMatrix, degree: int, ranks: dict,
 
 
 class TruncationView(GradedComplex):
-    """The complex of ``truncate(top)`` in the degrees that H(k) reads, for
-    k = top + 1 + step, read over the model's complex ``cx`` with no
-    truncation built (module docstring).  Its d out of a degree j is cx's
-    d-bar_j above ``top`` and cx's d_j at or below it, with cx's ranks, and
-    its coordinates are cx's.  In degree k the truncation lacks only the
-    generators of degree k above ``top`` (cochains), so ``betti`` counts the
-    decomposables there and the cycles are d-bar's on them: its H(k), the
-    representatives, in cx's coordinates, and the linear part are the
-    truncation's.  Like a truncation, it is never capped."""
+    """The complex of M(top), the sub-model on the generators of degree <=
+    ``top``, in the degrees that H(k) reads, for k = top + 1 + step, read
+    over the model's complex ``cx`` with no sub-model built (module
+    docstring).  Its d out of a degree j is cx's d-bar_j above ``top`` and
+    cx's d_j at or below it, with cx's ranks, and its coordinates are cx's.
+    In degree k M(top) lacks only the generators of degree k above ``top``
+    (cochains), so ``betti`` counts the decomposables there and the cycles
+    are d-bar's on them: its H(k), the representatives, in cx's
+    coordinates, and the linear part are M(top)'s.  Its ``betti`` is never
+    capped."""
 
     def __init__(self, cx: GradedComplex, top: int):
         super().__init__(cx.model)
@@ -1040,7 +992,7 @@ class TruncationView(GradedComplex):
             self._cx._check_square(degree)
 
     def betti(self, degree: int) -> int:
-        """The truncation's dim - rank d_out - rank d_in, from cx's ranks."""
+        """M(top)'s dim - rank d_out - rank d_in, from cx's ranks."""
         if degree in self._coh_cache:
             return self._coh_cache[degree][0]
         self._check_square(degree)

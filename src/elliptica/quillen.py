@@ -35,21 +35,20 @@ class DGLComplex(GradedComplex):
     """The chain complex (L_*(W), delta) in the Lie bases, keyed by their
     leading words.
 
-    On a root model whose delta is quadratic, ``betti`` above max|W| is
+    On a model whose delta is quadratic, ``betti`` above max|W| is
     read from Ext over the cohomology algebra (``DGLModel.resolution``), so
     no Lie basis above max|W| + 1 is enumerated and no matrix of delta out
     of a degree above max|W| + 1 is built; on a one-generator model no
     resolution cell is grown where L(W) is 0 (``FreeLie.vanishes``).
     Degrees up to max|W| are eliminated, with their d.d checks, and must
-    equal the Ext dimension.  Truncations and models with a term of higher
-    bracket length eliminate in every degree, each from its root's
-    derivation over its own Lie bases."""
+    equal the Ext dimension.  Models with a term of higher bracket length
+    eliminate in every degree."""
 
     step = -1
 
     def betti(self, degree: int) -> int:
-        """dim H_degree(L(W)): from Ext above max|W| on a quadratic root
-        model, else by elimination, where on a quadratic root model
+        """dim H_degree(L(W)): from Ext above max|W| on a quadratic model,
+        else by elimination, where on a quadratic model
         InternalInconsistency is raised unless it equals the Ext dimension."""
         res = self.model.resolution
         if res is None:
@@ -66,12 +65,7 @@ class DGLComplex(GradedComplex):
 
 
 class DGLModel(GradedModel):
-    """A finite free DGL (L(W), delta) with delta of degree -1.
-
-    A truncation keeps its ``parent``: its Lie bases are the parent's,
-    restricted to its generators, and its derivation is its root's.
-    Truncations are closed because delta lowers degree.
-    """
+    """A finite free DGL (L(W), delta) with delta of degree -1."""
 
     kind = "quillen"
     algebra_type = FreeLie
@@ -90,11 +84,9 @@ class DGLModel(GradedModel):
     @functools.cached_property
     def resolution(self) -> "ext.MinimalResolution | None":
         """The minimal resolution of Q over the cohomology algebra C, whose
-        Ext gives H_*(L(W)) (``ext``), on a root model whose delta is
-        quadratic; None on a truncation or when a term of delta is not a
-        bracket of two generators.  C is built, and checked, on first use."""
-        if self.parent is not None:
-            return None
+        Ext gives H_*(L(W)) (``ext``), on a model whose delta is quadratic;
+        None when a term of delta is not a bracket of two generators.  C is
+        built, and checked, on first use."""
         alg = ext.CohomologyAlgebra.of_quadratic(self)
         return None if alg is None else ext.MinimalResolution(alg)
 

@@ -1,6 +1,6 @@
-"""Sullivan models: cochain complexes, cohomology, truncations, the
-ellipticity certificate and the Whitehead exact sequence on the commutative
-side, where Gamma^i is L^i."""
+"""Sullivan models: cochain complexes, cohomology, the ellipticity
+certificate and the Whitehead exact sequence on the commutative side, where
+Gamma^i is L^i."""
 from __future__ import annotations
 
 import functools
@@ -45,9 +45,6 @@ class SullivanModel(GradedModel):
 
     ``differential`` maps generator index -> Element (absent means zero).
     Models are immutable after construction; the cochain complex is memoized.
-    A truncation keeps its ``parent``: its bases are the parent's,
-    restricted to the monomials in its generators, and its derivation is
-    its root's.
     """
 
     kind = "sullivan"
@@ -108,10 +105,10 @@ class SullivanModel(GradedModel):
         rank over the polynomial algebra on V^even, whose bases are the
         model's own, restricted to the even generators, as every basis a
         request reads is the model's; the odd degrees of the band are
-        skipped, as Q[V^even] has no monomial there.  A truncation
-        is certified on its own generators, from its root's integer images,
-        which share one denominator and so leave each rank as it is; only
-        a root model's complex is capped (``GradedComplex._proven_zero``)."""
+        skipped, as Q[V^even] has no monomial there.  The relations are the
+        derivation's integer images, which share one denominator and so
+        leave each rank as it is.  The certificate caps the model's complex
+        (``GradedComplex._proven_zero``)."""
         try:
             self.require_valid()
         except ValidationError:

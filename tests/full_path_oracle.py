@@ -14,16 +14,19 @@ boundaries, even where the rank-only betti number is 0; both raise on the
 consistency checks that the shortcut skips.  Above a model's certified top
 degree plus one the (co)homology is zero by proof, as in the engine.
 ``whitehead_sequence`` builds the maps of every node and checks it exact,
-and ``_gamma`` builds the truncation, the linear part and its kernel in
-every degree, above the certified zero tail too, and where the truncation
-agrees with the model.  ``whitehead_incl`` builds the representatives of a
-proper truncation even where the model's (co)homology is zero.
+and ``_gamma`` builds the truncation (``truncate``), the linear part and
+its kernel in every degree, above the certified zero tail too, and where
+the truncation agrees with the model.  ``whitehead_incl`` builds the
+representatives of a proper truncation even where the model's
+(co)homology is zero.
 ``full_path(monkeypatch)`` puts all five on ``GradedComplex`` and
 ``GradedModel``.
 
-``restricted_d_matrix`` is the reference for a truncation's ``d``: its
-parent's matrix restricted to the truncation's basis keys, which the
-truncation's own assembly, from its root's derivation, must equal.
+``truncate(model, k)`` is the sub-model on the generators of degree <= k,
+built as a model of its own, which the engine's ``TruncationView`` reads
+with no model built.  ``restricted_d_matrix`` is the reference for a
+truncation's ``d``: the model's matrix restricted to the truncation's basis
+keys, which the truncation's own assembly must equal.
 """
 import functools
 from fractions import Fraction
@@ -77,16 +80,37 @@ def boundaries(cx, degree):
     return independent_columns(cx.d_matrix(degree - cx.step))
 
 
-def restricted_d_matrix(cx, degree):
-    """The parent's d matrix out of that degree restricted to the basis keys
-    of the truncation's complex ``cx``; TruncationNotClosed when a kept
-    column has an entry in a dropped row."""
-    palg = cx.model.parent.algebra
+def truncate(model, k):
+    """The sub-model on the generators of degree <= k (indices preserved),
+    over the model's basis tables restricted (``source``); the model itself
+    when that keeps every generator.  TruncationNotClosed when d of a kept
+    generator leaves the kept ones.  The truncation computes every degree
+    by elimination: no certificate caps it and no resolution reads its
+    homology."""
+    if k >= model.max_generator_degree():
+        return model
+    model._check_closed(k)
+    keep = [g for g in model.generators if g.degree <= k]
+    kept = {g.index for g in keep}
+    t = type(model)(
+        model.algebra_type(keep, source=model.algebra),
+        {i: e for i, e in model.differential.items() if i in kept},
+        name=f"{model.name}[<={k}]" if model.name else "")
+    # set over the cached properties, so they are never computed
+    vars(t).update(certified_top=None, resolution=None)
+    return t
+
+
+def restricted_d_matrix(model, cx, degree):
+    """The d matrix of ``model`` out of that degree restricted to the basis
+    keys of ``cx``, the complex of a truncation of it; TruncationNotClosed
+    when a kept column has an entry in a dropped row."""
+    palg = model.algebra
     pidx = palg.table(degree).index
     cols = {pidx[k]: c for c, k in enumerate(cx.keys(degree))}
     pidx = palg.table(degree + cx.step).index
     rows = {pidx[k]: r for r, k in enumerate(cx.keys(degree + cx.step))}
-    pmat = cx.model.parent.complex().d_matrix(degree)
+    pmat = model.complex().d_matrix(degree)
     ent = {}
     for (r, c), v in pmat.entries.items():
         if c in cols:
@@ -132,7 +156,7 @@ def class_coords(self, degree, e):
 
 
 def _gamma(self, k):
-    tc = self.truncate(k - 1 - self.complex_type.step).complex()
+    tc = truncate(self, k - 1 - self.complex_type.step).complex()
     kernel = linalg.kernel_basis(tc.linear_part(k))
     return GammaData(k, len(kernel), kernel, tc)
 

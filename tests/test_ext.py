@@ -132,12 +132,6 @@ def test_a_cubic_delta_keeps_elimination():
     assert max(q.complex()._d_cache) == top + 1
 
 
-def test_a_truncation_keeps_elimination():
-    q = dsl.catalog("cpn_quillen", 3)
-    t = q.truncate(3)
-    assert t is not q and t.resolution is None
-
-
 # --- no Lie basis above max|W| + 1 -------------------------------------------
 
 def pair(q):

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import os
 import random
 from fractions import Fraction
@@ -128,10 +129,11 @@ def test_model_adopts_a_free_algebra(spec):
 def test_coordinates_roundtrip_through_the_complex(spec):
     # a random combination of basis elements, summed as elements: coords
     # reads its coefficients back and from_coords rebuilds it, on the model
-    # and on each truncation, whose tables are restrictions of the parent's
+    # and on each truncation, whose tables are restrictions of the model's
     rng = random.Random(spec)
     m = dsl.catalog_spec(spec)
-    for t in [m, *(m.truncate(k) for k in range(1, m.max_generator_degree()))]:
+    for t in [m, *(full_path_oracle.truncate(m, k)
+                   for k in range(1, m.max_generator_degree()))]:
         cx, alg = t.complex(), t.algebra
         for degree in range(1, 9):
             v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
@@ -174,9 +176,11 @@ def node_degrees(model, top):
 
 
 def truncations(model):
-    """The model and each of its distinct truncations."""
-    return list({id(t): t for t in map(
-        model.truncate, range(model.max_generator_degree() + 1))}.values())
+    """The model and each of its distinct truncations, one per kept
+    generator set."""
+    return list({tuple(t.generators): t for t in (
+        full_path_oracle.truncate(model, k)
+        for k in range(model.max_generator_degree() + 1))}.values())
 
 
 def class_coordinate_incl(model, g):
@@ -227,7 +231,7 @@ def solved_b(model, i):
     gens = [g for g in model.generators if g.degree == i]
     if not gens:
         return linalg.QMatrix(model.gamma_dim(k), 0)
-    into_h = model.truncate(i - 1).complex().class_matrix(
+    into_h = full_path_oracle.truncate(model, i - 1).complex().class_matrix(
         k, [model.d_of_generator(g.index) for g in gens])
     gd = model.gamma(k)
     onto = linalg.QMatrix.from_columns(gd.h_coords, into_h.rows)
@@ -267,24 +271,6 @@ def test_forced_nodes_build_no_representatives(model):
         for d in range(top + 2):
             if d not in {g.degree for g in t.generators}:
                 assert cx.linear_part(d) == linalg.QMatrix(0, cx.betti(d))
-
-
-@pytest.mark.parametrize("spec", ["cpn_sullivan(3)", "cpn_quillen(3)",
-                                  "product(s2,sphere_even(4))"])
-def test_one_truncation_per_kept_generator_set(spec):
-    m = dsl.catalog_spec(spec)
-    seen = {}
-    for k in range(-1, m.max_generator_degree() + 2):
-        t = m.truncate(k)
-        assert seen.setdefault(tuple(t.generators), t) is t, k
-
-
-def test_truncations_that_keep_the_same_generators_share_their_data():
-    m = dsl.catalog_spec("cpn_sullivan(3)")   # x:2, y:7
-    t = m.truncate(3)
-    assert m.truncate(2) is t and m.truncate(4) is t and m.truncate(6) is t
-    assert t.complex().d_matrix(4) is m.truncate(5).complex().d_matrix(4)
-    assert t.algebra.table(6) is m.truncate(2).algebra.table(6)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -340,12 +326,14 @@ def test_gamma_is_read_over_a_view_somewhere():
 @pytest.mark.parametrize("make", one_d_path_models())
 def test_a_root_builds_no_truncation(make, monkeypatch):
     # the report, the ledger and the Whitehead sequence of a root read
-    # every Gamma over its own complex or a view of it
-    def refuse(self, k):
-        raise AssertionError(f"{self!r} truncated to degree {k}")
+    # every Gamma over its own complex or a view of it, and build no model
+    model, built, init = make(), [], GradedModel.__init__
 
-    monkeypatch.setattr(GradedModel, "_truncate", refuse)
-    model = make()
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedModel, "__init__", counting_init)
     if model.kind == "sullivan":
         invariants.invariant_report(model)
         invariants.full_ledger(model)
@@ -354,25 +342,35 @@ def test_a_root_builds_no_truncation(make, monkeypatch):
         with contextlib.suppress(UnboundedGamma):
             invariants.analysis(model).ledger()
     model.whitehead_sequence(default_bound(model))
+    assert built == []
+
+
+@pytest.mark.parametrize("spec", ["cpn_sullivan(2)", "cpn_quillen(2)"])
+def test_a_model_carries_no_truncation_route(spec):
+    # Gamma is read over views of the model's own complex, so no model
+    # builds, memoizes or points back to a sub-model
+    model = dsl.catalog_spec(spec)
+    for name in ("truncate", "_truncate", "_truncated_differential",
+                 "_trunc_cache", "parent"):
+        assert not hasattr(model, name), name
+    assert "parent" not in inspect.signature(GradedModel.__init__).parameters
 
 
 @pytest.mark.parametrize("make", one_d_path_models())
 def test_a_truncation_assembles_its_parents_restricted_d(make):
-    # one d path: every truncation shares its root's derivation and
-    # assembles d from it over its own tables, which gives the parent's d
-    # restricted to the truncation's keys (Sullivan d through the window,
-    # Quillen delta up to max|W| + 1, where its Gamma and H are read)
+    # every truncation assembles d over its own tables, which gives the
+    # model's d restricted to the truncation's keys (Sullivan d through the
+    # window, Quillen delta up to max|W| + 1, where its Gamma and H are read)
     model = make()
     top = (default_bound(model) if model.kind == "sullivan"
            else model.max_generator_degree()) + 1
     for t in truncations(model):
-        assert t.derivation() is model.derivation()
         if t is model:
             continue
         cx = t.complex()
         for deg in range(top + 1):
             assert cx.d_matrix(deg) == full_path_oracle.restricted_d_matrix(
-                cx, deg), (t, deg)
+                model, cx, deg), (t, deg)
 
 
 # --- zero costs nothing ----------------------------------------------------------
@@ -543,17 +541,13 @@ def test_the_degree_index_equals_the_scans(model):
 
 @pytest.mark.parametrize("model", index_models())
 def test_truncate_equals_the_scan_based_lowering(model):
-    # k is lowered to the top kept generator degree by a scan of the
-    # generators; the model itself once every generator is kept
+    # the truncation to degree k keeps the generators of degree <= k, as a
+    # scan of the generators finds them
     top = max((g.degree for g in model.generators), default=0)
     for k in range(-1, top + 3):
-        low = max((g.degree for g in model.generators if g.degree <= k),
-                  default=0)
-        t = model.truncate(k)
-        assert t is (model if k >= top else model.truncate(low)), k
+        t = full_path_oracle.truncate(model, k)
         assert t.generators == [g for g in model.generators
                                 if g.degree <= k], k
-        assert model._trunc_cache[k] is t and model.truncate(k) is t
 
 
 # --- the certified zero tail -----------------------------------------------------
@@ -571,7 +565,7 @@ def certified_models():
 @pytest.mark.parametrize("model", certified_models())
 def test_no_whitehead_map_is_built_above_the_zero_tail(model, monkeypatch):
     # incl is built at nodes 2..z - 1 only, the nodes from z on are zero,
-    # and Gamma above z builds no truncation, linear part or kernel
+    # and Gamma above z builds no model, view, linear part or kernel
     fresh = type(model)(model.generators, model.differential,
                         name=model.name)
     z, top = zero_tail(fresh), default_bound(fresh)
@@ -591,7 +585,8 @@ def test_no_whitehead_map_is_built_above_the_zero_tail(model, monkeypatch):
 
     cx = fresh.complex()
     monkeypatch.setattr(cx, "linear_part", refuse)
-    monkeypatch.setattr(fresh, "truncate", refuse)
+    monkeypatch.setattr(GradedModel, "__init__", refuse)
+    monkeypatch.setattr(TruncationView, "__init__", refuse)
     monkeypatch.setattr(linalg, "kernel_basis", refuse)
     for k in range(z + 1, top + 3):
         gd = fresh.gamma(k)
@@ -677,7 +672,7 @@ def test_gamma_lives_on_the_model_exactly_where_the_truncation_agrees(model):
     for k in range(2, default_bound(model) + 2):
         if model._in_zero_tail(k):
             continue
-        t = model.truncate(k - 1 - step)
+        t = full_path_oracle.truncate(model, k - 1 - step)
         reach = k if step > 0 else k + 1
         agrees = all(g.degree > reach for g in model.generators
                      if g not in t.generators)
@@ -696,7 +691,7 @@ def test_the_truncation_that_agrees_is_proper_somewhere():
         model = param.values[0]
         step = model.complex_type.step
         for k in range(2, model.max_generator_degree() + 2):
-            if (model.truncate(k - 1 - step) is not model
+            if (full_path_oracle.truncate(model, k - 1 - step) is not model
                     and model.gamma(k).complex is model.complex()):
                 hits += 1
     assert hits >= 20

@@ -12,6 +12,7 @@ from elliptica.errors import (CompositionNotZero, NotInAlgebra,
                               TruncationNotClosed, ValidationError)
 from elliptica.sullivan import SullivanModel, tensor_product
 
+import full_path_oracle
 from conftest import CATALOG_SULLIVAN_SPECS
 from leibniz_oracle import d_monomial
 
@@ -156,7 +157,7 @@ def test_fractional_d_matrices_match_the_leibniz_rule(seed):
     model = SullivanModel(gens, images)
     dens = set()
     for k in range(model.max_generator_degree() + 1):
-        t = model.truncate(k)
+        t = full_path_oracle.truncate(model, k)
         cx = t.complex()
         for degree in range(17):
             m = cx.d_matrix(degree)
@@ -186,7 +187,8 @@ def test_d_matrices_of_random_models_match_the_per_factor_rule(seed, cseed):
               for i, img in base.differential.items()}
     model = SullivanModel(base.generators, images)
     top = invariants.default_bound(model) + 1
-    truncations = {id(t): t for t in map(model.truncate, range(top + 1))}
+    truncations = {tuple(t.generators): t for t in (
+        full_path_oracle.truncate(model, k) for k in range(top + 1))}
     for t in truncations.values():
         cx = t.complex()
         for degree in range(-1, top + 1):
@@ -221,36 +223,33 @@ def test_a_monomial_that_is_no_key_is_refused():
 
 
 def test_truncation_closure_enforced():
-    x = Generator("x", 2, 0)
-    y = Generator("y", 3, 1)
-    scratch = SullivanModel([x, y], {})
-    m = SullivanModel([x, y], {1: scratch.algebra.from_monomial(((0, 2),))})
-    t = m.truncate(2)
-    assert [g.name for g in t.generators] == ["x"]
-    # truncating so that d(y) escapes must fail on a model where it would
-    w = Generator("w", 4, 0)
-    v = Generator("v", 3, 1)
-    scratch2 = SullivanModel([w, v], {})
-    m2 = SullivanModel([v, w], {})  # no differential: fine at any cut
-    assert m2.truncate(3).generators[0].name == "v"
+    # x:2, y:3, w:4: with d y = x^2 the cut at 3 keeps x and y and is
+    # closed, so Gamma^5, read over it, raises nothing; with d y = x^2 + w
+    # it keeps y but not w, and Gamma^5 and the oracle's truncation both
+    # refuse it
+    x, y, w = Generator("x", 2, 0), Generator("y", 3, 1), Generator("w", 4, 2)
+    x2 = Element({((0, 2),): 1})
+    m = SullivanModel([x, y, w], {1: x2})
+    assert m.gamma(5).dim == 0
+    assert [g.name for g in full_path_oracle.truncate(m, 3).generators] == [
+        "x", "y"]
+    m = SullivanModel([x, y, w], {1: x2 + Element({((2, 1),): 1})})
+    with pytest.raises(TruncationNotClosed):
+        m.gamma(5)
+    with pytest.raises(TruncationNotClosed):
+        full_path_oracle.truncate(m, 3)
 
 
 def test_truncation_not_closed_raises():
-    # d(u) involves z of degree 4; cutting at 5 keeps u:5 but drops nothing,
-    # cutting at 3 drops z while keeping nothing that maps to it -- build a
-    # case where a kept generator maps onto a dropped one's product.
-    z = Generator("z", 4, 0)
-    u = Generator("u", 7, 1)
-    scratch = SullivanModel([z, u], {})
-    m = SullivanModel([z, u], {1: scratch.algebra.from_monomial(((0, 2),))})
+    # d u = z with z:8 above u:7: the cut at 7 keeps u and drops z, so
+    # Gamma^9, read over that cut, and the oracle's truncation to degree 7
+    # both raise
+    z, u = Generator("z", 8, 0), Generator("u", 7, 1)
+    m = SullivanModel([z, u], {1: Element({((0, 1),): 1})})
     with pytest.raises(TruncationNotClosed):
-        # keep u (degree 7) but cut z away: impossible directly since z < u;
-        # emulate via a same-degree pair instead
-        z2 = Generator("z", 8, 0)
-        u2 = Generator("u", 7, 1)
-        s2_ = SullivanModel([z2, u2], {})
-        mm = SullivanModel([z2, u2], {1: s2_.algebra.from_monomial(((0, 1),))})
-        mm.truncate(7)
+        m.gamma(9)
+    with pytest.raises(TruncationNotClosed):
+        full_path_oracle.truncate(m, 7)
 
 
 def test_l_spaces_cpn(cp2):
@@ -307,13 +306,13 @@ def test_rho_builds_no_homology_representatives(monkeypatch):
     *(pytest.param(m, id=m.name) for m in randmodels.random_models(7, 20)),
 ])
 def test_truncations_are_views_of_the_parent(model):
-    """Every truncation's d matrices are the parent's, restricted, and equal
-    the ones a free-standing copy assembles itself; its rank-only Betti
-    numbers equal its numbers of representatives."""
+    """Every truncation, whose bases are the model's restricted
+    (``source``), assembles the d matrices a free-standing copy assembles
+    itself; its rank-only Betti numbers equal its numbers of
+    representatives."""
     top = invariants.default_bound(model) + 1
     for k in range(model.max_generator_degree() + 1):
-        t = model.truncate(k)
-        assert t is model or t.parent is model
+        t = full_path_oracle.truncate(model, k)
         fresh = SullivanModel(t.generators, t.differential)
         cx = t.complex()
         for deg in range(top + 1):
@@ -321,20 +320,6 @@ def test_truncations_are_views_of_the_parent(model):
         bettis = [cx.betti(deg) for deg in range(top + 1)]
         assert bettis == [len(cx.cohomology(deg)[1])
                           for deg in range(top + 1)], k
-
-
-def test_restriction_that_leaves_the_kept_generators_raises():
-    # a model whose d(z) involves a dropped generator, built around the
-    # generator-level check in truncate: only the assembly, placing the
-    # root's image of z by the truncation's own table, can see it
-    x = Generator("x", 2, 0)
-    w = Generator("w", 4, 1)
-    z = Generator("z", 3, 2)
-    full = SullivanModel([x, w, z], {})
-    full = SullivanModel([x, w, z], {2: full.algebra.gen("w")})
-    t = SullivanModel([x, z], {}, parent=full)
-    with pytest.raises(TruncationNotClosed):
-        t.complex().d_matrix(3)
 
 
 def test_a_term_that_is_no_key_is_refused_with_a_typed_error():
@@ -378,7 +363,7 @@ def test_gamma_refuses_a_kept_generator_whose_d_leaves_the_kept_ones():
             "SullivanModel(lin): d(z) involves a generator of degree > 3")):
         m.gamma(5)
     with pytest.raises(TruncationNotClosed):
-        m.truncate(3)
+        full_path_oracle.truncate(m, 3)
 
 
 def test_rank_only_betti_raises_when_d_squared_is_nonzero():
