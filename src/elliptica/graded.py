@@ -55,10 +55,16 @@ A model's ``certified_top`` n, a proof (not a degree window) that its
 ``homology`` return zero above n + 1 with no matrix built, and dim H(n) = 1
 and dim H(n + 1) = 0 are checked at run time.  Above z = max(n + 1,
 max|gens| + 1) there is no generator and H is zero, so ``gamma`` is zero
-there and the Whitehead sequence records as zero, with no map built, each
-node whose Gamma and H lie above z: on cochains node z itself and every
-node above it.  The certificate's check runs before the first zero node.
-Quillen models and models without one compute every degree.
+there.  Quillen models and models without one compute every degree.
+
+A Whitehead node i that no generator reaches, none of degree i, i + 1 or
+i + step, is forced: the sub-model that holds Gamma(g), g = max(i, i +
+step), drops no generator of degree <= i + 1, so Gamma(g) = H(g), incl is
+the identity, p(i) maps into zero and b(g - step) out of zero, and the
+three exactness checks reduce to rank(1) = h = dim H(g).  The node is read
+off ``betti(g)``, which keeps its own checks, with no map built; above z
+h = 0 after the certificate's check.  On chains the i + step term keeps
+Gamma(i - 1), where b(i) lands, read at the lowest node.
 
 A degree with nonzero (co)homology eliminates each matrix once: its kernel
 is read off the echelon form that the rank of d out of it built, and one
@@ -69,7 +75,7 @@ over it.  A zero space or map costs nothing beyond its ranks: no kernel or
 ``incl`` into a zero H(g), and no product with a zero map in
 ``check_exact``.  The checks stay: d.d = 0 in every degree that builds a
 matrix, as many representatives as the rank-only ``betti``, exactness at
-every node with a nonzero space, and the certificate's two degrees.
+every node a generator reaches, and the certificate's two degrees.
 """
 from __future__ import annotations
 
@@ -554,7 +560,10 @@ class GradedModel:
     def _check_closed(self, k: int):
         """TruncationNotClosed when d of a generator of degree <= k involves
         a generator of higher degree, so that the generators of degree <= k
-        span no sub-model; d lowers degree on chains, so only cochains can."""
+        span no sub-model; on chains d lowers degree and every letter has
+        degree >= 1, so none can, and chains return at once."""
+        if self.complex_type.step < 0:
+            return
         alg = self.algebra
         high = {g.index for g in self.generators if g.degree > k}
         for g in self.generators:
@@ -569,8 +578,7 @@ class GradedModel:
         """Whether ``degree`` lies above z = max(n + 1, max|gens| + 1) on a
         complex capped at n (``GradedComplex._proven_zero``).  There no
         generator lies, the sub-model that holds Gamma is the model itself,
-        and H = 0 by the certificate, so Gamma and every space of a
-        Whitehead node are zero."""
+        and H = 0 by the certificate, so Gamma is zero."""
         return (degree > self._top_degree + 1
                 and self.complex()._proven_zero(degree))
 
@@ -614,29 +622,30 @@ class GradedModel:
         the model's representatives: the class coordinates, in the model,
         of the representatives of Gamma's complex, times ``h_coords``.  No
         representative is built when that complex is the model's, where
-        incl is ``h_coords``, or when H(g) is zero, where incl is zero."""
+        incl is ``h_coords``, or when H(g) is zero, where incl is zero; on
+        cochains ``h_coords`` is the identity (as in ``whitehead_b``)."""
         full, gd = self.complex(), self.gamma(g)
         if gd.complex is full:
             return linalg.QMatrix.from_columns(gd.h_coords, full.betti(g))
         if not full.betti(g):
             return linalg.QMatrix(0, gd.dim)
         h_reps = gd.complex.homology(g)[1]
-        return full.class_matrix(g, h_reps).matmul(
+        into_h = full.class_matrix(g, h_reps)
+        return into_h if self.complex_type.step > 0 else into_h.matmul(
             linalg.QMatrix.from_columns(gd.h_coords, len(h_reps)))
 
     def whitehead_sequence(self, max_degree: int) -> WhiteheadReport:
         """gens(i) -b-> Gamma(i + step) -incl-> H(i + step) -p-> gens(i +
-        step), checked exact at every node with a nonzero space
+        step), checked exact at every node a generator reaches
         (ExactnessFailure on any breach).  Node i holds gens(i), and Gamma(g)
         and H(g) for g the higher of i and i + step, with the rank of the b
         into Gamma(g).
 
-        A node whose Gamma(g) and H(g) lie above the certified zero tail's z
-        is recorded as zero, with no map built: it has no generator and its
-        H(g) is zero, so its three exactness checks are vacuous.  p out of a
-        degree with no generator and incl out of a Gamma read over the
-        model's own complex need no representative (module docstring).
-        Each map is built and ranked once."""
+        A node with no generator of degree i, i + 1 or i + step is forced
+        (module docstring): (0, h, h, 0, h), h = ``betti(g)``, no map built.
+        p out of a degree with no generator and incl out of a Gamma read
+        over the model's own complex need no representative.  Each map is
+        built and ranked once."""
         full, step = self.complex(), self.complex_type.step
         p = functools.cache(full.linear_part)
         b = functools.cache(self.whitehead_b)
@@ -646,8 +655,9 @@ class GradedModel:
         nodes = []
         for i in range(2, max_degree + 1):
             g = max(i, i + step)
-            if self._in_zero_tail(g):
-                nodes.append(self.node_type(i, 0, 0, 0, 0, 0))
+            if not self._by_degree.keys() & {i, i + 1, i + step}:
+                h = full.betti(g)
+                nodes.append(self.node_type(i, 0, h, h, 0, h))
                 continue
             incl = self.whitehead_incl(g)
             rank_incl = linalg.rank(incl)
@@ -691,6 +701,7 @@ class GradedComplex:
         self._bar_ranks: dict[int, int] = {}
         self._bar_echelons: dict[int, linalg._Echelon | None] = {}
         self._squares_checked: set[int] = set()
+        self._betti: dict[int, int] = {}
         self._coh_cache: dict[int, tuple[int, list, list]] = {}
         self._class_cache: dict[int, linalg.Span] = {}
         self._top_checked = False
@@ -874,18 +885,20 @@ class GradedComplex:
         return result
 
     def betti(self, degree: int) -> int:
-        """dim - rank d_out - rank d_in, from ranks alone; 0 with no matrix
-        built above the model's ``certified_top`` + 1."""
-        if degree in self._coh_cache:
-            return self._coh_cache[degree][0]
-        if self._proven_zero(degree) or not self.dim(degree):
-            return 0
-        self._check_square(degree)
-        dim = (self.dim(degree) - self._rank(degree)
-               - self._rank(degree - self.step))
-        if not dim and self._bar_cache.get(degree) is not self.d_matrix(
-                degree):
-            self._echelons.pop(degree, None)
+        """dim - rank d_out - rank d_in, from ranks alone, memoized; 0 with
+        no matrix built above the model's ``certified_top`` + 1."""
+        dim = self._betti.get(degree)
+        if dim is not None:
+            return dim
+        dim = 0
+        if not self._proven_zero(degree) and self.dim(degree):
+            self._check_square(degree)
+            dim = (self.dim(degree) - self._rank(degree)
+                   - self._rank(degree - self.step))
+            if not dim and self._bar_cache.get(degree) is not self.d_matrix(
+                    degree):
+                self._echelons.pop(degree, None)
+        self._betti[degree] = dim
         return dim
 
     def class_coords(self, degree: int, e) -> linalg.SparseVector | None:
@@ -992,11 +1005,13 @@ class TruncationView(GradedComplex):
             self._cx._check_square(degree)
 
     def betti(self, degree: int) -> int:
-        """M(top)'s dim - rank d_out - rank d_in, from cx's ranks."""
-        if degree in self._coh_cache:
-            return self._coh_cache[degree][0]
-        self._check_square(degree)
-        dropped = (len(self.model.generators_of_degree(degree))
-                   if degree > self._top else 0)
-        return (self.dim(degree) - dropped - self._rank(degree)
+        """M(top)'s dim - rank d_out - rank d_in by cx's ranks, memoized."""
+        dim = self._betti.get(degree)
+        if dim is None:
+            self._check_square(degree)
+            dropped = (len(self.model.generators_of_degree(degree))
+                       if degree > self._top else 0)
+            dim = self._betti[degree] = (
+                self.dim(degree) - dropped - self._rank(degree)
                 - self._rank(degree - self.step))
+        return dim

@@ -1,7 +1,8 @@
 """The readout with no zero shortcut and no shared elimination: the oracle
 for the zero degrees and the one-``Span`` readout of
-``elliptica.graded.GradedComplex``, for the certified zero tail of
-``elliptica.graded.GradedModel``, and for where it reads Gamma.
+``elliptica.graded.GradedComplex``, for the forced Whitehead nodes and the
+certified zero tail of ``elliptica.graded.GradedModel``, and for where it
+reads Gamma.
 
 ``homology`` here builds the kernel, the boundaries and the quotient in
 every degree that has a basis, each on its own elimination: the kernel of

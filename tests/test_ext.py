@@ -284,6 +284,39 @@ def test_ext_off_by_one_at_every_checked_degree_raises(degree, monkeypatch):
         quillen.homology_table(q, 7)
 
 
+@pytest.mark.parametrize("q", [
+    pytest.param(lambda: dsl.catalog("cpn_quillen", 3), id="cpn_quillen(3)"),
+    pytest.param(lambda: fixture("cp2xcp2q"), id="cp2xcp2q"),
+])
+def test_each_degree_compares_ext_once(q, monkeypatch):
+    # betti is memoized: the Whitehead sequence, eta, the ledger and the
+    # homology table of a quadratic model read each degree's Ext dimension
+    # once, compared with elimination up to max|W|
+    reads, lie_dim = [], ext.MinimalResolution.lie_dim
+    monkeypatch.setattr(ext.MinimalResolution, "lie_dim",
+                        lambda self, k: reads.append(k) or lie_dim(self, k))
+    q = q()
+    top = window(q)
+    quillen.whitehead_sequence_dgl(q, top)
+    quillen.eta(q)
+    QuillenAnalysis(q).ledger()
+    quillen.homology_table(q, top)
+    assert sorted(reads) == list(range(1, top + 1))
+
+
+def test_a_planted_ext_disagreement_raises_on_every_read(monkeypatch):
+    # the comparison's answer is kept only once it passes, so a second read
+    # of the degree compares again and raises again
+    lie_dim = ext.MinimalResolution.lie_dim
+    monkeypatch.setattr(ext.MinimalResolution, "lie_dim",
+                        lambda self, k: lie_dim(self, k) + (k == 3))
+    cx = dsl.catalog("cpn_quillen", 2).complex()
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency,
+                           match=r"H_3\(L\(W\)\) = 0 by elimination but 1"):
+            cx.betti(3)
+
+
 def algebra(name):
     return ext.CohomologyAlgebra.of_quadratic(fixture(name))
 
