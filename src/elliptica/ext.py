@@ -152,8 +152,10 @@ class CohomologyAlgebra:
     def of_quadratic(cls, model) -> "CohomologyAlgebra | None":
         """C of a Quillen model with xi_a xi_b = sum_c (-1)^|a| m^c_ab xi_c
         (module docstring), xi_a being the a-th generator's dual; None
-        unless every term of every delta is a bracket of two generators."""
-        lie = model.lie
+        unless every term of every delta is a bracket of two generators.
+        The constants are summed in int over the derivation's ``int_images``
+        and divided by its ``den`` at the end."""
+        lie, der = model.lie, model.derivation()
         pos = {g.index: a for a, g in enumerate(lie.generators, 1)}
         deg = {a: g.degree for a, g in enumerate(lie.generators, 1)}
         products: dict = {}
@@ -164,7 +166,7 @@ class CohomologyAlgebra:
 
         for g in lie.generators:
             c = pos[g.index]
-            for w, coef in model.d_of_generator(g.index).terms.items():
+            for w, coef in der.int_images.get(g.index, {}).items():
                 if len(w) != 2 or not lie.is_key(w):
                     return None
                 a, b = pos[w[0]], pos[w[1]]
@@ -176,7 +178,9 @@ class CohomologyAlgebra:
                     sab = -1 if deg[a] % 2 and deg[b] % 2 else 1
                     add(a, b, c, sa * coef)
                     add(b, a, c, -sb * sab * coef)
-        return cls([deg[a] + 1 for a in range(1, len(pos) + 1)], products,
+        return cls([deg[a] + 1 for a in range(1, len(pos) + 1)],
+                   {ab: {c: Fraction(v, der.den) for c, v in z.items()}
+                    for ab, z in products.items()},
                    name=model.name or repr(model))
 
     def product(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]

@@ -66,16 +66,21 @@ off ``betti(g)``, which keeps its own checks, with no map built; above z
 h = 0 after the certificate's check.  On chains the i + step term keeps
 Gamma(i - 1), where b(i) lands, read at the lowest node.
 
-A degree with nonzero (co)homology eliminates each matrix once: its kernel
-is read off the echelon form that the rank of d out of it built, and one
-``Span`` takes the columns of d into it, untracked, then the cycles; the
-cycles it accepts are the representatives, and ``class_coords`` expresses
-over it.  A zero space or map costs nothing beyond its ranks: no kernel or
-``Span`` where the rank-only ``betti`` is 0, no representative for an
-``incl`` into a zero H(g), and no product with a zero map in
-``check_exact``.  The checks stay: d.d = 0 in every degree that builds a
-matrix, as many representatives as the rank-only ``betti``, exactness at
-every node a generator reaches, and the certificate's two degrees.
+Each map d out of a degree is one record (``_Map``) of its matrix, rank,
+rows' echelon form (kept until the kernel is read off it) and kernel; d-bar
+shares d's where no generator has that degree, else its kernel drops the
+generators' positions, and a ``TruncationView`` reads its root's records, so
+a shared map is ranked and its kernel taken once.  A degree with nonzero
+(co)homology eliminates each matrix once: its kernel is read off that
+echelon form, and one ``Span`` takes the columns of d into it, untracked,
+then the cycles; the cycles it accepts are the representatives, and
+``class_coords`` expresses over it.  A zero space or map costs nothing
+beyond its ranks: no kernel or ``Span`` where the rank-only ``betti`` is 0,
+no representative for an ``incl`` into a zero H(g), and no product with a
+zero map in ``check_exact``.  The checks stay: d.d = 0 in every degree that
+builds a matrix, as many representatives as the rank-only ``betti``,
+exactness at every node a generator reaches, and the certificate's two
+degrees.
 """
 from __future__ import annotations
 
@@ -403,12 +408,12 @@ def check_exact(node: str, incoming: linalg.QMatrix,
     """ExactnessFailure unless im(incoming) = ker(outgoing) at ``node``,
     given the ranks of the two maps: the maps must meet at the node, their
     composite must vanish, and rank_in = dim(node) - rank_out.  A composite
-    with a zero factor vanishes, so no product is formed for it."""
+    with a zero factor is the zero matrix, which ``QMatrix.matmul`` reads
+    from the shapes with no product formed."""
     if incoming.rows != outgoing.cols:
         raise ExactnessFailure(
             f"maps do not meet at {node}: {incoming.rows} != {outgoing.cols}")
-    if (incoming.entries and outgoing.entries
-            and not outgoing.matmul(incoming).is_zero()):
+    if not outgoing.matmul(incoming).is_zero():
         raise ExactnessFailure(f"composite nonzero at {node}")
     if rank_in != incoming.rows - rank_out:
         raise ExactnessFailure(f"im != ker at {node}")
@@ -602,8 +607,6 @@ class GradedModel:
         chains it is solved against Gamma's basis."""
         k = i + self.complex_type.step
         gens = self.generators_of_degree(i)
-        if not gens:    # a map from zero needs no Gamma representatives
-            return linalg.QMatrix(self.gamma_dim(k), 0)
         gd = self.gamma(k)
         into_h = gd.complex.class_matrix(
             k, [self.d_of_generator(g.index) for g in gens])
@@ -693,13 +696,8 @@ class GradedComplex:
 
     def __init__(self, model):
         self.model = model
-        self._d_cache: dict[int, linalg.QMatrix] = {}
-        self._rank_cache: dict[int, int] = {}
-        self._echelons: dict[int, linalg._Echelon | None] = {}
-        self._cycle_cache: dict[int, list[linalg.SparseVector]] = {}
-        self._bar_cache: dict[int, linalg.QMatrix] = {}
-        self._bar_ranks: dict[int, int] = {}
-        self._bar_echelons: dict[int, linalg._Echelon | None] = {}
+        self._d_cache: dict[int, _Map] = {}
+        self._bar_maps: dict[int, _Map] = {}
         self._squares_checked: set[int] = set()
         self._betti: dict[int, int] = {}
         self._coh_cache: dict[int, tuple[int, list, list]] = {}
@@ -726,36 +724,45 @@ class GradedComplex:
         """The element with the coordinates v."""
         return self.model.algebra.combination(degree, v)
 
+    def _map(self, degree: int) -> "_Map":
+        """The record of d : degree -> degree + step, memoized."""
+        if degree not in self._d_cache:
+            self._d_cache[degree] = _Map(self._assemble_d_matrix(degree))
+        return self._d_cache[degree]
+
     def d_matrix(self, degree: int) -> linalg.QMatrix:
         """Matrix of d : degree -> degree + step in the canonical bases,
         memoized."""
-        if degree not in self._d_cache:
-            self._d_cache[degree] = self._assemble_d_matrix(degree)
-        return self._d_cache[degree]
+        return self._map(degree).matrix
 
-    def d_bar(self, degree: int) -> linalg.QMatrix:
-        """d-bar out of that degree: d with the columns of the generators of
-        that degree left zero, the map out of the decomposables that a
-        ``TruncationView`` reads.  It is ``d_matrix`` itself, with its rank
-        and echelon form, where no generator has that degree, at or below a
-        certified n + 1; else it is assembled on its own, memoized apart
-        from ``d_matrix``, so a capped complex builds no d above n + 1."""
-        m = self._bar_cache.get(degree)
-        if m is None:
+    def _bar_map(self, degree: int) -> "_Map":
+        """The record of d-bar out of that degree: d with the columns of the
+        generators of that degree left zero, the map out of the
+        decomposables that a ``TruncationView`` reads.  It is d's record
+        where no generator has that degree, at or below a certified n + 1;
+        else a record of its own, which drops the generators' positions, so
+        a capped complex builds no d above n + 1."""
+        rec = self._bar_maps.get(degree)
+        if rec is None:
             gens = self.model.generators_of_degree(degree)
             if gens or self._proven_zero(degree):
-                key = self.model.algebra.generator_key
-                m = self._assemble_d_matrix(degree,
-                                            {key(g.index) for g in gens})
+                alg = self.model.algebra
+                index = alg.table(degree).index
+                drop = {index[alg.generator_key(g.index)] for g in gens}
+                rec = _Map(self._assemble_d_matrix(degree, drop), drop)
             else:
-                m = self.d_matrix(degree)
-            self._bar_cache[degree] = m
-        return m
+                rec = self._map(degree)
+            self._bar_maps[degree] = rec
+        return rec
+
+    def d_bar(self, degree: int) -> linalg.QMatrix:
+        """The matrix of d-bar out of that degree (``_bar_map``)."""
+        return self._bar_map(degree).matrix
 
     def _assemble_d_matrix(self, degree: int,
                            skip=frozenset()) -> linalg.QMatrix:
-        """d : degree -> degree + step, column by column, the columns of the
-        keys in ``skip`` left zero: each basis key's integer image,
+        """d : degree -> degree + step, column by column, the columns in
+        ``skip`` left zero: each basis key's integer image,
         den * d(key) in coordinates, from the model's derivation, over the
         derivation's ``den``, placed by the basis table of degree + step;
         NotInAlgebra when an image has a term outside that table (the term
@@ -764,7 +771,7 @@ class GradedComplex:
             degree + self.step).index
         ent = {}
         for c, key in enumerate(self.keys(degree)):
-            if key in skip:
+            if c in skip:
                 continue
             try:
                 z = der.key_image(key)
@@ -780,47 +787,6 @@ class GradedComplex:
                         f"degree {degree + self.step}")
                 ent[(r, c)] = v
         return linalg.QMatrix(len(idx), self.dim(degree), ent, der.den)
-
-    def _rank(self, degree: int) -> int:
-        """rank of d : degree -> degree + step.  Its rows' echelon form is kept
-        until ``_cycles`` reads the kernel off it, or ``betti`` reads 0 and
-        no d-bar is d there."""
-        return _ranked(self.d_matrix(degree), degree, self._rank_cache,
-                       self._echelons)
-
-    def _bar_rank(self, degree: int) -> int:
-        """rank of d-bar out of that degree: ``_rank`` where d-bar is d."""
-        m = self.d_bar(degree)
-        if m is self._d_cache.get(degree):
-            return self._rank(degree)
-        return _ranked(m, degree, self._bar_ranks, self._bar_echelons)
-
-    def _cycles(self, degree: int) -> list[linalg.SparseVector]:
-        """A basis of ker d out of that degree, read off the echelon form
-        that its rank built, memoized: the complex's ``homology`` and a
-        ``TruncationView`` that shares d there both read it."""
-        z = self._cycle_cache.get(degree)
-        if z is None:
-            self._rank(degree)
-            z = self._cycle_cache[degree] = linalg.kernel_basis(
-                self.d_matrix(degree), self._echelons.pop(degree, None))
-        return z
-
-    def _bar_cycles(self, degree: int) -> list[linalg.SparseVector]:
-        """A basis of ker d-bar on the decomposables of that degree: the
-        kernel of d-bar without the unit vectors of its zero generator
-        columns, in the order of the decomposables' own kernel basis;
-        ``_cycles`` where d-bar is d."""
-        m = self.d_bar(degree)
-        if m is self._d_cache.get(degree):
-            return self._cycles(degree)
-        self._bar_rank(degree)
-        alg = self.model.algebra
-        index = alg.table(degree).index
-        gens = {index[alg.generator_key(g.index)]
-                for g in self.model.generators_of_degree(degree)}
-        return [z for z in linalg.kernel_basis(
-            m, self._bar_echelons.pop(degree, None)) if not gens & z.keys()]
 
     def _check_square(self, degree: int):
         """CompositionNotZero unless d . d = 0 through ``degree``."""
@@ -870,7 +836,7 @@ class GradedComplex:
             result = (0, [], [])
         else:
             self._check_square(degree)
-            cycles = self._cycles(degree)
+            cycles = self._map(degree).kernel()
             span = linalg.Span(self.dim(degree),
                                self.d_matrix(degree - self.step))
             reps_v = [z for z in cycles if span.add(z)]
@@ -893,11 +859,11 @@ class GradedComplex:
         dim = 0
         if not self._proven_zero(degree) and self.dim(degree):
             self._check_square(degree)
-            dim = (self.dim(degree) - self._rank(degree)
-                   - self._rank(degree - self.step))
-            if not dim and self._bar_cache.get(degree) is not self.d_matrix(
-                    degree):
-                self._echelons.pop(degree, None)
+            rec = self._map(degree)
+            dim = (self.dim(degree) - rec.rank()
+                   - self._map(degree - self.step).rank())
+            if not dim and self._bar_maps.get(degree) is not rec:
+                rec.echelon = None
         self._betti[degree] = dim
         return dim
 
@@ -953,43 +919,58 @@ class GradedComplex:
         return linalg.QMatrix(len(gens), len(reps), ent)
 
 
-def _ranked(m: linalg.QMatrix, degree: int, ranks: dict,
-            echelons: dict) -> int:
-    """The rank of m, d out of that degree, memoized in ``ranks``; its rows'
-    echelon form is kept in ``echelons``."""
-    if degree not in ranks:
-        ech = echelons[degree] = linalg._Echelon() if m.entries else None
-        ranks[degree] = linalg.rank(m, ech)
-    return ranks[degree]
+class _Map:
+    """One map d out of a degree, eliminated once: its ``matrix``, the
+    positions it ``dropped`` (its zero generator columns, on d-bar), its
+    rank, the ``echelon`` form of its rows, kept from the rank until the
+    kernel is read off it (or ``betti`` drops it), and its kernel on the
+    kept positions."""
+
+    __slots__ = ("matrix", "dropped", "echelon", "_rank", "_kernel")
+
+    def __init__(self, matrix: linalg.QMatrix, dropped=frozenset()):
+        self.matrix, self.dropped, self.echelon = matrix, dropped, None
+        self._rank = self._kernel = None
+
+    def rank(self) -> int:
+        if self._rank is None:
+            m = self.matrix
+            self.echelon = linalg._Echelon() if m.entries else None
+            self._rank = linalg.rank(m, self.echelon)
+        return self._rank
+
+    def kernel(self) -> list[linalg.SparseVector]:
+        """A basis of the kernel on the kept positions, read off the echelon
+        form, memoized: the kernel basis without the unit vectors of the
+        dropped positions, in its order."""
+        if self._kernel is None:
+            self.rank()
+            z = linalg.kernel_basis(self.matrix, self.echelon)
+            self.echelon = None
+            drop = self.dropped
+            self._kernel = [v for v in z if not drop & v.keys()] if drop else z
+        return self._kernel
 
 
 class TruncationView(GradedComplex):
     """The complex of M(top), the sub-model on the generators of degree <=
     ``top``, in the degrees that H(k) reads, for k = top + 1 + step, read
     over the model's complex ``cx`` with no sub-model built (module
-    docstring).  Its d out of a degree j is cx's d-bar_j above ``top`` and
-    cx's d_j at or below it, with cx's ranks, and its coordinates are cx's.
-    In degree k M(top) lacks only the generators of degree k above ``top``
-    (cochains), so ``betti`` counts the decomposables there and the cycles
-    are d-bar's on them: its H(k), the representatives, in cx's
-    coordinates, and the linear part are M(top)'s.  Its ``betti`` is never
-    capped."""
+    docstring).  Its d out of a degree j is cx's record of d-bar_j above
+    ``top`` and of d_j at or below it, so its ranks, kernels and
+    coordinates are cx's.  In degree k M(top) lacks only the generators of
+    degree k above ``top`` (cochains), the positions d-bar drops, so
+    ``betti`` counts the decomposables there and the cycles are d-bar's on
+    them: its H(k), the representatives, in cx's coordinates, and the
+    linear part are M(top)'s.  Its ``betti`` is never capped."""
 
     def __init__(self, cx: GradedComplex, top: int):
         super().__init__(cx.model)
         self.step, self._cx, self._top = cx.step, cx, top
 
-    def d_matrix(self, degree: int) -> linalg.QMatrix:
+    def _map(self, degree: int) -> _Map:
         cx = self._cx
-        return (cx.d_bar if degree > self._top else cx.d_matrix)(degree)
-
-    def _rank(self, degree: int) -> int:
-        cx = self._cx
-        return (cx._bar_rank if degree > self._top else cx._rank)(degree)
-
-    def _cycles(self, degree: int) -> list[linalg.SparseVector]:
-        cx = self._cx
-        return (cx._bar_cycles if degree > self._top else cx._cycles)(degree)
+        return (cx._bar_map if degree > self._top else cx._map)(degree)
 
     def _generators(self, degree: int) -> tuple[Generator, ...]:
         return () if degree > self._top else super()._generators(degree)
@@ -1009,9 +990,8 @@ class TruncationView(GradedComplex):
         dim = self._betti.get(degree)
         if dim is None:
             self._check_square(degree)
-            dropped = (len(self.model.generators_of_degree(degree))
-                       if degree > self._top else 0)
+            out = self._map(degree)
             dim = self._betti[degree] = (
-                self.dim(degree) - dropped - self._rank(degree)
-                - self._rank(degree - self.step))
+                self.dim(degree) - len(out.dropped) - out.rank()
+                - self._map(degree - self.step).rank())
         return dim

@@ -84,8 +84,7 @@ class FreeLie(FreeAlgebra):
     Its basis keys are the leading words of the Lie basis.  With ``source``
     given, the restricted tables keep the basis elements whose leading word
     uses only these generators: the Lyndon basis of a sub-alphabet is the
-    part of the full Lyndon basis over that alphabet.  A restriction shares
-    its source's factorizations, structure constants and key degrees.
+    part of the full Lyndon basis over that alphabet.
     """
 
     element_type = LieElement
@@ -97,14 +96,11 @@ class FreeLie(FreeAlgebra):
         # degree -> Lyndon words of that degree, ascending
         self._lyndon_cache: dict[int, list[Word]] = {}
         # key of length >= 2 -> the keys (u, v) it brackets
-        self._factor: dict[Word, tuple[Word, Word]] = (
-            {} if source is None else source._factor)
+        self._factor: dict[Word, tuple[Word, Word]] = {}
         # (p, q) -> [B_p, B_q] over the basis keys, int coefficients
-        self._brackets: dict[tuple[Word, Word], Coords] = (
-            {} if source is None else source._brackets)
+        self._brackets: dict[tuple[Word, Word], Coords] = {}
         # word -> its degree
-        self._degrees: dict[Word, int] = (
-            {} if source is None else source._degrees)
+        self._degrees: dict[Word, int] = {}
 
     def key_degree(self, w: Word) -> int:
         """The sum of w's generator degrees, memoized."""

@@ -432,8 +432,8 @@ def test_zero_shortcuts_equal_the_full_path_oracle(make, monkeypatch):
 def test_no_span_in_a_degree_with_zero_cohomology():
     # CP^2 = (x:2, y:5; dy = x^3): H^5 = H^6 = 0, so a cycle there has class
     # 0 with no Span built, and so with no boundary read, as the boundaries
-    # enter only the Span; y is no cycle, and still refused; the echelon
-    # forms of d out of 5 and 6, which no kernel needs, are not kept
+    # enter only the Span; y is no cycle, and still refused; the records of
+    # d out of 5 and 6 keep no echelon form, which no kernel needs
     m = dsl.catalog_spec("cpn_sullivan(2)")
     cx = m.complex()
     x, y = m.algebra.gen("x"), m.algebra.gen("y")
@@ -446,7 +446,7 @@ def test_no_span_in_a_degree_with_zero_cohomology():
         cx.class_matrix(5, [y])
     assert cx.homology(5) == cx.homology(6) == (0, [], [])
     assert cx._class_cache == {}
-    assert 5 not in cx._echelons and 6 not in cx._echelons
+    assert cx._d_cache[5].echelon is None and cx._d_cache[6].echelon is None
 
 
 @pytest.mark.parametrize("spec", ["cpn_sullivan(3)", "cpn_quillen(3)",
@@ -659,7 +659,43 @@ def test_a_nonzero_degree_eliminates_each_matrix_once(monkeypatch):
         {0: 1}, {1: 1}, {2: 1}]
     for z in cycles:
         cx.class_coords(6, z)
-    assert len(built) == 3 and 6 not in cx._echelons
+    assert len(built) == 3 and cx._d_cache[6].echelon is None
+
+
+def test_a_view_and_its_root_rank_a_shared_d_and_take_its_kernel_once(
+        monkeypatch):
+    # at or below its top a view reads the root's record of d: H^6 of
+    # random_7_2 over the root and over a view of top 6 ranks d out of 5
+    # and out of 6 once each and reads the kernel off d_6's echelon form
+    # once; only the two Spans are built apart
+    m = randmodels.random_models(7, 20)[2]
+    cx = m.complex()
+    view = TruncationView(cx, 6)
+    assert m.certified_top    # the certificate eliminates too
+    built = counting_echelons(monkeypatch)
+    kernels, kernel_basis = [], linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        lambda mat, *e: kernels.append(mat)
+                        or kernel_basis(mat, *e))
+    assert view.homology(6)[2] == cx.homology(6)[2]
+    assert kernels == [cx.d_matrix(6)]
+    assert sorted(e.limit for e in built) == [cx.dim(6)] * 2 + [
+        float("inf")] * 2
+
+
+def test_a_d_bar_kernel_read_twice_eliminates_once(monkeypatch):
+    # nonpure-0 reads Gamma^5 over a view of top 3, whose d out of 5 is
+    # d-bar_5, a map of its own with entries; a second view of the same top
+    # reads the kernel that the first one took, so its homology builds
+    # only its own Span
+    m = randmodels.random_nonpure_model(random.Random(0), name="nonpure-0")
+    cx = m.complex()
+    assert m.generators_of_degree(5) and cx.d_bar(5).entries
+    first = TruncationView(cx, 3).homology(5)
+    assert first[0] == 2
+    built = counting_echelons(monkeypatch)
+    assert TruncationView(cx, 3).homology(5) == first
+    assert [e.limit for e in built] == [cx.dim(5)]
 
 
 def one_span_models():

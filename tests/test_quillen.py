@@ -266,7 +266,7 @@ def test_a_planted_entry_in_a_cached_d_matrix_raises():
     # must see
     cx = dsl.catalog("cpn_quillen", 2).complex()
     assert cx.d_matrix(2).is_zero() and cx.d_matrix(3).den == 2
-    cx._d_cache[2] = linalg.QMatrix(1, 1, {(0, 0): 1}, den=3)
+    cx._d_cache[2].matrix = linalg.QMatrix(1, 1, {(0, 0): 1}, den=3)
     with pytest.raises(CompositionNotZero, match="degree 2"):
         cx.betti(2)
 
