@@ -31,7 +31,9 @@ degree H(k) reads, up to zero rows of d, and so do H(k), its
 representatives and the linear part.  Then incl : Gamma(k) -> H(k) is
 Gamma's coordinate matrix; only incl out of a ``TruncationView`` needs
 representatives.  p out of a degree with no generator is the zero map from
-the rank-only betti number.
+the rank-only betti number.  Where no generator has degree k or k - step
+(on cochains, wherever the complex is the model's), Gamma(k) is all of
+H(k): ``betti(k)`` unit vectors, with no linear part or kernel built.
 
 Elsewhere Gamma(k) is read over the model's decomposables, and no
 sub-model is built.  The two maps d that H(k) reads start in degrees whose
@@ -50,12 +52,17 @@ that leaves the kept ones raises ``TruncationNotClosed``
 
 A model's ``certified_top`` n, a proof (not a degree window) that its
 (co)homology vanishes above n and the only verdict on ellipticity
-(``sullivan.SullivanModel.certified_top``), caps its complex, and only
-``GradedComplex._proven_zero`` skips work by it: ``betti`` and
-``homology`` return zero above n + 1 with no matrix built, and dim H(n) = 1
-and dim H(n + 1) = 0 are checked at run time.  Above z = max(n + 1,
-max|gens| + 1) there is no generator and H is zero, so ``gamma`` is zero
-there.  Quillen models and models without one compute every degree.
+(``sullivan.SullivanModel.certified_top``), caps its complex, read at one
+place, ``GradedComplex._proven_zero``: the root's ``betti`` is zero above
+n + 1 with no matrix built, and so is everything read off it, and dim
+H(n) = 1 and dim H(n + 1) = 0 are checked at run time.  Above z = max(n +
+1, max|gens| + 1) no generator reaches, so ``gamma`` is read off ``betti``
+and is zero there, by no rule of its own.  Quillen models and models
+without one compute every degree.
+
+``GradedComplex.betti`` is the one memo of dim H: the root, a
+``TruncationView`` (never capped) and ``quillen.DGLComplex`` (Ext) each
+override only its uncached hook ``_betti_of``.
 
 A Whitehead node i that no generator reaches, none of degree i, i + 1 or
 i + step, is forced: the sub-model that holds Gamma(g), g = max(i, i +
@@ -548,17 +555,19 @@ class GradedModel:
         """ker(linear part : H_k(M(k - 1 - step)) -> gens(k)), M(t) the
         sub-model on the generators of degree <= t, over the model's own
         complex where M(k - 1 - step) drops no generator of degree <= max(k,
-        k - step), else over a ``TruncationView`` of it (module docstring);
-        zero, with nothing built, above the certified zero tail."""
-        if self._in_zero_tail(k):
-            return GammaData(k, 0, [], self.complex())
-        step = self.complex_type.step
+        k - step), else over a ``TruncationView`` of it (module docstring).
+        Where no generator has degree k or k - step, Gamma(k) is all of
+        H(k), read off the model's ``betti`` with no linear part built."""
+        step, full = self.complex_type.step, self.complex()
+        if not self._by_degree.keys() & {k, k - step}:
+            h = full.betti(k)
+            return GammaData(k, h, [{j: _ONE} for j in range(h)], full)
         t = k - 1 - step
         if self._by_degree.keys() & range(t + 1, max(k, k - step) + 1):
             self._check_closed(t)
-            tc = TruncationView(self.complex(), t)
+            tc = TruncationView(full, t)
         else:
-            tc = self.complex()
+            tc = full
         kernel = linalg.kernel_basis(tc.linear_part(k))
         return GammaData(k, len(kernel), kernel, tc)
 
@@ -579,18 +588,10 @@ class GradedModel:
                     f"{self!r}: d({g.name}) involves a generator of degree "
                     f"> {k}")
 
-    def _in_zero_tail(self, degree: int) -> bool:
-        """Whether ``degree`` lies above z = max(n + 1, max|gens| + 1) on a
-        complex capped at n (``GradedComplex._proven_zero``).  There no
-        generator lies, the sub-model that holds Gamma is the model itself,
-        and H = 0 by the certificate, so Gamma is zero."""
-        return (degree > self._top_degree + 1
-                and self.complex()._proven_zero(degree))
-
     def gamma_dim(self, k: int) -> int:
-        """dim Gamma(k): the rank-only betti_k of Gamma's complex when it has
-        no generator of degree k (always on cochains), as its linear part is
-        then the zero map."""
+        """dim Gamma(k): the model's ``betti(k)`` where no generator has
+        degree k or k - step, else the dimension of the linear part's
+        kernel (``_gamma``)."""
         return self.gamma(k).dim
 
     def gamma_sum(self, top: int) -> int:
@@ -602,16 +603,16 @@ class GradedModel:
     def whitehead_b(self, i: int) -> linalg.QMatrix:
         """The Whitehead map b : gens(i) -> Gamma(i + step), g |-> [d g]:
         a class of the complex that holds Gamma(i + step), written over
-        Gamma's representatives.  On cochains Gamma^(i + 1) is all of
-        H^(i + 1) of that complex, so b is the class matrix itself; on
-        chains it is solved against Gamma's basis."""
+        Gamma's representatives.  Where Gamma is all of H of that complex
+        (always on cochains) its linear part is zero and ``h_coords`` the
+        identity, so b is the class matrix itself; else it is solved
+        against Gamma's basis."""
         k = i + self.complex_type.step
         gens = self.generators_of_degree(i)
         gd = self.gamma(k)
         into_h = gd.complex.class_matrix(
             k, [self.d_of_generator(g.index) for g in gens])
-        if self.complex_type.step > 0:
-            # Gamma^k is all of H^k of its complex: h_coords is the identity
+        if gd.dim == into_h.rows:
             return into_h
         onto = linalg.QMatrix.from_columns(gd.h_coords, into_h.rows)
         cols = [linalg.solve(onto, col) for col in into_h.columns()]
@@ -625,8 +626,9 @@ class GradedModel:
         the model's representatives: the class coordinates, in the model,
         of the representatives of Gamma's complex, times ``h_coords``.  No
         representative is built when that complex is the model's, where
-        incl is ``h_coords``, or when H(g) is zero, where incl is zero; on
-        cochains ``h_coords`` is the identity (as in ``whitehead_b``)."""
+        incl is ``h_coords``, or when H(g) is zero, where incl is zero; where
+        Gamma is all of H of its complex ``h_coords`` is the identity (as in
+        ``whitehead_b``)."""
         full, gd = self.complex(), self.gamma(g)
         if gd.complex is full:
             return linalg.QMatrix.from_columns(gd.h_coords, full.betti(g))
@@ -634,7 +636,7 @@ class GradedModel:
             return linalg.QMatrix(0, gd.dim)
         h_reps = gd.complex.homology(g)[1]
         into_h = full.class_matrix(g, h_reps)
-        return into_h if self.complex_type.step > 0 else into_h.matmul(
+        return into_h if gd.dim == len(h_reps) else into_h.matmul(
             linalg.QMatrix.from_columns(gd.h_coords, len(h_reps)))
 
     def whitehead_sequence(self, max_degree: int) -> WhiteheadReport:
@@ -851,20 +853,25 @@ class GradedComplex:
         return result
 
     def betti(self, degree: int) -> int:
-        """dim - rank d_out - rank d_in, from ranks alone, memoized; 0 with
-        no matrix built above the model's ``certified_top`` + 1."""
+        """dim H(degree), memoized: ``_betti_of``'s answer, stored once it
+        returns, so a read that raises is repeated in full by the next."""
         dim = self._betti.get(degree)
-        if dim is not None:
-            return dim
-        dim = 0
-        if not self._proven_zero(degree) and self.dim(degree):
-            self._check_square(degree)
-            rec = self._map(degree)
-            dim = (self.dim(degree) - rec.rank()
-                   - self._map(degree - self.step).rank())
-            if not dim and self._bar_maps.get(degree) is not rec:
-                rec.echelon = None
-        self._betti[degree] = dim
+        if dim is None:
+            dim = self._betti[degree] = self._betti_of(degree)
+        return dim
+
+    def _betti_of(self, degree: int) -> int:
+        """dim - rank d_out - rank d_in, from ranks alone; 0 with no matrix
+        built above the model's ``certified_top`` + 1.  A zero degree drops
+        the echelon form of d out of it, unless d-bar shares the record."""
+        if self._proven_zero(degree) or not self.dim(degree):
+            return 0
+        self._check_square(degree)
+        rec = self._map(degree)
+        dim = (self.dim(degree) - rec.rank()
+               - self._map(degree - self.step).rank())
+        if not dim and self._bar_maps.get(degree) is not rec:
+            rec.echelon = None
         return dim
 
     def class_coords(self, degree: int, e) -> linalg.SparseVector | None:
@@ -985,13 +992,10 @@ class TruncationView(GradedComplex):
         else:
             self._cx._check_square(degree)
 
-    def betti(self, degree: int) -> int:
-        """M(top)'s dim - rank d_out - rank d_in by cx's ranks, memoized."""
-        dim = self._betti.get(degree)
-        if dim is None:
-            self._check_square(degree)
-            out = self._map(degree)
-            dim = self._betti[degree] = (
-                self.dim(degree) - len(out.dropped) - out.rank()
+    def _betti_of(self, degree: int) -> int:
+        """M(top)'s dim - rank d_out - rank d_in by cx's ranks, never
+        capped: the dropped positions are outside M(top)."""
+        self._check_square(degree)
+        out = self._map(degree)
+        return (self.dim(degree) - len(out.dropped) - out.rank()
                 - self._map(degree - self.step).rank())
-        return dim

@@ -42,35 +42,27 @@ class DGLComplex(GradedComplex):
     resolution cell is grown where L(W) is 0 (``FreeLie.vanishes``).
     Degrees up to max|W| are eliminated, with their d.d checks, and must
     equal the Ext dimension.  Models with a term of higher bracket length
-    eliminate in every degree."""
+    eliminate in every degree.  Only the hook ``_betti_of`` is overridden,
+    so ``betti`` keeps an answer once its comparison passes."""
 
     step = -1
 
-    def __init__(self, model):
-        super().__init__(model)
-        self._lie_betti: dict[int, int] = {}
-
-    def betti(self, degree: int) -> int:
+    def _betti_of(self, degree: int) -> int:
         """dim H_degree(L(W)): from Ext above max|W| on a quadratic model,
         else by elimination, where on a quadratic model
-        InternalInconsistency is raised unless it equals the Ext dimension;
-        memoized apart from elimination's, once the comparison passes."""
-        got = self._lie_betti.get(degree)
-        if got is not None:
-            return got
+        InternalInconsistency is raised unless it equals the Ext
+        dimension."""
         res = self.model.resolution
         if res is None:
-            return super().betti(degree)
+            return super()._betti_of(degree)
         if degree > self.model.max_generator_degree():
-            got = 0 if self.model.lie.vanishes(degree) else res.lie_dim(degree)
-        else:
-            got = super().betti(degree)
-            if degree >= 1 and got != res.lie_dim(degree):
-                raise InternalInconsistency(
-                    f"{self.model!r}: dim H_{degree}(L(W)) = {got} by "
-                    f"elimination but {res.lie_dim(degree)} from Ext over the "
-                    f"cohomology algebra")
-        self._lie_betti[degree] = got
+            return 0 if self.model.lie.vanishes(degree) else res.lie_dim(degree)
+        got = super()._betti_of(degree)
+        if degree >= 1 and got != res.lie_dim(degree):
+            raise InternalInconsistency(
+                f"{self.model!r}: dim H_{degree}(L(W)) = {got} by "
+                f"elimination but {res.lie_dim(degree)} from Ext over the "
+                f"cohomology algebra")
         return got
 
 

@@ -1,10 +1,12 @@
 """The elimination route for H_*(L(W)): the oracle for the Ext table of
 ``elliptica.quillen.DGLComplex``.
 
-``betti`` here is the shared ``GradedComplex.betti``: the exact ranks of the
-delta matrices, with their d.d checks, in every degree of every Quillen
+The hook here is the shared ``GradedComplex._betti_of``: the exact ranks of
+the delta matrices, with their d.d checks, in every degree of every Quillen
 model, quadratic or not, so the Lie basis of every degree asked for is
-enumerated.  Inside ``elimination_route()`` it is ``DGLComplex.betti``.
+enumerated.  Inside ``elimination_route()`` it is ``DGLComplex._betti_of``,
+under the one memo of ``GradedComplex.betti``, so a complex read there
+must be fresh.
 """
 import contextlib
 
@@ -19,7 +21,7 @@ def elimination_route():
     """Read every Quillen homology dimension by elimination, inside the
     block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DGLComplex, "betti", GradedComplex.betti)
+        mp.setattr(DGLComplex, "_betti_of", GradedComplex._betti_of)
         yield
 
 

@@ -16,8 +16,9 @@ consistency checks that the shortcut skips.  Above a model's certified top
 degree plus one the (co)homology is zero by proof, as in the engine.
 ``whitehead_sequence`` builds the maps of every node and checks it exact,
 and ``_gamma`` builds the truncation (``truncate``), the linear part and
-its kernel in every degree, above the certified zero tail too, and where
-the truncation agrees with the model.  ``whitehead_incl`` builds the
+its kernel in every degree: where no generator has degree k or k - step
+too, the certified zero tail among them, where the engine reads Gamma(k)
+off ``betti``, and where the truncation agrees with the model.  ``whitehead_incl`` builds the
 representatives of a proper truncation even where the model's
 (co)homology is zero.
 ``full_path(monkeypatch)`` puts all five on ``GradedComplex`` and

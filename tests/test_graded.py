@@ -716,8 +716,6 @@ def test_gamma_lives_on_the_model_exactly_where_the_truncation_agrees(model):
     # coordinates over them are the model's
     step, full = model.complex_type.step, model.complex()
     for k in range(2, default_bound(model) + 2):
-        if model._in_zero_tail(k):
-            continue
         t = full_path_oracle.truncate(model, k - 1 - step)
         reach = k if step > 0 else k + 1
         agrees = all(g.degree > reach for g in model.generators
@@ -728,6 +726,41 @@ def test_gamma_lives_on_the_model_exactly_where_the_truncation_agrees(model):
             tc = t.complex()
             assert tc.homology(k)[2] == full.homology(k)[2], k
             assert linalg.kernel_basis(tc.linear_part(k)) == gd.h_coords
+
+
+@pytest.mark.parametrize("model", one_span_models())
+def test_a_gamma_no_generator_reaches_is_read_off_betti(model, monkeypatch):
+    # where no generator has degree k or k - step, Gamma(k) is all of H(k)
+    # of the model's own complex: betti(k) unit vectors, with no linear
+    # part, kernel or Span built; the certified zero tail is one such range
+    step, full = model.complex_type.step, model.complex()
+    forced = [k for k in range(2, default_bound(model) + 2)
+              if not model.generators_of_degree(k)
+              and not model.generators_of_degree(k - step)]
+    assert forced
+    betti = {k: full.betti(k) for k in forced}
+
+    def refuse(*args):
+        raise AssertionError(f"built: {args}")
+
+    monkeypatch.setattr(GradedComplex, "linear_part", refuse)
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    monkeypatch.setattr(linalg, "Span", refuse)
+    for k in forced:
+        gd = model.gamma(k)
+        assert gd.complex is full and gd.dim == betti[k], k
+        assert gd.h_coords == [{j: 1} for j in range(gd.dim)], k
+
+
+def test_a_view_above_its_roots_cap_still_computes():
+    # cpn_sullivan(2) is capped at n = 4, so its complex reads H^6 = 0 with
+    # no matrix built; a view is never capped, and the view of Lambda(x)
+    # reads x^3 in degree 6 from d-bar records of its own
+    cx = dsl.catalog_spec("cpn_sullivan(2)").complex()
+    assert cx.model.certified_top == 4
+    assert cx.betti(6) == 0
+    assert TruncationView(cx, 2).betti(6) == 1
+    assert max(cx._d_cache) <= 5
 
 
 def test_the_truncation_that_agrees_is_proper_somewhere():
